@@ -46,7 +46,8 @@ from .passes import (
 from .pipelines import (
     CompileOptions, CompilerSession, LEVEL_PIPELINES, OptLevel,
     build_pipeline_from_spec, level_spec, level_spec_string, link_sources,
-    parse_opt_level, with_entry_points, with_runtime_checks,
+    linked_prelude_lines, parse_opt_level, with_entry_points,
+    with_runtime_checks,
 )
 from .verification import (
     BackendSpecError, VerificationRequest, backend_names, make_backend,
@@ -137,7 +138,8 @@ def _explain_paths(source: str, name: str, options: CompileOptions,
     from .symex import SymexLimits, explore
 
     full_source = link_sources(source, options)
-    unit = parse_minic(full_source)
+    unit = parse_minic(full_source, prelude_lines=linked_prelude_lines(
+        full_source, source))
     analyze(unit)
     module = lower(unit, name)
     verify_module(module)
@@ -282,7 +284,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 0
             start = time.perf_counter()
             full_source = link_sources(source, options)
-            unit = parse_minic(full_source)
+            unit = parse_minic(full_source, prelude_lines=linked_prelude_lines(
+                full_source, source))
             analyze(unit)
             module = lower(unit, name)
             pipeline = build_pipeline_from_spec(spec)

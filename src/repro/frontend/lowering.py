@@ -19,7 +19,7 @@ from .ctype import (
     CArray, CFunction, CInt, CPointer, CStruct, CType, CVoid, CHAR, INT, LONG,
     ULONG, VOID, decay, integer_promote, usual_arithmetic_conversion,
 )
-from .source import CompileError
+from .source import CompileError, nesting_limit
 from ..ir import (
     BasicBlock, ConstantArray, ConstantInt, Function, FunctionType, GEPInst,
     ICmpPredicate, IRBuilder, IntType, Module, Opcode, PointerType, Type,
@@ -760,7 +760,8 @@ class Codegen:
                 raise LoweringError(
                     f"redefinition of function '{definition.name}'",
                     definition.location)
-            _FunctionLowering(self, function, definition).lower()
+            with nesting_limit(definition.location):
+                _FunctionLowering(self, function, definition).lower()
         return self.module
 
 

@@ -512,6 +512,13 @@ class Parser:
         raise CompileError(f"unexpected token '{token.text}'", token.location)
 
 
-def parse(source: str, filename: str = "<source>") -> ast.TranslationUnit:
-    """Parse MiniC ``source`` into an AST."""
-    return Parser(tokenize(source, filename)).parse_translation_unit()
+def parse(source: str, filename: str = "<source>",
+          prelude_lines: int = 0) -> ast.TranslationUnit:
+    """Parse MiniC ``source`` into an AST.  The first ``prelude_lines``
+    lines are a linked prelude (see :class:`~repro.frontend.lexer.Lexer`)."""
+    parser = Parser(tokenize(source, filename, prelude_lines))
+    try:
+        return parser.parse_translation_unit()
+    except RecursionError:
+        raise CompileError("nested too deeply to compile",
+                           parser.tokens[parser.pos].location) from None

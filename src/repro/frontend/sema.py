@@ -14,7 +14,7 @@ from .ctype import (
     CArray, CFunction, CInt, CPointer, CStruct, CType, CVoid, CHAR, INT, LONG,
     ULONG, VOID, decay, integer_promote, usual_arithmetic_conversion,
 )
-from .source import CompileError
+from .source import CompileError, nesting_limit
 
 
 class Scope:
@@ -70,10 +70,12 @@ class SemanticAnalyzer:
         for gvar in self.unit.globals:
             self.globals.declare(gvar.name, self._resolve(gvar.var_type), gvar)
             if gvar.initializer is not None:
-                self._analyze_expr(gvar.initializer, self.globals)
+                with nesting_limit(gvar.location):
+                    self._analyze_expr(gvar.initializer, self.globals)
         for function in self.unit.functions:
             if function.body is not None:
-                self._analyze_function(function)
+                with nesting_limit(function.location):
+                    self._analyze_function(function)
         return self.unit
 
     # ------------------------------------------------------------- helpers

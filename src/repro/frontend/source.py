@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -19,6 +21,10 @@ class SourceLocation:
 
 UNKNOWN_LOCATION = SourceLocation(0, 0, "<unknown>")
 
+#: The file name diagnostics give to lines of a linked prelude (the C
+#: library the driver puts in front of the program).
+PRELUDE_FILENAME = "<prelude>"
+
 
 class CompileError(Exception):
     """A diagnostic raised by the lexer, parser, or semantic analyzer."""
@@ -27,3 +33,14 @@ class CompileError(Exception):
         super().__init__(f"{location}: {message}")
         self.message = message
         self.location = location
+
+
+@contextmanager
+def nesting_limit(location: SourceLocation) -> Iterator[None]:
+    """Report source nested deeper than the recursive front end can follow
+    as a :class:`CompileError` at ``location``, not a bare
+    :class:`RecursionError`."""
+    try:
+        yield
+    except RecursionError:
+        raise CompileError("nested too deeply to compile", location) from None

@@ -49,6 +49,7 @@ def format_pass_history(history: Sequence["PassRunRecord"],
         total_misses += record.analysis_cache_misses
         rows.append([
             record.pass_name,
+            "skipped" if record.skipped else
             "yes" if record.changed else "no",
             f"{record.duration_seconds * 1000:.2f}",
             record.analysis_cache_hits,

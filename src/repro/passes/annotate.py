@@ -23,6 +23,8 @@ verification tool itself.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from ..analysis import (
     AnalysisManager, PreservedAnalyses, compute_trip_count, full_range,
     underlying_object,
@@ -32,6 +34,15 @@ from ..ir import (
     StoreInst,
 )
 from .pass_manager import Pass
+
+
+def _annotate(metadata: Dict[str, object], key: str, value: object) -> bool:
+    """Store ``value`` under ``key``; True when that changed the stored
+    value (rewriting an equal value is not a change)."""
+    if key in metadata and metadata[key] == value:
+        return False
+    metadata[key] = value
+    return True
 
 
 class AnnotateForVerification(Pass):
@@ -53,32 +64,38 @@ class AnnotateForVerification(Pass):
                 if isinstance(inst.type, IntType):
                     interval = ranges.range_of(inst)
                     if interval is not None and \
-                            interval != full_range(inst.type):
-                        inst.metadata["range"] = (interval.low, interval.high)
+                            interval != full_range(inst.type) and \
+                            _annotate(inst.metadata, "range",
+                                      (interval.low, interval.high)):
                         self.stats.annotations_added += 1
                         changed = True
                 if isinstance(inst, (LoadInst, StoreInst)):
                     pointer = inst.pointer
                     base = underlying_object(pointer).base
-                    if isinstance(base, (AllocaInst, GlobalVariable)):
-                        inst.metadata["alias.distinct"] = base.name
+                    if isinstance(base, (AllocaInst, GlobalVariable)) and \
+                            _annotate(inst.metadata, "alias.distinct",
+                                      base.name):
                         self.stats.annotations_added += 1
                         changed = True
                     if depth:
-                        inst.metadata["loop.depth"] = depth
+                        changed |= _annotate(inst.metadata, "loop.depth",
+                                             depth)
 
         for loop in loop_info.loops:
             trip = compute_trip_count(loop)
             if trip is not None:
                 term = loop.header.terminator
-                if term is not None:
-                    term.metadata["trip_count"] = trip.count
+                if term is not None and \
+                        _annotate(term.metadata, "trip_count", trip.count):
                     self.stats.annotations_added += 1
                     changed = True
-        function.metadata["annotated_for_verification"] = True
+        changed |= _annotate(function.metadata,
+                             "annotated_for_verification", True)
         # Annotation writes metadata only — the IR structure and values are
         # untouched, so every analysis remains valid (and re-running this
-        # pass is a pure cache hit).
+        # pass is a pure cache hit).  A re-run that finds every value
+        # already in place reports no change, so it does not force another
+        # fixpoint round.
         return PreservedAnalyses.all(changed=changed)
 
 

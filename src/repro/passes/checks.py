@@ -59,6 +59,8 @@ class InsertRuntimeChecks(Pass):
             return PreservedAnalyses.unchanged()
         module = function.parent
         assert module is not None
+        declares_hook = \
+            module.get_function_or_none(CHECK_FAIL_FUNCTION) is None
         fail = get_or_create_check_fail(module)
         changed = False
         # Snapshot the accesses first: inserting checks splits blocks.
@@ -71,9 +73,11 @@ class InsertRuntimeChecks(Pass):
             self._insert_null_check(function, fail, inst)
             self.stats.checks_inserted += 1
             changed = True
-        # Each check splits a block and adds a failure arm.
-        return PreservedAnalyses.none() if changed \
-            else PreservedAnalyses.unchanged()
+        # Each check splits a block and adds a failure arm.  Declaring the
+        # failure hook changes the module but leaves this function alone.
+        if changed:
+            return PreservedAnalyses.none()
+        return PreservedAnalyses.all(changed=declares_hook)
 
     def _insert_null_check(self, function: Function, fail: Function,
                            access: Instruction) -> None:

@@ -38,28 +38,24 @@ class LoopInvariantCodeMotion(Pass):
                         analyses: AnalysisManager) -> PreservedAnalyses:
         if function.is_declaration:
             return PreservedAnalyses.unchanged()
-        hoisted = False
+        epoch = function.ir_epoch
         loop_info = analyses.loop_info(function)
         # Process inner loops first so invariants bubble outward.
         for loop in sorted(loop_info.loops, key=lambda l: -l.depth):
-            hoisted |= self._hoist(loop)
-        # `changed` reports optimization progress (hoists) to the fixpoint
-        # driver.  Incidental mutation without progress — synthesizing a
-        # preheader for a loop where nothing was hoistable — bumps the
-        # function epoch, so stale cached analyses recompute on next lookup
-        # without forcing another pipeline iteration.
-        return PreservedAnalyses.none() if hoisted \
+            self._hoist(loop)
+        # A preheader made for a loop with nothing to hoist is a change like
+        # any other: the pass manager may skip a run that reports none.
+        return PreservedAnalyses.none() if function.ir_epoch != epoch \
             else PreservedAnalyses.unchanged()
 
-    def _hoist(self, loop: Loop) -> bool:
+    def _hoist(self, loop: Loop) -> None:
         preheader = ensure_preheader(loop)
         if preheader is None:
-            return False
+            return
         terminator = preheader.terminator
         if terminator is None:
-            return False
+            return
         loop_writes_memory = _loop_has_stores_or_calls(loop)
-        changed = False
         progress = True
         while progress:
             progress = False
@@ -74,8 +70,6 @@ class LoopInvariantCodeMotion(Pass):
                     preheader.insert_before(terminator, inst)
                     self.stats.instructions_hoisted += 1
                     progress = True
-                    changed = True
-        return changed
 
     def _hoistable(self, inst: Instruction, loop: Loop,
                    loop_writes_memory: bool) -> bool:

@@ -57,7 +57,7 @@ class LoopUnrolling(Pass):
                         analyses: AnalysisManager) -> PreservedAnalyses:
         if function.is_declaration:
             return PreservedAnalyses.unchanged()
-        changed = False
+        epoch = function.ir_epoch
         # Re-discover loops after each successful unroll because peeling
         # rewrites the region around the loop (the epoch bump makes the
         # manager recompute; when nothing changed, it is a cache hit).
@@ -67,15 +67,13 @@ class LoopUnrolling(Pass):
             for loop in loop_info.innermost_loops():
                 if self._try_unroll(function, loop, analyses):
                     self.stats.loops_unrolled += 1
-                    changed = True
                     unrolled = True
                     break
             if not unrolled:
                 break
-        # `changed` reports unrolls to the fixpoint driver; side effects of
-        # abandoned attempts (preheader creation, partial LCSSA phis) bump
-        # the epoch and so invalidate cached analyses on next lookup.
-        return PreservedAnalyses.none() if changed \
+        # Abandoned attempts can leave side effects too (preheader creation,
+        # partial LCSSA phis); they are changes like any other.
+        return PreservedAnalyses.none() if function.ir_epoch != epoch \
             else PreservedAnalyses.unchanged()
 
     # ------------------------------------------------------------ unrolling

@@ -89,7 +89,7 @@ class LoopUnswitching(Pass):
                         analyses: AnalysisManager) -> PreservedAnalyses:
         if function.is_declaration:
             return PreservedAnalyses.unchanged()
-        changed = False
+        epoch = function.ir_epoch
         for _ in range(self.params.max_unswitches_per_function):
             # Each successful unswitch bumps the function epoch, so this
             # re-request transparently recomputes; otherwise it is a hit.
@@ -100,16 +100,14 @@ class LoopUnswitching(Pass):
                     continue
                 if self._unswitch(function, loop, analyses):
                     self.stats.loops_unswitched += 1
-                    changed = True
                     unswitched = True
                     break  # loop structures changed; recompute LoopInfo
             if not unswitched:
                 break
-        # `changed` reports unswitches to the fixpoint driver; side effects
-        # of abandoned attempts (preheader creation, condition hoisting,
-        # partial LCSSA phis) bump the epoch and so invalidate cached
-        # analyses on next lookup.
-        return PreservedAnalyses.none() if changed \
+        # Abandoned attempts can leave side effects too (preheader creation,
+        # condition hoisting, partial LCSSA phis); they are changes like any
+        # other.
+        return PreservedAnalyses.none() if function.ir_epoch != epoch \
             else PreservedAnalyses.unchanged()
 
     def _unswitch(self, function: Function, loop: Loop,

@@ -50,7 +50,12 @@ class PromoteMemoryToRegisters(Pass):
         if not allocas:
             return PreservedAnalyses.unchanged()
         domtree = analyses.dominator_tree(function)
-        frontier = domtree.dominance_frontier()
+        # The frontier sets iterate in memory-address order; walking them
+        # in block order keeps phi placement and numbering, and so the
+        # printed module, the same from process to process.
+        order = {block: index for index, block in enumerate(function.blocks)}
+        frontier = {block: sorted(blocks, key=order.__getitem__)
+                    for block, blocks in domtree.dominance_frontier().items()}
         reachable = analyses.cfg(function).reachable_ids()
 
         phi_owner: Dict[int, AllocaInst] = {}
@@ -71,7 +76,7 @@ class PromoteMemoryToRegisters(Pass):
 
     # ------------------------------------------------------------ phi nodes
     def _insert_phis(self, alloca: AllocaInst, function: Function,
-                     frontier: Dict[BasicBlock, Set[BasicBlock]],
+                     frontier: Dict[BasicBlock, List[BasicBlock]],
                      reachable: Set[int],
                      phi_owner: Dict[int, AllocaInst]) -> None:
         defining_blocks: List[BasicBlock] = []

@@ -13,13 +13,19 @@ the manager, which caches them across passes and invalidates exactly what a
 pass reports it clobbered.  Cache hit/miss counters land in
 :class:`TransformStats` next to the Table 3 counters so the compile-side
 benefit is visible in the harness reports.
+
+The manager also skips pass runs that cannot change anything: a pass whose
+spec last ran without a change, with no change anywhere since, would see
+the same module again and change nothing again (see :class:`_NoChangeMemo`).
+That is sound only while every pass keeps one invariant: a "no change"
+report means nothing changed, metadata included.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..analysis import FUNCTION_ANALYSES, AnalysisManager, PreservedAnalyses
 from ..ir import Function, Module, verify_module
@@ -93,6 +99,10 @@ class Pass:
 
     #: Human-readable pass name (defaults to the class name).
     name: str = ""
+    #: Canonical pipeline text of the spec the pass was built from (set by
+    #: :func:`~repro.passes.registry.build_pass`).  The pass manager's skip
+    #: memo is keyed on it; a pass built by hand has none and always runs.
+    spec_text: str = ""
 
     def __init__(self) -> None:
         if not self.name:
@@ -137,6 +147,36 @@ class PassRunRecord:
     duration_seconds: float
     analysis_cache_hits: int = 0
     analysis_cache_misses: int = 0
+    #: The pass did not run: its spec last ran without a change and nothing
+    #: has changed since.
+    skipped: bool = False
+
+
+class _NoChangeMemo:
+    """The pass specs that are known no-ops on the module as it stands.
+
+    A run that reports no change records its spec.  A reported change, or
+    a move of ``module.ir_epoch`` that no pass reported, forgets every
+    record.  A recorded spec would therefore see exactly the module it
+    last left unchanged; passes are deterministic, so it can be skipped.
+    One memo lives for one ``run``/``run_until_fixpoint`` call.
+    """
+
+    def __init__(self, module: Module) -> None:
+        self._module = module
+        self._epoch = module.ir_epoch
+        self._unchanged: Set[str] = set()
+
+    def skips(self, spec_text: str) -> bool:
+        return spec_text in self._unchanged and \
+            self._module.ir_epoch == self._epoch
+
+    def record(self, spec_text: str, changed: bool) -> None:
+        if changed or self._module.ir_epoch != self._epoch:
+            self._unchanged.clear()
+            self._epoch = self._module.ir_epoch
+        if not changed and spec_text:
+            self._unchanged.add(spec_text)
 
 
 class PassManager:
@@ -179,22 +219,31 @@ class PassManager:
 
     def run(self, module: Module) -> bool:
         """Run every pass once, in order.  Returns True if anything changed."""
-        changed = False
-        for pass_ in self.passes:
-            changed |= self._run_one(pass_, module)
-        return changed
+        return self._run_round(module, _NoChangeMemo(module))
 
     def run_until_fixpoint(self, module: Module) -> bool:
         """Repeat the whole pipeline until no pass reports a change."""
+        memo = _NoChangeMemo(module)
         overall_changed = False
         for _ in range(self.max_iterations):
-            changed = self.run(module)
+            changed = self._run_round(module, memo)
             overall_changed |= changed
             if not changed:
                 break
         return overall_changed
 
-    def _run_one(self, pass_: Pass, module: Module) -> bool:
+    def _run_round(self, module: Module, memo: _NoChangeMemo) -> bool:
+        changed = False
+        for pass_ in self.passes:
+            changed |= self._run_one(pass_, module, memo)
+        return changed
+
+    def _run_one(self, pass_: Pass, module: Module,
+                 memo: _NoChangeMemo) -> bool:
+        if memo.skips(pass_.spec_text):
+            self.history.append(PassRunRecord(pass_.name, False, 0.0,
+                                              skipped=True))
+            return False
         cache = self.analyses.stats
         hits_before, misses_before = cache.hits, cache.misses
         invalidations_before = cache.invalidations
@@ -203,6 +252,7 @@ class PassManager:
             pass_.run_on_module(module, self.analyses))
         duration = time.perf_counter() - start
         self.analyses.after_module_pass(module, preserved)
+        memo.record(pass_.spec_text, preserved.changed)
 
         hits = cache.hits - hits_before
         misses = cache.misses - misses_before

@@ -399,7 +399,8 @@ def format_pipeline(spec: PipelineSpec) -> str:
 # --------------------------------------------------------------------------
 
 def build_pass(spec: PassSpec) -> Pass:
-    """Instantiate the registered pass for ``spec``."""
+    """Instantiate the registered pass for ``spec`` (stamped with the spec's
+    canonical text, which keys the pass manager's skip memo)."""
     info = pass_info(spec.name)
     kwargs = {}
     for key, value in spec.params:
@@ -408,7 +409,9 @@ def build_pass(spec: PassSpec) -> Pass:
         if param.kind == _NAMES:
             value = set(value)  # type: ignore[arg-type]
         kwargs[param.field] = value
-    return info.factory(**kwargs)
+    pass_ = info.factory(**kwargs)
+    pass_.spec_text = format_pass(spec)
+    return pass_
 
 
 def build_passes(spec: PipelineSpec) -> List[Pass]:

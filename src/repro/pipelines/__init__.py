@@ -8,7 +8,7 @@ from .levels import (
 )
 from .compiler import (
     CompilationResult, CompileOptions, compile_at_all_levels, compile_source,
-    link_sources,
+    link_sources, linked_prelude_lines,
 )
 from .session import (
     CompilerSession, PristineAnalysisExchange, SessionStats,
@@ -22,7 +22,7 @@ __all__ = [
     "describe_levels", "level_spec", "level_spec_string", "parse_opt_level",
     "pipeline_description", "with_entry_points", "with_runtime_checks",
     "CompilationResult", "CompileOptions", "compile_at_all_levels",
-    "compile_source", "link_sources",
+    "compile_source", "link_sources", "linked_prelude_lines",
     "CompilerSession", "PristineAnalysisExchange", "SessionStats",
     "TRANSFERABLE_ANALYSES",
 ]

@@ -86,6 +86,14 @@ def link_sources(program_source: str, options: CompileOptions) -> str:
     return libc_source(use_verification_libc) + "\n" + program_source
 
 
+def linked_prelude_lines(full_source: str, program_source: str) -> int:
+    """How many lines :func:`link_sources` put in front of
+    ``program_source`` in ``full_source`` (0 when nothing was linked).
+    The front end reports locations in those lines as the prelude's, and
+    counts the program's lines from the line after them."""
+    return full_source.count("\n", 0, len(full_source) - len(program_source))
+
+
 def compile_source(program_source: str,
                    options: Optional[CompileOptions] = None,
                    level: Optional[OptLevel] = None,

@@ -68,8 +68,11 @@ def parse_opt_level(name: str) -> OptLevel:
 #: The scalar cleanup bundle run between the structural passes.
 CLEANUP = "constprop,instcombine,dce,simplifycfg"
 
-#: The shared scalarization prefix of every optimizing level.
-_SCALARIZE = f"simplifycfg,mem2reg,sroa,mem2reg,{CLEANUP}"
+#: The shared scalarization prefix of -O2, -O3 and -OVERIFY.  It opens with
+#: ``globaldce``: those levels end with it anyway, so pruning the functions
+#: the roots cannot reach (most of the linked vlibc) before any other pass
+#: runs changes no output and saves optimizing code that is deleted later.
+_SCALARIZE = f"globaldce,simplifycfg,mem2reg,sroa,mem2reg,{CLEANUP}"
 
 #: Re-promote and clean up after the inliner has merged bodies.
 _POST_INLINE = f"simplifycfg,mem2reg,{CLEANUP}"

@@ -45,7 +45,9 @@ from ..frontend import analyze, lower, parse
 from ..ir import BasicBlock, Function, Module, verify_module
 from ..passes import format_pipeline
 from .levels import OptLevel, build_pipeline
-from .compiler import CompilationResult, CompileOptions, link_sources
+from .compiler import (
+    CompilationResult, CompileOptions, link_sources, linked_prelude_lines,
+)
 
 #: Analyses the exchange can translate across sibling modules.  Value
 #: ranges are deliberately excluded: they are value-keyed, so translating
@@ -226,10 +228,11 @@ class CompilerSession:
                 total.merge(entry.exchange.manager.stats)
         return total
 
-    def _frontend_entry(self, full_source: str) -> _FrontEndEntry:
+    def _frontend_entry(self, full_source: str,
+                        prelude_lines: int) -> _FrontEndEntry:
         entry = self._frontend.get(full_source)
         if entry is None:
-            unit = parse(full_source)
+            unit = parse(full_source, prelude_lines=prelude_lines)
             analyze(unit)
             entry = _FrontEndEntry(unit)
             self._frontend[full_source] = entry
@@ -260,7 +263,8 @@ class CompilerSession:
                                                               level=level)
         start = time.perf_counter()
         full_source = link_sources(program_source, options)
-        entry = self._frontend_entry(full_source)
+        entry = self._frontend_entry(
+            full_source, linked_prelude_lines(full_source, program_source))
 
         module = lower(entry.unit, options.module_name)
         module.metadata["opt_level"] = str(options.level)

@@ -178,6 +178,9 @@ class VerificationServer:
         self._active_jobs = 0
         #: Runner tasks, referenced so the loop cannot drop them mid-job.
         self._runners: set = set()
+        #: Connection-handler tasks between reading a request and writing
+        #: its reply; shutdown waits for them as it waits for jobs.
+        self._answering: set = set()
         self._draining = False
         self._pool: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -213,8 +216,12 @@ class VerificationServer:
             self._draining = True
             self._server.close()
             await self._server.wait_closed()
+            # A finished job is not an answered client: its handler may
+            # still be writing the reply, and tearing down now would cancel
+            # it.  So wait for both, bounded by drain_seconds.
             drain_until = time.monotonic() + self.drain_seconds
-            while self._active_jobs > 0 and time.monotonic() < drain_until:
+            while (self._active_jobs > 0 or self._answering) and \
+                    time.monotonic() < drain_until:
                 await asyncio.sleep(0.05)
             self._pool.shutdown(wait=True)
             self._save_store()
@@ -244,30 +251,17 @@ class VerificationServer:
     # ------------------------------------------------------------- protocol
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        handler = asyncio.current_task()
         try:
             while True:
                 line = await reader.readline()
                 if not line:
                     break
+                self._answering.add(handler)
                 try:
-                    try:
-                        request = json.loads(line)
-                    except ValueError as exc:
-                        raise ProtocolError(
-                            f"request is not valid JSON: {exc}") from None
-                    response = await self._dispatch(request)
-                except asyncio.CancelledError:
-                    raise
-                except ReproError as exc:
-                    response = self._error_response(exc)
-                    with self._stats_lock:
-                        self.stats["jobs_failed"] += 1
-                except Exception as exc:
-                    response = {"ok": False, "error": str(exc)}
-                    with self._stats_lock:
-                        self.stats["jobs_failed"] += 1
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
+                    await self._answer(line, writer)
+                finally:
+                    self._answering.discard(handler)
         except asyncio.CancelledError:
             pass  # server shutting down mid-read: just close the connection
         except (ConnectionResetError, BrokenPipeError):
@@ -279,6 +273,29 @@ class VerificationServer:
             except (asyncio.CancelledError, ConnectionResetError,
                     BrokenPipeError):
                 pass
+
+    async def _answer(self, line: bytes,
+                      writer: asyncio.StreamWriter) -> None:
+        """Dispatch one request line and write its reply."""
+        try:
+            try:
+                request = json.loads(line)
+            except ValueError as exc:
+                raise ProtocolError(
+                    f"request is not valid JSON: {exc}") from None
+            response = await self._dispatch(request)
+        except asyncio.CancelledError:
+            raise
+        except ReproError as exc:
+            response = self._error_response(exc)
+            with self._stats_lock:
+                self.stats["jobs_failed"] += 1
+        except Exception as exc:
+            response = {"ok": False, "error": str(exc)}
+            with self._stats_lock:
+                self.stats["jobs_failed"] += 1
+        writer.write((json.dumps(response) + "\n").encode("utf-8"))
+        await writer.drain()
 
     @staticmethod
     def _error_response(exc: ReproError) -> Dict[str, object]:

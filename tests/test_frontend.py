@@ -11,6 +11,7 @@ from repro.frontend import ast
 from repro.frontend.ctype import CInt, CPointer, INT, UCHAR
 from repro.interp import Interpreter
 from repro.ir import verify_module
+from repro.pipelines import OptLevel, compile_source, linked_prelude_lines
 
 from conftest import run_snippet
 
@@ -381,3 +382,54 @@ class TestLowering:
         allocas = [i for i in module.get_function("f").instructions()
                    if i.opcode.value == "alloca"]
         assert any(i.metadata.get("source.type") for i in allocas)
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics through the linking driver
+# ---------------------------------------------------------------------------
+class TestDriverDiagnostics:
+    """``compile_source`` links the vlibc prelude in front of the program;
+    diagnostics must still point into the program as the user wrote it."""
+
+    def test_locations_are_relative_to_the_program(self):
+        source = ("int main(unsigned char *input, int len) {\n"
+                  "  return missing;\n"
+                  "}\n")
+        for level in (OptLevel.O0, OptLevel.OVERIFY):  # both vlibc variants
+            with pytest.raises(CompileError) as excinfo:
+                compile_source(source, level=level)
+            assert str(excinfo.value.location) == "<source>:2:10"
+        with pytest.raises(CompileError) as excinfo:
+            compile_to_ir(source)
+        assert str(excinfo.value.location) == "<source>:2:10"
+
+    def test_prelude_lines_are_labelled_as_the_prelude(self):
+        program = "int main() { return 0; }"
+        full = "int helper(int a) {\n  return a +;\n}\n" + program
+        with pytest.raises(CompileError) as excinfo:
+            parse(full, prelude_lines=linked_prelude_lines(full, program))
+        assert str(excinfo.value.location) == "<prelude>:2:13"
+
+    def test_deep_nesting_is_a_compile_error_with_a_location(self):
+        source = ("int main(unsigned char *input, int len) {\n"
+                  "  int x = " + "(" * 200 + "1" + ")" * 200 + ";\n"
+                  "  return x;\n"
+                  "}\n")
+        with pytest.raises(CompileError, match="nested too deeply") \
+                as excinfo:
+            compile_source(source, level=OptLevel.O0)
+        location = excinfo.value.location
+        assert (location.filename, location.line) == ("<source>", 2)
+        assert location.column > 10  # inside the parentheses
+
+    def test_deep_expression_trees_are_compile_errors(self):
+        # Left-deep operator chains and prefix-operator chains parse
+        # iteratively but recurse in sema and lowering.
+        for expression in ("+".join(["1"] * 3000), "- " * 1500 + "1"):
+            source = ("int main(unsigned char *input, int len) {\n"
+                      f"  return {expression};\n"
+                      "}\n")
+            with pytest.raises(CompileError, match="nested too deeply") \
+                    as excinfo:
+                compile_source(source, level=OptLevel.O0)
+            assert excinfo.value.location.filename == "<source>"

@@ -1,0 +1,299 @@
+"""The pass pipeline's two work savers leave every module as it was.
+
+-O2, -O3 and -OVERIFY open with ``globaldce`` (functions the roots cannot
+reach are never optimized), and the pass manager skips a pass run when the
+same pass spec last ran without a change and nothing has changed since.
+Neither may change what a compile produces.  Four layers of coverage:
+
+1. **IR identity** — a test-local reference driver runs the loop without
+   either saver: every pass of the level spec except the leading
+   ``globaldce``, each one in every round, until a round reports no
+   change.  ``CompilerSession.compile`` must print the same module for
+   every registry program at every level and for fuzz seeds 0–29;
+   ``PIPELINE_SWEEP=all`` (nightly CI) widens the fuzz range to 0–119.
+2. **No silent change** — the memo trusts every "no change" report, so a
+   pass run that reports no change must leave the module as it was,
+   metadata included.  Tier-1 checks every pass of every level spec on a
+   fast registry subset; ``PIPELINE_SWEEP=all`` checks every program.
+3. **Memo semantics** — what forces a re-run, which specs never share an
+   entry, and that nothing carries over between compiles.
+4. **Deterministic IR text** — mem2reg's phi placement no longer follows
+   memory addresses, so the printed module is the same in every process.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.analysis import AnalysisManager, PreservedAnalyses
+from repro.frontend import analyze, compile_to_ir, lower, parse
+from repro.fuzz import generate_program
+from repro.ir import print_module
+from repro.passes import Pass, build_passes
+from repro.pipelines import (
+    LEVEL_MAX_ITERATIONS, CompileOptions, CompilerSession, OptLevel,
+    build_pipeline_from_text, level_spec, link_sources, with_entry_points,
+)
+from repro.workloads import get_workload, workload_names
+
+_WIDE = os.environ.get("PIPELINE_SWEEP", "") == "all"
+
+#: Fuzz seeds compared against the reference driver.
+FUZZ_SEEDS = range(120 if _WIDE else 30)
+
+#: Programs the no-silent-change oracle runs: loops, inlining, runtime
+#: checks and if-conversion, each level in well under a second.
+_ORACLE_SUBSET = ["wc", "buggy_index", "tr", "fuzz-jump-thread-loop-phi"]
+ORACLE_PROGRAMS = workload_names() if _WIDE else _ORACLE_SUBSET
+
+LEVELS = list(OptLevel)
+
+
+# ------------------------------------------------------- reference driver
+
+@functools.lru_cache(maxsize=4)  # one program's two vlibc variants
+def _analyzed_unit(full_source: str):
+    unit = parse(full_source)
+    analyze(unit)
+    return unit
+
+
+def _lowered(source: str, level: OptLevel):
+    options = CompileOptions(level=level)
+    module = lower(_analyzed_unit(link_sources(source, options)),
+                   options.module_name)
+    module.metadata["opt_level"] = str(level)
+    return module
+
+
+def _level_passes(level: OptLevel, prune: bool):
+    """The level's passes with the session's roots; without the leading
+    ``globaldce`` unless ``prune``."""
+    passes = build_passes(with_entry_points(level_spec(level), {"main"}))
+    if not prune and passes[0].name == "globaldce":
+        passes = passes[1:]
+    return passes
+
+
+def _drive(module, passes, max_iterations, after_pass=None):
+    """The plain fixpoint loop: every pass, every round, no skipping."""
+    analyses = AnalysisManager()
+    for _ in range(max_iterations):
+        changed = False
+        for pass_ in passes:
+            preserved = PreservedAnalyses.from_legacy(
+                pass_.run_on_module(module, analyses))
+            analyses.after_module_pass(module, preserved)
+            if after_pass is not None:
+                after_pass(pass_, preserved.changed)
+            changed |= preserved.changed
+        if not changed:
+            break
+    return module
+
+
+def reference_compile(source: str, level: OptLevel) -> str:
+    module = _lowered(source, level)
+    _drive(module, _level_passes(level, prune=False),
+           LEVEL_MAX_ITERATIONS[level])
+    return print_module(module)
+
+
+def session_outputs(source: str):
+    session = CompilerSession()
+    return {level: print_module(session.compile(source, level=level).module)
+            for level in LEVELS}
+
+
+# ------------------------------------------------------------ IR identity
+
+@pytest.mark.parametrize("name", workload_names())
+def test_registry_output_matches_reference_driver(name):
+    source = get_workload(name).source
+    for level, text in session_outputs(source).items():
+        assert text == reference_compile(source, level), \
+            f"{name} {level}: output differs from the reference driver"
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_output_matches_reference_driver(seed):
+    source = generate_program(seed)
+    for level, text in session_outputs(source).items():
+        assert text == reference_compile(source, level), \
+            f"fuzz seed {seed} {level}: output differs"
+
+
+def test_early_prune_leaves_only_reachable_functions_to_optimize():
+    source = get_workload("wc").source
+    result = CompilerSession().compile(source, level=OptLevel.OVERIFY)
+    first = result.pass_history[0]
+    assert first.pass_name == "globaldce" and first.changed
+    # The prune removed most of the linked vlibc before any other pass.
+    assert result.stats.functions_removed > 10
+
+
+# ------------------------------------------------------- no silent change
+
+def _snapshot(module) -> str:
+    """The printed module plus what the printer leaves out: function
+    metadata and attributes."""
+    lines = [print_module(module)]
+    for function in module.functions.values():
+        lines.append(f"{function.name} {sorted(function.metadata.items())} "
+                     f"{sorted(function.attributes.items())}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=str)
+@pytest.mark.parametrize("name", ORACLE_PROGRAMS)
+def test_no_change_report_means_nothing_changed(name, level):
+    module = _lowered(get_workload(name).source, level)
+    passes = _level_passes(level, prune=True)
+    state = {"snapshot": _snapshot(module), "checked": set()}
+
+    def after_pass(pass_, changed):
+        snapshot = _snapshot(module)
+        if not changed:
+            assert snapshot == state["snapshot"], \
+                f"{pass_.spec_text} reported no change but changed the module"
+            state["checked"].add(pass_.spec_text)
+        state["snapshot"] = snapshot
+
+    _drive(module, passes, LEVEL_MAX_ITERATIONS[level], after_pass)
+    assert state["checked"]
+
+
+# --------------------------------------------------------- memo semantics
+
+#: ``x + 4`` only becomes foldable once mem2reg has promoted ``x``.
+_FOLDABLE = """
+int f(int a) {
+    int x = 3;
+    int y = x + 4;
+    return a + y;
+}
+"""
+
+_CALLS_HELPER = """
+int helper(int a) { return a + 1; }
+int f(int a) { return helper(a) * 2; }
+"""
+
+
+def _run(text: str, source: str):
+    manager = build_pipeline_from_text(text)
+    manager.run(compile_to_ir(source))
+    return manager
+
+
+def _skipped(manager):
+    return [record.skipped for record in manager.history]
+
+
+def test_unchanged_spec_is_skipped_and_recorded():
+    manager = _run("simplifycfg,mem2reg,dce,dce", _FOLDABLE)
+    records = manager.history
+    assert [r.pass_name for r in records] == \
+        ["simplifycfg", "mem2reg", "dce", "dce"]
+    assert _skipped(manager) == [False, False, False, True]
+    skipped = records[-1]
+    assert not skipped.changed and skipped.duration_seconds == 0.0
+
+
+def test_pass_reruns_after_another_pass_reports_a_change():
+    manager = _run("simplifycfg,mem2reg,dce,constprop,dce", _FOLDABLE)
+    assert manager.history[3].changed  # constprop folded 3 + 4
+    assert _skipped(manager)[4] is False
+
+
+def test_pass_reruns_after_a_module_pass_reports_a_change():
+    manager = _run("simplifycfg,mem2reg,dce,inline,dce", _CALLS_HELPER)
+    assert manager.history[3].pass_name == "inline"
+    assert manager.history[3].changed
+    assert _skipped(manager)[4] is False
+
+
+def test_specs_with_different_parameters_never_share_an_entry():
+    manager = _run("simplifycfg,mem2reg,dce,dce<unsafe-traps>,dce",
+                   _FOLDABLE)
+    assert not any(record.changed for record in manager.history[2:])
+    assert _skipped(manager)[2:] == [False, False, True]
+
+
+def test_unreported_mutation_forgets_every_record():
+    class SilentMutation(Pass):
+        name = "silent"
+
+        def run_on_module(self, module, analyses=None):
+            module.bump_ir_epoch()
+            return PreservedAnalyses.unchanged()
+
+    module = compile_to_ir(_FOLDABLE)
+    manager = build_pipeline_from_text("simplifycfg,mem2reg,dce")
+    manager.add(SilentMutation())
+    manager.extend(build_pipeline_from_text("dce").passes)
+    manager.run(module)
+    assert _skipped(manager) == [False] * 5
+
+
+def test_nothing_carries_over_between_runs_or_compiles():
+    module = compile_to_ir(_FOLDABLE)
+    manager = build_pipeline_from_text("simplifycfg,mem2reg,dce")
+    manager.run_until_fixpoint(module)
+    first = len(manager.history)
+    manager.run_until_fixpoint(module)
+    # A fresh call runs every spec once before it can skip anything.
+    assert not any(record.skipped for record in manager.history[first:])
+
+    session = CompilerSession()
+    source = get_workload("echo").source
+    histories = [session.compile(source, level=OptLevel.O2).pass_history
+                 for _ in range(2)]
+    assert [(r.pass_name, r.changed, r.skipped) for r in histories[0]] == \
+        [(r.pass_name, r.changed, r.skipped) for r in histories[1]]
+    assert histories[0][0].skipped is False
+
+
+# -------------------------------------------------- deterministic IR text
+
+#: Seeds whose printed modules used to differ from process to process:
+#: mem2reg walked dominance frontiers in memory-address order.
+_ORDER_SENSITIVE_SEEDS = [7, 14, 36, 47, 50, 52, 55]
+
+_PRINT_SEEDS = f"""
+import hashlib, json, sys
+sys.path.insert(0, "src")
+from repro.fuzz import generate_program
+from repro.ir import print_module
+from repro.pipelines import CompilerSession, OptLevel
+out = {{}}
+for seed in {_ORDER_SENSITIVE_SEEDS}:
+    session = CompilerSession()
+    for level in OptLevel:
+        text = print_module(session.compile(generate_program(seed),
+                                            level=level).module)
+        out[f"{{seed}}{{level}}"] = hashlib.sha256(text.encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_printed_modules_are_identical_across_processes():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    children = [subprocess.Popen([sys.executable, "-c", _PRINT_SEEDS],
+                                 cwd=root, env=env, stdout=subprocess.PIPE,
+                                 text=True)
+                for _ in range(3)]
+    outputs = []
+    for child in children:
+        stdout, _ = child.communicate(timeout=300)
+        assert child.returncode == 0
+        outputs.append(json.loads(stdout))
+    assert len(outputs[0]) == len(_ORDER_SENSITIVE_SEEDS) * len(LEVELS)
+    assert outputs[0] == outputs[1] == outputs[2]
