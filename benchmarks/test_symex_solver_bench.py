@@ -6,8 +6,8 @@ Three workloads cover the solver's query mixes:
   byte — the classic mix of many small overlapping conjunctions re-asked
   across sibling states (cache floors, branch sharing, UBTree hits);
 * a **wide-variable** program whose interesting branches constrain a
-  32-bit value from the environment — the mix the sparse-domain fallback
-  answered inexactly and branch-and-prune must now decide exactly;
+  32-bit value from the environment — the mix branch-and-prune must
+  decide exactly;
 * the Table 1 **wc sweep**, the repo's headline trajectory number, with a
   wall-clock regression floor (asserted only when timing is enabled, so
   CI's ``--benchmark-disable`` smoke stays load-independent) and a
@@ -22,7 +22,7 @@ import time
 
 from repro.frontend import compile_to_ir
 from repro.pipelines import CompileOptions, OptLevel, compile_source
-from repro.symex import Solver, SolverConfig, SymexLimits, explore
+from repro.symex import Solver, SymexLimits, explore
 from repro.workloads import WC_PROGRAM
 
 from conftest import TIMEOUT_SECONDS
@@ -161,16 +161,10 @@ def test_ubtree_index_carries_the_counterexample_cache():
     assert stats.model_cache_hits > 0
     assert stats.assignments_tried < PR3_BRANCH_HEAVY_ASSIGNMENTS
 
-    # The index must never disagree with the linear scan it replaced.
-    linear = _explore(solver=Solver(config=SolverConfig(ubtree=False)))
-    assert report.stats.total_paths == linear.stats.total_paths
-    assert report.bug_signatures() == linear.bug_signatures()
-
 
 def test_branch_and_prune_makes_wide_queries_exact(benchmark):
     """Wide-variable explorations must report exact answers (no
-    ``unknown_results``) and prune the infeasible branches the sparse
-    fallback explored."""
+    ``unknown_results``) and prune the infeasible branches."""
     module = compile_to_ir(WIDE_VALUE_PROGRAM)
 
     def run():
@@ -187,13 +181,6 @@ def test_branch_and_prune_makes_wide_queries_exact(benchmark):
     # outcomes (early exits plus the input[0] fork) remain.
     assert report.stats.total_paths == 4
     assert {p.return_value for p in report.paths} == {0, 1, 4}
-
-    sparse = explore(module, 2,
-                     limits=SymexLimits(timeout_seconds=TIMEOUT_SECONDS),
-                     solver=Solver(config=SolverConfig(
-                         branch_and_prune=False)))
-    assert sparse.solver_stats.unknown_results > 0
-    assert sparse.stats.total_paths > report.stats.total_paths
 
 
 def test_wc_sweep_regression_floor(benchmark):

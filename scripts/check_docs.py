@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation gate: the docs tree must stay reachable and link-clean.
+"""Documentation gate: the docs tree must stay reachable, link-clean and
+true to the backend spec syntax.
 
-Two checks, run by ``scripts/check.sh`` and CI:
+Three checks, run by ``scripts/check.sh`` and CI:
 
 1. **Reachability** — every ``docs/*.md`` file is referenced (linked) from
    ``README.md``, so no deep dive can silently fall off the front page.
@@ -9,6 +10,10 @@ Two checks, run by ``scripts/check.sh`` and CI:
    ``README.md`` and ``docs/*.md`` resolves to an existing file or
    directory (external ``http(s)://`` links and pure ``#fragment`` links
    are out of scope).
+3. **Buildable backend specs** — every concrete ``symex<...>`` spec quoted
+   in ``README.md`` and ``docs/*.md`` builds with ``make_backend``, so a
+   removed or renamed key cannot survive in an example.  Specs with a
+   placeholder value (``workers=N``, ``store=PATH``) are skipped.
 
 Exits non-zero with one line per violation.
 """
@@ -20,10 +25,19 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.verification import BackendSpecError, make_backend  # noqa: E402
 
 #: Markdown inline links: [text](target).  Reference-style links are not
 #: used in this repo; images share the same syntax and are checked too.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A quoted symex backend spec with parameters.
+_SYMEX_SPEC = re.compile(r"symex<[^<>\s]*>")
+
+#: A placeholder value such as ``N`` or ``PATH``.
+_PLACEHOLDER = re.compile(r"=[A-Z][A-Z_]*(?=[,>])")
 
 
 def _links(path: Path) -> list:
@@ -66,13 +80,26 @@ def main() -> int:
                 name = source.relative_to(REPO_ROOT).as_posix()
                 problems.append(f"{name}: dead link '{target}'")
 
+    # 3. Every concrete symex spec in README + docs builds.
+    for source in [readme] + doc_files:
+        text = source.read_text(encoding="utf-8")
+        for spec in sorted(set(_SYMEX_SPEC.findall(text))):
+            if _PLACEHOLDER.search(spec):
+                continue
+            try:
+                make_backend(spec)
+            except BackendSpecError as exc:
+                name = source.relative_to(REPO_ROOT).as_posix()
+                problems.append(f"{name}: spec '{spec}' does not build: "
+                                f"{exc}")
+
     for problem in problems:
         print(f"check_docs: {problem}", file=sys.stderr)
     if problems:
         return 1
     checked = len(doc_files) + 1
     print(f"check_docs: {checked} files checked, all docs referenced from "
-          f"README, no dead intra-repo links")
+          f"README, no dead intra-repo links, every symex spec builds")
     return 0
 
 

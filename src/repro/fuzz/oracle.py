@@ -23,7 +23,8 @@ levels make:
    set of bug *kinds* must agree (locations legitimately move under
    inlining, so full signatures are only compared within one module).
 5. **Solver flag matrix** (optimized vs naive solver): re-exploring one
-   module with the solver's optimization layers disabled must reproduce
+   module with the solver's switchable layers disabled (and with a
+   half-on mix) must reproduce
    the same path count, the same bug signatures, and the same multiset of
    path outcomes — the same claim
    ``tests/test_solver_differential.py`` makes per query, made
@@ -58,18 +59,15 @@ from ..symex.solver import Solver, SolverConfig
 from ..symex.state import StateStatus
 from .generator import GeneratorConfig, generate_program
 
-#: Solver with every optimization layer off — the reference
-#: implementation the optimized stack is differenced against (kept in
-#: sync with ``tests/test_solver_differential.py``).
+#: Solver with every switchable layer off — the reference implementation
+#: the optimized stack is differenced against (kept in sync with
+#: ``tests/test_solver_differential.py``).
 NAIVE_SOLVER_CONFIG = SolverConfig(
-    independence=False, cache=False, ubtree=False,
-    rewrite_equalities=False, branch_and_prune=False)
+    independence=False, cache=False, rewrite_equalities=False)
 
-#: A deliberately lopsided mix: caching layers on, pruning layers off —
-#: catches bugs that only show when the layers interact.
-MIXED_SOLVER_CONFIG = SolverConfig(
-    independence=True, cache=True, ubtree=False,
-    rewrite_equalities=False, branch_and_prune=True, seeded_splits=False)
+#: A deliberately lopsided mix: caches and the UBTree index on, equality
+#: rewriting off — catches bugs that only show when the layers interact.
+MIXED_SOLVER_CONFIG = SolverConfig(rewrite_equalities=False)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,15 @@
 """The symbolic-execution engine as a :class:`VerificationBackend`.
 
-Searcher selection, worker-pool sizing and the Solver feature flags are by
+Searcher selection, worker-pool sizing and the solver settings are by
 name, so a driver can write ``make_backend("symex<workers=4>")`` or
-``make_backend("symex<searcher=bfs,ubtree=off>")`` without touching
-executor internals.  The flags mirror
-:class:`~repro.symex.solver.SolverConfig`: ``ubtree``,
-``rewrite-equalities``, ``branch-and-prune``, ``seeded-splits`` and
-``minimize-cores``, each accepting ``on``/``off`` (also
-``true``/``false``/``1``/``0``), plus the integers ``ubtree-capacity``
-(0 = unbounded) and ``query-deadline-ms`` (per-solver-query wall-clock
-deadline, 0 = none — see ``docs/robustness.md``).  ``workers=N`` with
-``N > 1`` explores through the
-:class:`~repro.symex.parallel.ParallelExecutor` worker pool
-(``processes=on`` selects its process-pool escape hatch).
+``make_backend("symex<searcher=bfs,rewrite-equalities=off>")`` without
+touching executor internals.  The solver settings mirror
+:class:`~repro.symex.solver.SolverConfig`: ``rewrite-equalities``
+accepts ``on``/``off`` (also ``true``/``false``/``1``/``0``), and the
+integer ``query-deadline-ms`` sets a per-solver-query wall-clock deadline
+(0 = none — see ``docs/robustness.md``).  ``workers=N`` with ``N > 1``
+explores through the :class:`~repro.symex.parallel.ParallelExecutor`
+worker pool.
 
 Two parameters open the backend to callers that manage solver knowledge
 themselves (the verification service, tests):
@@ -76,29 +73,16 @@ class SymexBackend(VerificationBackend):
     name = "symex"
 
     def __init__(self, searcher: str = "dfs", workers: object = 1,
-                 processes: object = False, ubtree: object = True,
                  rewrite_equalities: object = True,
-                 branch_and_prune: object = True,
-                 seeded_splits: object = True,
-                 ubtree_capacity: object = 0,
-                 minimize_cores: object = True,
                  query_deadline_ms: object = 0,
                  store: object = "",
                  caches: Optional[SharedSolverCaches] = None) -> None:
         make_searcher(searcher)  # validate the name eagerly
         self.searcher = searcher
         self.workers = _parse_count("workers", workers, 1)
-        self.use_processes = _parse_flag("processes", processes)
         self.solver_config = SolverConfig(
-            ubtree=_parse_flag("ubtree", ubtree),
             rewrite_equalities=_parse_flag("rewrite-equalities",
                                            rewrite_equalities),
-            branch_and_prune=_parse_flag("branch-and-prune",
-                                         branch_and_prune),
-            seeded_splits=_parse_flag("seeded-splits", seeded_splits),
-            ubtree_capacity=_parse_count("ubtree-capacity", ubtree_capacity,
-                                         0),
-            minimize_cores=_parse_flag("minimize-cores", minimize_cores),
             query_deadline_seconds=_parse_count(
                 "query-deadline-ms", query_deadline_ms, 0) / 1000.0,
         )
@@ -122,19 +106,9 @@ class SymexBackend(VerificationBackend):
             parts.append(f"searcher={self.searcher}")
         if self.workers != 1:
             parts.append(f"workers={self.workers}")
-        if self.use_processes:
-            parts.append("processes=on")
         config = self.solver_config
-        for key, enabled in (("ubtree", config.ubtree),
-                             ("rewrite-equalities",
-                              config.rewrite_equalities),
-                             ("branch-and-prune", config.branch_and_prune),
-                             ("seeded-splits", config.seeded_splits),
-                             ("minimize-cores", config.minimize_cores)):
-            if not enabled:
-                parts.append(f"{key}=off")
-        if config.ubtree_capacity:
-            parts.append(f"ubtree-capacity={config.ubtree_capacity}")
+        if not config.rewrite_equalities:
+            parts.append("rewrite-equalities=off")
         if config.query_deadline_seconds:
             parts.append(f"query-deadline-ms="
                          f"{round(config.query_deadline_seconds * 1000)}")
@@ -176,19 +150,16 @@ class SymexBackend(VerificationBackend):
                     pass  # damaged memo: fall through and re-verify
         caches = self.caches
         if caches is None and store is not None:
-            caches = SharedSolverCaches(
-                num_stripes=self.workers,
-                ubtree_capacity=self.solver_config.ubtree_capacity,
-                locked=self.workers > 1)
+            caches = SharedSolverCaches(num_stripes=self.workers,
+                                        locked=self.workers > 1)
         if store is not None and caches is not None:
             store.prime(caches)
         start = time.perf_counter()
-        if self.workers > 1 or self.use_processes:
+        if self.workers > 1:
             executor = ParallelExecutor(
                 module, entry=request.entry, searcher=self.searcher,
                 workers=self.workers, solver_config=self.solver_config,
-                limits=limits, use_processes=self.use_processes,
-                shared_caches=caches)
+                limits=limits, shared_caches=caches)
             report = executor.run(request.symbolic_input_bytes)
         else:
             report = explore(module, request.symbolic_input_bytes,

@@ -166,11 +166,6 @@ class SymexStats:
     paths_errored: int = 0
     paths_terminated: int = 0
     instructions_interpreted: int = 0
-    #: Of ``instructions_interpreted``, how many were re-executed while
-    #: replaying a fork-decision trace (process-mode workers reconstruct
-    #: their subtree roots by replay; the prefix work is real but already
-    #: counted by the run that recorded the trace).
-    instructions_replayed: int = 0
     branches_encountered: int = 0
     forks: int = 0
     states_created: int = 1
@@ -199,7 +194,6 @@ class SymexStats:
         self.paths_errored += other.paths_errored
         self.paths_terminated += other.paths_terminated
         self.instructions_interpreted += other.instructions_interpreted
-        self.instructions_replayed += other.instructions_replayed
         self.branches_encountered += other.branches_encountered
         self.forks += other.forks
         self.states_created += other.states_created
@@ -250,7 +244,6 @@ class SymbolicExecutor:
                  budget: Optional[ExplorationBudget] = None,
                  globals_map: Optional[Dict[str, int]] = None,
                  input_variables: Optional[List[str]] = None,
-                 record_traces: bool = False,
                  state_sink: Optional[Callable[[ExecutionState], None]]
                  = None,
                  fact_pruning: bool = False) -> None:
@@ -268,12 +261,6 @@ class SymbolicExecutor:
         self._input_variables: List[str] = input_variables \
             if input_variables is not None else []
         self._budget = budget
-        #: Remaining fork decisions while reconstructing a traced state
-        #: (process-mode replay); empty outside replay.
-        self._replay: List[int] = []
-        #: Record fork-decision traces on states (an O(depth) tuple copy
-        #: per fork) — only the process-mode bootstrap needs them.
-        self._record_traces = record_traces
         #: Optional observer handed every finished state (completed or
         #: errored, never engine-error states, which are mid-flight
         #: wreckage).  The relcheck product driver uses this to capture
@@ -384,42 +371,6 @@ class SymbolicExecutor:
             self.stats.max_live_states = max(self.stats.max_live_states,
                                              len(self.searcher) + 1)
         # Anything left in the searcher when the budget ran out is terminated.
-        while not self.searcher.empty():
-            state = self.searcher.pop()
-            state.status = StateStatus.TERMINATED
-            self.stats.paths_terminated += 1
-        self.stats.wall_seconds = time.perf_counter() - self._budget.start_time
-        return self.report
-
-    def replay_run(self, num_input_bytes: int,
-                   traces: Sequence[Sequence[int]]) -> SymexReport:
-        """Process-mode worker entry: reconstruct each traced state by
-        replaying its fork decisions from a fresh initial state, then
-        explore its subtree exhaustively.
-
-        Replay follows the recorded side of every queueing fork without
-        queueing the sibling (it is some other trace's prefix) and without
-        re-recording error paths along the prefix (the recording run owns
-        them), so the union of all workers' subtrees covers each path
-        exactly once."""
-        self._budget = ExplorationBudget(self.limits, [self.stats])
-        for consumed, trace in enumerate(traces):
-            if self._out_of_budget():
-                # Like frontier states left behind on budget exhaustion,
-                # every un-replayed trace is a path that will not be
-                # explored: account for each as a terminated path.
-                self.stats.paths_terminated += len(traces) - consumed
-                break
-            state = self.make_initial_state(num_input_bytes)
-            self._replay = list(trace)
-            self._run_state(state)
-            self._replay = []
-            while not self.searcher.empty():
-                if self._out_of_budget():
-                    break
-                self._run_state(self.searcher.pop())
-                self.stats.max_live_states = max(self.stats.max_live_states,
-                                                 len(self.searcher) + 1)
         while not self.searcher.empty():
             state = self.searcher.pop()
             state.status = StateStatus.TERMINATED
@@ -674,11 +625,6 @@ class SymbolicExecutor:
         if not can_nonzero:
             # The divisor is zero on every continuation of this path.
             raise ProgramError(ErrorKind.DIVISION_BY_ZERO, "")
-        if self._replay:
-            # The error path was recorded when this prefix was first
-            # explored; replay only re-establishes the surviving side.
-            state.add_constraint(not_expr(is_zero))
-            return
         # Fork an error path on which the divisor is zero.
         error_state = state.fork()
         self.stats.forks += 1
@@ -749,20 +695,16 @@ class SymbolicExecutor:
                 self.solver.may_be_true_partition(
                     *state.relevant_partition(out_of_bounds), out_of_bounds)
             if may_oob:
-                if not self._replay:
-                    # (During trace replay the error side was already
-                    # recorded by the run that traced this prefix; see
-                    # _check_division.)
-                    error_state = state.fork()
-                    self.stats.forks += 1
-                    self.stats.states_created += 1
-                    error_state.add_constraint(out_of_bounds)
-                    error = ProgramError(
-                        ErrorKind.OUT_OF_BOUNDS,
-                        f"symbolic address may leave object '{obj.name}'",
-                        state.frame.function.name,
-                        state.frame.block.name if state.frame.block else "")
-                    self._record_error(error_state, error)
+                error_state = state.fork()
+                self.stats.forks += 1
+                self.stats.states_created += 1
+                error_state.add_constraint(out_of_bounds)
+                error = ProgramError(
+                    ErrorKind.OUT_OF_BOUNDS,
+                    f"symbolic address may leave object '{obj.name}'",
+                    state.frame.function.name,
+                    state.frame.block.name if state.frame.block else "")
+                self._record_error(error_state, error)
                 state.add_constraint(not_expr(out_of_bounds))
         state.add_constraint(binary(ExprOp.EQ, address,
                                     const(address.width, concrete)))
@@ -817,15 +759,6 @@ class SymbolicExecutor:
             state.frame.bind(id(call_site), value)
 
     # ----------------------------------------------------------- branches
-    def _next_replay_decision(self, state: ExecutionState) -> int:
-        """Pop the next recorded fork decision; when the trace runs dry the
-        prefix is fully reconstructed and its instruction count is booked
-        as replay overhead (it was already counted by the recording run)."""
-        choice = self._replay.pop(0)
-        if not self._replay:
-            self.stats.instructions_replayed += state.instructions_executed
-        return choice
-
     def _execute_branch(self, state: ExecutionState, inst: BranchInst) -> bool:
         if not inst.is_conditional:
             state.jump_to(inst.true_target)
@@ -869,24 +802,10 @@ class SymbolicExecutor:
             state.status = StateStatus.TERMINATED
             self.stats.paths_terminated += 1
             return False
-        if self._replay:
-            # Reconstructing a traced state: take the recorded side, do
-            # not queue the other (it is some other trace's prefix).
-            if self._next_replay_decision(state):
-                state.add_constraint(condition)
-                state.jump_to(inst.true_target)
-            else:
-                state.add_constraint(not_expr(condition))
-                state.jump_to(inst.false_target)
-            state.depth += 1
-            return False
         # Fork: explore both directions.
         self.stats.forks += 1
         self.stats.states_created += 1
         false_state = state.fork()
-        if self._record_traces:
-            false_state.trace = state.trace + (0,)
-            state.trace = state.trace + (1,)
         false_state.add_constraint(not_expr(condition))
         false_state.jump_to(inst.false_target)
         false_state.depth += 1
@@ -930,18 +849,9 @@ class SymbolicExecutor:
             state.status = StateStatus.TERMINATED
             self.stats.paths_terminated += 1
             return False
-        if self._replay and len(targets) > 1:
-            choice_constraints, choice_target = \
-                targets[self._next_replay_decision(state)]
-            for constraint in choice_constraints:
-                state.add_constraint(constraint)
-            state.jump_to(choice_target)
-            return False
         # The first feasible target continues on this state; the rest fork.
-        for index, (extra_constraints, target) in enumerate(targets[1:], 1):
+        for extra_constraints, target in targets[1:]:
             forked = state.fork()
-            if self._record_traces:
-                forked.trace = state.trace + (index,)
             self.stats.forks += 1
             self.stats.states_created += 1
             for constraint in extra_constraints:
@@ -953,8 +863,6 @@ class SymbolicExecutor:
             state.add_constraint(constraint)
         state.jump_to(first_target)
         if len(targets) > 1:
-            if self._record_traces:
-                state.trace = state.trace + (0,)
             self.searcher.add(state)
             return True
         return False

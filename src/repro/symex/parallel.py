@@ -17,17 +17,10 @@ rewrite:
   private :class:`~repro.symex.executor.SymbolicExecutor` engine over the
   shared module and globals.
 
-**Threads first.**  Workers are threads by default: state stepping is
-pure-Python and the CPython GIL serializes it, but cache hits are cheap,
-nothing is copied, and on free-threaded builds (or for any future
-GIL-releasing solver kernel) the same code scales with cores.  A
-**process pool** is the escape hatch (``use_processes=True``): execution
-states cannot cross a process boundary (their binding maps key on object
-identity), so the pool ships **fork-decision traces** instead — the
-bootstrap engine explores until the frontier is wide enough, each pending
-state's trace is replayed in a worker process
-(:meth:`~repro.symex.executor.SymbolicExecutor.replay_run`), and the
-subtree reports come back by value, Cloud9-style.
+**Threads.**  Workers are threads: state stepping is pure-Python and the
+CPython GIL serializes it, but cache hits are cheap, nothing is copied,
+and on free-threaded builds (or for any future GIL-releasing solver
+kernel) the same code scales with cores.
 
 **Determinism.**  Exhaustive exploration visits a schedule-independent
 path set as long as the solver's influence on control flow is
@@ -48,11 +41,10 @@ by signature.
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults import WorkerCrash, site as _fault_site
 from ..ir import Module
@@ -63,11 +55,6 @@ from .executor import (
 from .searcher import Searcher, WorkStealingFrontier
 from .solver import SharedSolverCaches, Solver, SolverConfig, SolverStats
 from .state import ExecutionState, StateStatus
-
-#: Frontier states the process-mode bootstrap aims for per worker before
-#: farming subtrees out (more seeds -> better load balance, longer
-#: sequential warm-up).
-PROCESS_SEEDS_PER_WORKER = 4
 
 #: Fault site hit once per frontier pop, before the state is stepped;
 #: raises :class:`~repro.faults.WorkerCrash`, handled by the pool's
@@ -182,7 +169,6 @@ class ParallelExecutor:
                  searcher: str = "dfs", workers: int = 4,
                  solver_config: Optional[SolverConfig] = None,
                  limits: Optional[SymexLimits] = None,
-                 use_processes: bool = False,
                  shared_caches: Optional[SharedSolverCaches] = None,
                  state_sink: Optional[Callable[[ExecutionState], None]]
                  = None,
@@ -191,16 +177,12 @@ class ParallelExecutor:
             raise ValueError("workers must be >= 1")
         if searcher not in ("dfs", "bfs", "random"):
             raise ValueError(f"unknown search strategy '{searcher}'")
-        if state_sink is not None and use_processes:
-            raise ValueError("state_sink needs thread workers: states "
-                             "cannot cross a process boundary")
         self.module = module
         self.entry = entry
         self.searcher = searcher
         self.workers = workers
         self.solver_config = solver_config or SolverConfig()
         self.limits = limits or SymexLimits()
-        self.use_processes = use_processes
         #: Caller-provided solver caches (the verification service injects
         #: one set shared across jobs, possibly primed from a persistent
         #: store).  Must be built with ``locked=True`` when ``workers > 1``.
@@ -216,23 +198,12 @@ class ParallelExecutor:
         #: unaffected.
         self.fact_pruning = fact_pruning
 
-    # ------------------------------------------------------------- threads
     def run(self, num_input_bytes: int) -> SymexReport:
         """Explore exhaustively and return the merged report."""
-        if self.use_processes:
-            # Honored even at workers=1 (one worker process): asking for
-            # process isolation and silently running inline would be a
-            # config lie.
-            return self._run_processes(num_input_bytes)
-        return self._run_threads(num_input_bytes)
-
-    def _run_threads(self, num_input_bytes: int) -> SymexReport:
         workers = self.workers
         config = self.solver_config
         shared = self.shared_caches or SharedSolverCaches(
-            num_stripes=workers,
-            ubtree_capacity=config.ubtree_capacity,
-            locked=workers > 1)
+            num_stripes=workers, locked=workers > 1)
         frontier = WorkStealingFrontier(workers, mode=self.searcher)
         # Worker 0 doubles as the bootstrap engine: it builds the globals
         # and the initial state; the other engines share both read-only.
@@ -350,95 +321,14 @@ class ParallelExecutor:
         return _merge_reports(merged_stats, merged_solver_stats,
                               [engine.report for engine in engines])
 
-    # ------------------------------------------------------------ processes
-    def _run_processes(self, num_input_bytes: int) -> SymexReport:
-        """The escape hatch: farm subtrees to worker processes by
-        fork-decision trace (states themselves cannot cross the process
-        boundary)."""
-        import concurrent.futures
-
-        try:
-            module_bytes = pickle.dumps(self.module)
-        except Exception as exc:
-            raise RuntimeError(
-                "process-pool exploration needs a picklable module; "
-                f"use threads instead ({exc})") from exc
-
-        # Phase 1 (sequential bootstrap): widen the frontier breadth-first
-        # until there is a seed subtree per worker, recording traces.
-        config = self.solver_config
-        boot = SymbolicExecutor(self.module, entry=self.entry,
-                                searcher="bfs",
-                                solver=Solver(config=config),
-                                limits=self.limits, record_traces=True)
-        boot._budget = ExplorationBudget(self.limits, [boot.stats])
-        boot.searcher.add(boot.make_initial_state(num_input_bytes))
-        target = self.workers * PROCESS_SEEDS_PER_WORKER
-        while not boot.searcher.empty() and len(boot.searcher) < target:
-            if boot._out_of_budget():
-                break
-            boot._run_state(boot.searcher.pop())
-            boot.stats.max_live_states = max(boot.stats.max_live_states,
-                                             len(boot.searcher) + 1)
-        pending: List[ExecutionState] = []
-        while not boot.searcher.empty():
-            pending.append(boot.searcher.pop())
-        traces = [state.trace for state in pending]
-
-        reports: List[SymexReport] = [boot.report]
-        if traces:
-            # Workers get the *remaining* wall budget, not a fresh one —
-            # otherwise a budget-bound bootstrap plus full worker budgets
-            # could double the requested timeout.  (Instruction/fork
-            # limits stay per-worker: they bound memory/work per process,
-            # and the bootstrap's aggregate check caps the total.)
-            import dataclasses
-            elapsed = time.perf_counter() - boot._budget.start_time
-            remaining = max(0.0, self.limits.timeout_seconds - elapsed)
-            worker_limits = dataclasses.replace(self.limits,
-                                                timeout_seconds=remaining)
-            shards: List[List[Tuple[int, ...]]] = [
-                [] for _ in range(min(self.workers, len(traces)))]
-            for index, trace in enumerate(traces):
-                shards[index % len(shards)].append(trace)
-            payloads = [
-                (module_bytes, self.entry, self.searcher, config,
-                 worker_limits, num_input_bytes, shard)
-                for shard in shards]
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=len(shards)) as pool:
-                reports.extend(pool.map(_explore_traced_subtrees, payloads))
-
-        merged_stats = SymexStats(states_created=0)
-        merged_solver_stats = SolverStats()
-        for report in reports:
-            merged_stats.merge(report.stats)
-            merged_solver_stats.merge(report.solver_stats)
-        merged_stats.wall_seconds = \
-            time.perf_counter() - boot._budget.start_time
-        return _merge_reports(merged_stats, merged_solver_stats, reports)
-
-
-def _explore_traced_subtrees(payload: tuple) -> SymexReport:
-    """Process-pool worker: rebuild the module, replay each trace, explore
-    its subtree, and return the (picklable) report."""
-    (module_bytes, entry, searcher, config, limits, num_input_bytes,
-     traces) = payload
-    module = pickle.loads(module_bytes)
-    engine = SymbolicExecutor(module, entry=entry, searcher=searcher,
-                              solver=Solver(config=config), limits=limits,
-                              stats=SymexStats(states_created=0))
-    return engine.replay_run(num_input_bytes, traces)
-
 
 def explore_parallel(module: Module, num_input_bytes: int,
                      entry: str = "main", searcher: str = "dfs",
                      workers: int = 4,
                      solver_config: Optional[SolverConfig] = None,
-                     limits: Optional[SymexLimits] = None,
-                     use_processes: bool = False) -> SymexReport:
+                     limits: Optional[SymexLimits] = None) -> SymexReport:
     """Convenience wrapper mirroring :func:`repro.symex.executor.explore`."""
     executor = ParallelExecutor(module, entry=entry, searcher=searcher,
                                 workers=workers, solver_config=solver_config,
-                                limits=limits, use_processes=use_processes)
+                                limits=limits)
     return executor.run(num_input_bytes)

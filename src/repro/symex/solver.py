@@ -16,16 +16,15 @@ The solver combines, in order of increasing cost:
    cached UNSAT set that is a subset of the query proves it unsatisfiable, a
    cached SAT set that is a superset hands over its model, and models of
    cached subsets are cheap candidate assignments (KLEE's counterexample
-   cache, indexed as in Hoffmann & Koehler's UBTrees).  With the index
-   disabled, a linear scan over recent models provides the same reuse,
+   cache, indexed as in Hoffmann & Koehler's UBTrees),
 5. a backtracking CSP search over the byte domains of the variables in a
    group, with unary-constraint domain pruning and early constraint checking;
    groups containing **wide (>16-bit) variables** are instead solved by
-   **branch-and-prune**: the variable box is recursively split, sub-boxes
-   are pruned through :func:`~repro.symex.expr.bounded_interval`, and only
-   leaf boxes small enough to enumerate are searched concretely — a sound
-   and (budget permitting) exact decision procedure where the previous
-   sparse-domain fallback could only answer "maybe satisfiable",
+   **branch-and-prune**: the variable box is recursively split at constants
+   the constraints mention, sub-boxes are pruned through
+   :func:`~repro.symex.expr.bounded_interval`, and only leaf boxes small
+   enough to enumerate are searched concretely — a sound and (budget
+   permitting) exact decision procedure,
 6. query caching (both full queries and per-group results, models included,
    so :meth:`Solver.get_model` never re-solves a decided query).
 
@@ -34,10 +33,12 @@ between the two sides of a fork: when one side is proved unsatisfiable, the
 other side follows from the satisfiability of the base path condition and
 needs no new query.
 
-Every optimization layer sits behind a :class:`SolverConfig` feature flag
-(default on) so each can be toggled and tested differentially against the
-naive configuration; ``make_backend("symex<ubtree=off>")`` reaches them from
-the pipeline syntax.
+Three layers sit behind :class:`SolverConfig` switches (default on):
+``independence``, ``cache`` and ``rewrite_equalities``.  They stay
+switchable because the differential tests and the fuzz oracle compare the
+default solver against a naive reference configuration that turns them
+off; ``make_backend("symex<rewrite-equalities=off>")`` reaches the rewriter
+from the pipeline syntax.
 
 The solver is complete for the expression language as long as the search
 budget is not exhausted; when it is, the query conservatively reports
@@ -60,10 +61,6 @@ from .ubtree import UBTree
 #: Fault site covering every top-level solver query (``docs/robustness.md``).
 _SOLVER_CHECK = _fault_site("solver.check", SolverError)
 
-#: How many recent models the model-reuse cache keeps (LRU) when the UBTree
-#: index is disabled.
-MODEL_CACHE_SIZE = 64
-
 #: How many cached subset models the UBTree lookup tries as candidate
 #: assignments before giving up and searching.
 SUBSET_MODEL_TRIALS = 8
@@ -76,20 +73,13 @@ BNP_LEAF_ENUMERATION = 2048
 #: the conservative "maybe satisfiable" answer.
 BNP_MAX_SPLITS = 20_000
 
-#: UNSAT groups larger than this skip core minimization: the deletion
-#: filter re-solves the group once per dropped constraint, and the
-#: quadratic worst case is not worth it for huge groups (which rarely
-#: recur as subsets of later queries anyway).
-CORE_MINIMIZATION_LIMIT = 16
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Feature flags of the solver's optimization layers (all default on).
+    """The solver's budget and switches (all layers default on).
 
-    ``cache`` is the master switch for every caching layer; ``ubtree``,
-    ``rewrite_equalities`` and ``branch_and_prune`` gate the Solver-v2
-    layers individually so each can be differentially tested.
+    ``cache`` is the master switch for every caching layer (the query and
+    group caches and the UBTree counterexample index).
     ``rewrite_equalities`` is consumed by
     :meth:`repro.symex.state.ExecutionState.add_constraint` (the executor
     copies it onto the states it creates).
@@ -98,21 +88,7 @@ class SolverConfig:
     max_assignments: int = 200_000
     independence: bool = True
     cache: bool = True
-    ubtree: bool = True
     rewrite_equalities: bool = True
-    branch_and_prune: bool = True
-    #: Branch-and-prune splits bisect toward constants mentioned in the
-    #: constraints instead of interval midpoints (isolates the satisfying
-    #: band of equality/ordering constraints in O(1) splits instead of
-    #: O(log range)).
-    seeded_splits: bool = True
-    #: Size cap per UBTree counterexample index (stored sets, LRU-by-hit
-    #: eviction); 0 = unbounded.  Bounds the memory of very long runs.
-    ubtree_capacity: int = 0
-    #: Shrink UNSAT groups to a minimal core (greedy deletion filter)
-    #: before inserting them into the UBTree UNSAT index — smaller cores
-    #: are subsets of more future queries, so each one subsumes more.
-    minimize_cores: bool = True
     #: Per-query wall-clock deadline in seconds (0 = none).  An expiring
     #: query is interrupted at its next budget checkpoint (the
     #: branch-and-prune split loop / the CSP assignment loop) and answers
@@ -150,8 +126,9 @@ class SolverStats:
     equality_rewrites: int = 0
     #: Interval splits performed by branch-and-prune searches.
     prune_splits: int = 0
-    #: UNSAT groups whose cores were shrunk before insertion into the
-    #: UNSAT index (:attr:`SolverConfig.minimize_cores`).
+    #: Always 0: the solver does not minimize UNSAT cores, so a group
+    #: enters the UNSAT index exactly as solved.  Kept because perfbench
+    #: reads the field by name (``perfbench/local.py``).
     cores_minimized: int = 0
     #: Group-cache and concretization-model hits answered by entries that
     #: were primed from a persistent knowledge store
@@ -210,24 +187,21 @@ class _CacheStripe:
     """One shard of the solver's group-level caches.
 
     Everything a group query touches lives together on its stripe — the
-    exact group-result cache, the SAT/UNSAT UBTree counterexample indices,
-    and the linear model-reuse list used when the UBTree is disabled — so
-    one lock acquisition covers a whole lookup or insertion."""
+    exact group-result cache and the SAT/UNSAT UBTree counterexample
+    indices — so one lock acquisition covers a whole lookup or
+    insertion."""
 
-    __slots__ = ("lock", "group_cache", "sat_index", "unsat_index", "models",
+    __slots__ = ("lock", "group_cache", "sat_index", "unsat_index",
                  "canonical_models", "from_store", "canonical_from_store")
 
-    def __init__(self, lock: object, ubtree_capacity: int) -> None:
+    def __init__(self, lock: object) -> None:
         self.lock = lock
         self.group_cache: Dict[FrozenSet[Expr], SolverResult] = {}
-        self.sat_index = UBTree(capacity=ubtree_capacity)
-        self.unsat_index = UBTree(capacity=ubtree_capacity)
-        #: Recently used satisfying assignments, most recent first (the
-        #: linear scan used when the UBTree index is disabled).
-        self.models: List[Dict[str, int]] = []
+        self.sat_index = UBTree()
+        self.unsat_index = UBTree()
         #: Group -> the model a *fresh deterministic search* finds — a pure
-        #: function of the group, unlike the reuse-layer models above,
-        #: whose identity depends on what happened to be cached first.
+        #: function of the group, unlike the SAT index's models, whose
+        #: identity depends on what happened to be cached first.
         #: Backs :meth:`Solver.concretization_model`.
         self.canonical_models: Dict[FrozenSet[Expr], Dict[str, int]] = {}
         #: Group-cache keys primed from a persistent store (provenance
@@ -253,14 +227,12 @@ class SharedSolverCaches:
     arrive at the same deterministic result).
     """
 
-    def __init__(self, num_stripes: int = 1, ubtree_capacity: int = 0,
-                 locked: bool = True) -> None:
+    def __init__(self, num_stripes: int = 1, locked: bool = True) -> None:
         if num_stripes < 1:
             raise ValueError("num_stripes must be >= 1")
         make_lock = threading.Lock if locked else _NullLock
         self.stripes: List[_CacheStripe] = [
-            _CacheStripe(make_lock(), ubtree_capacity)
-            for _ in range(num_stripes)]
+            _CacheStripe(make_lock()) for _ in range(num_stripes)]
         self._num_stripes = num_stripes
 
     def stripe_for(self, group_key: FrozenSet[Expr]) -> _CacheStripe:
@@ -282,10 +254,9 @@ class SharedSolverCaches:
         """Snapshot the persistable cache contents across all stripes.
 
         Returns Expr-level entries: exact group results, SAT index sets
-        with their models, UNSAT index sets (minimized cores included),
-        and canonical concretization models.  Inexact (budget-exhausted)
-        group results are excluded — they are conservative answers, not
-        knowledge worth re-using."""
+        with their models, UNSAT index sets, and canonical concretization
+        models.  Inexact (budget-exhausted) group results are excluded —
+        they are conservative answers, not knowledge worth re-using."""
         state: Dict[str, list] = {"groups": [], "sat_sets": [],
                                   "unsat_sets": [], "canonical_models": []}
         for stripe in self.stripes:
@@ -369,11 +340,10 @@ class Solver:
         #: workers, so sharing them would buy little and cost a lock.
         self._cache: Dict[FrozenSet[Expr], SolverResult] = {}
         #: The group-level caches (exact results, UBTree counterexample
-        #: indices, linear model list), possibly shared with other solvers
-        #: via lock stripes.  A private solver gets a single stripe with a
-        #: no-op lock, so the sequential path pays no lock traffic.
-        self._shared = shared or SharedSolverCaches(
-            1, ubtree_capacity=config.ubtree_capacity, locked=False)
+        #: indices), possibly shared with other solvers via lock stripes.
+        #: A private solver gets a single stripe with a no-op lock, so the
+        #: sequential path pays no lock traffic.
+        self._shared = shared or SharedSolverCaches(1, locked=False)
         #: Unary constraint -> frozenset of satisfying variable values.
         #: Hash-consing makes the constraint expression itself the key.
         #: Worker-local: it is a memo (cheap to recompute), and keeping it
@@ -402,7 +372,7 @@ class Solver:
     @property
     def enable_cache(self) -> bool:
         """Gates all caching layers: the full-query cache, the per-group
-        cache, and the counterexample caches (UBTree or linear)."""
+        cache, and the UBTree counterexample indices."""
         return self.config.cache
 
     # ------------------------------------------------------------------ API
@@ -802,31 +772,15 @@ class Solver:
                     if group_key in stripe.from_store:
                         self.stats.store_hits += 1
                     return cached
-                if self.config.ubtree:
-                    # Under the lock: only the trie walks (they read the
-                    # shared structure).  Candidate-model *evaluations*
-                    # happen outside, below.
-                    unsat, superset_model, candidates = \
-                        self._ubtree_snapshot(stripe, constraints)
-                else:
-                    unsat, superset_model = False, None
-                    candidates = list(stripe.models)
-            result, winner = self._resolve_model_candidates(
-                constraints, unsat, superset_model, candidates,
-                counted_as_ubtree=self.config.ubtree)
+                # Under the lock: only the trie walks (they read the shared
+                # structure).  Candidate-model *evaluations* happen
+                # outside, below.
+                unsat, superset_model, candidates = \
+                    self._ubtree_snapshot(stripe, constraints)
+            result = self._resolve_model_candidates(
+                constraints, unsat, superset_model, candidates)
             if result is not None:
                 with stripe.lock:
-                    if not self.config.ubtree and winner >= 0:
-                        # LRU bump of the winning source model (candidates
-                        # snapshot order == stripe.models order).
-                        source = candidates[winner]
-                        try:
-                            index = stripe.models.index(source)
-                        except ValueError:
-                            index = -1  # evicted meanwhile; nothing to bump
-                        if index > 0:
-                            stripe.models.insert(
-                                0, stripe.models.pop(index))
                     stripe.group_cache[group_key] = result
                 return result
         # The search itself runs outside the stripe lock: it can be orders
@@ -835,51 +789,13 @@ class Solver:
         # than serializing every colliding query behind it.
         result = self._solve_group_uncached(constraints)
         if self.enable_cache and result.exact:
-            core = constraints
-            if not result.satisfiable and self.config.ubtree and \
-                    self.config.minimize_cores and \
-                    1 < len(constraints) <= CORE_MINIMIZATION_LIMIT:
-                core = self._minimize_unsat_core(constraints)
             with stripe.lock:
                 stripe.group_cache[group_key] = result
-                if self.config.ubtree:
-                    if result.satisfiable:
-                        if result.model:
-                            stripe.sat_index.insert(constraints,
-                                                    dict(result.model))
-                    else:
-                        stripe.unsat_index.insert(core, True)
-                elif result.satisfiable and result.model:
-                    self._remember_model(stripe, result.model)
+                if not result.satisfiable:
+                    stripe.unsat_index.insert(constraints, True)
+                elif result.model:
+                    stripe.sat_index.insert(constraints, dict(result.model))
         return result
-
-    def _minimize_unsat_core(self, constraints: List[Expr]) -> List[Expr]:
-        """Shrink an UNSAT group to a minimal core by a greedy deletion
-        filter: drop each constraint in turn and keep the deletion whenever
-        the remainder is still provably UNSAT.  The result is subset-
-        minimal with respect to single deletions, so the UNSAT index entry
-        subsumes every future query containing just the core.
-
-        The probe solves are bookkeeping, not query work: they run against
-        a scratch stats object so ``csp_searches``/``assignments_tried``
-        keep measuring what the workload itself cost."""
-        core = list(constraints)
-        saved_stats = self.stats
-        self.stats = SolverStats()
-        try:
-            index = 0
-            while len(core) > 1 and index < len(core):
-                candidate = core[:index] + core[index + 1:]
-                probe = self._solve_group_uncached(candidate)
-                if probe.exact and not probe.satisfiable:
-                    core = candidate
-                else:
-                    index += 1
-        finally:
-            self.stats = saved_stats
-        if len(core) < len(constraints):
-            self.stats.cores_minimized += 1
-        return core
 
     # ---------------------------------------------------------- model reuse
     @staticmethod
@@ -908,24 +824,20 @@ class Solver:
     def _resolve_model_candidates(self, constraints: List[Expr],
                                   unsat: bool,
                                   superset_model: Optional[Dict[str, int]],
-                                  candidates: List[Dict[str, int]],
-                                  counted_as_ubtree: bool
-                                  ) -> Tuple[Optional[SolverResult], int]:
-        """Turn a lookup snapshot into ``(result, winning candidate index)``
-        — candidate evaluation runs outside any stripe lock; the index is
-        -1 unless a candidate model won (the linear mode's LRU bump needs
-        it).
+                                  candidates: List[Dict[str, int]]
+                                  ) -> Optional[SolverResult]:
+        """Turn a lookup snapshot into a result, or None on a miss —
+        candidate evaluation runs outside any stripe lock.
 
         Three containment rules, in order of strength: a cached UNSAT set
         contained in the query proves UNSAT; a cached SAT superset's model
-        satisfies every queried constraint outright; a cached subset's (or,
-        with the UBTree disabled, any recent) model satisfies part of the
-        query by construction and is tried as a candidate for the rest
-        (unmentioned variables default to zero).
+        satisfies every queried constraint outright; a cached subset's
+        model satisfies part of the query by construction and is tried as
+        a candidate for the rest (unmentioned variables default to zero).
         """
         if unsat:
             self.stats.ubtree_hits += 1
-            return SolverResult(False), -1
+            return SolverResult(False)
         variables: set = set()
         for constraint in constraints:
             variables |= constraint.variables()
@@ -934,36 +846,25 @@ class Solver:
             self.stats.model_cache_hits += 1
             candidate = {name: superset_model.get(name, 0)
                          for name in variables}
-            return SolverResult(True, model=candidate), -1
-        for index, model in enumerate(candidates):
+            return SolverResult(True, model=candidate)
+        for model in candidates:
             candidate = {name: model.get(name, 0) for name in variables}
             if all(c.evaluate(candidate) == 1 for c in constraints):
-                if counted_as_ubtree:
-                    self.stats.ubtree_hits += 1
+                self.stats.ubtree_hits += 1
                 self.stats.model_cache_hits += 1
-                return SolverResult(True, model=candidate), index
-        if not counted_as_ubtree:
-            # The linear scan exhausted the recent models: a plain miss.
-            return None, -1
+                return SolverResult(True, model=candidate)
         # The all-zeros assignment is the cache's implicit first entry: it
         # is what every cached model defaults unmentioned variables to, so
-        # trying it keeps the disjoint-variable hits the linear scan got
-        # from zero-extending unrelated models.  It is not a set-trie
-        # lookup, so it counts as a model-cache hit only — ``ubtree_hits``
-        # measures genuine containment hits.
+        # trying it catches groups whose variables no cached model
+        # mentions.  It is not a set-trie lookup, so it counts as a
+        # model-cache hit only — ``ubtree_hits`` measures genuine
+        # containment hits.
         zeros = dict.fromkeys(variables, 0)
         if all(c.evaluate(zeros) == 1 for c in constraints):
             self.stats.model_cache_hits += 1
-            return SolverResult(True, model=zeros), -1
+            return SolverResult(True, model=zeros)
         self.stats.ubtree_misses += 1
-        return None, -1
-
-    @staticmethod
-    def _remember_model(stripe: _CacheStripe, model: Dict[str, int]) -> None:
-        if not model:
-            return
-        stripe.models.insert(0, model)
-        del stripe.models[MODEL_CACHE_SIZE:]
+        return None
 
     # ----------------------------------------------------------- CSP search
     def _solve_group_uncached(self, constraints: List[Expr]) -> SolverResult:
@@ -979,8 +880,8 @@ class Solver:
         for constraint in constraints:
             self._collect_widths(constraint, widths)
 
-        if self.config.branch_and_prune and \
-                any(widths.get(name, 8) > 16 for name in variables):
+        if any(widths.get(name, 8) > 16 for name in variables):
+            # Wide variables cannot be enumerated.
             return self._branch_and_prune(constraints, variables, widths)
 
         # Unary-constraint domain pruning.
@@ -993,39 +894,14 @@ class Solver:
                 unary.setdefault(next(iter(names)), []).append(constraint)
             else:
                 multi.append(constraint)
-        sparse = False
         for name in variables:
             width = widths.get(name, 8)
-            sparse_domain = width > 16
-            if sparse_domain:
-                # Wide variables cannot be enumerated; fall back to a sparse
-                # candidate set: boundary values plus every constant
-                # mentioned in the constraints (and its neighbours), which
-                # catches the common equality/ordering shapes.  The search
-                # is no longer a decision procedure, so a failure below must
-                # report "maybe satisfiable", never UNSAT.
-                sparse = True
-                candidates = {0, 1, 2, 255, mask(width) - 1, mask(width)}
-                for seed in self._constant_seeds(constraints):
-                    candidates.update({seed & mask(width),
-                                       (seed - 1) & mask(width),
-                                       (seed + 1) & mask(width)})
-                domain = sorted(candidates)
-                for constraint in unary.get(name, []):
-                    domain = [value for value in domain
-                              if constraint.evaluate({name: value}) == 1]
-                    self.stats.assignments_tried += len(domain)
-            else:
-                domain = list(range(mask(width) + 1))
-                for constraint in unary.get(name, []):
-                    allowed = self._unary_satisfying_values(constraint, name,
-                                                            width)
-                    domain = [value for value in domain if value in allowed]
+            domain = list(range(mask(width) + 1))
+            for constraint in unary.get(name, []):
+                allowed = self._unary_satisfying_values(constraint, name,
+                                                        width)
+                domain = [value for value in domain if value in allowed]
             if not domain:
-                if sparse_domain:
-                    # The emptied domain was not exhaustive: no UNSAT proof.
-                    self.stats.unknown_results += 1
-                    return SolverResult(True, model=None, exact=False)
                 return SolverResult(False)
             domains[name] = domain
 
@@ -1075,9 +951,9 @@ class Solver:
         model = backtrack(0)
         if model is not None:
             return SolverResult(True, model=model)
-        if budget[0] <= 0 or sparse:
-            # Budget exhausted, or the candidate sets were sparse and thus
-            # not exhaustive: be conservative (never prune a feasible path).
+        if budget[0] <= 0:
+            # Budget exhausted: be conservative (never prune a feasible
+            # path).
             self.stats.unknown_results += 1
             if deadline_hit[0]:
                 self.stats.query_deadlines += 1
@@ -1089,7 +965,7 @@ class Solver:
                           variables: List[str],
                           widths: Dict[str, int]) -> SolverResult:
         """Interval branch-and-prune for groups with wide (>16-bit)
-        variables, replacing the inexact sparse-domain fallback.
+        variables.
 
         The search maintains a box of per-variable intervals.  At each box
         every constraint is evaluated in interval arithmetic
@@ -1102,9 +978,8 @@ class Solver:
         split/assignment budget ran out, in which case the result is the
         conservative "maybe satisfiable".
 
-        With ``SolverConfig.seeded_splits`` (default on) the split point
-        bisects toward a constant mentioned in the constraints instead of
-        the interval midpoint.  The satisfying band of an equality or
+        The split point bisects toward a constant mentioned in the
+        constraints instead of the interval midpoint.  The satisfying band of an equality or
         ordering constraint starts or ends at such a constant, so splitting
         at ``c``/``c - 1`` makes one half decidable by the interval
         transfer almost immediately — an equality-heavy query resolves in
@@ -1118,21 +993,18 @@ class Solver:
         exhausted = [False]
         deadline = self._deadline
         deadline_hit = [False]
-        split_seeds: List[int] = []
-        if self.config.seeded_splits:
-            # c ends the satisfying band of "x <= c"/"x == c"; c - 1 ends
-            # the band of "x < c" and isolates c itself on the next split.
-            # The signed boundary of each variable width joins the seeds:
-            # it is the one point the unsigned interval transfer cannot
-            # reason across, so splitting exactly there turns a
-            # sign-crossing box into two sign-pure (decidable) halves —
-            # and a seed split elsewhere must not knock later bisection
-            # off that alignment.
-            points = {point for seed in self._constant_seeds(constraints)
-                      for point in (seed - 1, seed)}
-            points.update((1 << (widths.get(name, 8) - 1)) - 1
-                          for name in variables)
-            split_seeds = sorted(points)
+        # c ends the satisfying band of "x <= c"/"x == c"; c - 1 ends the
+        # band of "x < c" and isolates c itself on the next split.  The
+        # signed boundary of each variable width joins the seeds: it is the
+        # one point the unsigned interval transfer cannot reason across, so
+        # splitting exactly there turns a sign-crossing box into two
+        # sign-pure (decidable) halves — and a seed split elsewhere must
+        # not knock later bisection off that alignment.
+        points = {point for seed in self._constant_seeds(constraints)
+                  for point in (seed - 1, seed)}
+        points.update((1 << (widths.get(name, 8) - 1)) - 1
+                      for name in variables)
+        split_seeds = sorted(points)
 
         def split_point(low: int, high: int) -> int:
             mid = (low + high) // 2
@@ -1216,7 +1088,7 @@ class Solver:
     @staticmethod
     def _constant_seeds(constraints: List[Expr]) -> FrozenSet[int]:
         """Every constant value appearing in the constraint expressions
-        (candidate seeds for sparse wide-variable domains)."""
+        (the branch-and-prune split seeds)."""
         seeds: set = set()
         stack: List[Expr] = list(constraints)
         while stack:

@@ -150,14 +150,6 @@ class ExecutionState:
         self.instructions_executed = 0
         self.forks = 0
         self.depth = 0  # number of branch decisions taken
-        #: The fork decisions that produced this state, one element per
-        #: *queueing* fork point (branch: 1 = true side, 0 = false side;
-        #: switch: index into the feasible-target list).  Replaying the
-        #: trace in a fresh process deterministically reconstructs the
-        #: state — the process-pool escape hatch ships traces, not states.
-        #: Recorded only by executors built with ``record_traces=True``
-        #: (the process-mode bootstrap); everywhere else it stays ``()``.
-        self.trace: Tuple[int, ...] = ()
         #: Times a worker crashed while holding this state and a pristine
         #: snapshot was re-queued (the parallel executor's retry-once
         #: recovery, ``docs/robustness.md``).
@@ -201,7 +193,6 @@ class ExecutionState:
         clone.status = self.status
         clone.instructions_executed = self.instructions_executed
         clone.depth = self.depth
-        clone.trace = self.trace
         clone.retries = self.retries
         self.forks += 1
         return clone

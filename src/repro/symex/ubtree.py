@@ -21,7 +21,6 @@ iteration order.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .expr import Expr
@@ -47,24 +46,12 @@ class UBTree:
     in the query) and :meth:`find_superset` (a stored set containing the
     query).  :meth:`iter_subsets` enumerates every stored subset for
     candidate-model trials.
-
-    ``capacity`` bounds the number of stored sets so a very long run's
-    counterexample index cannot grow without limit: inserting beyond the
-    cap evicts the least-recently-*hit* set (insertion refreshes, and so
-    does every containment lookup that returns the set's payload).
-    ``capacity=0`` means unbounded.  Evicting an entry only costs the
-    cache a future re-solve, never an answer, so any eviction policy is
-    sound; LRU-by-hit keeps the sets that are actually subsuming queries.
     """
 
-    def __init__(self, capacity: int = 0) -> None:
+    def __init__(self) -> None:
         self._root = _Node()
         self._element_ids: Dict[Expr, int] = {}
         self._size = 0
-        self.capacity = capacity
-        self.evictions = 0
-        #: Insertion/hit recency: id-path tuple -> None, oldest first.
-        self._recency: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
 
     def __len__(self) -> int:
         """Number of stored sets."""
@@ -107,13 +94,10 @@ class UBTree:
     def insert(self, elements: Iterable[Expr], value: object = True) -> None:
         """Store ``elements`` as one set with ``value`` as its payload.
 
-        Re-inserting an existing set replaces its payload (and refreshes
-        its recency).  When a capacity is set and exceeded, the
-        least-recently-hit set is evicted.
+        Re-inserting an existing set replaces its payload.
         """
-        path = tuple(self._ids_for_insert(elements))
         node = self._root
-        for element_id in path:
+        for element_id in self._ids_for_insert(elements):
             child = node.children.get(element_id)
             if child is None:
                 child = _Node()
@@ -123,38 +107,6 @@ class UBTree:
             self._size += 1
         node.terminal = True
         node.value = value
-        if self.capacity:
-            self._recency[path] = None
-            self._recency.move_to_end(path)
-            while self._size > self.capacity:
-                oldest, _ = self._recency.popitem(last=False)
-                self._remove_path(oldest)
-
-    def _remove_path(self, path: Tuple[int, ...]) -> None:
-        """Drop the stored set whose sorted id sequence is ``path``,
-        pruning trie nodes that no longer lead anywhere."""
-        chain: List[Tuple[_Node, int]] = []
-        node = self._root
-        for element_id in path:
-            child = node.children.get(element_id)
-            if child is None:
-                return  # already gone
-            chain.append((node, element_id))
-            node = child
-        if not node.terminal:
-            return
-        node.terminal = False
-        node.value = None
-        self._size -= 1
-        self.evictions += 1
-        while chain and not node.terminal and not node.children:
-            parent, element_id = chain.pop()
-            del parent.children[element_id]
-            node = parent
-
-    def _refresh(self, path: Tuple[int, ...]) -> None:
-        if self.capacity and path in self._recency:
-            self._recency.move_to_end(path)
 
     # -------------------------------------------------------------- lookup
     def contains(self, elements: Iterable[Expr]) -> bool:
@@ -173,7 +125,6 @@ class UBTree:
         """The payload of some stored set that is a **subset** of the query,
         or None.  (The empty stored set qualifies for every query.)"""
         query = self._known_ids(elements)
-        path: List[int] = []
 
         def search(node: _Node, start: int) -> Optional[_Node]:
             if node.terminal:
@@ -182,18 +133,13 @@ class UBTree:
             for index in range(start, len(query)):
                 child = node.children.get(query[index])
                 if child is not None:
-                    path.append(query[index])
                     found = search(child, index + 1)
                     if found is not None:
                         return found
-                    path.pop()
             return None
 
         found = search(self._root, 0)
-        if found is None:
-            return None
-        self._refresh(tuple(path))
-        return found.value
+        return None if found is None else found.value
 
     def find_superset(self, elements: Iterable[Expr]) -> Optional[object]:
         """The payload of some stored set that is a **superset** of the
@@ -201,17 +147,14 @@ class UBTree:
         query = self._ids_for_lookup(elements)
         if query is None:
             return None
-        path: List[int] = []
 
         def any_terminal(node: _Node) -> Optional[_Node]:
             if node.terminal:
                 return node
-            for element_id, child in node.children.items():
-                path.append(element_id)
+            for child in node.children.values():
                 found = any_terminal(child)
                 if found is not None:
                     return found
-                path.pop()
             return None
 
         def search(node: _Node, index: int) -> Optional[_Node]:
@@ -225,19 +168,14 @@ class UBTree:
             for element_id, child in node.children.items():
                 if element_id > needed:
                     continue
-                path.append(element_id)
                 found = search(child, index + 1 if element_id == needed
                                else index)
                 if found is not None:
                     return found
-                path.pop()
             return None
 
         found = search(self._root, 0)
-        if found is None:
-            return None
-        self._refresh(tuple(path))
-        return found.value
+        return None if found is None else found.value
 
     def items(self) -> Iterator[Tuple[Tuple[Expr, ...], object]]:
         """Every stored set with its payload, in id-lexicographic trie
@@ -262,10 +200,7 @@ class UBTree:
 
     def iter_subsets(self, elements: Iterable[Expr]) -> Iterator[object]:
         """Payloads of every stored subset of the query, largest-first is
-        *not* guaranteed — iteration follows trie order.  Enumerated
-        candidates do not refresh eviction recency (most are merely
-        *tried* against the query; only a decisive containment answer —
-        :meth:`find_subset` / :meth:`find_superset` — counts as a hit)."""
+        *not* guaranteed — iteration follows trie order."""
         query = self._known_ids(elements)
 
         def search(node: _Node, start: int) -> Iterator[object]:

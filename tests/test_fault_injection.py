@@ -60,8 +60,7 @@ def _fingerprint(report):
         "paths_errored": stats.paths_errored,
         "total_paths": stats.total_paths,
         "engine_errors": stats.engine_errors,
-        "instructions": stats.instructions_interpreted
-        - stats.instructions_replayed,
+        "instructions": stats.instructions_interpreted,
         "bug_signatures": frozenset(report.bug_signatures()),
     }
 

@@ -14,6 +14,8 @@ Four groups:
   operand-order rewrite.
 """
 
+import dataclasses
+import itertools
 import subprocess
 import sys
 
@@ -24,7 +26,7 @@ from repro.fuzz import (
     GeneratorConfig, check_source, generate_program, minimize_source,
 )
 from repro.fuzz.minimize import count_statements
-from repro.fuzz.oracle import OracleConfig
+from repro.fuzz.oracle import NAIVE_SOLVER_CONFIG, OracleConfig
 from repro.fuzz.render import render_program
 from repro.interp.interpreter import run_module
 from repro.ir import verify_module, verify_ssa_dominance
@@ -33,6 +35,7 @@ from repro.pipelines.session import CompilerSession
 
 from conftest import compile_program
 from repro.symex.executor import SymexLimits, explore
+from repro.symex.solver import SolverConfig
 from repro.workloads import get_workload
 
 QUICK_ORACLE = OracleConfig(
@@ -141,6 +144,34 @@ def test_oracle_catches_planted_compile_divergence():
                            GeneratorConfig(input_bytes=2), QUICK_ORACLE)
     assert not outcome.clean
     assert all(d.kind == "compile" for d in outcome.divergences)
+
+
+# ------------------------------------------ oracle family 5: solver matrix
+def test_solver_matrix_holds_distinct_configs():
+    """Family 5 differences the default solver against every matrix entry:
+    three configurations, no two alike, the naive one with every
+    switchable layer off."""
+    configs = [SolverConfig()] + [config for _name, config
+                                  in OracleConfig().solver_matrix]
+    assert len(configs) == 3
+    assert all(a != b for a, b in itertools.combinations(configs, 2))
+    assert NAIVE_SOLVER_CONFIG == SolverConfig(
+        independence=False, cache=False, rewrite_equalities=False)
+
+
+def test_solver_matrix_family_clean_on_clean_seed():
+    source = """
+int main(unsigned char *input, int len) {
+    int total = 0;
+    if (input[0] == 'a') { total = total + 3; }
+    if (input[1] < input[0]) { total = total + 1; }
+    return total;
+}
+"""
+    oracle = dataclasses.replace(QUICK_ORACLE, check_solver_matrix=True)
+    outcome = check_source(source, GeneratorConfig(input_bytes=2), oracle)
+    assert outcome.clean, [d.describe() for d in outcome.divergences]
+    assert not outcome.truncated
 
 
 # ------------------------------------------- oracle family 6: relcheck

@@ -454,6 +454,10 @@ class TestDifferentialWithPassesToggled:
         limits = SymexLimits(timeout_seconds=30)
         on = explore(with_passes, 2, limits=limits)
         off = explore(without, 2, limits=limits)
+        # Both explorations must be complete: comparing two runs a budget
+        # cut short would prove nothing about the paths they never saw.
+        assert on.stats.termination_reason == "", (name, "on")
+        assert off.stats.termination_reason == "", (name, "off")
         # Path counts may differ — that is the whole point — but the
         # observable behaviour must not: same bug signatures, and every
         # test input either exploration generates must replay identically

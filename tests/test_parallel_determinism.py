@@ -6,9 +6,8 @@ solver's answers are deterministic, so ``workers=4`` has to reproduce the
 interpreted instructions, same Table 1 verification outcomes — across the
 workloads and both frontier disciplines.  The remaining tests pin down the
 machinery the differential relies on: the work-stealing frontier's
-discipline and termination, the lock-striped shared solver caches, the COW
-ownership invariants under forking, and the process-pool escape hatch's
-trace replay.
+discipline and termination, the lock-striped shared solver caches, and
+the COW ownership invariants under forking.
 """
 
 import threading
@@ -38,18 +37,17 @@ DIFFERENTIAL_BYTES = 3
 
 def _outcome_fingerprint(report):
     """Everything about a run that must be identical whatever the worker
-    count: path counts by status, fresh instructions (replay overhead
-    excluded), and the bug-signature set.  Timings, state ids, cache-hit
-    counters and model-dependent test inputs are legitimately
-    schedule-dependent and deliberately excluded."""
+    count: path counts by status, instructions, and the bug-signature
+    set.  Timings, state ids, cache-hit counters and model-dependent test
+    inputs are legitimately schedule-dependent and deliberately
+    excluded."""
     stats = report.stats
     return {
         "paths_completed": stats.paths_completed,
         "paths_errored": stats.paths_errored,
         "paths_terminated": stats.paths_terminated,
         "total_paths": stats.total_paths,
-        "instructions": stats.instructions_interpreted
-        - stats.instructions_replayed,
+        "instructions": stats.instructions_interpreted,
         "branches": stats.branches_encountered,
         "forks": stats.forks,
         "states_created": stats.states_created,
@@ -80,6 +78,20 @@ class TestWorkerCountDeterminism:
                                     limits=SymexLimits(**LIMITS_KW))
         assert _outcome_fingerprint(sequential) == \
             _outcome_fingerprint(parallel)
+
+    @pytest.mark.parametrize("name", ["wc", "buggy_div"])
+    def test_thread_pool_matches_sequential_executor(self, name):
+        """Several workers against the plain sequential engine, on a deep
+        frontier (wc) and one the first worker mostly finishes alone
+        (buggy_div): the pool shares states instead of reconstructing
+        them, so every work counter matches, not just the path set."""
+        module = compile_workload_module(name)
+        sequential = explore(module, DIFFERENTIAL_BYTES,
+                             limits=SymexLimits(**LIMITS_KW))
+        pooled = explore_parallel(module, DIFFERENTIAL_BYTES, workers=2,
+                                  limits=SymexLimits(**LIMITS_KW))
+        assert _outcome_fingerprint(sequential) == \
+            _outcome_fingerprint(pooled)
 
     def test_merged_report_is_content_ordered(self):
         """Path records come back sorted by content and bug reports deduped
@@ -366,58 +378,6 @@ class TestCowOwnershipInvariants:
         assert parent.state_id not in ids
 
 
-class TestProcessEscapeHatch:
-    @pytest.mark.parametrize("name,expect_farming", [
-        ("wc", True),          # deep frontier: subtrees are farmed out
-        ("buggy_div", False),  # bootstrap finishes it all by itself
-    ])
-    def test_process_pool_matches_sequential(self, name, expect_farming):
-        module = compile_workload_module(name)
-        sequential = explore(module, DIFFERENTIAL_BYTES,
-                             limits=SymexLimits(**LIMITS_KW))
-        pooled = explore_parallel(module, DIFFERENTIAL_BYTES, workers=2,
-                                  use_processes=True,
-                                  limits=SymexLimits(**LIMITS_KW))
-        # The *path set* contract is exact.  Work counters (instructions,
-        # branch encounters, solver queries) legitimately include the
-        # replayed prefixes' overhead in process mode — the strict
-        # work-equality claim belongs to the thread pool, which shares
-        # states instead of reconstructing them.
-        for key in ("paths_completed", "paths_errored", "paths_terminated",
-                    "total_paths", "forks", "states_created",
-                    "bug_signatures", "timed_out"):
-            assert _outcome_fingerprint(sequential)[key] == \
-                _outcome_fingerprint(pooled)[key], key
-        assert (pooled.stats.instructions_replayed > 0) == expect_farming
-
-    def test_trace_replay_reconstructs_subtrees(self):
-        """Replaying every frontier trace sequentially covers exactly the
-        unexplored paths (no duplicates, nothing lost)."""
-        from repro.symex import SymbolicExecutor, SymexStats
-
-        module = compile_workload_module("wc")
-        full = explore(module, DIFFERENTIAL_BYTES,
-                       limits=SymexLimits(**LIMITS_KW))
-        boot = SymbolicExecutor(module, searcher="bfs",
-                                limits=SymexLimits(**LIMITS_KW),
-                                record_traces=True)
-        from repro.symex import ExplorationBudget
-        boot._budget = ExplorationBudget(boot.limits, [boot.stats])
-        boot.searcher.add(boot.make_initial_state(DIFFERENTIAL_BYTES))
-        while not boot.searcher.empty() and len(boot.searcher) < 6:
-            boot._run_state(boot.searcher.pop())
-        traces = []
-        while not boot.searcher.empty():
-            traces.append(boot.searcher.pop().trace)
-        assert traces, "bootstrap should leave a frontier to farm out"
-        worker = SymbolicExecutor(module, limits=SymexLimits(**LIMITS_KW),
-                                  stats=SymexStats(states_created=0))
-        subtree_report = worker.replay_run(DIFFERENTIAL_BYTES, traces)
-        total_paths = boot.stats.total_paths + \
-            subtree_report.stats.total_paths
-        assert total_paths == full.stats.total_paths
-
-
 class TestBackendWorkersSpec:
     def test_workers_spec_round_trip(self):
         backend = make_backend("symex<workers=4>")
@@ -433,7 +393,7 @@ class TestBackendWorkersSpec:
 
     def test_parallel_flags_compose(self):
         backend = make_backend(
-            "symex<workers=4,searcher=bfs,ubtree-capacity=128>")
+            "symex<workers=4,searcher=bfs,rewrite-equalities=off>")
         assert backend.workers == 4
         assert backend.searcher == "bfs"
-        assert backend.solver_config.ubtree_capacity == 128
+        assert backend.solver_config.rewrite_equalities is False

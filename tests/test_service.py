@@ -1,4 +1,4 @@
-"""Tests for the verification service: UNSAT-core minimization, the
+"""Tests for the verification service: the UNSAT index, the
 store-backed backend (memo + warm provenance), injectable solver caches,
 and the socket front door end to end (dedupe, memo hits, stats, restart
 persistence)."""
@@ -19,14 +19,14 @@ from repro.symex import (
 from repro.verification import VerificationRequest, make_backend
 from repro.workloads import get_workload
 
-# ------------------------------------------------- UNSAT-core minimization
+# ------------------------------------------------------------ UNSAT index
 
 
 def _contradiction_with_padding():
     """Two directly contradictory constraints buried in satisfiable
-    padding: the minimal core is the contradiction alone.  The padding
-    shares variable ``in0`` with the contradiction so independence
-    decomposition keeps everything in one constraint group."""
+    padding.  The padding shares variable ``in0`` with the contradiction
+    so independence decomposition keeps everything in one constraint
+    group."""
     a, b, c = var(8, "in0"), var(8, "in1"), var(8, "in2")
     core = [binary(ExprOp.EQ, a, const(8, 1)),
             binary(ExprOp.EQ, a, const(8, 2))]
@@ -36,58 +36,61 @@ def _contradiction_with_padding():
     return core, padding
 
 
-def test_unsat_core_is_minimized_before_indexing():
+def test_unsat_group_is_indexed_as_solved():
+    """An UNSAT group enters the UNSAT index exactly as it was solved, so
+    a superset of it that was never queried before is answered by
+    containment."""
     core, padding = _contradiction_with_padding()
+    group = padding[:1] + core + padding[1:]
     solver = Solver()
-    result = solver.check(padding[:1] + core + padding[1:])
-    assert not result.satisfiable
-    assert solver.stats.cores_minimized == 1
-    # The indexed core is the 2-constraint contradiction: any superset —
-    # including ones never seen before — is answered by containment.
-    fresh = [binary(ExprOp.EQ, var(8, "in1"), const(8, 77))] + core
-    stats_before = solver.stats.ubtree_hits
-    assert not solver.check(fresh).satisfiable
-    assert solver.stats.ubtree_hits == stats_before + 1
-
-
-def test_core_minimization_can_be_disabled():
-    core, padding = _contradiction_with_padding()
-    solver = Solver(config=SolverConfig(minimize_cores=False))
-    assert not solver.check(padding[:1] + core + padding[1:]).satisfiable
+    assert not solver.check(group).satisfiable
     assert solver.stats.cores_minimized == 0
+    unsat_index = solver._shared.stripes[0].unsat_index
+    assert len(unsat_index) == 1 and unsat_index.contains(group)
+    fresh = [binary(ExprOp.EQ, var(8, "in1"), const(8, 77))] + group
+    hits_before = solver.stats.ubtree_hits
+    assert not solver.check(fresh).satisfiable
+    assert solver.stats.ubtree_hits == hits_before + 1
 
 
-def test_core_minimization_probes_do_not_inflate_stats():
-    """The greedy drop loop re-solves subsets; those probe solves must
-    not leak into the public counters the benchmarks floor on."""
+def test_unsat_index_hit_costs_no_search():
+    """A containment hit answers without searching: the superset query
+    leaves the search counters where the first solve left them, while a
+    solver without the index has to search for it."""
     core, padding = _contradiction_with_padding()
-    baseline = Solver(config=SolverConfig(minimize_cores=False))
-    baseline.check(padding[:1] + core + padding[1:])
-    minimizing = Solver()
-    minimizing.check(padding[:1] + core + padding[1:])
-    assert minimizing.stats.csp_searches <= baseline.stats.csp_searches
-    assert minimizing.stats.assignments_tried <= \
-        baseline.stats.assignments_tried
+    group = padding[:1] + core + padding[1:]
+    fresh = [binary(ExprOp.EQ, var(8, "in1"), const(8, 77))] + group
+    solver = Solver()
+    assert not solver.check(group).satisfiable
+    searched = (solver.stats.csp_searches, solver.stats.assignments_tried)
+    assert not solver.check(fresh).satisfiable
+    assert (solver.stats.csp_searches,
+            solver.stats.assignments_tried) == searched
+    uncached = Solver(config=SolverConfig(cache=False))
+    assert not uncached.check(fresh).satisfiable
+    assert uncached.stats.csp_searches > 0
 
 
-def test_minimized_verdicts_match_unminimized():
-    """Feature-flag differential: minimization must never change a
-    verdict, only what lands in the UNSAT index."""
+def test_unsat_index_verdicts_match_uncached():
+    """The index may only save work, never change a verdict: a long-lived
+    indexing solver agrees with a cache-free one on random groups over
+    few variables, which re-ask subsets and supersets of each other."""
     import random
 
     rng = random.Random(7)
     names = ["in0", "in1", "in2"]
     comparisons = [ExprOp.EQ, ExprOp.NE, ExprOp.ULT, ExprOp.ULE]
-    plain = Solver(config=SolverConfig(minimize_cores=False, cache=False,
-                                       ubtree=False))
-    minimizing = Solver()
+    plain = Solver(config=SolverConfig(cache=False))
+    indexed = Solver()
     for _ in range(150):
         group = [binary(rng.choice(comparisons),
                         var(8, rng.choice(names)),
                         const(8, rng.randrange(256)))
                  for _ in range(rng.randrange(2, 6))]
-        assert minimizing.check(group).satisfiable == \
+        assert indexed.check(group).satisfiable == \
             plain.check(group).satisfiable
+    assert indexed.stats.ubtree_hits > 0
+    assert indexed.stats.cores_minimized == 0
 
 
 # ------------------------------------------------- store-backed backend

@@ -5,13 +5,13 @@ Two generations of machinery are locked down here:
 * the PR 3 layers (caching, independence decomposition, model reuse,
   interning) via a long-lived optimized solver checked against a fresh
   cache-free naive configuration on >= 1,000 generated queries;
-* the Solver-v2 layers via a **feature-flag matrix**: every on/off
-  combination of {ubtree, rewrite-equalities, branch-and-prune} answers the
-  same >= 500 randomized queries and must produce the naive configuration's
-  verdict bit for bit, with every returned model re-checked by substitution
-  into the *original* (unrewritten) query;
+* the switchable layers via a **feature-flag matrix**: every on/off
+  combination of {independence, cache, rewrite-equalities} answers the
+  same >= 500 randomized queries and must produce the naive
+  configuration's verdict bit for bit, with every returned model
+  re-checked by substitution into the *original* (unrewritten) query;
 * branch-and-prune separately against an analytic ground truth on wide
-  (>16-bit) variable queries, where the naive sparse fallback is inexact.
+  (>16-bit) variable queries.
 
 Queries are generated small enough that the naive CSP always terminates
 within the assignment budget, so both configurations produce exact answers
@@ -37,9 +37,9 @@ MATRIX_QUERY_COUNT = int(
 WIDE_QUERY_COUNT = int(
     os.environ.get("SOLVER_DIFFERENTIAL_WIDE_QUERIES", "300"))
 
-#: Every optimization layer off: the trusted baseline configuration.
-NAIVE_CONFIG = SolverConfig(independence=False, cache=False, ubtree=False,
-                            rewrite_equalities=False, branch_and_prune=False)
+#: Every switchable layer off: the trusted baseline configuration.
+NAIVE_CONFIG = SolverConfig(independence=False, cache=False,
+                            rewrite_equalities=False)
 
 _COMPARISONS = [ExprOp.EQ, ExprOp.NE, ExprOp.ULT, ExprOp.ULE,
                 ExprOp.SLT, ExprOp.SLE]
@@ -196,19 +196,18 @@ def _rewrite_through_state(query, enabled):
 
 
 @pytest.mark.parametrize(
-    "ubtree,rewrite,branch_and_prune",
+    "independence,cache,rewrite",
     list(itertools.product([False, True], repeat=3)),
     ids=lambda flag: {True: "on", False: "off"}[flag])
-def test_feature_flag_matrix_agrees_with_naive(matrix_baseline, ubtree,
-                                               rewrite, branch_and_prune):
+def test_feature_flag_matrix_agrees_with_naive(matrix_baseline, independence,
+                                               cache, rewrite):
     """Each of the 8 flag combinations answers every query with the naive
     verdict, and every SAT model — produced from the *rewritten* constraint
     set — satisfies the *original* query by substitution."""
     queries, verdicts = matrix_baseline
     assert len(queries) >= MATRIX_QUERY_COUNT
     solver = Solver(config=SolverConfig(
-        ubtree=ubtree, rewrite_equalities=rewrite,
-        branch_and_prune=branch_and_prune))
+        independence=independence, cache=cache, rewrite_equalities=rewrite))
     mismatches = []
     for index, (query, expected) in enumerate(zip(queries, verdicts)):
         effective, _ = _rewrite_through_state(query, rewrite)
@@ -290,10 +289,9 @@ def _wide_ground_truth(query, constants):
 
 
 def test_branch_and_prune_is_exact_on_wide_queries():
-    """Wide-variable queries that the sparse fallback answers inexactly are
-    decided exactly (and correctly) by branch-and-prune."""
+    """Wide-variable queries are decided exactly (and correctly) by
+    branch-and-prune."""
     rng = random.Random(0x51DE)
-    sparse_inexact = 0
     unsat_seen = 0
     for index in range(WIDE_QUERY_COUNT):
         query, constants = _random_wide_query(rng)
@@ -311,16 +309,7 @@ def test_branch_and_prune_is_exact_on_wide_queries():
                 (index, [c.render() for c in query], model)
         else:
             unsat_seen += 1
-            # The pre-v2 sparse fallback cannot prove UNSAT for wide
-            # variables: it must come back "maybe satisfiable" (inexact).
-            old = Solver(config=SolverConfig(cache=False,
-                                             branch_and_prune=False))
-            old_result = old.check(query)
-            if old_result.satisfiable and not old_result.exact:
-                sparse_inexact += 1
     assert unsat_seen > 0, "the generator produced no UNSAT wide queries"
-    assert sparse_inexact > 0, \
-        "no query separated branch-and-prune from the sparse fallback"
 
 
 def test_branch_and_prune_budget_exhaustion_stays_conservative():

@@ -289,8 +289,8 @@ class TestConstraintGroups:
 # ---------------------------------------------------------------------------
 # Equality rewriting (KLEE's --rewrite-equalities)
 # ---------------------------------------------------------------------------
-_NAIVE = SolverConfig(independence=False, cache=False, ubtree=False,
-                      rewrite_equalities=False, branch_and_prune=False)
+_NAIVE = SolverConfig(independence=False, cache=False,
+                      rewrite_equalities=False)
 
 
 def _random_rewrite_sequence(rng):
@@ -608,8 +608,6 @@ class TestBranchAndPrune:
         assert solver.stats.prune_splits > 0
 
     def test_wide_contradiction_is_proved_unsat(self):
-        # The pre-v2 sparse fallback could only answer "maybe satisfiable"
-        # here; branch-and-prune delivers the exact UNSAT proof.
         solver = Solver()
         w = var(32, "wide_bnp2")
         result = solver.check([
@@ -632,16 +630,21 @@ class TestBranchAndPrune:
         model = solver.get_model(constraints)
         assert all(c.evaluate(model) == 1 for c in constraints)
 
-    def test_flag_off_restores_sparse_fallback(self):
-        solver = Solver(config=SolverConfig(branch_and_prune=False))
-        w = var(32, "wide_bnp4")
-        result = solver.check([
-            binary(ExprOp.ULT, w, const(32, 1000)),
-            binary(ExprOp.ULT, const(32, 2000), w),
-        ])
-        # Sparse domains cannot prove UNSAT: conservative inexact answer.
-        assert result.satisfiable and not result.exact
-        assert solver.stats.prune_splits == 0
+    def test_width_above_sixteen_bits_goes_to_branch_and_prune(self):
+        """Enumeration covers variables of up to 16 bits; one bit wider
+        and the group is always decided by branch-and-prune, exactly."""
+        narrow, wide = Solver(), Solver()
+        narrow_result = narrow.check(
+            [binary(ExprOp.EQ, var(16, "route_n"), const(16, 40000))])
+        wide_result = wide.check(
+            [binary(ExprOp.EQ, var(17, "route_w"), const(17, 70000))])
+        assert narrow_result.satisfiable and narrow_result.exact
+        assert wide_result.satisfiable and wide_result.exact
+        assert narrow_result.model == {"route_n": 40000}
+        assert wide_result.model == {"route_w": 70000}
+        assert narrow.stats.csp_searches == wide.stats.csp_searches == 1
+        assert narrow.stats.prune_splits == 0
+        assert wide.stats.prune_splits > 0
 
     def test_signed_wide_branches_are_decided(self):
         solver = Solver()
@@ -662,9 +665,9 @@ class TestSeededSplits:
     a constant, so seeded splits isolate it in O(1) instead of walking
     O(log range) midpoints."""
 
-    def _equality_heavy_query(self, suffix):
-        w = var(32, f"seeded_{suffix}")
-        m = var(32, f"seeded_m_{suffix}")
+    def _equality_heavy_query(self):
+        w = var(32, "seeded_w")
+        m = var(32, "seeded_m")
         return [
             binary(ExprOp.EQ, w, const(32, 123456)),
             binary(ExprOp.EQ, m, const(32, 987654)),
@@ -672,22 +675,17 @@ class TestSeededSplits:
         ]
 
     def test_fewer_prune_splits_on_equality_heavy_wide_query(self):
-        seeded = Solver(config=SolverConfig(seeded_splits=True))
-        midpoint = Solver(config=SolverConfig(seeded_splits=False))
-        seeded_result = seeded.check(self._equality_heavy_query("on"))
-        midpoint_result = midpoint.check(self._equality_heavy_query("off"))
-        assert seeded_result.satisfiable and seeded_result.exact
-        assert midpoint_result.satisfiable and midpoint_result.exact
-        assert seeded.stats.prune_splits < midpoint.stats.prune_splits, \
-            (seeded.stats.prune_splits, midpoint.stats.prune_splits)
+        solver = Solver()
+        result = solver.check(self._equality_heavy_query())
+        assert result.satisfiable and result.exact
         # The win is structural, not marginal: each equality resolves in a
-        # couple of splits instead of a midpoint descent per constant.
-        assert seeded.stats.prune_splits <= \
-            midpoint.stats.prune_splits // 2
+        # couple of splits.  Midpoint bisection, which descends once per
+        # constant, took 53 splits on this query.
+        assert solver.stats.prune_splits == 8
 
-    def test_seeded_and_midpoint_agree(self):
-        """Split-point choice is a heuristic: both configurations must
-        reach the same (exact) answers and valid models."""
+    def test_seeded_splits_give_exact_answers(self):
+        """Split-point choice is a heuristic: it must still reach exact
+        answers and valid models."""
         cases = [
             [binary(ExprOp.EQ, var(32, "sag_a"), const(32, 70000))],
             [binary(ExprOp.ULT, var(32, "sag_b"), const(32, 3)),
@@ -695,17 +693,14 @@ class TestSeededSplits:
             [binary(ExprOp.ULT, const(32, 5), var(32, "sag_c")),
              binary(ExprOp.ULT, var(32, "sag_c"), const(32, 1_000_000))],
         ]
-        for constraints in cases:
-            seeded = Solver(config=SolverConfig(seeded_splits=True))
-            midpoint = Solver(config=SolverConfig(seeded_splits=False))
-            a = seeded.check(constraints)
-            b = midpoint.check(constraints)
-            assert a.satisfiable == b.satisfiable
-            assert a.exact and b.exact
-            for result in (a, b):
-                if result.satisfiable:
-                    assert all(c.evaluate(result.model) == 1
-                               for c in constraints)
+        expected = [True, False, True]
+        for constraints, satisfiable in zip(cases, expected):
+            result = Solver().check(constraints)
+            assert result.exact
+            assert result.satisfiable == satisfiable
+            if result.satisfiable:
+                assert all(c.evaluate(result.model) == 1
+                           for c in constraints)
 
     def test_unsat_equality_pair_proved_quickly(self):
         solver = Solver()
@@ -716,12 +711,6 @@ class TestSeededSplits:
         ])
         assert not result.satisfiable and result.exact
         assert solver.stats.prune_splits <= 8
-
-    def test_backend_flag_reaches_config(self):
-        from repro.verification import make_backend
-        backend = make_backend("symex<seeded-splits=off>")
-        assert backend.solver_config.seeded_splits is False
-        assert "seeded-splits=off" in backend.describe()
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,21 @@ class TestInsertLookupRoundTrip:
         for candidate in _random_subsets(rng, pool, 200):
             assert tree.contains(candidate) == (candidate in stored)
 
+    def test_every_inserted_set_is_kept(self):
+        """The index has no size cap: however many sets go in, each stays
+        retrievable with its own payload."""
+        rng = random.Random(10)
+        pool = _constraint_pool(rng, size=120)
+        tree = UBTree()
+        stored = [frozenset(pool[i * 3:(i + 1) * 3]) for i in range(40)]
+        for index, elements in enumerate(stored):
+            tree.insert(elements, index)
+        assert len(tree) == len(stored)
+        for index, elements in enumerate(stored):
+            assert tree.contains(elements)
+            # The sets are disjoint, so each is its own only superset.
+            assert tree.find_superset(elements) == index
+
     def test_reinsert_replaces_payload(self):
         rng = random.Random(3)
         pool = _constraint_pool(rng)
@@ -174,88 +189,22 @@ class TestSubsetLookup:
         assert tree.find_superset([never_inserted]) is None
 
 
-class TestBoundedCapacity:
-    """The size cap (ROADMAP follow-on): long runs must not grow the
-    set-tries without bound, and eviction may only ever cost a future
-    re-solve, never an answer."""
-
-    def _sets(self, count, size=3):
-        rng = random.Random(31)
-        pool = _constraint_pool(rng, size=count * size)
-        return [frozenset(pool[i * size:(i + 1) * size])
-                for i in range(count)]
-
-    def test_capacity_bounds_stored_sets(self):
-        tree = UBTree(capacity=8)
-        for index, elements in enumerate(self._sets(50)):
-            tree.insert(elements, index)
-            assert len(tree) <= 8
-        assert tree.evictions == 50 - 8
-
-    def test_oldest_unhit_set_is_evicted_first(self):
-        tree = UBTree(capacity=2)
-        first, second, third = self._sets(3)
-        tree.insert(first, "first")
-        tree.insert(second, "second")
-        tree.insert(third, "third")
-        assert tree.contains(second) and tree.contains(third)
-        assert not tree.contains(first)
-        assert tree.find_subset(first) is None
-
-    def test_containment_hit_refreshes_recency(self):
-        tree = UBTree(capacity=2)
-        first, second, third = self._sets(3)
-        tree.insert(first, "first")
-        tree.insert(second, "second")
-        # A decisive hit on `first` makes `second` the eviction victim.
-        assert tree.find_superset(first) == "first"
-        tree.insert(third, "third")
-        assert tree.contains(first) and tree.contains(third)
-        assert not tree.contains(second)
-
-    def test_evicted_sets_never_poison_lookups(self):
-        rng = random.Random(33)
-        pool = _constraint_pool(rng)
-        tree = UBTree(capacity=6)
-        live = {}
-        for index, elements in enumerate(_random_subsets(rng, pool, 80)):
-            tree.insert(elements, elements)
-            live[elements] = index
-        for query in _random_subsets(rng, pool, 200):
-            found = tree.find_subset(query)
-            if found is not None:
-                assert found <= query
-            found_super = tree.find_superset(query)
-            if found_super is not None:
-                assert query <= found_super
-
-    def test_unbounded_by_default(self):
-        tree = UBTree()
-        for elements in self._sets(40):
-            tree.insert(elements, True)
-        assert len(tree) == 40
-        assert tree.evictions == 0
-
-    def test_reinsert_refreshes_instead_of_duplicating(self):
-        tree = UBTree(capacity=2)
-        first, second, third = self._sets(3)
-        tree.insert(first, "a")
-        tree.insert(second, "b")
-        tree.insert(first, "a2")  # refresh: first becomes most recent
-        tree.insert(third, "c")
-        assert tree.contains(first)
-        assert not tree.contains(second)
-        assert tree.find_superset(first) == "a2"
-
-    def test_solver_honors_capacity_flag(self):
-        from repro.symex import Solver, SolverConfig, binary, const, var
-        from repro.symex.expr import ExprOp as Op
-        solver = Solver(config=SolverConfig(ubtree_capacity=4))
+class TestSolverIndexing:
+    def test_solver_indexes_every_solved_group(self):
+        """Every group the solver decides by search enters its stripe's
+        index, SAT groups with their model and UNSAT groups as solved."""
+        from repro.symex import Solver
+        solver = Solver()
         for value in range(20):
-            name = var(8, f"cap_{value}")
+            name = var(8, f"kept_{value}")
             assert solver.check(
-                [binary(Op.ULT, const(8, 1), name),
-                 binary(Op.NE, name, const(8, value))]).satisfiable
-        for stripe in solver._shared.stripes:
-            assert len(stripe.sat_index) <= 4
-            assert len(stripe.unsat_index) <= 4
+                [binary(ExprOp.ULT, const(8, 1), name),
+                 binary(ExprOp.NE, name, const(8, value))]).satisfiable
+        for value in range(5):
+            name = var(8, f"dead_{value}")
+            assert not solver.check(
+                [binary(ExprOp.ULT, name, const(8, 10)),
+                 binary(ExprOp.ULT, const(8, 20), name)]).satisfiable
+        stripes = solver._shared.stripes
+        assert sum(len(stripe.sat_index) for stripe in stripes) == 20
+        assert sum(len(stripe.unsat_index) for stripe in stripes) == 5
