@@ -1,11 +1,10 @@
 """Benchmark: sessioned vs. unsessioned multi-level compilation.
 
-The CompilerSession redesign targets exactly the shape of the paper's
-Table 1/3 experiments — the same source compiled at every level.  A shared
-session parses the source once and translates CFG-shaped analyses of the
-freshly lowered modules across levels instead of recomputing them, so the
-sessioned sweep should trend faster (and show a strictly higher aggregate
-analysis-cache hit rate) than four independent compiles.
+A CompilerSession targets exactly the shape of the paper's Table 1/3
+experiments — the same source compiled at every level.  A shared session
+parses and analyses each linked source once instead of once per level, so
+the sessioned sweep should trend faster than four independent compiles.
+Both sweeps run the same pipelines with per-compile analysis caches.
 
 Run with:  python -m pytest benchmarks/test_session_bench.py --benchmark-only
 """
@@ -60,6 +59,5 @@ def test_all_levels_sessioned(benchmark):
     aggregate = session.analysis_stats
     benchmark.extra_info["workload"] = workload.name
     benchmark.extra_info["analysis_hit_rate"] = round(aggregate.hit_rate, 4)
-    benchmark.extra_info["analysis_transfers"] = aggregate.transfers
     benchmark.extra_info["frontend_reuses"] = session.stats.frontend_reuses
-    assert aggregate.transfers > 0
+    assert session.stats.frontend_reuses > 0

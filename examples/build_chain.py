@@ -8,8 +8,8 @@ A development team keeps (at least) three configurations of the same source:
 * a verification build (``-OVERIFY``) handed to automated analysis tools.
 
 This example builds one Coreutils-like utility in all three configurations
-through a single :class:`CompilerSession` (so the front end is parsed once
-and analyses transfer across the builds), prints each pipeline in the
+through a single :class:`CompilerSession` (so each linked source is parsed
+once), prints each pipeline in the
 registry's textual syntax, runs the release build on concrete input, and
 runs the verification build through the symbolic-execution backend to
 produce bug reports and a generated test suite.
@@ -52,8 +52,7 @@ def main() -> None:
             cache = compiled.analysis_stats
             print(f"{'':>21}analysis cache: {cache.hits} hits / "
                   f"{cache.misses} misses "
-                  f"({cache.hit_rate:.0%} hit rate, "
-                  f"{cache.transfers} transferred from siblings)")
+                  f"({cache.hit_rate:.0%} hit rate)")
     print()
 
     print("The -OVERIFY pipeline as a textual spec (parse_pipeline accepts "

@@ -17,10 +17,9 @@ from repro.workloads import all_workloads
 
 levels = [OptLevel.O0, OptLevel.O1, OptLevel.O2, OptLevel.O3,
           OptLevel.OVERIFY]
-hits = misses = transfers = 0
+hits = misses = 0
 for workload in all_workloads():
-    # One session per workload: exercises the cross-level analysis
-    # transfer with the IR verifier running after every pass.
+    # One session per workload, as the harness builds a level sweep.
     session = CompilerSession()
     for level in levels:
         session.compile(
@@ -29,12 +28,10 @@ for workload in all_workloads():
     stats = session.analysis_stats
     hits += stats.hits
     misses += stats.misses
-    transfers += stats.transfers
 total = hits + misses
 rate = hits / total if total else 0.0
 print(f"verified {len(all_workloads())} workloads x {len(levels)} levels; "
-      f"analysis cache: {hits} hits / {misses} misses ({rate:.0%}), "
-      f"{transfers} transferred across levels")
+      f"analysis cache: {hits} hits / {misses} misses ({rate:.0%})")
 PY
 
 echo

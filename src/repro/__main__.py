@@ -232,6 +232,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_levels:
         return _list_levels()
 
+    if args.input_bytes is not None and args.input_bytes < 1:
+        parser.error(f"--input-bytes must be >= 1, got {args.input_bytes}")
     try:
         level = parse_opt_level(args.level)
     except ValueError as exc:
@@ -318,8 +320,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if analysis_stats is not None:
         print(f"analysis : {analysis_stats.hits} hits / "
               f"{analysis_stats.misses} misses "
-              f"({analysis_stats.hit_rate:.0%} hit rate, "
-              f"{analysis_stats.transfers} transferred)")
+              f"({analysis_stats.hit_rate:.0%} hit rate)")
 
     request = VerificationRequest(symbolic_input_bytes=input_bytes,
                                   concrete_input=sample_input,

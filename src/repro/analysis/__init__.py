@@ -22,7 +22,7 @@ from .manager import (
     ALL_ANALYSES, CALLGRAPH_ANALYSIS, CFG_ANALYSIS, CFG_DERIVED,
     DOMTREE_ANALYSIS, FUNCTION_ANALYSES, LOOPS_ANALYSIS, MEMORY_ANALYSIS,
     MODULE_ANALYSES, RANGES_ANALYSIS, AnalysisManager, AnalysisManagerStats,
-    AnalysisTransferSource, PreservedAnalyses,
+    PreservedAnalyses,
 )
 
 __all__ = [
@@ -39,8 +39,7 @@ __all__ = [
     "verification_cost_estimate",
     "Interval", "ValueRangeAnalysis", "full_range",
     "AvailableMemory", "FactMap", "MemoryFact",
-    "AnalysisManager", "AnalysisManagerStats", "AnalysisTransferSource",
-    "PreservedAnalyses",
+    "AnalysisManager", "AnalysisManagerStats", "PreservedAnalyses",
     "ALL_ANALYSES", "FUNCTION_ANALYSES", "MODULE_ANALYSES", "CFG_DERIVED",
     "CFG_ANALYSIS", "DOMTREE_ANALYSIS", "LOOPS_ANALYSIS", "RANGES_ANALYSIS",
     "MEMORY_ANALYSIS", "CALLGRAPH_ANALYSIS",

@@ -91,24 +91,6 @@ class CFG:
     def reachable_ids(self) -> Set[int]:
         return set(self._reachable_ids)
 
-    @classmethod
-    def remapped(cls, reference: "CFG", block_map: Dict[int, BasicBlock],
-                 function: Function) -> "CFG":
-        """Translate ``reference`` (computed over a structurally identical
-        sibling function) onto ``function`` through ``block_map`` (keyed by
-        ``id`` of the reference block).  This rebuilds only dictionaries —
-        no graph traversal — which is what makes cross-module analysis
-        transfer in :class:`~repro.pipelines.session.CompilerSession` cheap.
-        """
-        cfg = cls.__new__(cls)
-        cfg.function = function
-        cfg.postorder = [block_map[id(b)] for b in reference.postorder]
-        cfg.reverse_postorder = list(reversed(cfg.postorder))
-        cfg.preds = {block_map[id(b)]: [block_map[id(p)] for p in ps]
-                     for b, ps in reference.preds.items()}
-        cfg._reachable_ids = {id(b) for b in cfg.postorder}
-        return cfg
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<CFG {self.function.name} "
                 f"({len(self.postorder)} reachable blocks)>")

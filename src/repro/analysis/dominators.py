@@ -80,27 +80,6 @@ class DominatorTree:
                 b = idom[b]  # type: ignore[assignment]
         return a
 
-    @classmethod
-    def remapped(cls, reference: "DominatorTree",
-                 block_map: Dict[int, BasicBlock], function: Function,
-                 cfg: CFG) -> "DominatorTree":
-        """Translate ``reference`` onto the structurally identical
-        ``function`` through ``block_map`` (keyed by ``id`` of the reference
-        block), reusing ``cfg`` — already remapped — for the traversal order
-        and predecessor map.  Skips the iterative dataflow entirely."""
-        tree = cls.__new__(cls)
-        tree.function = function
-        tree.rpo = list(cfg.reverse_postorder)
-        tree._preds = cfg.preds
-        tree._rpo_index = {block: i for i, block in enumerate(tree.rpo)}
-        tree.idom = {
-            block_map[id(b)]: (None if d is None else block_map[id(d)])
-            for b, d in reference.idom.items()}
-        tree.children = {
-            block_map[id(b)]: [block_map[id(c)] for c in children]
-            for b, children in reference.children.items()}
-        return tree
-
     # ------------------------------------------------------------- queries
     @property
     def entry(self) -> BasicBlock:

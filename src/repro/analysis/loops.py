@@ -143,38 +143,6 @@ class LoopInfo:
                 if existing is None or len(loop.blocks) < len(existing.blocks):
                     self._block_to_loop[id(block)] = loop
 
-    @classmethod
-    def remapped(cls, reference: "LoopInfo",
-                 block_map: Dict[int, BasicBlock], function: Function,
-                 domtree: DominatorTree, cfg: CFG) -> "LoopInfo":
-        """Translate ``reference`` onto the structurally identical
-        ``function`` through ``block_map`` (keyed by ``id`` of the reference
-        block), reusing the already-remapped ``domtree``/``cfg``.  Loop
-        objects are rebuilt with translated blocks and the same nesting."""
-        info = cls.__new__(cls)
-        info.function = function
-        info.domtree = domtree
-        info._cfg = cfg
-        loop_map: Dict[int, Loop] = {}
-        info.loops = []
-        for ref_loop in reference.loops:
-            loop = Loop(
-                header=block_map[id(ref_loop.header)],
-                blocks=[block_map[id(b)] for b in ref_loop.blocks],
-                latches=[block_map[id(b)] for b in ref_loop.latches])
-            loop_map[id(ref_loop)] = loop
-            info.loops.append(loop)
-        for ref_loop in reference.loops:
-            loop = loop_map[id(ref_loop)]
-            if ref_loop.parent is not None:
-                loop.parent = loop_map[id(ref_loop.parent)]
-            loop.subloops = [loop_map[id(sub)] for sub in ref_loop.subloops]
-        info.top_level = [loop for loop in info.loops if loop.parent is None]
-        info._block_to_loop = {
-            id(block_map[ref_id]): loop_map[id(loop)]
-            for ref_id, loop in reference._block_to_loop.items()}
-        return info
-
     # ------------------------------------------------------------- queries
     def loop_for(self, block: BasicBlock) -> Optional[Loop]:
         """The innermost loop containing ``block``, if any."""

@@ -130,8 +130,8 @@ class AnalysisManagerStats:
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
-    #: Hits serviced by *translating* another module's cached analysis
-    #: (see :class:`AnalysisTransferSource`); always ``<= hits``.
+    #: Always 0 (no analysis is translated from another module); kept
+    #: because ``perfbench/local.py`` reads the field by name.
     transfers: int = 0
     hits_by_analysis: Dict[str, int] = field(default_factory=dict)
     misses_by_analysis: Dict[str, int] = field(default_factory=dict)
@@ -144,7 +144,6 @@ class AnalysisManagerStats:
         self.hits += other.hits
         self.misses += other.misses
         self.invalidations += other.invalidations
-        self.transfers += other.transfers
         for name, count in other.hits_by_analysis.items():
             self.hits_by_analysis[name] = \
                 self.hits_by_analysis.get(name, 0) + count
@@ -171,27 +170,10 @@ class AnalysisManagerStats:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "transfers": self.transfers,
             "hit_rate": round(self.hit_rate, 4),
             "hits_by_analysis": dict(self.hits_by_analysis),
             "misses_by_analysis": dict(self.misses_by_analysis),
         }
-
-
-class AnalysisTransferSource:
-    """Interface for servicing an analysis-cache miss from *outside* the
-    manager — e.g. by translating an equivalent analysis computed over a
-    structurally identical sibling module (what
-    :class:`repro.pipelines.session.CompilerSession` does across the
-    per-level pipelines of one workload).
-
-    A transfer must return an analysis that is exactly what the manager
-    would have computed itself, or ``None`` to fall back to computing.
-    """
-
-    def lookup(self, name: str, function: Function,
-               manager: "AnalysisManager") -> Optional[object]:
-        raise NotImplementedError  # pragma: no cover
 
 
 class AnalysisManager:
@@ -211,18 +193,13 @@ class AnalysisManager:
        value-rewriting pass that bumped the epoch without touching the CFG).
     """
 
-    def __init__(self, transfer_source: Optional[AnalysisTransferSource]
-                 = None) -> None:
+    def __init__(self) -> None:
         #: (analysis name, id(function)) -> (epoch, function, analysis)
         self._function_cache: Dict[Tuple[str, int],
                                    Tuple[int, Function, object]] = {}
         #: analysis name -> (epoch, module, analysis)
         self._module_cache: Dict[str, Tuple[int, Module, object]] = {}
         self.stats = AnalysisManagerStats()
-        #: Optional cross-module supplier consulted before computing on a
-        #: miss (a successful transfer counts as a hit, and additionally in
-        #: ``stats.transfers``).
-        self.transfer_source = transfer_source
 
     # ----------------------------------------------------------- accessors
     def cfg(self, function: Function) -> CFG:
@@ -251,15 +228,8 @@ class AnalysisManager:
         if entry is not None and entry[0] == epoch:
             self.stats.record_hit(name)
             return entry[2]
-        analysis: Optional[object] = None
-        if self.transfer_source is not None:
-            analysis = self.transfer_source.lookup(name, function, self)
-        if analysis is not None:
-            self.stats.record_hit(name)
-            self.stats.transfers += 1
-        else:
-            self.stats.record_miss(name)
-            analysis = self._build_function_analysis(name, function)
+        self.stats.record_miss(name)
+        analysis = self._build_function_analysis(name, function)
         # Re-read the epoch: building a derived analysis may itself have
         # populated dependencies, but never mutates the IR.
         self._function_cache[key] = (function.ir_epoch, function, analysis)

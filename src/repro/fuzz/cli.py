@@ -169,6 +169,8 @@ def fuzz_main(argv: List[str]) -> int:
                         help="run the oracle over the committed fuzz "
                              "regression workloads instead of new seeds")
     args = parser.parse_args(argv)
+    if args.input_bytes is not None and args.input_bytes < 1:
+        parser.error(f"--input-bytes must be >= 1, got {args.input_bytes}")
 
     generator_config = GeneratorConfig() if args.input_bytes is None \
         else GeneratorConfig(input_bytes=args.input_bytes)

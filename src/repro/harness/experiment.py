@@ -94,8 +94,8 @@ def run_experiment(name: str, source: str, config: ExperimentConfig,
                    session: Optional[CompilerSession] = None
                    ) -> ExperimentResult:
     """Compile ``source`` at ``config.level`` and measure verification and
-    execution cost.  Pass a session to share front-end work and analysis
-    caches with other experiments on the same workload."""
+    execution cost.  Pass a session to share front-end work with other
+    experiments on the same workload."""
     options = CompileOptions(
         level=config.level,
         enable_runtime_checks=config.enable_runtime_checks,

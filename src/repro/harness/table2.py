@@ -99,7 +99,7 @@ def reproduce_table2(symbolic_input_bytes: int = 4,
                      concrete_input: bytes = b"some words to count here"
                      ) -> List[AblationRow]:
     # All variants compile the same wc source, so one session shares the
-    # front end and translated analyses across the whole ablation.
+    # front end across the whole ablation.
     session = CompilerSession()
     rows = []
     for variant in ablation_variants():

@@ -72,8 +72,7 @@ def reproduce_table3(category: Optional[str] = "coreutils",
     per_program: Dict[str, Dict[OptLevel, Dict[str, int]]] = {}
     for workload in workloads:
         per_program[workload.name] = {}
-        # One session per workload: the levels share the parsed front end
-        # and translated analyses.
+        # One session per workload: the levels share the parsed front end.
         session = CompilerSession()
         for level in TABLE3_LEVELS:
             # Every level is compiled against the same (execution-oriented)

@@ -10,10 +10,7 @@ from .compiler import (
     CompilationResult, CompileOptions, compile_at_all_levels, compile_source,
     link_sources, linked_prelude_lines,
 )
-from .session import (
-    CompilerSession, PristineAnalysisExchange, SessionStats,
-    TRANSFERABLE_ANALYSES,
-)
+from .session import CompilerSession, SessionStats
 
 __all__ = [
     "CLEANUP", "LEVEL_MAX_ITERATIONS", "LEVEL_PIPELINES",
@@ -23,6 +20,5 @@ __all__ = [
     "pipeline_description", "with_entry_points", "with_runtime_checks",
     "CompilationResult", "CompileOptions", "compile_at_all_levels",
     "compile_source", "link_sources", "linked_prelude_lines",
-    "CompilerSession", "PristineAnalysisExchange", "SessionStats",
-    "TRANSFERABLE_ANALYSES",
+    "CompilerSession", "SessionStats",
 ]

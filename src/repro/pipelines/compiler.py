@@ -6,11 +6,10 @@ configuration (``-O0``), a release configuration (``-O3``) or a verification
 configuration (``-OVERIFY``), and the -OVERIFY configuration additionally
 links the verification-optimized C library.
 
-Since the session redesign, :func:`compile_source` and
-:func:`compile_at_all_levels` are thin wrappers over
-:class:`repro.pipelines.session.CompilerSession` — a one-shot session for a
-single compile, a shared one for a level sweep (which is what lets the sweep
-reuse front-end work and translated analyses).
+:func:`compile_source` and :func:`compile_at_all_levels` are thin
+wrappers over :class:`repro.pipelines.session.CompilerSession` — a one-shot
+session for a single compile, a shared one for a level sweep (which is what
+lets the sweep parse each linked source once).
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ def compile_source(program_source: str,
     ``level`` is a convenience shortcut; when both ``options`` and ``level``
     are given, ``level`` wins (the caller's ``options`` object is never
     mutated).  Pass a :class:`~repro.pipelines.session.CompilerSession` to
-    share front-end work and analysis caches across calls; without one, a
-    one-shot session is used.
+    share front-end work across calls; without one, a one-shot session is
+    used.
     """
     from .session import CompilerSession
 
@@ -119,9 +118,9 @@ def compile_at_all_levels(program_source: str,
                           **option_kwargs) -> Dict[OptLevel, CompilationResult]:
     """Compile the same source at several levels (the shape of Table 1/3).
 
-    All levels run through one shared session, so the source is parsed once
-    and CFG-shaped analyses of the freshly lowered modules are translated
-    across levels instead of recomputed.
+    All levels run through one shared session, so each linked source is
+    parsed and analysed once; every level still runs its own pipeline with
+    its own analysis cache.
     """
     from .session import CompilerSession
 

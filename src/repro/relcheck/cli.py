@@ -119,6 +119,8 @@ def relcheck_main(argv: Optional[List[str]] = None) -> int:
 
     if bool(args.workload) == args.all:
         parser.error("name one workload or pass --all")
+    if args.input_bytes < 1:
+        parser.error(f"--input-bytes must be >= 1, got {args.input_bytes}")
     try:
         levels = _parse_levels(args.levels)
         whitelist = _parse_whitelist(args.whitelist)

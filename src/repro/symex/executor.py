@@ -295,6 +295,9 @@ class SymbolicExecutor:
         Also (re)initializes this executor's globals map and input-variable
         list; worker engines receive those read-only from the bootstrap
         engine instead of calling this."""
+        if num_input_bytes < 0:
+            raise ValueError(f"symbolic input size must be >= 0, got "
+                             f"{num_input_bytes}")
         state = ExecutionState(
             rewrite_equalities=self.solver.config.rewrite_equalities,
             solver_stats=self.solver.stats)

@@ -29,8 +29,8 @@ from repro.service import ServiceClient, ServiceError, SolverKnowledgeStore
 from repro.service.server import VerificationServer
 from repro.service.store import outcome_to_memo, memo_to_outcome
 from repro.symex import (
-    SharedSolverCaches, Solver, SolverConfig, StateStatus, SymexLimits,
-    explore, explore_parallel,
+    SharedSolverCaches, Solver, SolverConfig, StateStatus, SymbolicExecutor,
+    SymexLimits, explore, explore_parallel,
 )
 from repro.verification import VerificationRequest, make_backend
 from repro.workloads import get_workload
@@ -451,6 +451,32 @@ class TestServiceFaults:
             assert stats["jobs_completed"] == 1
         # The shutdown save (fault budget spent) still persisted.
         assert store_path.exists()
+
+
+# --------------------------------------------------------- command-line input
+
+
+class TestCommandLineInput:
+    """The command lines refuse a symbolic input size below 1 with a usage
+    error, as the service refuses ``input_bytes`` below 1 with a protocol
+    error, instead of verifying a nonsense size or crashing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["wc", "--verify", "--input-bytes", "-3"],
+        ["relcheck", "wc", "--input-bytes", "-2"],
+        ["fuzz", "--seed", "0", "--input-bytes", "0"],
+    ], ids=["compile", "relcheck", "fuzz"])
+    def test_input_bytes_below_one_is_a_usage_error(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--input-bytes must be >= 1" in capsys.readouterr().err
+
+    def test_engine_rejects_a_negative_input_size(self, wc_module):
+        with pytest.raises(ValueError):
+            SymbolicExecutor(wc_module).make_initial_state(-1)
 
 
 # --------------------------------------------------------------- client retry

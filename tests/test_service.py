@@ -3,7 +3,9 @@ store-backed backend (memo + warm provenance), injectable solver caches,
 and the socket front door end to end (dedupe, memo hits, stats, restart
 persistence)."""
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -353,6 +355,31 @@ def test_server_inline_source_and_errors(tmp_path):
         # Failures are reported, never fatal: the server still answers.
         assert client.ping() is True
         assert client.stats()["jobs_failed"] >= 3
+
+
+def test_server_session_keeps_no_job_module(tmp_path, monkeypatch):
+    """The service holds one session for its whole life; a finished job's
+    module must not stay reachable through it."""
+    running = _RunningServer(tmp_path, "retain", pool_size=1)
+    session = running.server.session
+    compile_job = session.compile
+    modules = []
+
+    def compile_and_track(*args, **kwargs):
+        result = compile_job(*args, **kwargs)
+        modules.append(weakref.ref(result.module))
+        return result
+
+    monkeypatch.setattr(session, "compile", compile_and_track)
+    with running:
+        for level in ("-O0", "-O2", "-OVERIFY", "-OVERIFY"):
+            reply = running.client.verify(workload="wc", level=level,
+                                          input_bytes=2)
+            assert reply["ok"]
+        gc.collect()
+        assert len(modules) == 4
+        assert [ref() for ref in modules] == [None] * 4
+        assert session.stats.compiles == 4
 
 
 def test_client_error_when_server_absent(tmp_path):
