@@ -228,60 +228,3 @@ def test_wc_sweep_regression_floor(benchmark):
         assert best <= WC_SWEEP_FLOOR_SECONDS, \
             f"wc sweep took {best:.3f}s best-of-{len(timings)} " \
             f"(floor {WC_SWEEP_FLOOR_SECONDS}s)"
-
-
-#: Wall-clock floor for the *4-worker* wc sweep.  The PR 4 floor was the
-#: recorded 1-worker baseline (1.882s); the path-count PR collapsed the
-#: sweep itself (0.13s recorded), so the floor drops with it, with the
-#: same generous headroom for load spikes.  On a single-core GIL build
-#: thread workers cannot win wall clock, so staying under the floor
-#: demonstrates that pool coordination overhead remains negligible; on
-#: multi-core (or free-threaded) machines it is a heavy understatement.
-PARALLEL_SWEEP_FLOOR_SECONDS = float(
-    os.environ.get("PARALLEL_SWEEP_FLOOR_SECONDS", "0.75"))
-
-
-def test_parallel_wc_sweep_beats_single_worker_baseline(benchmark):
-    """``workers=4`` must reproduce the 1-worker outcomes exactly and
-    complete the sweep under the recorded 1-worker baseline (timing
-    asserted only when the benchmark actually times)."""
-    from repro.symex import explore_parallel
-
-    modules = {
-        level: compile_source(WC_PROGRAM,
-                              CompileOptions(level=level)).module
-        for level in WC_SWEEP_LEVELS
-    }
-
-    def sweep(workers):
-        seconds = 0.0
-        reports = {}
-        for level, module in modules.items():
-            start = time.perf_counter()
-            reports[level] = explore_parallel(
-                module, WC_SWEEP_INPUT_BYTES, workers=workers,
-                limits=SymexLimits(timeout_seconds=TIMEOUT_SECONDS))
-            seconds += time.perf_counter() - start
-        return seconds, reports
-
-    seconds, pooled = benchmark.pedantic(lambda: sweep(4), rounds=1,
-                                         iterations=1)
-    timings = [seconds]
-    if benchmark.enabled:  # a second round so a load spike cannot flake
-        seconds, pooled = sweep(4)
-        timings.append(seconds)
-    best = min(timings)
-    benchmark.extra_info["parallel_sweep_seconds"] = round(best, 3)
-
-    _, single = sweep(1)
-    for level in WC_SWEEP_LEVELS:
-        assert pooled[level].stats.total_paths == \
-            single[level].stats.total_paths
-        assert pooled[level].stats.instructions_interpreted == \
-            single[level].stats.instructions_interpreted
-        assert pooled[level].bug_signatures() == \
-            single[level].bug_signatures()
-    if benchmark.enabled:
-        assert best <= PARALLEL_SWEEP_FLOOR_SECONDS, \
-            f"4-worker wc sweep took {best:.3f}s best-of-{len(timings)} " \
-            f"(1-worker baseline floor {PARALLEL_SWEEP_FLOOR_SECONDS}s)"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import time
@@ -31,7 +30,7 @@ from repro.pipelines import (  # noqa: E402
 )
 from repro.frontend import analyze, compile_to_ir, lower, parse  # noqa: E402
 from repro.ir import verify_module  # noqa: E402
-from repro.symex import SymexLimits, explore, explore_parallel  # noqa: E402
+from repro.symex import SymexLimits, explore  # noqa: E402
 from repro.workloads import WC_PROGRAM  # noqa: E402
 
 from test_symex_solver_bench import (  # noqa: E402
@@ -351,30 +350,6 @@ def measure(label: str) -> dict:
     wide = _solver_summary(report, seconds)
     wide["exact"] = report.solver_stats.unknown_results == 0
     entry["wide_value"] = wide
-
-    # The parallel-executor trajectory: the full wc sweep through the
-    # worker pool at 1 and 4 thread workers (best of two rounds each).
-    # Outcomes are identical by construction; the wall-clock pair records
-    # how pool overhead compares with the sequential engine on this
-    # machine (on a single-core GIL build the pool cannot win — the
-    # interesting number is how little it loses, and whether it still
-    # beats the previous entry's sequential baseline).
-    modules = [compile_source(WC_PROGRAM, CompileOptions(level=level)).module
-               for level in WC_LEVELS]
-    parallel: dict = {"cpu_count": os.cpu_count()}
-    for workers in (1, 4):
-        timings = []
-        for _ in range(2):
-            total = 0.0
-            for module in modules:
-                start = time.perf_counter()
-                explore_parallel(
-                    module, WC_INPUT_BYTES, workers=workers,
-                    limits=SymexLimits(timeout_seconds=TIMEOUT_SECONDS))
-                total += time.perf_counter() - start
-            timings.append(total)
-        parallel[f"workers{workers}_sweep_seconds"] = round(min(timings), 3)
-    entry["parallel_wc_sweep"] = parallel
 
     # The cross-run amortization trajectory: cold vs store-warmed vs
     # memoized wc sweeps (see docs/service.md).

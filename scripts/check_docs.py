@@ -13,7 +13,8 @@ Three checks, run by ``scripts/check.sh`` and CI:
 3. **Buildable backend specs** — every concrete ``symex<...>`` spec quoted
    in ``README.md`` and ``docs/*.md`` builds with ``make_backend``, so a
    removed or renamed key cannot survive in an example.  Specs with a
-   placeholder value (``workers=N``, ``store=PATH``) are skipped.
+   placeholder value (``query-deadline-ms=N``, ``store=PATH``) are
+   skipped.
 
 Exits non-zero with one line per violation.
 """

@@ -26,13 +26,14 @@ The ``fuzz`` subcommand runs the differential fuzzer
 The ``relcheck`` subcommand proves two optimization levels of a workload
 equivalent path-by-path (see ``docs/relcheck.md``):
 
-    python -m repro relcheck wc --levels O0,OVERIFY --workers 4
+    python -m repro relcheck wc --levels O0,OVERIFY
     python -m repro relcheck --all
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -234,6 +235,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.input_bytes is not None and args.input_bytes < 1:
         parser.error(f"--input-bytes must be >= 1, got {args.input_bytes}")
+    if not math.isfinite(args.timeout) or args.timeout < 0:
+        parser.error(f"--timeout must be a finite number >= 0, got "
+                     f"{args.timeout}")
     try:
         level = parse_opt_level(args.level)
     except ValueError as exc:

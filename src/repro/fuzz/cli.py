@@ -21,6 +21,7 @@ completion order.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import time
 from typing import List, Optional, Tuple
@@ -171,6 +172,11 @@ def fuzz_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     if args.input_bytes is not None and args.input_bytes < 1:
         parser.error(f"--input-bytes must be >= 1, got {args.input_bytes}")
+    if args.max_paths < 1:
+        parser.error(f"--max-paths must be >= 1, got {args.max_paths}")
+    if not math.isfinite(args.timeout) or args.timeout < 0:
+        parser.error(f"--timeout must be a finite number >= 0, got "
+                     f"{args.timeout}")
 
     generator_config = GeneratorConfig() if args.input_bytes is None \
         else GeneratorConfig(input_bytes=args.input_bytes)

@@ -63,7 +63,7 @@ class ExperimentResult:
     #: (contained faults, not program bugs); 0 on a healthy run.
     engine_errors: int = 0
     #: Which budget truncated verification ("timeout", "instructions",
-    #: "paths", "forks", "worker-loss"); "" when exploration finished.
+    #: "paths", "forks"); "" when exploration finished.
     termination_reason: str = ""
     transform_stats: Dict[str, int] = field(default_factory=dict)
     bug_signatures: frozenset = frozenset()

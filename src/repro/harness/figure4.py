@@ -175,19 +175,10 @@ def reproduce_figure4(symbolic_input_bytes: int = 4,
                       timeout_seconds: float = 20.0,
                       max_instructions: int = 400_000,
                       workloads: Optional[Sequence[Workload]] = None,
-                      category: Optional[str] = "coreutils",
-                      workers: int = 1) -> Figure4:
-    """Run the Figure 4 sweep over the workload suite.
-
-    ``workers > 1`` verifies each program through the parallel executor;
-    merged per-worker stats feed the summary.  Programs that finish
-    within budget reproduce the single-worker counters exactly; a
-    budget-bound program's stopping point is schedule-dependent, so its
-    truncated counts (and which side of the timeout line it lands on)
-    can differ from a single-worker sweep."""
+                      category: Optional[str] = "coreutils") -> Figure4:
+    """Run the Figure 4 sweep over the workload suite."""
     selected = list(workloads) if workloads is not None \
         else all_workloads(category)
-    backend = "symex" if workers == 1 else f"symex<workers={workers}>"
     outcomes: List[ProgramOutcome] = []
     for workload in selected:
         config = ExperimentConfig(
@@ -196,7 +187,6 @@ def reproduce_figure4(symbolic_input_bytes: int = 4,
             timeout_seconds=timeout_seconds,
             max_instructions=max_instructions,
             concrete_input=b"sample: input\ntext 42\n",
-            backend=backend,
         )
         results = run_level_sweep(workload.name, workload.source,
                                   FIGURE4_LEVELS, config)
@@ -217,8 +207,6 @@ def main() -> None:  # pragma: no cover - exercised via CLI
                              "(paper: 3600)")
     parser.add_argument("--programs", nargs="*", default=None,
                         help="restrict to these workload names")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for the symbolic executor")
     args = parser.parse_args()
     workloads = None
     if args.programs:
@@ -226,8 +214,7 @@ def main() -> None:  # pragma: no cover - exercised via CLI
         workloads = [get_workload(name) for name in args.programs]
     figure = reproduce_figure4(symbolic_input_bytes=args.bytes,
                                timeout_seconds=args.timeout,
-                               workloads=workloads,
-                               workers=args.workers)
+                               workloads=workloads)
     print(figure.render())
 
 

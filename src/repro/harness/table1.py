@@ -88,24 +88,13 @@ class Table1:
 
 
 def reproduce_table1(symbolic_input_bytes: int = 5,
-                     timeout_seconds: float = 120.0,
-                     workers: int = 1) -> Table1:
-    """Run the Table 1 experiment and return the results.
-
-    ``workers > 1`` verifies through the parallel executor
-    (``symex<workers=N>``): per-worker statistics are merged
-    deterministically before they reach the table, so for runs that
-    finish within budget every row except the wall-clock timings is
-    identical to a single-worker run.  (A budget-bound run's stopping
-    point is schedule-dependent, so its path/instruction tails can
-    differ — raise ``timeout_seconds`` to compare those rows.)"""
-    backend = "symex" if workers == 1 else f"symex<workers={workers}>"
+                     timeout_seconds: float = 120.0) -> Table1:
+    """Run the Table 1 experiment and return the results."""
     config = ExperimentConfig(
         level=OptLevel.O0,
         symbolic_input_bytes=symbolic_input_bytes,
         concrete_input=RUN_TEXT,
         timeout_seconds=timeout_seconds,
-        backend=backend,
     )
     results = run_level_sweep("wc", WC_PROGRAM, TABLE1_LEVELS, config)
     return Table1(results=results, symbolic_input_bytes=symbolic_input_bytes)
@@ -119,10 +108,8 @@ def main() -> None:  # pragma: no cover - exercised via CLI
                         help="number of symbolic input bytes (paper: 10)")
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="per-level verification budget in seconds")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for the symbolic executor")
     args = parser.parse_args()
-    table = reproduce_table1(args.bytes, args.timeout, workers=args.workers)
+    table = reproduce_table1(args.bytes, args.timeout)
     print(table.render())
     print()
     print(f"verification speedup of -OVERIFY over -O0: "

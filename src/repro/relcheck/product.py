@@ -15,8 +15,9 @@ So a path condition of module A *is already* a formula over module B's
 input:
 
 1. **Explore A** (the reference, default -O0) exhaustively with the
-   existing engine — :class:`~repro.symex.parallel.ParallelExecutor`
-   drains the fork-heavy frontier with work stealing, and a state sink
+   existing engine's one exploration loop
+   (:class:`~repro.symex.parallel.ParallelExecutor`, a
+   :class:`~repro.symex.executor.SymbolicExecutor`), and a state sink
    captures every finished path's constraints and symbolic return value.
 2. **Replay B under each A path**: seed a fresh initial B state with the
    A path's constraints (``add_constraint`` each), then explore.  Every
@@ -47,19 +48,19 @@ cache-dominated — plus a whole-run memo keyed by both modules' printed
 IR that skips the product entirely for an unchanged pair.
 
 Determinism: verdicts, divergences, counterexamples, and every
-:class:`RelcheckStats` counter are worker-count independent — A's path
-set is schedule-independent (the parallel executor's contract), finished
-A states are put in a canonical wire-form order before replay, each
-replay is sequential and self-contained, and counterexamples come from
-``concretization_model``.  ``tests/test_parallel_determinism.py`` pins
-this.
+:class:`RelcheckStats` counter come out the same on every run — phase 1
+is one exploration loop, finished A states are put in a canonical
+wire-form order before replay, each replay is sequential and
+self-contained, and counterexamples come from ``concretization_model``,
+whose model does not depend on what the caches hold.  The exception is a
+per-query wall-clock deadline (``query_deadline_seconds``): where one
+fires depends on machine speed.  ``tests/test_parallel_determinism.py``
+pins cold and warm shared caches, and every searcher, to the same report.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -95,9 +96,8 @@ def _traps_match(kind_a: ErrorKind, kind_b: ErrorKind) -> bool:
 class RelcheckConfig:
     """Budgets and semantics knobs of one relcheck run.
 
-    ``workers`` parallelizes both the A exploration and the per-path
-    replays but — by contract — never changes any verdict or counter, so
-    it is excluded from :meth:`spec` (and hence from store memo keys).
+    ``workers`` must be 1: exploration is one loop.  The field is kept
+    because ``perfbench/local.py`` passes ``workers=1`` by name.
     """
 
     input_bytes: int = 4
@@ -121,6 +121,11 @@ class RelcheckConfig:
     #: (:attr:`RelcheckStats.whitelisted_trap_deletions`), never silent.
     trap_whitelist: FrozenSet[str] = frozenset()
 
+    def __post_init__(self) -> None:
+        if self.workers != 1:
+            raise ValueError(f"relcheck explores in one loop: workers must "
+                             f"be 1, got {self.workers}")
+
     def limits(self) -> SymexLimits:
         return SymexLimits(max_paths=self.max_paths,
                            max_instructions=self.max_instructions,
@@ -139,8 +144,7 @@ class RelcheckConfig:
 
     def spec(self) -> str:
         """Canonical text of every knob that can change a verdict —
-        the memo-key contribution of the configuration.  ``workers`` is
-        deliberately absent (determinism contract)."""
+        the memo-key contribution of the configuration."""
         return json.dumps({
             "input_bytes": self.input_bytes,
             "searcher": self.searcher,
@@ -157,8 +161,8 @@ class RelcheckConfig:
 
 @dataclass
 class RelcheckStats:
-    """Counters of one relcheck run.  Every field is schedule- and
-    worker-count-independent (pinned by the determinism suite)."""
+    """Counters of one relcheck run (reproducible; see the module
+    docstring)."""
 
     #: A paths that completed normally and were checked for return-value
     #: agreement.
@@ -264,9 +268,9 @@ def _wire_text(expr: Expr) -> str:
 
 
 def _state_sort_key(state: ExecutionState) -> tuple:
-    """A canonical identity for a finished state: worker scheduling decides
-    the order states *arrive* in, so replay order (and hence verdict
-    indexes) must come from content instead."""
+    """A canonical identity for a finished state: the searcher decides the
+    order states *arrive* in, so replay order (and hence verdict indexes)
+    comes from content instead."""
     constraint_text = tuple(sorted(_wire_text(c) for c in state.constraints))
     return_text = "" if state.return_value is None \
         else _wire_text(state.return_value)
@@ -294,7 +298,7 @@ def _witness(state: ExecutionState, solver: Solver,
              input_bytes: int) -> Optional[bytes]:
     """A concrete input satisfying the state's path condition, via the
     deterministic concretization search (cache-content-independent, so
-    counterexamples are reproducible across runs and worker counts)."""
+    counterexamples are reproducible across runs and cache states)."""
     varfree, groups = state.full_partition()
     model = solver.concretization_model(varfree, groups)
     if model is None:
@@ -330,8 +334,8 @@ def _resolve_selects(expr: Expr, facts: Dict[str, Tuple[Expr, ...]],
 class _PathChecker:
     """Checks one finished A path against module B (phase 2 work unit).
 
-    Each instance owns its stats and solver (lock-free); the driver
-    merges them afterwards.  Only the solver *caches* are shared."""
+    Each instance owns its stats and solver; :func:`relcheck_modules`
+    sums them after the path.  Only the solver *caches* are shared."""
 
     def __init__(self, module_b: Module, entry: str, config: RelcheckConfig,
                  caches: SharedSolverCaches) -> None:
@@ -645,25 +649,16 @@ def relcheck_modules(module_a: Module, module_b: Module,
             return _report_from_memo(memo, pair, config)
         if len(store) > 0 or store.memo_count > 0:
             provenance = "warm"
-    caches = shared_caches or SharedSolverCaches(
-        num_stripes=config.workers, locked=config.workers > 1)
+    caches = shared_caches or SharedSolverCaches(locked=False)
     if store is not None:
         store.prime(caches)
 
-    # Phase 1: exhaustively explore the reference module.  The sink is
-    # called from worker threads; list.append is atomic under the GIL but
-    # the lock keeps the capture correct on free-threaded builds too.
+    # Phase 1: exhaustively explore the reference module.
     a_finished: List[ExecutionState] = []
-    sink_lock = threading.Lock()
-
-    def capture(state: ExecutionState) -> None:
-        with sink_lock:
-            a_finished.append(state)
-
     executor = ParallelExecutor(
         module_a, entry=entry, searcher=config.searcher,
-        workers=config.workers, solver_config=config.solver_config(),
-        limits=config.limits(), shared_caches=caches, state_sink=capture,
+        solver=Solver(config=config.solver_config(), shared=caches),
+        limits=config.limits(), state_sink=a_finished.append,
         fact_pruning=True)
     report_a = executor.run(config.input_bytes)
 
@@ -684,21 +679,10 @@ def relcheck_modules(module_a: Module, module_b: Module,
 
     a_finished.sort(key=_state_sort_key)
 
-    # Phase 2: replay B under each A path.  Tasks are independent; the
-    # only shared structure is the (lock-striped) solver caches.
-    checkers = [_PathChecker(module_b, entry, config, caches)
-                for _ in range(len(a_finished))]
-    if config.workers > 1 and len(a_finished) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            verdicts = list(pool.map(
-                lambda pair_: pair_[1].check(pair_[0], a_finished[pair_[0]]),
-                enumerate(checkers)))
-    else:
-        verdicts = [checker.check(index, state)
-                    for index, (state, checker)
-                    in enumerate(zip(a_finished, checkers))]
-    report.verdicts = verdicts
-    for checker in checkers:
+    # Phase 2: replay B under each A path, sharing the solver caches.
+    for index, state in enumerate(a_finished):
+        checker = _PathChecker(module_b, entry, config, caches)
+        report.verdicts.append(checker.check(index, state))
         stats.merge(checker.stats)
         solver_stats.merge(checker.solver.stats)
         report.divergences.extend(checker.divergences)

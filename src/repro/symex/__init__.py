@@ -14,14 +14,13 @@ from .solver import (
 from .ubtree import UBTree
 from .state import ExecutionState, StackFrame, StateStatus
 from .searcher import (
-    BFSSearcher, DFSSearcher, RandomSearcher, Searcher,
-    WorkStealingFrontier, make_searcher,
+    BFSSearcher, DFSSearcher, RandomSearcher, Searcher, make_searcher,
 )
 from .executor import (
     BugReport, ExplorationBudget, PathRecord, SymbolicExecutor, SymexLimits,
     SymexReport, SymexStats, explore,
 )
-from .parallel import ParallelExecutor, explore_parallel
+from .parallel import ParallelExecutor
 from .backend import SymexBackend
 
 __all__ = [
@@ -35,9 +34,9 @@ __all__ = [
     "SolverStats", "UBTree",
     "ExecutionState", "StackFrame", "StateStatus",
     "BFSSearcher", "DFSSearcher", "RandomSearcher", "Searcher",
-    "WorkStealingFrontier", "make_searcher",
+    "make_searcher",
     "BugReport", "ExplorationBudget", "PathRecord", "SymbolicExecutor",
     "SymexLimits", "SymexReport", "SymexStats", "explore",
-    "ParallelExecutor", "explore_parallel",
+    "ParallelExecutor",
     "SymexBackend",
 ]

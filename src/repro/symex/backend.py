@@ -1,15 +1,12 @@
 """The symbolic-execution engine as a :class:`VerificationBackend`.
 
-Searcher selection, worker-pool sizing and the solver settings are by
-name, so a driver can write ``make_backend("symex<workers=4>")`` or
-``make_backend("symex<searcher=bfs,rewrite-equalities=off>")`` without
-touching executor internals.  The solver settings mirror
+Searcher selection and the solver settings are by name, so a caller can
+write ``make_backend("symex<searcher=bfs,rewrite-equalities=off>")``
+without touching executor internals.  The solver settings mirror
 :class:`~repro.symex.solver.SolverConfig`: ``rewrite-equalities``
 accepts ``on``/``off`` (also ``true``/``false``/``1``/``0``), and the
 integer ``query-deadline-ms`` sets a per-solver-query wall-clock deadline
-(0 = none — see ``docs/robustness.md``).  ``workers=N`` with ``N > 1``
-explores through the :class:`~repro.symex.parallel.ParallelExecutor`
-worker pool.
+(0 = none — see ``docs/robustness.md``).
 
 Two parameters open the backend to callers that manage solver knowledge
 themselves (the verification service, tests):
@@ -38,7 +35,6 @@ from ..verification import (
     VerificationRequest, register_backend,
 )
 from .executor import SymexLimits, explore
-from .parallel import ParallelExecutor
 from .searcher import make_searcher
 from .solver import SharedSolverCaches, Solver, SolverConfig
 
@@ -72,14 +68,13 @@ class SymexBackend(VerificationBackend):
 
     name = "symex"
 
-    def __init__(self, searcher: str = "dfs", workers: object = 1,
+    def __init__(self, searcher: str = "dfs",
                  rewrite_equalities: object = True,
                  query_deadline_ms: object = 0,
                  store: object = "",
                  caches: Optional[SharedSolverCaches] = None) -> None:
         make_searcher(searcher)  # validate the name eagerly
         self.searcher = searcher
-        self.workers = _parse_count("workers", workers, 1)
         self.solver_config = SolverConfig(
             rewrite_equalities=_parse_flag("rewrite-equalities",
                                            rewrite_equalities),
@@ -104,8 +99,6 @@ class SymexBackend(VerificationBackend):
         parts = []
         if self.searcher != "dfs":
             parts.append(f"searcher={self.searcher}")
-        if self.workers != 1:
-            parts.append(f"workers={self.workers}")
         config = self.solver_config
         if not config.rewrite_equalities:
             parts.append("rewrite-equalities=off")
@@ -150,23 +143,15 @@ class SymexBackend(VerificationBackend):
                     pass  # damaged memo: fall through and re-verify
         caches = self.caches
         if caches is None and store is not None:
-            caches = SharedSolverCaches(num_stripes=self.workers,
-                                        locked=self.workers > 1)
+            caches = SharedSolverCaches(locked=False)
         if store is not None and caches is not None:
             store.prime(caches)
         start = time.perf_counter()
-        if self.workers > 1:
-            executor = ParallelExecutor(
-                module, entry=request.entry, searcher=self.searcher,
-                workers=self.workers, solver_config=self.solver_config,
-                limits=limits, shared_caches=caches)
-            report = executor.run(request.symbolic_input_bytes)
-        else:
-            report = explore(module, request.symbolic_input_bytes,
-                             entry=request.entry, searcher=self.searcher,
-                             limits=limits,
-                             solver=Solver(config=self.solver_config,
-                                           shared=caches))
+        report = explore(module, request.symbolic_input_bytes,
+                         entry=request.entry, searcher=self.searcher,
+                         limits=limits,
+                         solver=Solver(config=self.solver_config,
+                                       shared=caches))
         seconds = time.perf_counter() - start
         provenance = "warm-store" if report.solver_stats.store_hits \
             else "cold"

@@ -14,11 +14,12 @@ branch conditions."  Both quantities are measured and exposed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..faults import EngineError, WorkerCrash, site as _fault_site
+from ..faults import EngineError, site as _fault_site
 from ..interp.errors import ErrorKind, ProgramError
 from ..ir import (
     AllocaInst, Argument, BasicBlock, BinaryInst, BranchInst, CallInst,
@@ -94,37 +95,30 @@ BUDGET_CHECK_STRIDE = 16
 
 
 class ExplorationBudget:
-    """The resource budget of one exploration run, aggregated over every
-    worker exploring it.
+    """The resource budget of one exploration run: the limits, read
+    against the run's :class:`SymexStats` and its start time.
 
-    Each worker accumulates into its own :class:`SymexStats` (lock-free —
-    no object is written by two threads); the budget reads across all of
-    them, so the limits bound the *run*, not each worker.  Reads of other
-    workers' counters may lag by an increment or two, which only shifts
-    the stopping point by a few instructions.
-    """
+    A NaN timeout is refused: every ``elapsed > timeout`` comparison with
+    NaN is false, so such a budget would never run out."""
 
-    def __init__(self, limits: SymexLimits,
-                 stats_views: Sequence[SymexStats]) -> None:
+    def __init__(self, limits: SymexLimits, stats: SymexStats) -> None:
+        if math.isnan(limits.timeout_seconds):
+            raise ValueError("timeout_seconds must be a number, got nan")
         self.limits = limits
-        self._views = list(stats_views)
+        self._stats = stats
         self.start_time = time.perf_counter()
 
     def exhausted(self) -> Optional[str]:
         """The first exceeded limit ("paths", "instructions", "forks",
         "timeout"), or None while in budget."""
-        paths = instructions = forks = 0
-        for stats in self._views:
-            paths += stats.paths_completed + stats.paths_errored \
-                + stats.engine_errors
-            instructions += stats.instructions_interpreted
-            forks += stats.forks
+        stats = self._stats
         limits = self.limits
-        if paths >= limits.max_paths:
+        if stats.paths_completed + stats.paths_errored \
+                + stats.engine_errors >= limits.max_paths:
             return "paths"
-        if instructions >= limits.max_instructions:
+        if stats.instructions_interpreted >= limits.max_instructions:
             return "instructions"
-        if forks >= limits.max_forks:
+        if stats.forks >= limits.max_forks:
             return "forks"
         if time.perf_counter() - self.start_time > limits.timeout_seconds:
             return "timeout"
@@ -177,33 +171,13 @@ class SymexStats:
     #: :meth:`SymbolicExecutor._run_state`.  Not part of ``total_paths``:
     #: an engine-error path was neither completed nor found buggy.
     engine_errors: int = 0
-    #: Which budget limit ended the run ("paths", "instructions", "forks",
-    #: "timeout", or "worker-loss"); empty for a complete exploration.
+    #: Which budget limit ended the run ("paths", "instructions", "forks"
+    #: or "timeout"); empty for a complete exploration.
     termination_reason: str = ""
 
     @property
     def total_paths(self) -> int:
         return self.paths_completed + self.paths_errored
-
-    def merge(self, other: "SymexStats") -> None:
-        """Fold a worker's counters into this aggregate: sums for the
-        additive counters, max for the gauges, or for ``timed_out``.
-        ``wall_seconds`` is taken as the max — workers run concurrently,
-        so their wall clocks overlap rather than add."""
-        self.paths_completed += other.paths_completed
-        self.paths_errored += other.paths_errored
-        self.paths_terminated += other.paths_terminated
-        self.instructions_interpreted += other.instructions_interpreted
-        self.branches_encountered += other.branches_encountered
-        self.forks += other.forks
-        self.states_created += other.states_created
-        self.max_live_states = max(self.max_live_states,
-                                   other.max_live_states)
-        self.wall_seconds = max(self.wall_seconds, other.wall_seconds)
-        self.timed_out |= other.timed_out
-        self.engine_errors += other.engine_errors
-        if not self.termination_reason:
-            self.termination_reason = other.termination_reason
 
 
 @dataclass
@@ -215,8 +189,7 @@ class SymexReport:
     paths: List[PathRecord] = field(default_factory=list)
     bugs: List[BugReport] = field(default_factory=list)
     #: One line per contained engine failure (fault site + cause); empty
-    #: on a healthy run.  Merged across workers as a sorted set, so the
-    #: content carries no state ids or other schedule-dependent data.
+    #: on a healthy run.
     diagnostics: List[str] = field(default_factory=list)
 
     def bug_signatures(self) -> set:
@@ -226,24 +199,16 @@ class SymexReport:
 class SymbolicExecutor:
     """Explores every feasible path of a module's entry function.
 
-    The stepping core (:meth:`_run_state` and everything below it) is
-    re-entrant and worker-safe: it touches only the state being run and
-    this executor's own ``stats``/``report``/``solver``, plus the
-    read-only module/globals and the (thread-safe, injectable) searcher.
-    The parallel executor builds one engine per worker, sharing the
-    module, globals and frontier while giving each worker private stats,
-    report, and a solver whose caches are lock-striped
-    (:class:`~repro.symex.parallel.ParallelExecutor`).
+    One executor runs one exploration loop (:meth:`run` or
+    :meth:`run_seeded`) on the calling thread.  The only structure it may
+    share with other executors is its solver's
+    :class:`~repro.symex.solver.SharedSolverCaches`.
     """
 
     def __init__(self, module: Module, entry: str = "main",
                  searcher: Union[str, Searcher] = "dfs",
                  solver: Optional[Solver] = None,
                  limits: Optional[SymexLimits] = None,
-                 stats: Optional[SymexStats] = None,
-                 budget: Optional[ExplorationBudget] = None,
-                 globals_map: Optional[Dict[str, int]] = None,
-                 input_variables: Optional[List[str]] = None,
                  state_sink: Optional[Callable[[ExecutionState], None]]
                  = None,
                  fact_pruning: bool = False) -> None:
@@ -253,21 +218,17 @@ class SymbolicExecutor:
             else searcher
         self.solver = solver or Solver()
         self.limits = limits or SymexLimits()
-        self.stats = stats if stats is not None else SymexStats()
+        self.stats = SymexStats()
         self.report = SymexReport(stats=self.stats,
                                   solver_stats=self.solver.stats)
-        self._globals: Dict[str, int] = globals_map if globals_map is not None \
-            else {}
-        self._input_variables: List[str] = input_variables \
-            if input_variables is not None else []
-        self._budget = budget
+        self._globals: Dict[str, int] = {}
+        self._input_variables: List[str] = []
+        self._budget: Optional[ExplorationBudget] = None
         #: Optional observer handed every finished state (completed or
         #: errored, never engine-error states, which are mid-flight
         #: wreckage).  The relcheck product driver uses this to capture
         #: each path's constraints and symbolic return value — data the
-        #: :class:`PathRecord` deliberately does not carry.  Called on
-        #: whichever worker thread finished the path; the callback owns
-        #: its own synchronization.
+        #: :class:`PathRecord` deliberately does not carry.
         self._state_sink = state_sink
         #: Refute "maybe satisfiable" fork conditions against the path's
         #: unary facts before forking (:mod:`repro.symex.facts`).  Off by
@@ -293,8 +254,7 @@ class SymbolicExecutor:
         ``num_input_bytes`` symbolic bytes followed by a NUL terminator.
 
         Also (re)initializes this executor's globals map and input-variable
-        list; worker engines receive those read-only from the bootstrap
-        engine instead of calling this."""
+        list."""
         if num_input_bytes < 0:
             raise ValueError(f"symbolic input size must be >= 0, got "
                              f"{num_input_bytes}")
@@ -350,7 +310,7 @@ class SymbolicExecutor:
     def run(self, num_input_bytes: int) -> SymexReport:
         """Exhaustively explore the entry function for the given symbolic
         input size (subject to the configured limits)."""
-        self._budget = ExplorationBudget(self.limits, [self.stats])
+        self._budget = ExplorationBudget(self.limits, self.stats)
         return self._explore_from(self.make_initial_state(num_input_bytes))
 
     def run_seeded(self, state: ExecutionState) -> SymexReport:
@@ -361,7 +321,7 @@ class SymbolicExecutor:
         before handing it over — the relcheck product driver replays the
         optimized module under another module's path condition this way,
         so branches the seeded condition decides never fork."""
-        self._budget = ExplorationBudget(self.limits, [self.stats])
+        self._budget = ExplorationBudget(self.limits, self.stats)
         return self._explore_from(state)
 
     def _explore_from(self, initial: ExecutionState) -> SymexReport:
@@ -400,13 +360,10 @@ class SymbolicExecutor:
         defect, or an injected ``engine.step``/``solver.check`` fault) is
         an *engine* failure, not a program bug: the path is recorded as an
         ``engine-error`` outcome with a one-line diagnosis and exploration
-        continues with the next state.  :class:`~repro.faults.WorkerCrash`
-        is not contained — the parallel executor's retry-once recovery
-        owns it — and neither are KeyboardInterrupt/SystemExit."""
+        continues with the next state.  Exceptions outside
+        :class:`Exception` (KeyboardInterrupt, SystemExit) pass through."""
         try:
             self._step_state(state)
-        except (KeyboardInterrupt, SystemExit, WorkerCrash):
-            raise
         except Exception as exc:
             self._record_engine_error(state, exc)
 
@@ -679,7 +636,7 @@ class SymbolicExecutor:
         # this concrete address), so it must not depend on what other
         # queries happen to have cached: concretization_model is a pure
         # function of the query, keeping exploration identical across
-        # worker counts and schedules.
+        # searchers and cold or warm caches.
         model = self.solver.concretization_model(
             *state.relevant_partition(address)) or {}
         concrete = address.evaluate({name: model.get(name, 0)

@@ -146,11 +146,8 @@ class SolverStats:
     def merge(self, other: "SolverStats") -> None:
         """Accumulate ``other`` into this object (summing every counter).
 
-        The parallel executor gives each worker its own stats object —
-        lock-free increments stay race-free because no two workers share
-        one — and merges them deterministically at the end of the run.
-        Note ``time_seconds`` sums *per-worker* solver time, so the merged
-        value can exceed wall-clock time."""
+        Relcheck sums its reference exploration's and its per-path
+        replays' solver stats this way."""
         for field_info in fields(self):
             name = field_info.name
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -214,17 +211,19 @@ class _CacheStripe:
 class SharedSolverCaches:
     """The solver's group caches, sharded into lock stripes.
 
-    The parallel executor builds one of these and hands it to every
-    worker's :class:`Solver`: a constraint group is routed to the stripe
+    Several :class:`Solver` front ends can solve into one set: the
+    verification service hands its set to every job it runs on its job
+    threads, and relcheck shares one between its reference exploration and
+    its per-path replays.  A constraint group is routed to the stripe
     selected by its fingerprint (the hash of its interned constraint set),
     so the same group always lands on the same stripe and a result solved
-    by one worker answers every other worker's queries about it — the
-    cross-worker reuse is what keeps the parallel run's total solver work
-    close to the sequential run's.  Lock striping bounds contention: two
-    workers only serialize when their groups collide on a stripe, and the
-    expensive searches themselves run outside the stripe lock (two workers
-    racing to solve the same group merely duplicate that one search; both
-    arrive at the same deterministic result).
+    by one solver answers every other solver's queries about it.  Lock
+    striping bounds contention: two job threads only serialize when their
+    groups collide on a stripe, and the expensive searches themselves run
+    outside the stripe lock (two threads racing to solve the same group
+    merely duplicate that one search; both arrive at the same
+    deterministic result).  ``locked=False`` gives the stripes no-op
+    locks, for a set that only one thread ever uses.
     """
 
     def __init__(self, num_stripes: int = 1, locked: bool = True) -> None:
@@ -335,9 +334,9 @@ class Solver:
             config = replace(config, cache=enable_cache)
         self.config = config
         self.stats = SolverStats()
-        #: Full-query result cache.  Worker-local even under a shared cache
-        #: set: full queries are path-shaped and rarely collide across
-        #: workers, so sharing them would buy little and cost a lock.
+        #: Full-query result cache.  Private to this solver even under a
+        #: shared cache set: full queries are path-shaped and rarely collide
+        #: across runs, so sharing them would buy little and cost a lock.
         self._cache: Dict[FrozenSet[Expr], SolverResult] = {}
         #: The group-level caches (exact results, UBTree counterexample
         #: indices), possibly shared with other solvers via lock stripes.
@@ -594,7 +593,7 @@ class Solver:
                              groups: Sequence[Sequence[Expr]]
                              ) -> Optional[Dict[str, int]]:
         """A satisfying assignment whose *identity* depends only on the
-        query — never on cache contents or worker scheduling.
+        query — never on cache contents or the order queries ran in.
 
         Satisfiability answers are deterministic everywhere (caches only
         return answers a fresh search would also reach), but the reuse
@@ -785,7 +784,7 @@ class Solver:
                 return result
         # The search itself runs outside the stripe lock: it can be orders
         # of magnitude more expensive than a lookup, and duplicating it in
-        # the (rare) event of two workers racing on one group is cheaper
+        # the (rare) event of two threads racing on one group is cheaper
         # than serializing every colliding query behind it.
         result = self._solve_group_uncached(constraints)
         if self.enable_cache and result.exact:

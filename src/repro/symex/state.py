@@ -26,16 +26,13 @@ dicts until one side writes, the symbolic memory shares its byte dict the
 same way, and the constraint groups are immutable tuples shared by
 reference.
 
-**Ownership under parallel exploration.**  A state is owned by exactly one
-worker at a time: the worker that pops it from the frontier runs it until
-it forks, completes, or errors, and forking happens only on the owning
-worker's thread.  The COW invariant that makes this safe is that a shared
-structure (a binding dict, the memory's byte dict, a constraint-group
-tuple) is *never mutated in place* once it is marked shared — each side
-copies before its first write — so a stolen child can read the structures
-it shares with a still-running parent without synchronization.  The only
-cross-thread mutation is the state-id counter, which is an atomic
-``itertools.count``.
+The COW invariant is that a shared structure (a binding dict, the
+memory's byte dict, a constraint-group tuple) is *never mutated in place*
+once it is marked shared: each side copies before its first write, so a
+fork and its parent never see each other's later writes.  One exploration
+runs on one thread; the verification service runs several jobs' explorations
+on its job threads at once, and the only state-level structure they share is
+the state-id counter, an atomic ``itertools.count``.
 """
 
 from __future__ import annotations
@@ -108,9 +105,9 @@ class ExecutionState:
     """A single path being explored: call stack + memory + path constraints."""
 
     #: Id allocator.  ``next()`` on an ``itertools.count`` is atomic in
-    #: CPython, so concurrently forking workers never mint duplicate ids
-    #: (the *values* still depend on scheduling; nothing may key
-    #: deterministic output on them).
+    #: CPython, so explorations forking on several threads at once (the
+    #: service's jobs) never mint duplicate ids (the *values* depend on
+    #: scheduling; nothing may key deterministic output on them).
     _next_id = itertools.count(1)
 
     def __init__(self, memory: Optional[SymbolicMemory] = None,
@@ -150,10 +147,6 @@ class ExecutionState:
         self.instructions_executed = 0
         self.forks = 0
         self.depth = 0  # number of branch decisions taken
-        #: Times a worker crashed while holding this state and a pristine
-        #: snapshot was re-queued (the parallel executor's retry-once
-        #: recovery, ``docs/robustness.md``).
-        self.retries = 0
 
     # ------------------------------------------------------------- frames
     @property
@@ -193,7 +186,6 @@ class ExecutionState:
         clone.status = self.status
         clone.instructions_executed = self.instructions_executed
         clone.depth = self.depth
-        clone.retries = self.retries
         self.forks += 1
         return clone
 
@@ -330,14 +322,6 @@ class ExecutionState:
         stats = self._solver_stats
         if stats is not None:
             stats.equality_rewrites += count
-
-    def attach_stats(self, solver_stats: Optional[object]) -> None:
-        """Point ``equality_rewrites`` accounting at ``solver_stats``.
-
-        The parallel executor re-attaches a state to the stats object of
-        the worker that popped it, so a stolen state never does a
-        read-modify-write on another worker's counters."""
-        self._solver_stats = solver_stats
 
     def relevant_constraints(self, expr: Expr) -> List[Expr]:
         """The subset of the path condition that can influence ``expr``:

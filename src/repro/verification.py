@@ -59,7 +59,7 @@ class VerificationOutcome:
     #: Zero on a healthy run; see ``docs/robustness.md``.
     engine_errors: int = 0
     #: Which resource budget truncated the run ("paths", "instructions",
-    #: "forks", "timeout", "worker-loss"); empty when exploration finished.
+    #: "forks", "timeout"); empty when exploration finished.
     termination_reason: str = ""
     #: Constraint-solver counters (queries, cache/model-cache hits,
     #: assignments tried, ...) for solver-backed engines; empty otherwise.

@@ -53,17 +53,19 @@ class TestRegistry:
 
     @pytest.mark.parametrize("setting", [
         "processes=on", "ubtree=off", "branch-and-prune=off",
-        "seeded-splits=off", "ubtree-capacity=4", "minimize-cores=off"])
+        "seeded-splits=off", "ubtree-capacity=4", "minimize-cores=off",
+        "workers=1", "workers=4"])
     def test_deleted_symex_settings_rejected(self, setting):
         # These spec keys once selected solver and engine mechanisms that
-        # no longer exist; naming one must fail loudly, not be ignored.
+        # no longer exist (``workers`` sized the thread pool); naming one
+        # must fail loudly, not be ignored.
         with pytest.raises(BackendSpecError, match="rejected parameters"):
             make_backend(f"symex<{setting}>")
 
     @pytest.mark.parametrize("spec", [
-        "symex<searcher=bfs>", "symex<workers=4>",
+        "symex<searcher=bfs>", "symex<searcher=random>",
         "symex<rewrite-equalities=off>", "symex<query-deadline-ms=250>",
-        "symex<searcher=random,workers=2,rewrite-equalities=off,"
+        "symex<searcher=random,rewrite-equalities=off,"
         "query-deadline-ms=50>"])
     def test_kept_symex_settings_round_trip(self, spec):
         # The engine keys that remain build and describe themselves in

@@ -1,12 +1,9 @@
 """Chaos suite: the deterministic fault-injection matrix.
 
 Every registered fault site is driven through its host layer and must
-produce a *structured* failure — a contained engine-error path, a retried
-worker, a degraded cold store, a protocol error response — in bounded
-wall time, never a hang, never a corrupt store, never an unhandled
-exception.  The worker-recovery differential is the strongest leg: a
-``workers=4`` run with an injected crash (and a successful retry) must
-reproduce the clean run's path and bug fingerprint exactly.
+produce a *structured* failure — a contained engine-error path, a
+degraded cold store, a protocol error response — in bounded wall time,
+never a hang, never a corrupt store, never an unhandled exception.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import pytest
 from repro import faults
 from repro.faults import (
     EngineError, FaultPlanError, INJECTOR, ProtocolError, ReproError,
-    SolverError, StoreError, WorkerCrash, injected,
+    SolverError, StoreError, injected,
 )
 from repro.pipelines import CompileOptions, OptLevel, compile_source
 from repro.service import ServiceClient, ServiceError, SolverKnowledgeStore
@@ -30,7 +27,7 @@ from repro.service.server import VerificationServer
 from repro.service.store import outcome_to_memo, memo_to_outcome
 from repro.symex import (
     SharedSolverCaches, Solver, SolverConfig, StateStatus, SymbolicExecutor,
-    SymexLimits, explore, explore_parallel,
+    SymexLimits, explore,
 )
 from repro.verification import VerificationRequest, make_backend
 from repro.workloads import get_workload
@@ -52,8 +49,8 @@ def wc_module():
 
 
 def _fingerprint(report):
-    """The schedule-independent outcome of a run (mirrors the parallel
-    determinism suite)."""
+    """The outcome of a run: paths, errors, instructions and bug
+    signatures."""
     stats = report.stats
     return {
         "paths_completed": stats.paths_completed,
@@ -164,7 +161,7 @@ class TestPlanGrammar:
     def test_registry_covers_every_layer(self):
         import repro.service.server  # noqa: F401 - registers server.handle
         registered = INJECTOR.registered()
-        for name in ("solver.check", "engine.step", "worker.run",
+        for name in ("solver.check", "engine.step",
                      "store.write", "store.load", "server.handle"):
             assert name in registered
 
@@ -206,7 +203,7 @@ class TestEngineContainment:
         # cannot grind through an unbounded frontier.
         from repro.symex import ExplorationBudget, SymexStats
         stats = SymexStats(paths_completed=1, engine_errors=3)
-        budget = ExplorationBudget(SymexLimits(max_paths=4), [stats])
+        budget = ExplorationBudget(SymexLimits(max_paths=4), stats)
         assert budget.exhausted() == "paths"
         stats.engine_errors = 2
         assert budget.exhausted() is None
@@ -219,45 +216,6 @@ class TestEngineContainment:
         decoded = memo_to_outcome(outcome_to_memo(outcome), backend="symex")
         assert decoded.engine_errors == outcome.engine_errors
         assert decoded.detail.diagnostics == outcome.detail.diagnostics
-
-
-# ----------------------------------------------------------- worker recovery
-
-
-class TestWorkerRecovery:
-    def test_crash_with_retry_matches_clean_run(self, wc_module):
-        clean = explore_parallel(wc_module, 3, workers=4, limits=LIMITS)
-        with injected("worker.run:once"):
-            crashed = explore_parallel(wc_module, 3, workers=4,
-                                       limits=LIMITS)
-        assert _fingerprint(crashed) == _fingerprint(clean)
-        assert crashed.stats.termination_reason == ""
-
-    def test_crash_retry_is_deterministic_across_searchers(self, wc_module):
-        for searcher in ("dfs", "bfs"):
-            clean = explore_parallel(wc_module, 3, searcher=searcher,
-                                     workers=4, limits=LIMITS)
-            # every=3 delays the (single) crash past the root state, so
-            # the retried snapshot replays mid-exploration work.
-            with injected("worker.run:every=3,times=1"):
-                crashed = explore_parallel(wc_module, 3, searcher=searcher,
-                                           workers=4, limits=LIMITS)
-            assert _fingerprint(crashed) == _fingerprint(clean)
-
-    def test_unbounded_crashes_degrade_without_hanging(self, wc_module):
-        start = time.monotonic()
-        with injected("worker.run"):
-            report = explore_parallel(wc_module, 3, workers=4, limits=LIMITS)
-        assert time.monotonic() - start < 60.0
-        assert report.stats.paths_completed == 0
-        assert report.stats.paths_terminated >= 1
-        assert any("not retried" in line for line in report.diagnostics)
-
-    def test_single_worker_crash_degrades(self, wc_module):
-        with injected("worker.run:once"):
-            report = explore_parallel(wc_module, 3, workers=1, limits=LIMITS)
-        # No sibling to retry on: the run ends, accounted, not hung.
-        assert report.stats.total_paths + report.stats.paths_terminated >= 1
 
 
 # -------------------------------------------------------------- store faults
@@ -478,6 +436,58 @@ class TestCommandLineInput:
         with pytest.raises(ValueError):
             SymbolicExecutor(wc_module).make_initial_state(-1)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["wc", "--timeout", "nan"], "--timeout must be a finite number"),
+        (["wc", "--verify", "--timeout", "inf"],
+         "--timeout must be a finite number"),
+        (["wc", "--verify", "--timeout", "-1"],
+         "--timeout must be a finite number >= 0"),
+        (["relcheck", "wc", "--timeout", "nan"],
+         "--timeout must be a finite number"),
+        (["relcheck", "wc", "--timeout", "-1"],
+         "--timeout must be a finite number >= 0"),
+        (["relcheck", "wc", "--max-paths", "0"], "--max-paths must be >= 1"),
+        (["relcheck", "wc", "--max-paths", "-5"], "--max-paths must be >= 1"),
+        (["fuzz", "--seed", "0", "--timeout", "nan"],
+         "--timeout must be a finite number"),
+        (["fuzz", "--seed", "0", "--timeout", "-0.5"],
+         "--timeout must be a finite number >= 0"),
+        (["fuzz", "--seed", "0", "--max-paths", "0"],
+         "--max-paths must be >= 1"),
+    ], ids=["compile-nan", "compile-inf", "compile-negative",
+            "relcheck-nan", "relcheck-negative", "relcheck-paths-0",
+            "relcheck-paths-negative", "fuzz-nan", "fuzz-negative",
+            "fuzz-paths-0"])
+    def test_bad_budget_is_a_usage_error(self, argv, message, capsys):
+        """A NaN timeout never runs out (every ``elapsed > timeout``
+        comparison is false), a negative one ends the run before its first
+        path, and a path budget below 1 explores nothing: each is refused
+        up front, as the service refuses them with a protocol error."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_relcheck_workers_flag_is_gone(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["relcheck", "wc", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    def test_engine_rejects_a_nan_timeout(self, wc_module):
+        from repro.symex import ExplorationBudget, SymexStats
+
+        with pytest.raises(ValueError, match="nan"):
+            ExplorationBudget(SymexLimits(timeout_seconds=float("nan")),
+                              SymexStats())
+        with pytest.raises(ValueError, match="nan"):
+            explore(wc_module, 1,
+                    limits=SymexLimits(timeout_seconds=float("nan")))
+
 
 # --------------------------------------------------------------- client retry
 
@@ -511,13 +521,11 @@ class TestTaxonomy:
         assert SolverError("x").kind == "solver"
         assert EngineError("x").kind == "engine"
         assert StoreError("x").kind == "store"
-        assert WorkerCrash("x").kind == "worker-crash"
         assert ProtocolError("x").kind == "protocol"
         assert issubclass(SolverError, ReproError)
 
     def test_retryable_hints(self):
         assert StoreError("x").retryable
-        assert WorkerCrash("x").retryable
         assert not ProtocolError("x").retryable
         assert not SolverError("x").retryable
 

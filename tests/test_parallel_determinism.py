@@ -1,13 +1,13 @@
-"""The parallel executor's contract: worker count must not change results.
+"""Exploration is one loop, and its results depend only on the program.
 
-Exhaustive exploration visits a schedule-independent path set whenever the
-solver's answers are deterministic, so ``workers=4`` has to reproduce the
-``workers=1`` run exactly — same bug signatures, same path counts, same
-interpreted instructions, same Table 1 verification outcomes — across the
-workloads and both frontier disciplines.  The remaining tests pin down the
-machinery the differential relies on: the work-stealing frontier's
-discipline and termination, the lock-striped shared solver caches, and
-the COW ownership invariants under forking.
+Every searcher must visit the same paths, and a run must come out the same
+whether its solver caches are private, shared with another thread that is
+verifying at the same time (as the verification service's job threads
+share one locked cache set), or already warm.  Relcheck inherits the
+contract: its report may not depend on the searcher or on cache warmth.
+The remaining tests pin the machinery those contracts rest on: the
+lock-striped shared solver caches and the COW ownership invariants under
+forking.
 """
 
 import threading
@@ -15,10 +15,11 @@ import threading
 import pytest
 
 from repro.pipelines import CompileOptions, OptLevel, compile_source
+from repro.service.server import CACHE_STRIPES
 from repro.symex import (
     ExecutionState, ParallelExecutor, SharedSolverCaches, Solver,
-    SolverConfig, SymexLimits, WorkStealingFrontier, binary, const, explore,
-    explore_parallel, var,
+    SolverConfig, SymbolicExecutor, SymexLimits, binary, const, explore,
+    var,
 )
 from repro.symex.expr import ExprOp
 from repro.verification import VerificationRequest, make_backend
@@ -30,17 +31,16 @@ LIMITS_KW = dict(timeout_seconds=120.0)
 
 #: Workloads for the differential: the headline kernel, a branchier text
 #: filter, and the two seeded-bug programs (several error paths each, so
-#: signature dedup is exercised, not just path counting).
+#: bug signatures are compared, not just path counts).
 DIFFERENTIAL_WORKLOADS = ["wc", "uniq", "buggy_div", "buggy_index"]
 DIFFERENTIAL_BYTES = 3
 
 
 def _outcome_fingerprint(report):
-    """Everything about a run that must be identical whatever the worker
-    count: path counts by status, instructions, and the bug-signature
-    set.  Timings, state ids, cache-hit counters and model-dependent test
-    inputs are legitimately schedule-dependent and deliberately
-    excluded."""
+    """Everything about a run that must not depend on the searcher or on
+    the solver caches: path counts by status, instructions, and the
+    bug-signature set.  Timings, state ids, cache-hit counters and
+    model-dependent test inputs are deliberately excluded."""
     stats = report.stats
     return {
         "paths_completed": stats.paths_completed,
@@ -57,74 +57,66 @@ def _outcome_fingerprint(report):
     }
 
 
-class TestWorkerCountDeterminism:
+def _verdict_fingerprint(outcome):
+    """The verdict part of a backend outcome."""
+    return (outcome.paths, outcome.errors, outcome.instructions,
+            outcome.bug_signatures, outcome.timed_out,
+            outcome.termination_reason)
+
+
+class TestSearcherIndependence:
+    @pytest.mark.parametrize("searcher", ["bfs", "random"])
     @pytest.mark.parametrize("name", DIFFERENTIAL_WORKLOADS)
-    @pytest.mark.parametrize("searcher", ["dfs", "bfs"])
-    def test_workers_4_matches_workers_1(self, name, searcher):
+    def test_searcher_matches_dfs(self, name, searcher):
+        """The searcher shapes order only: exhaustive exploration visits
+        the same paths, errors, instructions and bug signatures."""
         module = compile_workload_module(name)
-        runs = {
-            workers: explore_parallel(
-                module, DIFFERENTIAL_BYTES, searcher=searcher,
-                workers=workers, limits=SymexLimits(**LIMITS_KW))
-            for workers in (1, 4)
-        }
-        assert _outcome_fingerprint(runs[1]) == _outcome_fingerprint(runs[4])
+        baseline = explore(module, DIFFERENTIAL_BYTES,
+                           limits=SymexLimits(**LIMITS_KW))
+        reordered = explore(module, DIFFERENTIAL_BYTES, searcher=searcher,
+                            limits=SymexLimits(**LIMITS_KW))
+        assert _outcome_fingerprint(reordered) == \
+            _outcome_fingerprint(baseline)
 
-    def test_workers_1_matches_sequential_executor(self):
-        module = compile_workload_module("wc")
-        sequential = explore(module, DIFFERENTIAL_BYTES,
-                             limits=SymexLimits(**LIMITS_KW))
-        parallel = explore_parallel(module, DIFFERENTIAL_BYTES, workers=1,
-                                    limits=SymexLimits(**LIMITS_KW))
-        assert _outcome_fingerprint(sequential) == \
-            _outcome_fingerprint(parallel)
 
-    @pytest.mark.parametrize("name", ["wc", "buggy_div"])
-    def test_thread_pool_matches_sequential_executor(self, name):
-        """Several workers against the plain sequential engine, on a deep
-        frontier (wc) and one the first worker mostly finishes alone
-        (buggy_div): the pool shares states instead of reconstructing
-        them, so every work counter matches, not just the path set."""
-        module = compile_workload_module(name)
-        sequential = explore(module, DIFFERENTIAL_BYTES,
-                             limits=SymexLimits(**LIMITS_KW))
-        pooled = explore_parallel(module, DIFFERENTIAL_BYTES, workers=2,
-                                  limits=SymexLimits(**LIMITS_KW))
-        assert _outcome_fingerprint(sequential) == \
-            _outcome_fingerprint(pooled)
+class TestSharedCachesAcrossThreads:
+    @pytest.mark.parametrize("name", DIFFERENTIAL_WORKLOADS)
+    def test_concurrent_jobs_match_private_runs(self, name):
+        """Two threads verify a workload's -O0 and -OVERIFY builds at the
+        same time through one backend over one locked cache set, as the
+        service's job threads do; each verdict matches a run with private
+        caches."""
+        source = get_workload(name).source
+        modules = [compile_source(source, CompileOptions(level=level)).module
+                   for level in (OptLevel.O0, OptLevel.OVERIFY)]
+        request = VerificationRequest(symbolic_input_bytes=DIFFERENTIAL_BYTES,
+                                      timeout_seconds=120.0)
+        private = [make_backend("symex").verify(module, request)
+                   for module in modules]
+        caches = SharedSolverCaches(num_stripes=CACHE_STRIPES, locked=True)
+        backend = make_backend("symex", caches=caches)
+        start = threading.Barrier(len(modules))
+        shared = [None] * len(modules)
 
-    def test_merged_report_is_content_ordered(self):
-        """Path records come back sorted by content and bug reports deduped
-        by signature, so the report is reproducible across schedules."""
-        module = compile_workload_module("buggy_div")
-        report = explore_parallel(module, DIFFERENTIAL_BYTES, workers=4,
-                                  limits=SymexLimits(**LIMITS_KW))
-        keys = [(p.status.value, p.instructions, p.constraint_count)
-                for p in report.paths]
-        assert keys == sorted(keys)
-        signatures = [bug.signature() for bug in report.bugs]
-        assert len(signatures) == len(set(signatures))
-        assert signatures == sorted(signatures)
-        # Dedup may not lose any signature found on the error paths.
-        assert set(signatures) == report.bug_signatures()
+        def job(index):
+            start.wait(timeout=60)
+            shared[index] = backend.verify(modules[index], request)
 
-    def test_random_searcher_same_path_set(self):
-        """The random discipline shapes order only: exhaustive exploration
-        still visits exactly the same paths."""
-        module = compile_workload_module("wc")
-        baseline = explore_parallel(module, DIFFERENTIAL_BYTES, workers=1,
-                                    limits=SymexLimits(**LIMITS_KW))
-        randomized = explore_parallel(module, DIFFERENTIAL_BYTES,
-                                      searcher="random", workers=4,
-                                      limits=SymexLimits(**LIMITS_KW))
-        assert _outcome_fingerprint(baseline) == \
-            _outcome_fingerprint(randomized)
+        threads = [threading.Thread(target=job, args=(index,))
+                   for index in range(len(modules))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert [_verdict_fingerprint(outcome) for outcome in shared] == \
+            [_verdict_fingerprint(outcome) for outcome in private]
 
 
 class TestRelcheckDeterminism:
-    """Relcheck inherits the executor's contract: ``workers`` parallelizes
-    the A exploration and the per-path replays but may not change a single
-    verdict, counterexample, or counter."""
+    """Relcheck's report may depend only on the two modules and the
+    configuration: not on whether the shared caches start cold or warm,
+    and not on the order the searcher finishes reference paths in."""
 
     @staticmethod
     def _fingerprint(report):
@@ -137,26 +129,12 @@ class TestRelcheckDeterminism:
             "truncated": report.truncated,
         }
 
-    @pytest.mark.parametrize("name", ["wc", "buggy_div"])
-    def test_workers_4_matches_workers_1(self, name):
-        from repro.relcheck import RelcheckConfig, relcheck_workload
-
-        runs = {
-            workers: relcheck_workload(
-                name, config=RelcheckConfig(input_bytes=DIFFERENTIAL_BYTES,
-                                            workers=workers))
-            for workers in (1, 4)
-        }
-        assert runs[1].clean and runs[4].clean
-        assert self._fingerprint(runs[1]) == self._fingerprint(runs[4])
-
-    def test_divergence_counterexamples_are_worker_independent(self):
-        """The divergent case too: a planted miscompile must yield the
-        same divergence kinds *and the same concrete counterexamples*
-        whatever the worker count."""
+    @staticmethod
+    def _planted_miscompile():
+        """A reference module that traps on input[0] == 0 and a module
+        whose broken pipeline deleted the trap."""
         from repro.frontend import compile_to_ir
         from repro.pipelines import build_pipeline_from_text
-        from repro.relcheck import RelcheckConfig, relcheck_modules
 
         source = """
         int main(unsigned char *input, int len) {
@@ -167,113 +145,98 @@ class TestRelcheckDeterminism:
         module_a = compile_to_ir(source)
         module_b = compile_to_ir(source)
         build_pipeline_from_text("mem2reg,dce<unsafe-traps>").run(module_b)
-        runs = {
-            workers: relcheck_modules(
-                module_a, module_b, pair=("-O0", "-Obroken"),
-                config=RelcheckConfig(input_bytes=1, workers=workers))
-            for workers in (1, 4)
-        }
-        assert not runs[1].clean
-        assert self._fingerprint(runs[1]) == self._fingerprint(runs[4])
+        return module_a, module_b
+
+    @staticmethod
+    def _workload_pair(name):
+        source = get_workload(name).source
+        return tuple(compile_source(source, CompileOptions(level=level)).module
+                     for level in (OptLevel.O0, OptLevel.OVERIFY))
+
+    @pytest.mark.parametrize("name", ["wc", "buggy_div"])
+    def test_warm_caches_give_the_cold_report(self, name):
+        from repro.relcheck import RelcheckConfig, relcheck_modules
+
+        module_a, module_b = self._workload_pair(name)
+        config = RelcheckConfig(input_bytes=DIFFERENTIAL_BYTES)
+        caches = SharedSolverCaches(locked=False)
+        cold = relcheck_modules(module_a, module_b, config=config,
+                                shared_caches=caches)
+        warm = relcheck_modules(module_a, module_b, config=config,
+                                shared_caches=caches)
+        assert cold.clean
+        assert self._fingerprint(warm) == self._fingerprint(cold)
+        # The second run really did answer from what the first learned.
+        assert warm.solver_stats.csp_searches < \
+            cold.solver_stats.csp_searches
+
+    def test_warm_caches_keep_the_divergence(self):
+        """The divergent case too: the same divergence kinds *and the
+        same concrete counterexamples* from cold and warm caches."""
+        from repro.relcheck import RelcheckConfig, relcheck_modules
+
+        module_a, module_b = self._planted_miscompile()
+        caches = SharedSolverCaches(locked=False)
+        runs = [relcheck_modules(module_a, module_b, pair=("-O0", "-Obroken"),
+                                 config=RelcheckConfig(input_bytes=1),
+                                 shared_caches=caches)
+                for _ in range(2)]
+        assert not runs[0].clean
+        assert self._fingerprint(runs[1]) == self._fingerprint(runs[0])
+
+    @pytest.mark.parametrize("searcher", ["bfs", "random"])
+    def test_report_does_not_depend_on_the_searcher(self, searcher):
+        """Finished reference paths are replayed in a canonical content
+        order, so verdict indexes and counters match a dfs run."""
+        from repro.relcheck import RelcheckConfig, relcheck_modules
+
+        module_a, module_b = self._workload_pair("buggy_index")
+        reports = [relcheck_modules(
+            module_a, module_b,
+            config=RelcheckConfig(input_bytes=DIFFERENTIAL_BYTES,
+                                  searcher=chosen))
+            for chosen in ("dfs", searcher)]
+        assert self._fingerprint(reports[1]) == self._fingerprint(reports[0])
 
 
-class TestTable1Outcomes:
-    def test_backend_outcomes_match_across_worker_counts(self):
-        """The Table 1 ingredients (paths, instructions, errors, bug
-        signatures) agree between ``symex`` and ``symex<workers=4>`` on an
-        optimized and an unoptimized build."""
-        for level in (OptLevel.O0, OptLevel.OVERIFY):
-            compiled = compile_source(
-                get_workload("buggy_index").source,
-                CompileOptions(level=level))
-            request = VerificationRequest(
-                symbolic_input_bytes=DIFFERENTIAL_BYTES,
-                timeout_seconds=120.0)
-            single = make_backend("symex").verify(compiled.module, request)
-            pooled = make_backend("symex<workers=4>").verify(
-                compiled.module, request)
-            assert pooled.paths == single.paths
-            assert pooled.errors == single.errors
-            assert pooled.bug_signatures == single.bug_signatures
-            assert pooled.timed_out == single.timed_out
-            # Thread workers replay nothing, so even the raw interpreted
-            # instruction counts must agree.
-            assert pooled.instructions == single.instructions
+class TestRelcheckExplorationClass:
+    def test_parallel_executor_defines_its_own_run(self):
+        """The traced benchmark wraps ``ParallelExecutor.__dict__["run"]``,
+        so the class body must define it, and it must be the one loop."""
+        assert issubclass(ParallelExecutor, SymbolicExecutor)
+        assert "run" in ParallelExecutor.__dict__
+        assert ParallelExecutor.__dict__["run"] is SymbolicExecutor.run
 
+    def test_phase_one_runs_through_parallel_executor_run(self, monkeypatch):
+        """Relcheck explores its reference module with
+        ``ParallelExecutor.run`` exactly once; its replays and the symex
+        backend keep the inherited ``SymbolicExecutor.run``."""
+        from repro.relcheck import RelcheckConfig, relcheck_workload
 
-class TestWorkStealingFrontier:
-    def _states(self, count):
-        return [ExecutionState() for _ in range(count)]
+        calls = []
+        original = ParallelExecutor.run
 
-    def test_dfs_pops_own_newest(self):
-        frontier = WorkStealingFrontier(2, mode="dfs")
-        a, b = self._states(2)
-        frontier.add(a, 0)
-        frontier.add(b, 0)
-        assert frontier.pop(0) is b
-        frontier.task_done(0)
+        def counting_run(self, num_input_bytes):
+            calls.append(type(self))
+            return original(self, num_input_bytes)
 
-    def test_bfs_pops_own_oldest(self):
-        frontier = WorkStealingFrontier(2, mode="bfs")
-        a, b = self._states(2)
-        frontier.add(a, 0)
-        frontier.add(b, 0)
-        assert frontier.pop(0) is a
-        frontier.task_done(0)
+        monkeypatch.setattr(ParallelExecutor, "run", counting_run)
+        report = relcheck_workload("buggy_div",
+                                   config=RelcheckConfig(input_bytes=2))
+        assert calls == [ParallelExecutor]
+        assert len(report.verdicts) > 1
+        make_backend("symex").verify(
+            compile_workload_module("buggy_div"),
+            VerificationRequest(symbolic_input_bytes=2))
+        assert calls == [ParallelExecutor]
 
-    def test_steal_takes_victims_oldest(self):
-        frontier = WorkStealingFrontier(2, mode="dfs")
-        a, b = self._states(2)
-        frontier.add(a, 0)
-        frontier.add(b, 0)
-        # Worker 1 has nothing: it steals worker 0's oldest (the
-        # shallowest fork, i.e. the largest unexplored subtree).
-        assert frontier.pop(1) is a
-        frontier.task_done(1)
+    def test_relcheck_config_accepts_only_one_worker(self):
+        from repro.relcheck import RelcheckConfig
 
-    def test_pop_returns_none_when_empty_and_idle(self):
-        frontier = WorkStealingFrontier(2)
-        assert frontier.pop(0) is None
-
-    def test_pop_blocks_until_active_worker_forks_or_finishes(self):
-        frontier = WorkStealingFrontier(2)
-        seed, child = self._states(2)
-        frontier.add(seed, 0)
-        assert frontier.pop(0) is seed
-        results = []
-
-        def second_worker():
-            results.append(frontier.pop(1))
-            if results[0] is not None:
-                frontier.task_done(1)
-
-        thread = threading.Thread(target=second_worker)
-        thread.start()
-        # Worker 0 is mid-state: worker 1 must wait, not terminate.
-        thread.join(timeout=0.2)
-        assert thread.is_alive()
-        frontier.add(child, 0)  # worker 0 forks
-        frontier.task_done(0)
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert results == [child]
-        assert frontier.pop(0) is None
-
-    def test_drain_empties_every_deque(self):
-        frontier = WorkStealingFrontier(3)
-        states = self._states(5)
-        for index, state in enumerate(states):
-            frontier.add(state, index % 3)
-        assert set(frontier.drain()) == set(states)
-        assert len(frontier) == 0
-        assert frontier.pop(0) is None
-
-    def test_high_water_tracks_peak_live_states(self):
-        frontier = WorkStealingFrontier(1)
-        states = self._states(3)
-        for state in states:
-            frontier.add(state, 0)
-        assert frontier.high_water == 3
+        assert RelcheckConfig(workers=1).workers == 1
+        for workers in (0, 2, 4):
+            with pytest.raises(ValueError, match="workers must be 1"):
+                RelcheckConfig(workers=workers)
 
 
 class TestSharedSolverCaches:
@@ -376,24 +339,3 @@ class TestCowOwnershipInvariants:
             thread.join()
         assert len(ids) == len(set(ids))
         assert parent.state_id not in ids
-
-
-class TestBackendWorkersSpec:
-    def test_workers_spec_round_trip(self):
-        backend = make_backend("symex<workers=4>")
-        assert backend.describe() == "symex<workers=4>"
-        assert make_backend("symex<workers=1>").describe() == "symex"
-
-    def test_invalid_workers_rejected(self):
-        from repro.verification import BackendSpecError
-        with pytest.raises(BackendSpecError):
-            make_backend("symex<workers=0>")
-        with pytest.raises(BackendSpecError):
-            make_backend("symex<workers=nope>")
-
-    def test_parallel_flags_compose(self):
-        backend = make_backend(
-            "symex<workers=4,searcher=bfs,rewrite-equalities=off>")
-        assert backend.workers == 4
-        assert backend.searcher == "bfs"
-        assert backend.solver_config.rewrite_equalities is False
