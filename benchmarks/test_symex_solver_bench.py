@@ -22,7 +22,7 @@ import time
 
 from repro.frontend import compile_to_ir
 from repro.pipelines import CompileOptions, OptLevel, compile_source
-from repro.symex import Solver, SymexLimits, explore
+from repro.symex import Solver, SolverConfig, SymexLimits, explore
 from repro.workloads import WC_PROGRAM
 
 from conftest import TIMEOUT_SECONDS
@@ -126,12 +126,11 @@ def test_branch_heavy_exploration_time(benchmark):
 
 
 def test_optimized_solver_does_strictly_less_work_than_naive():
-    """The caching/independence/model-reuse stack must strictly reduce both
+    """The caching/model-reuse stack must strictly reduce both
     queries-per-branch and tried assignments against a naive configuration
     exploring the same program."""
     optimized_report = _explore()
-    naive_report = _explore(
-        solver=Solver(enable_cache=False, enable_independence=False))
+    naive_report = _explore(solver=Solver(config=SolverConfig(cache=False)))
 
     # Identical exploration results first: same paths, same branches.
     assert optimized_report.stats.total_paths == \

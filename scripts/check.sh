@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI-style gate: tier-1 tests, an IR-verified compile of every workload at
 # every level (PassManager verify_after_each=True, so the IR verifier runs
-# after each individual pass), and a fast benchmark smoke pass.
+# after each individual pass), a fast benchmark smoke pass, and perfbench's
+# own tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
@@ -114,7 +115,7 @@ PY
 
 echo
 echo "== solver differential-matrix smoke (reduced query counts) =="
-# Full counts (1200 queries + 8x500 matrix + 300 wide) stay the default
+# Full counts (1200 queries + 4x500 matrix + 300 wide) stay the default
 # for a plain `python -m pytest`; the gate runs the same matrix reduced.
 SOLVER_DIFFERENTIAL_QUERIES=120 \
 SOLVER_DIFFERENTIAL_MATRIX_QUERIES=60 \
@@ -170,6 +171,13 @@ echo "== benchmark smoke (compile pipeline + session sweep + solver hot path, no
 python -m pytest benchmarks/test_pipeline_compile_bench.py \
     benchmarks/test_session_bench.py \
     benchmarks/test_symex_solver_bench.py -q --benchmark-disable
+
+echo
+echo "== perfbench tests: the benchmark's own checks against src =="
+# perfbench wraps and reads src by name (ParallelExecutor.run,
+# session.parse, pass_names(), SolverStats fields); a rename or deletion
+# in src fails here before it breaks a benchmark run.
+python -m pytest perfbench/tests -q
 
 echo
 echo "check.sh: all gates passed"

@@ -85,9 +85,6 @@ class CFG:
     def predecessors(self, block: BasicBlock) -> List[BasicBlock]:
         return self.preds.get(block, [])
 
-    def is_reachable(self, block: BasicBlock) -> bool:
-        return id(block) in self._reachable_ids
-
     def reachable_ids(self) -> Set[int]:
         return set(self._reachable_ids)
 

@@ -99,19 +99,6 @@ class DominatorTree:
             runner = self.idom.get(runner)
         return False
 
-    def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates(a, b)
-
-    def dominated_by(self, block: BasicBlock) -> List[BasicBlock]:
-        """All blocks dominated by ``block`` (including itself), preorder."""
-        result: List[BasicBlock] = []
-        stack = [block]
-        while stack:
-            current = stack.pop()
-            result.append(current)
-            stack.extend(self.children.get(current, []))
-        return result
-
     def dominance_frontier(self) -> Dict[BasicBlock, Set[BasicBlock]]:
         """The dominance frontier of every reachable block."""
         frontier: Dict[BasicBlock, Set[BasicBlock]] = {

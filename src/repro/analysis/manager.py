@@ -323,16 +323,7 @@ class AnalysisManager:
             if self._function_cache.pop((name, fid), None) is not None:
                 self.stats.invalidations += 1
 
-    def invalidate_all(self) -> None:
-        self.stats.invalidations += \
-            len(self._function_cache) + len(self._module_cache)
-        self._function_cache.clear()
-        self._module_cache.clear()
-
     # ------------------------------------------------------------- queries
-    def cached_entry_count(self) -> int:
-        return len(self._function_cache) + len(self._module_cache)
-
     def is_cached(self, name: str, function: Optional[Function] = None) -> bool:
         """Whether a *currently valid* cache entry exists for ``name``."""
         if function is not None:

@@ -41,11 +41,6 @@ class Interval:
     def union(self, other: "Interval") -> "Interval":
         return Interval(min(self.low, other.low), max(self.high, other.high))
 
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        low = max(self.low, other.low)
-        high = min(self.high, other.high)
-        return Interval(low, high) if low <= high else None
-
     def __str__(self) -> str:
         return f"[{self.low}, {self.high}]"
 
@@ -194,11 +189,3 @@ class ValueRangeAnalysis:
     def range_of(self, value: Value) -> Optional[Interval]:
         """The computed interval for ``value`` (None for non-integers)."""
         return self._value_range(value)
-
-    def is_known_nonzero(self, value: Value) -> bool:
-        interval = self.range_of(value)
-        return interval is not None and interval.low > 0
-
-    def is_known_zero(self, value: Value) -> bool:
-        interval = self.range_of(value)
-        return interval is not None and interval.low == 0 and interval.high == 0

@@ -62,8 +62,7 @@ from .generator import GeneratorConfig, generate_program
 #: Solver with every switchable layer off — the reference implementation
 #: the optimized stack is differenced against (kept in sync with
 #: ``tests/test_solver_differential.py``).
-NAIVE_SOLVER_CONFIG = SolverConfig(
-    independence=False, cache=False, rewrite_equalities=False)
+NAIVE_SOLVER_CONFIG = SolverConfig(cache=False, rewrite_equalities=False)
 
 #: A deliberately lopsided mix: caches and the UBTree index on, equality
 #: rewriting off — catches bugs that only show when the layers interact.

@@ -9,7 +9,8 @@ Compilation goes through a :class:`~repro.pipelines.CompilerSession` (one
 per workload, shared across the levels of a sweep) and both measurement
 phases go through the :class:`~repro.verification.VerificationBackend`
 protocol — the verify phase via the configurable backend spec (default
-``symex``, searcher selectable by name), the run phase via ``interp``.
+``symex``, searcher selectable in the spec), the run phase via
+``interp``.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class ExperimentConfig:
     verification_libc: Optional[bool] = None
     #: Verification backend spec (``symex``, ``symex<searcher=bfs>``, ...).
     backend: str = "symex"
-    #: Search strategy for path-exploring backends (``dfs``/``bfs``/
-    #: ``random``); a searcher named in ``backend`` wins over this.
-    searcher: str = "dfs"
 
 
 @dataclass
@@ -65,7 +63,6 @@ class ExperimentResult:
     #: Which budget truncated verification ("timeout", "instructions",
     #: "paths", "forks"); "" when exploration finished.
     termination_reason: str = ""
-    transform_stats: Dict[str, int] = field(default_factory=dict)
     bug_signatures: frozenset = frozenset()
     return_value: Optional[int] = None
     #: Canonical spec of the backend that produced the verify phase.
@@ -105,7 +102,7 @@ def run_experiment(name: str, source: str, config: ExperimentConfig,
                                                  session=session)
 
     request = verification_request(config)
-    verifier = make_backend(config.backend, searcher=config.searcher)
+    verifier = make_backend(config.backend)
     verified = verifier.verify(compiled.module, request)
     concrete = make_backend("interp").verify(compiled.module, request)
 
@@ -123,7 +120,6 @@ def run_experiment(name: str, source: str, config: ExperimentConfig,
         timed_out=verified.timed_out,
         engine_errors=verified.engine_errors,
         termination_reason=verified.termination_reason,
-        transform_stats=compiled.stats.as_dict(),
         bug_signatures=verified.bug_signatures,
         return_value=concrete.return_value,
         verify_backend=verified.backend,

@@ -45,11 +45,6 @@ class ProgramOutcome:
         """Time gained by -OVERIFY over -O3 (positive when -OVERIFY wins)."""
         return self.total(OptLevel.O3) - self.total(OptLevel.OVERIFY)
 
-    @property
-    def speedup_over_o3(self) -> float:
-        overify = max(self.total(OptLevel.OVERIFY), 1e-9)
-        return self.total(OptLevel.O3) / overify
-
 
 @dataclass
 class Figure4:

@@ -105,12 +105,3 @@ class Memory:
 
     def load_int(self, address: int, size: int) -> int:
         return int.from_bytes(self.load_bytes(address, size), "little")
-
-    # -------------------------------------------------------------- stats
-    @property
-    def allocated_objects(self) -> int:
-        return len(self._objects)
-
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(obj.size for obj in self._objects)

@@ -43,20 +43,10 @@ class BasicBlock(Value):
                 break
         return result
 
-    def non_phi_instructions(self) -> List[Instruction]:
-        return [i for i in self.instructions if not isinstance(i, PhiInst)]
-
     @property
     def terminator(self) -> Optional[Instruction]:
         if self.instructions and self.instructions[-1].is_terminator:
             return self.instructions[-1]
-        return None
-
-    @property
-    def first_non_phi(self) -> Optional[Instruction]:
-        for inst in self.instructions:
-            if not isinstance(inst, PhiInst):
-                return inst
         return None
 
     # ------------------------------------------------------------- mutation

@@ -35,11 +35,6 @@ class IRBuilder:
         self.block = block
         self._insert_index = index
 
-    def set_insert_before(self, inst: Instruction) -> None:
-        assert inst.parent is not None
-        self.block = inst.parent
-        self._insert_index = inst.parent.instructions.index(inst)
-
     @property
     def function(self) -> Function:
         assert self.block is not None and self.block.parent is not None
@@ -59,10 +54,6 @@ class IRBuilder:
         return inst
 
     # ------------------------------------------------------------ constants
-    @staticmethod
-    def const_int(ty: IntType, value: int) -> ConstantInt:
-        return ConstantInt(ty, value)
-
     @staticmethod
     def true() -> ConstantInt:
         return ConstantInt(I1, 1)
@@ -214,10 +205,6 @@ class IRBuilder:
     # ------------------------------------------------------------ calls
     def call(self, callee: Function, args: Sequence[Value], name: str = "") -> Value:
         return self._insert(CallInst(callee, args, callee.return_type), name)
-
-    def call_indirect(self, callee: Value, args: Sequence[Value],
-                      return_type: Type, name: str = "") -> Value:
-        return self._insert(CallInst(callee, args, return_type), name)
 
     # ------------------------------------------------------------ control
     def br(self, target: BasicBlock) -> BranchInst:

@@ -109,39 +109,7 @@ class Function(Value):
         self._next_name_id += 1
         return f"{prefix}{self._next_name_id}"
 
-    def rename_locals(self) -> None:
-        """Give every block and instruction a unique, dense name.
-
-        Used by the printer so that textual IR is deterministic and by the
-        parser round-trip tests.
-        """
-        taken: Dict[str, int] = {}
-
-        def unique(base: str) -> str:
-            if base not in taken:
-                taken[base] = 0
-                return base
-            taken[base] += 1
-            return f"{base}.{taken[base]}"
-
-        for arg in self.arguments:
-            arg.name = unique(arg.name or "arg")
-        counter = 0
-        for block in self.blocks:
-            block.name = unique(block.name or f"bb{counter}")
-            counter += 1
-            for inst in block.instructions:
-                if not inst.type.is_void:
-                    inst.name = unique(inst.name or f"v{counter}")
-                    counter += 1
-
     # ------------------------------------------------------------- queries
-    def get_block(self, name: str) -> BasicBlock:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise KeyError(f"function {self.name} has no block '{name}'")
-
     def ref(self) -> str:
         return f"@{self.name}"
 

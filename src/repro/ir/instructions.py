@@ -88,15 +88,6 @@ class ICmpPredicate(enum.Enum):
     UGT = "ugt"
     UGE = "uge"
 
-    @property
-    def is_signed(self) -> bool:
-        return self in (ICmpPredicate.SLT, ICmpPredicate.SLE,
-                        ICmpPredicate.SGT, ICmpPredicate.SGE)
-
-    @property
-    def is_equality(self) -> bool:
-        return self in (ICmpPredicate.EQ, ICmpPredicate.NE)
-
     def inverse(self) -> "ICmpPredicate":
         """The predicate whose result is the logical negation of this one."""
         table = {
@@ -155,30 +146,8 @@ class Instruction(User):
         return self.opcode in BINARY_OPCODES
 
     @property
-    def is_cast(self) -> bool:
-        return self.opcode in CAST_OPCODES
-
-    @property
     def is_commutative(self) -> bool:
         return self.opcode in COMMUTATIVE_OPCODES
-
-    @property
-    def has_side_effects(self) -> bool:
-        """True if the instruction may write memory or affect control flow."""
-        if self.opcode in (Opcode.STORE, Opcode.RET, Opcode.BR, Opcode.SWITCH,
-                           Opcode.UNREACHABLE):
-            return True
-        if self.opcode is Opcode.CALL:
-            return True
-        return False
-
-    @property
-    def may_read_memory(self) -> bool:
-        return self.opcode in (Opcode.LOAD, Opcode.CALL)
-
-    @property
-    def may_write_memory(self) -> bool:
-        return self.opcode in (Opcode.STORE, Opcode.CALL)
 
     @property
     def function(self) -> Optional["Function"]:
@@ -198,11 +167,6 @@ class Instruction(User):
         if self.parent is not None:
             self.parent.remove_instruction(self)
         self.drop_all_references()
-
-    def remove_from_parent(self) -> None:
-        """Unlink from the containing block but keep operands."""
-        if self.parent is not None:
-            self.parent.remove_instruction(self)
 
     def clone(self) -> "Instruction":
         """Shallow clone: same opcode/type/operands, no parent."""

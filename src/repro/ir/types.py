@@ -148,12 +148,6 @@ class StructType(Type):
         inner = ", ".join(str(f) for f in self.fields)
         return f"%{self.name} = {{ {inner} }}" if self.name else f"{{ {inner} }}"
 
-    def short_str(self) -> str:
-        if self.name:
-            return f"%struct.{self.name}"
-        inner = ", ".join(str(f) for f in self.fields)
-        return f"{{ {inner} }}"
-
     def size_in_bytes(self) -> int:
         return sum(f.size_in_bytes() for f in self.fields)
 

@@ -65,12 +65,6 @@ class TransformStats:
     expressions_simplified: int = 0
     comparisons_canonicalized: int = 0
 
-    # Analysis-cache behaviour of the pipeline run (filled in by the pass
-    # manager from the analysis manager's counters).
-    analysis_cache_hits: int = 0
-    analysis_cache_misses: int = 0
-    analysis_invalidations: int = 0
-
     def merge(self, other: "TransformStats") -> None:
         for name in self.__dataclass_fields__:
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -246,7 +240,6 @@ class PassManager:
             return False
         cache = self.analyses.stats
         hits_before, misses_before = cache.hits, cache.misses
-        invalidations_before = cache.invalidations
         start = time.perf_counter()
         preserved = PreservedAnalyses.from_legacy(
             pass_.run_on_module(module, self.analyses))
@@ -261,10 +254,6 @@ class PassManager:
             analysis_cache_hits=hits, analysis_cache_misses=misses))
         self.stats.merge(pass_.stats)
         pass_.stats = TransformStats()
-        self.stats.analysis_cache_hits += hits
-        self.stats.analysis_cache_misses += misses
-        self.stats.analysis_invalidations += \
-            cache.invalidations - invalidations_before
 
         if self.verify_after_each:
             try:

@@ -66,7 +66,9 @@ def parse_opt_level(name: str) -> OptLevel:
 
 
 #: The scalar cleanup bundle run between the structural passes.
-CLEANUP = "constprop,instcombine,dce,simplifycfg"
+#: ``constprop`` is registered but not in it: ``instcombine`` runs the same
+#: ``fold_instruction`` first, on every instruction, to a local fixpoint.
+CLEANUP = "instcombine,dce,simplifycfg"
 
 #: The shared scalarization prefix of -O2, -O3 and -OVERIFY.  It opens with
 #: ``globaldce``: those levels end with it anyway, so pruning the functions
@@ -87,7 +89,7 @@ LEVEL_PIPELINES: Dict[OptLevel, str] = {
     OptLevel.O1: f"simplifycfg,mem2reg,sccp,{CLEANUP}",
 
     # -O2 runs the full scalar stack: SCCP prunes provably-untaken edges
-    # the constprop/simplifycfg pair cannot reach, load elimination feeds
+    # the instcombine/simplifycfg pair cannot reach, load elimination feeds
     # stored flags back into branch conditions, and the algebraic pass
     # canonicalizes/shrinks the compare chains so that even the modest
     # CPU-budget if-conversion (clang/gcc form selects for cheap diamonds

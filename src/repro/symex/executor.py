@@ -736,7 +736,7 @@ class SymbolicExecutor:
         # Only the constraint groups sharing variables with the condition can
         # affect the branch; disjoint groups are satisfiable by the state
         # invariant and drop out of the query.  The state's partition goes
-        # to the solver as-is, so no union-find re-derives it.
+        # to the solver as-is.
         # With fact pruning on, the cheap per-variable decision runs
         # first: when the unary facts decide the branch, the coupled
         # full-partition query — which may burn its whole assignment

@@ -164,10 +164,6 @@ class Expr:
     def is_true(self) -> bool:
         return self.op is ExprOp.CONST and self.width == 1 and self.value == 1
 
-    @property
-    def is_false(self) -> bool:
-        return self.op is ExprOp.CONST and self.width == 1 and self.value == 0
-
     def variables(self) -> FrozenSet[str]:
         """Names of the symbolic variables the expression depends on.
 

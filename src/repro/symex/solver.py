@@ -10,8 +10,10 @@ The solver combines, in order of increasing cost:
 2. an interval fast path that decides constraints whose truth value does not
    depend on the variables at all,
 3. independent-constraint decomposition (KLEE's ``--use-independent-solver``):
-   constraints are partitioned by shared variables so each group is solved
-   separately,
+   every query arrives as the variable-disjoint partition that
+   :meth:`repro.symex.state.ExecutionState.add_constraint` maintains, so
+   each group is solved separately; a query's extra constraints are solved
+   together with the groups that share their variables,
 4. a **UBTree (set-trie) counterexample index** over cached results: a
    cached UNSAT set that is a subset of the query proves it unsatisfiable, a
    cached SAT set that is a superset hands over its model, and models of
@@ -26,18 +28,18 @@ The solver combines, in order of increasing cost:
    enough to enumerate are searched concretely — a sound and (budget
    permitting) exact decision procedure,
 6. query caching (both full queries and per-group results, models included,
-   so :meth:`Solver.get_model` never re-solves a decided query).
+   so :meth:`Solver.model_for_partition` never re-solves a decided query).
 
-Branch feasibility uses :meth:`Solver.check_branch`, which shares work
-between the two sides of a fork: when one side is proved unsatisfiable, the
-other side follows from the satisfiability of the base path condition and
-needs no new query.
+Branch feasibility uses :meth:`Solver.check_branch_partition`, which shares
+work between the two sides of a fork: when one side is proved
+unsatisfiable, the other side follows from the satisfiability of the base
+path condition and needs no new query.
 
-Three layers sit behind :class:`SolverConfig` switches (default on):
-``independence``, ``cache`` and ``rewrite_equalities``.  They stay
-switchable because the differential tests and the fuzz oracle compare the
-default solver against a naive reference configuration that turns them
-off; ``make_backend("symex<rewrite-equalities=off>")`` reaches the rewriter
+Two layers sit behind :class:`SolverConfig` switches (default on):
+``cache`` and ``rewrite_equalities``.  They stay switchable because the
+differential tests and the fuzz oracle compare the default solver against
+a naive reference configuration that turns them off;
+``make_backend("symex<rewrite-equalities=off>")`` reaches the rewriter
 from the pipeline syntax.
 
 The solver is complete for the expression language as long as the search
@@ -50,12 +52,12 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..faults import SolverError, site as _fault_site
 from .expr import Expr, ExprOp, bounded_interval, mask, unsigned_interval
-from .simplify import const, not_expr
+from .simplify import not_expr
 from .ubtree import UBTree
 
 #: Fault site covering every top-level solver query (``docs/robustness.md``).
@@ -86,7 +88,6 @@ class SolverConfig:
     """
 
     max_assignments: int = 200_000
-    independence: bool = True
     cache: bool = True
     rewrite_equalities: bool = True
     #: Per-query wall-clock deadline in seconds (0 = none).  An expiring
@@ -112,7 +113,8 @@ class SolverStats:
     group_queries: int = 0
     #: Group queries answered by re-using a model from a previous SAT answer.
     model_cache_hits: int = 0
-    #: Two-sided branch feasibility checks (:meth:`Solver.check_branch`).
+    #: Two-sided branch feasibility checks
+    #: (:meth:`Solver.check_branch_partition`).
     branch_checks: int = 0
     #: Branch sides answered for free from the other side's UNSAT proof.
     branch_sides_free: int = 0
@@ -320,19 +322,9 @@ class SharedSolverCaches:
 class Solver:
     """A small, self-contained constraint solver for bitvector conjunctions."""
 
-    def __init__(self, max_assignments: Optional[int] = None,
-                 enable_independence: Optional[bool] = None,
-                 enable_cache: Optional[bool] = None,
-                 config: Optional[SolverConfig] = None,
+    def __init__(self, config: Optional[SolverConfig] = None,
                  shared: Optional[SharedSolverCaches] = None) -> None:
-        config = config or SolverConfig()
-        if max_assignments is not None:
-            config = replace(config, max_assignments=max_assignments)
-        if enable_independence is not None:
-            config = replace(config, independence=enable_independence)
-        if enable_cache is not None:
-            config = replace(config, cache=enable_cache)
-        self.config = config
+        self.config = config or SolverConfig()
         self.stats = SolverStats()
         #: Full-query result cache.  Private to this solver even under a
         #: shared cache set: full queries are path-shaped and rarely collide
@@ -358,105 +350,11 @@ class Solver:
         if self.config.query_deadline_seconds > 0.0:
             self._deadline = start + self.config.query_deadline_seconds
 
-    # The pre-SolverConfig attribute spellings, kept as read-only views so
-    # the flag state has a single source of truth (``self.config``).
-    @property
-    def max_assignments(self) -> int:
-        return self.config.max_assignments
-
-    @property
-    def enable_independence(self) -> bool:
-        return self.config.independence
-
-    @property
-    def enable_cache(self) -> bool:
-        """Gates all caching layers: the full-query cache, the per-group
-        cache, and the UBTree counterexample indices."""
-        return self.config.cache
-
     # ------------------------------------------------------------------ API
-    def check(self, constraints: Sequence[Expr]) -> SolverResult:
-        """Is the conjunction of ``constraints`` satisfiable?"""
-        start = time.perf_counter()
-        self.stats.queries += 1
-        self._begin_query(start)
-        if _SOLVER_CHECK.armed:
-            _SOLVER_CHECK.fire()
-        try:
-            return self._check(list(constraints))
-        finally:
-            self.stats.time_seconds += time.perf_counter() - start
-
-    def is_satisfiable(self, constraints: Sequence[Expr]) -> bool:
-        return self.check(constraints).satisfiable
-
-    def get_model(self, constraints: Sequence[Expr]) -> Optional[Dict[str, int]]:
-        """A satisfying assignment covering every variable in the query, or
-        None if the constraints are unsatisfiable."""
-        result = self.check(constraints)
-        if not result.satisfiable:
-            return None
-        if not result.exact or result.model is None:
-            # "Maybe satisfiable" (budget-exhausted) answers carry no
-            # trustworthy witness: independent groups that did decide may
-            # have contributed a partial model, but completing it would
-            # fabricate values for the undecided group's variables.
-            # Re-searching would deterministically repeat the same bounded
-            # search, so report "no witness" directly.
-            return None
-        # Constraints dropped by the interval fast path hold under *any*
-        # assignment, so completing with zeros keeps the model satisfying
-        # while covering every variable of the query.
-        completed = dict(result.model)
-        for constraint in constraints:
-            for name in constraint.variables():
-                if name not in completed:
-                    completed[name] = 0
-        return completed
-
-    def may_be_true(self, constraints: Sequence[Expr], condition: Expr) -> bool:
-        """Can ``condition`` be true under ``constraints``?"""
-        if condition.is_constant:
-            return bool(condition.value)
-        return self.is_satisfiable(list(constraints) + [condition])
-
-    def may_be_false(self, constraints: Sequence[Expr], condition: Expr) -> bool:
-        if condition.is_constant:
-            return not condition.value
-        return self.is_satisfiable(list(constraints) + [not_expr(condition)])
-
-    def check_branch(self, constraints: Sequence[Expr], condition: Expr,
-                     assume_base_satisfiable: bool = True
-                     ) -> Tuple[bool, bool]:
-        """Feasibility of both sides of a branch: ``(can_true, can_false)``.
-
-        Shares work between the two sides: if ``constraints + [condition]``
-        is proved unsatisfiable, every model of the base path condition makes
-        ``condition`` false, so the false side is exactly the satisfiability
-        of the base.  With ``assume_base_satisfiable`` (the executor's state
-        invariant: a state's path condition is satisfiable) that side costs
-        no query at all; otherwise the base is re-checked, which hits the
-        per-group caches.
-        """
-        if condition.is_constant:
-            truth = bool(condition.value)
-            return truth, not truth
-        self.stats.branch_checks += 1
-        base = list(constraints)
-        true_result = self.check(base + [condition])
-        if not true_result.satisfiable and true_result.exact:
-            self.stats.branch_sides_free += 1
-            if assume_base_satisfiable:
-                return False, True
-            return False, self.check(base).satisfiable
-        false_result = self.check(base + [not_expr(condition)])
-        return true_result.satisfiable, false_result.satisfiable
-
-    # ------------------------------------------------- partitioned queries
-    # The execution state already maintains its path condition as
-    # variable-disjoint groups; these entry points accept that partition
-    # directly, so the solver never re-derives it with a union-find.  The
-    # only coupling a query's extra constraints can introduce is between
+    # Every query arrives as the variable-disjoint partition the execution
+    # state already maintains (``ExecutionState.relevant_partition`` /
+    # ``full_partition``), so the solver never re-derives it.  The only
+    # coupling a query's extra constraints can introduce is between
     # themselves and the groups sharing their variables, which one pass of
     # set intersections finds.
 
@@ -522,7 +420,7 @@ class Solver:
         if not remaining_all:
             return SolverResult(True, model={})
         key = frozenset(remaining_all)
-        if self.enable_cache:
+        if self.config.cache:
             cached = self._cache.get(key)
             if cached is not None:
                 self.stats.cache_hits += 1
@@ -549,32 +447,36 @@ class Solver:
             result = self._solve_group(group)
             if not result.satisfiable:
                 final = SolverResult(False, exact=result.exact)
-                if self.enable_cache and result.exact:
+                if self.config.cache and result.exact:
                     self._cache[key] = final
                 return final
             exact &= result.exact
             if result.model:
                 combined_model.update(result.model)
         final = SolverResult(True, model=combined_model, exact=exact)
-        if self.enable_cache and exact:
+        if self.config.cache and exact:
             self._cache[key] = final
         return final
 
     def may_be_true_partition(self, varfree: Sequence[Expr],
                               groups: Sequence[Sequence[Expr]],
                               condition: Expr) -> bool:
-        """Partitioned :meth:`may_be_true`."""
+        """Can ``condition`` be true under ``varfree + groups``?"""
         if condition.is_constant:
             return bool(condition.value)
         return self.check_partition(varfree, groups, (condition,)).satisfiable
 
     def check_branch_partition(self, varfree: Sequence[Expr],
                                groups: Sequence[Sequence[Expr]],
-                               condition: Expr,
-                               assume_base_satisfiable: bool = True
-                               ) -> Tuple[bool, bool]:
-        """Partitioned :meth:`check_branch` (same work sharing between the
-        two sides of the fork)."""
+                               condition: Expr) -> Tuple[bool, bool]:
+        """Feasibility of both sides of a branch: ``(can_true, can_false)``.
+
+        Shares work between the two sides: if the base plus ``condition``
+        is proved unsatisfiable, every model of the base makes
+        ``condition`` false, so the false side is exactly the
+        satisfiability of the base, which the executor's state invariant
+        (a state's path condition is satisfiable) already guarantees: that
+        side costs no query at all."""
         if condition.is_constant:
             truth = bool(condition.value)
             return truth, not truth
@@ -582,9 +484,7 @@ class Solver:
         true_result = self.check_partition(varfree, groups, (condition,))
         if not true_result.satisfiable and true_result.exact:
             self.stats.branch_sides_free += 1
-            if assume_base_satisfiable:
-                return False, True
-            return False, self.check_partition(varfree, groups).satisfiable
+            return False, True
         false_result = self.check_partition(varfree, groups,
                                             (not_expr(condition),))
         return true_result.satisfiable, false_result.satisfiable
@@ -634,7 +534,7 @@ class Solver:
                             result.model is None:
                         return None
                     model = dict(result.model)
-                    if self.enable_cache:
+                    if self.config.cache:
                         with stripe.lock:
                             stripe.canonical_models[key] = model
                 completed.update(model)
@@ -650,15 +550,22 @@ class Solver:
     def model_for_partition(self, varfree: Sequence[Expr],
                             groups: Sequence[Sequence[Expr]]
                             ) -> Optional[Dict[str, int]]:
-        """Partitioned :meth:`get_model`: a satisfying assignment covering
-        every variable of the partition, or None.  Per-group results come
-        straight from the group caches, so a fully explored state's model
-        costs one dict union.  The model's identity may depend on cache
-        state; when the model feeds back into control flow, use
-        :meth:`concretization_model` instead."""
+        """A satisfying assignment covering every variable of the
+        partition, or None.  Per-group results come straight from the group
+        caches, so a fully explored state's model costs one dict union.
+        The model's identity may depend on cache state; when the model
+        feeds back into control flow, use :meth:`concretization_model`
+        instead."""
         result = self.check_partition(varfree, groups)
         if not result.satisfiable or not result.exact or result.model is None:
+            # "Maybe satisfiable" (budget-exhausted) answers carry no
+            # trustworthy witness: groups that did decide may have
+            # contributed a partial model, but completing it would
+            # fabricate values for the undecided group's variables.
             return None
+        # Constraints dropped by the interval fast path hold under *any*
+        # assignment, so completing with zeros keeps the model satisfying
+        # while covering every variable of the partition.
         completed = dict(result.model)
         for group in groups:
             for constraint in group:
@@ -667,103 +574,12 @@ class Solver:
                         completed[name] = 0
         return completed
 
-    # ------------------------------------------------------------ internals
-    def _check(self, constraints: List[Expr]) -> SolverResult:
-        # 1. Trivial filtering.
-        filtered: List[Expr] = []
-        for constraint in constraints:
-            if constraint.is_constant:
-                if constraint.value == 0:
-                    self.stats.fast_path_decisions += 1
-                    return SolverResult(False)
-                continue
-            filtered.append(constraint)
-        if not filtered:
-            return SolverResult(True, model={})
-
-        # 2. Interval fast path per constraint.
-        remaining: List[Expr] = []
-        for constraint in filtered:
-            low, high = unsigned_interval(constraint)
-            if high == 0:
-                self.stats.fast_path_decisions += 1
-                return SolverResult(False)
-            if low >= 1:
-                self.stats.fast_path_decisions += 1
-                continue
-            remaining.append(constraint)
-        if not remaining:
-            return SolverResult(True, model={})
-
-        # 3. Cache.
-        key = frozenset(remaining)
-        if self.enable_cache:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                return cached
-
-        result = self._solve_groups(remaining)
-        if self.enable_cache and result.exact:
-            self._cache[key] = result
-        return result
-
     # ------------------------------------------------------- group solving
-    def _solve_groups(self, constraints: List[Expr]) -> SolverResult:
-        groups = self._independent_groups(constraints) \
-            if self.enable_independence else [constraints]
-        combined_model: Dict[str, int] = {}
-        exact = True
-        for group in groups:
-            result = self._solve_group(group)
-            if not result.satisfiable:
-                return SolverResult(False, exact=result.exact)
-            exact &= result.exact
-            if result.model:
-                combined_model.update(result.model)
-        return SolverResult(True, model=combined_model, exact=exact)
-
-    def _independent_groups(self, constraints: List[Expr]) -> List[List[Expr]]:
-        """Partition constraints into groups that share no variables."""
-        parent: Dict[str, str] = {}
-
-        def find(name: str) -> str:
-            while parent.get(name, name) != name:
-                parent[name] = parent.get(parent[name], parent[name])
-                name = parent[name]
-            return name
-
-        def union(a: str, b: str) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for constraint in constraints:
-            names = sorted(constraint.variables())
-            for name in names:
-                parent.setdefault(name, name)
-            for a, b in zip(names, names[1:]):
-                union(a, b)
-
-        groups: Dict[str, List[Expr]] = {}
-        no_vars: List[Expr] = []
-        for constraint in constraints:
-            names = constraint.variables()
-            if not names:
-                no_vars.append(constraint)
-                continue
-            root = find(sorted(names)[0])
-            groups.setdefault(root, []).append(constraint)
-        result = list(groups.values())
-        if no_vars:
-            result.append(no_vars)
-        return result
-
     def _solve_group(self, constraints: List[Expr]) -> SolverResult:
         self.stats.group_queries += 1
         group_key = frozenset(constraints)
         stripe = self._shared.stripe_for(group_key)
-        if self.enable_cache:
+        if self.config.cache:
             with stripe.lock:
                 cached = stripe.group_cache.get(group_key)
                 if cached is not None:
@@ -787,7 +603,7 @@ class Solver:
         # the (rare) event of two threads racing on one group is cheaper
         # than serializing every colliding query behind it.
         result = self._solve_group_uncached(constraints)
-        if self.enable_cache and result.exact:
+        if self.config.cache and result.exact:
             with stripe.lock:
                 stripe.group_cache[group_key] = result
                 if not result.satisfiable:
@@ -909,7 +725,7 @@ class Solver:
         constraint_vars = [(c, c.variables()) for c in multi]
 
         assignment: Dict[str, int] = {}
-        budget = [self.max_assignments]
+        budget = [self.config.max_assignments]
         deadline = self._deadline
         deadline_hit = [False]
         if deadline and time.perf_counter() > deadline:
@@ -987,7 +803,7 @@ class Solver:
         strictly inside the interval.
         """
         box = {name: (0, mask(widths.get(name, 8))) for name in variables}
-        budget = [self.max_assignments]
+        budget = [self.config.max_assignments]
         splits = [BNP_MAX_SPLITS]
         exhausted = [False]
         deadline = self._deadline

@@ -1,12 +1,14 @@
 """Execution states of the symbolic executor.
 
 The path condition of a state is kept in two synchronized forms: the flat
-``constraints`` list (append order, used for reporting and full-model
-queries) and a partition into **variable-disjoint constraint groups**,
-maintained incrementally by :meth:`ExecutionState.add_constraint`.  A branch
-query only needs the groups that share variables with the branch condition
-(:meth:`relevant_constraints`), which keeps solver queries proportional to
-the coupled part of the path condition instead of its whole length.
+``constraints`` list (append order, used for reporting, unary facts and
+relcheck's seeding) and a partition into **variable-disjoint constraint
+groups**, maintained incrementally by :meth:`ExecutionState.add_constraint`.
+This is the one place independence is decided: the solver takes the
+partition as it is.  A branch query only needs the groups that share
+variables with the branch condition (:meth:`relevant_partition`), which
+keeps solver queries proportional to the coupled part of the path condition
+instead of its whole length.
 
 When ``rewrite_equalities`` is on (KLEE's ``--rewrite-equalities``,
 :class:`~repro.symex.solver.SolverConfig` flag), :meth:`add_constraint`
@@ -323,27 +325,16 @@ class ExecutionState:
         if stats is not None:
             stats.equality_rewrites += count
 
-    def relevant_constraints(self, expr: Expr) -> List[Expr]:
-        """The subset of the path condition that can influence ``expr``:
-        every group sharing a variable with it, plus variable-free
-        constraints.  Groups disjoint from ``expr`` cannot change the
-        satisfiability of a query about it (given the state invariant that
-        the path condition is satisfiable)."""
-        keys = {self._var_group[name] for name in expr.variables()
-                if name in self._var_group}
-        relevant: List[Expr] = list(self._varfree)
-        for key in sorted(keys):
-            relevant.extend(self._groups[key][1])
-        return relevant
-
     def relevant_partition(self, expr: Expr
                            ) -> Tuple[Tuple[Expr, ...],
                                       List[Tuple[Expr, ...]]]:
-        """Like :meth:`relevant_constraints`, but preserving the partition:
-        ``(variable-free constraints, [group, ...])``.  Feeding the solver
-        the partition the state already maintains lets it skip re-deriving
-        the independent groups with a union-find on every query
-        (:meth:`repro.symex.solver.Solver.check_branch_partition`)."""
+        """The part of the path condition that can influence ``expr``, as
+        ``(variable-free constraints, [group, ...])``: every group sharing a
+        variable with it, plus the variable-free constraints.  Groups
+        disjoint from ``expr`` cannot change the satisfiability of a query
+        about it (given the state invariant that the path condition is
+        satisfiable).  This is the input shape of
+        :meth:`repro.symex.solver.Solver.check_branch_partition`."""
         keys = {self._var_group[name] for name in expr.variables()
                 if name in self._var_group}
         return self._varfree, [self._groups[key][1] for key in sorted(keys)]

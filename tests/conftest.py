@@ -8,6 +8,7 @@ from repro.frontend import compile_to_ir
 from repro.interp import Interpreter, run_module
 from repro.passes import PassManager
 from repro.pipelines import CompileOptions, OptLevel, compile_source
+from repro.symex import ExecutionState
 
 
 def compile_snippet(source: str):
@@ -97,3 +98,19 @@ def assert_same_behaviour(source: str, passes, name: str, argument_sets):
     assert [run_ir_function(module, name, args)
             for args in argument_sets] == expected
     return module, manager
+
+
+# ------------------------------------------------------- solver helpers
+
+def as_partition(constraints):
+    """A flat constraint list as the query the engine would ask about it.
+
+    The constraints go through ``ExecutionState.add_constraint`` (equality
+    rewriting off), which splits them into variable-disjoint groups, and
+    come back as the state's ``full_partition()``: the
+    ``(variable-free constraints, [group, ...])`` pair that
+    ``Solver.check_partition`` and ``Solver.model_for_partition`` take."""
+    state = ExecutionState(rewrite_equalities=False)
+    for constraint in constraints:
+        state.add_constraint(constraint)
+    return state.full_partition()

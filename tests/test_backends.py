@@ -151,7 +151,8 @@ class TestExperimentHarness:
     def test_run_experiment_with_named_searcher(self):
         source = get_workload("echo").source
         config = ExperimentConfig(level=OptLevel.O0, symbolic_input_bytes=2,
-                                  timeout_seconds=30.0, searcher="bfs")
+                                  timeout_seconds=30.0,
+                                  backend="symex<searcher=bfs>")
         result = run_experiment("echo", source, config)
         assert result.verify_backend == "symex<searcher=bfs>"
         assert result.paths > 0
@@ -162,7 +163,8 @@ class TestExperimentHarness:
         # level's experiment.
         source = get_workload("echo").source
         base = ExperimentConfig(level=OptLevel.O0, symbolic_input_bytes=2,
-                                timeout_seconds=30.0, searcher="bfs")
+                                timeout_seconds=30.0,
+                                backend="symex<searcher=bfs>")
         results = run_level_sweep("echo", source,
                                   [OptLevel.O0, OptLevel.O2], base)
         assert set(results) == {OptLevel.O0, OptLevel.O2}

@@ -155,8 +155,8 @@ def test_solver_matrix_holds_distinct_configs():
                                   in OracleConfig().solver_matrix]
     assert len(configs) == 3
     assert all(a != b for a, b in itertools.combinations(configs, 2))
-    assert NAIVE_SOLVER_CONFIG == SolverConfig(
-        independence=False, cache=False, rewrite_equalities=False)
+    assert NAIVE_SOLVER_CONFIG == SolverConfig(cache=False,
+                                               rewrite_equalities=False)
 
 
 def test_solver_matrix_family_clean_on_clean_seed():

@@ -3,13 +3,14 @@
 
 import pytest
 
+from conftest import as_partition
 from repro.frontend import compile_to_ir
 from repro.interp import ErrorKind, Interpreter, Memory, ProgramError, run_module
 from repro.pipelines import CompileOptions, OptLevel, compile_source
 from repro.symex import (
-    BFSSearcher, DFSSearcher, ExprOp, RandomSearcher, Solver, SymbolicMemory,
-    SymexLimits, binary, const, explore, ite, not_expr, sext, trunc,
-    unsigned_interval, var, zext,
+    BFSSearcher, DFSSearcher, ExecutionState, ExprOp, RandomSearcher, Solver,
+    SymbolicMemory, SymexLimits, binary, const, explore, ite, not_expr, sext,
+    trunc, unsigned_interval, var, zext,
 )
 
 
@@ -186,10 +187,12 @@ class TestSolver:
     def test_simple_sat_and_unsat(self):
         x = var(8, "x")
         solver = Solver()
-        sat = solver.check([binary(ExprOp.EQ, x, const(8, 65))])
+        sat = solver.check_partition(
+            *as_partition([binary(ExprOp.EQ, x, const(8, 65))]))
         assert sat.satisfiable
-        unsat = solver.check([binary(ExprOp.EQ, x, const(8, 65)),
-                              binary(ExprOp.EQ, x, const(8, 66))])
+        unsat = solver.check_partition(
+            *as_partition([binary(ExprOp.EQ, x, const(8, 65)),
+                           binary(ExprOp.EQ, x, const(8, 66))]))
         assert not unsat.satisfiable
 
     def test_model_satisfies_constraints(self):
@@ -198,60 +201,83 @@ class TestSolver:
             binary(ExprOp.ULT, x, const(8, 10)),
             binary(ExprOp.EQ, binary(ExprOp.ADD, x, y), const(8, 200)),
         ]
-        model = Solver().get_model(constraints)
+        model = Solver().model_for_partition(*as_partition(constraints))
         assert model is not None
         assert all(c.evaluate(model) == 1 for c in constraints)
 
-    def test_independent_groups_solved_separately(self):
+    def test_disjoint_groups_solved_separately(self):
         solver = Solver()
-        constraints = [binary(ExprOp.EQ, var(8, f"v{i}"), const(8, i))
-                       for i in range(12)]
-        result = solver.check(constraints)
+        state = ExecutionState()
+        for i in range(12):
+            state.add_constraint(
+                binary(ExprOp.EQ, var(8, f"v{i}"), const(8, i)))
+        varfree, groups = state.full_partition()
+        assert len(groups) == 12
+        result = solver.check_partition(varfree, groups)
         assert result.satisfiable
-        model = solver.get_model(constraints)
+        assert solver.stats.group_queries == 12
+        model = solver.model_for_partition(varfree, groups)
         assert model["v7"] == 7
+
+    def test_extras_are_solved_with_the_groups_sharing_their_variables(self):
+        x, y = var(8, "x"), var(8, "y")
+        solver = Solver()
+        varfree, groups = as_partition([binary(ExprOp.EQ, x, const(8, 5)),
+                                        binary(ExprOp.ULT, y, const(8, 3))])
+        # x == 7 contradicts the x group only: solved alone it is SAT.
+        assert not solver.check_partition(
+            varfree, groups, (binary(ExprOp.EQ, x, const(8, 7)),)).satisfiable
+        # The y group shares no variable with the extra: one group query
+        # for it, one for the x group joined with the extra.
+        before = solver.stats.group_queries
+        assert solver.check_partition(
+            varfree, groups, (binary(ExprOp.ULT, x, const(8, 9)),)).satisfiable
+        assert solver.stats.group_queries == before + 2
+
+    def test_unsatisfiable_partition_has_no_model(self):
+        x = var(8, "x")
+        solver = Solver()
+        contradiction = as_partition([binary(ExprOp.EQ, x, const(8, 1)),
+                                      binary(ExprOp.EQ, x, const(8, 2))])
+        literal_false = as_partition([const(1, 0)])
+        for varfree, groups in (contradiction, literal_false):
+            assert not solver.check_partition(varfree, groups).satisfiable
+            assert solver.model_for_partition(varfree, groups) is None
+            assert solver.concretization_model(varfree, groups) is None
 
     def test_may_be_true_and_false(self):
         x = var(8, "x")
         solver = Solver()
         cond = binary(ExprOp.ULT, x, const(8, 128))
-        assert solver.may_be_true([], cond)
-        assert solver.may_be_false([], cond)
-        pinned = [binary(ExprOp.EQ, x, const(8, 5))]
-        assert solver.may_be_true(pinned, cond)
-        assert not solver.may_be_false(pinned, cond)
+        assert solver.may_be_true_partition((), [], cond)
+        assert solver.may_be_true_partition((), [], not_expr(cond))
+        pinned = as_partition([binary(ExprOp.EQ, x, const(8, 5))])
+        assert solver.may_be_true_partition(*pinned, cond)
+        assert not solver.may_be_true_partition(*pinned, not_expr(cond))
 
     def test_cache_hits_on_repeated_queries(self):
         x = var(8, "x")
         solver = Solver()
         constraint = binary(ExprOp.ULT, binary(ExprOp.AND, x, const(8, 0x0F)),
                             const(8, 3))
-        solver.check([constraint])
+        solver.check_partition(*as_partition([constraint]))
         before = solver.stats.cache_hits
-        solver.check([constraint])
+        solver.check_partition(*as_partition([constraint]))
         assert solver.stats.cache_hits > before
 
     def test_fast_path_avoids_search_for_decided_constraints(self):
         x = var(8, "x")
         solver = Solver()
         tautology = binary(ExprOp.ULE, zext(x, 32), const(32, 255))
-        solver.check([tautology])
+        solver.check_partition(*as_partition([tautology]))
         assert solver.stats.fast_path_decisions >= 1
         assert solver.stats.csp_searches == 0
 
     def test_signed_constraints(self):
         x = var(8, "x")
         negative = binary(ExprOp.SLT, x, const(8, 0))
-        model = Solver().get_model([negative])
+        model = Solver().model_for_partition(*as_partition([negative]))
         assert model is not None and model["x"] >= 0x80
-
-    def test_disabled_independence_still_correct(self):
-        x, y = var(8, "x"), var(8, "y")
-        solver = Solver(enable_independence=False)
-        constraints = [binary(ExprOp.EQ, x, const(8, 3)),
-                       binary(ExprOp.ULT, y, const(8, 2))]
-        model = solver.get_model(constraints)
-        assert model["x"] == 3 and model["y"] < 2
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.symex.expr import ExprOp
 from repro.verification import VerificationRequest, make_backend
 from repro.workloads import get_workload
 
-from conftest import compile_workload_module
+from conftest import as_partition, compile_workload_module
 
 LIMITS_KW = dict(timeout_seconds=120.0)
 
@@ -252,9 +252,9 @@ class TestSharedSolverCaches:
         shared = SharedSolverCaches(num_stripes=4)
         first = Solver(config=SolverConfig(), shared=shared)
         second = Solver(config=SolverConfig(), shared=shared)
-        assert first.check(self._query()).satisfiable
+        assert first.check_partition(*as_partition(self._query())).satisfiable
         searches_before = second.stats.csp_searches
-        assert second.check(self._query()).satisfiable
+        assert second.check_partition(*as_partition(self._query())).satisfiable
         # The second worker answered from the shared stripe: no search.
         assert second.stats.csp_searches == searches_before
         assert second.stats.cache_hits >= 1
@@ -278,7 +278,7 @@ class TestSharedSolverCaches:
         # satisfies the group: the reuse layers would return it.
         superset = [binary(ExprOp.ULT, const(8, 3), x),
                     binary(ExprOp.ULT, const(8, 100), x)]
-        assert warm.check(superset).satisfiable
+        assert warm.check_partition(*as_partition(superset)).satisfiable
         reused = warm.model_for_partition((), [tuple(superset)])
         assert reused is not None and reused["concrete_x"] > 100
         assert warm.concretization_model((), [group]) == baseline
@@ -288,10 +288,10 @@ class TestSharedSolverCaches:
     def test_private_solver_unaffected_by_shared(self):
         shared = SharedSolverCaches(num_stripes=2)
         warm = Solver(shared=shared)
-        assert warm.check(self._query()).satisfiable
+        assert warm.check_partition(*as_partition(self._query())).satisfiable
         cold = Solver()
         before = cold.stats.csp_searches
-        assert cold.check(self._query()).satisfiable
+        assert cold.check_partition(*as_partition(self._query())).satisfiable
         assert cold.stats.csp_searches == before + 1
 
 

@@ -3,7 +3,8 @@
 -O2, -O3 and -OVERIFY open with ``globaldce`` (functions the roots cannot
 reach are never optimized), and the pass manager skips a pass run when the
 same pass spec last ran without a change and nothing has changed since.
-Neither may change what a compile produces.  Four layers of coverage:
+Neither may change what a compile produces, and neither may leaving
+``constprop`` out of the ``CLEANUP`` bundle.  Five layers of coverage:
 
 1. **IR identity** — a test-local reference driver runs the loop without
    either saver: every pass of the level spec except the leading
@@ -19,6 +20,9 @@ Neither may change what a compile produces.  Four layers of coverage:
    entry, and that nothing carries over between compiles.
 4. **Deterministic IR text** — mem2reg's phi placement no longer follows
    memory addresses, so the printed module is the same in every process.
+5. **No constprop in CLEANUP** — ``instcombine`` runs the same folding
+   first, so putting ``constprop`` back at the head of every bundle must
+   print the same module (the no-silent-change program set).
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from repro.analysis import AnalysisManager, PreservedAnalyses
 from repro.frontend import analyze, compile_to_ir, lower, parse
 from repro.fuzz import generate_program
 from repro.ir import print_module
-from repro.passes import Pass, build_passes
+from repro.passes import Pass, build_passes, parse_pipeline
 from repro.pipelines import (
-    LEVEL_MAX_ITERATIONS, CompileOptions, CompilerSession, OptLevel,
-    build_pipeline_from_text, level_spec, link_sources, with_entry_points,
+    CLEANUP, LEVEL_MAX_ITERATIONS, LEVEL_PIPELINES, CompileOptions,
+    CompilerSession, OptLevel, build_pipeline_from_text, level_spec,
+    link_sources, with_entry_points,
 )
 from repro.workloads import get_workload, workload_names
 
@@ -127,6 +132,25 @@ def test_fuzz_output_matches_reference_driver(seed):
     for level, text in session_outputs(source).items():
         assert text == reference_compile(source, level), \
             f"fuzz seed {seed} {level}: output differs"
+
+
+def _with_constprop(level: OptLevel):
+    """The level's passes with ``constprop`` at the head of every
+    ``CLEANUP`` bundle."""
+    text = LEVEL_PIPELINES[level].replace(CLEANUP, f"constprop,{CLEANUP}")
+    return build_passes(with_entry_points(parse_pipeline(text), {"main"}))
+
+
+@pytest.mark.parametrize("name", ORACLE_PROGRAMS)
+def test_constprop_in_cleanup_changes_no_output(name):
+    """``instcombine`` runs constprop's ``fold_instruction`` first, so
+    putting constprop back into ``CLEANUP`` must not change a module."""
+    source = get_workload(name).source
+    for level, text in session_outputs(source).items():
+        module = _lowered(source, level)
+        _drive(module, _with_constprop(level), LEVEL_MAX_ITERATIONS[level])
+        assert print_module(module) == text, \
+            f"{name} {level}: constprop in CLEANUP changes the output"
 
 
 def test_early_prune_leaves_only_reachable_functions_to_optimize():

@@ -10,6 +10,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import as_partition
 from repro.interp import run_module
 from repro.pipelines import CompileOptions, OptLevel, compile_source
 from repro.symex import ExprOp, Solver, binary, const, ite, not_expr, var, zext
@@ -93,7 +94,7 @@ def test_solver_models_satisfy_constraints(constraints):
     width1 = [binary(ExprOp.NE, c, const(c.width, 0)) if c.width != 1 else c
               for c in constraints]
     solver = Solver()
-    result = solver.check(width1)
+    result = solver.check_partition(*as_partition(width1))
     if result.satisfiable and result.model is not None:
         model = dict(result.model)
         for name in ("x", "y"):

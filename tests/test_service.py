@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from conftest import as_partition
 from repro.pipelines import (
     CompileOptions, CompilerSession, OptLevel, parse_opt_level,
 )
@@ -27,7 +28,7 @@ from repro.workloads import get_workload
 def _contradiction_with_padding():
     """Two directly contradictory constraints buried in satisfiable
     padding.  The padding shares variable ``in0`` with the contradiction
-    so independence decomposition keeps everything in one constraint
+    so the state's group partition keeps everything in one constraint
     group."""
     a, b, c = var(8, "in0"), var(8, "in1"), var(8, "in2")
     core = [binary(ExprOp.EQ, a, const(8, 1)),
@@ -45,13 +46,13 @@ def test_unsat_group_is_indexed_as_solved():
     core, padding = _contradiction_with_padding()
     group = padding[:1] + core + padding[1:]
     solver = Solver()
-    assert not solver.check(group).satisfiable
+    assert not solver.check_partition(*as_partition(group)).satisfiable
     assert solver.stats.cores_minimized == 0
     unsat_index = solver._shared.stripes[0].unsat_index
     assert len(unsat_index) == 1 and unsat_index.contains(group)
     fresh = [binary(ExprOp.EQ, var(8, "in1"), const(8, 77))] + group
     hits_before = solver.stats.ubtree_hits
-    assert not solver.check(fresh).satisfiable
+    assert not solver.check_partition(*as_partition(fresh)).satisfiable
     assert solver.stats.ubtree_hits == hits_before + 1
 
 
@@ -63,13 +64,13 @@ def test_unsat_index_hit_costs_no_search():
     group = padding[:1] + core + padding[1:]
     fresh = [binary(ExprOp.EQ, var(8, "in1"), const(8, 77))] + group
     solver = Solver()
-    assert not solver.check(group).satisfiable
+    assert not solver.check_partition(*as_partition(group)).satisfiable
     searched = (solver.stats.csp_searches, solver.stats.assignments_tried)
-    assert not solver.check(fresh).satisfiable
+    assert not solver.check_partition(*as_partition(fresh)).satisfiable
     assert (solver.stats.csp_searches,
             solver.stats.assignments_tried) == searched
     uncached = Solver(config=SolverConfig(cache=False))
-    assert not uncached.check(fresh).satisfiable
+    assert not uncached.check_partition(*as_partition(fresh)).satisfiable
     assert uncached.stats.csp_searches > 0
 
 
@@ -89,8 +90,8 @@ def test_unsat_index_verdicts_match_uncached():
                         var(8, rng.choice(names)),
                         const(8, rng.randrange(256)))
                  for _ in range(rng.randrange(2, 6))]
-        assert indexed.check(group).satisfiable == \
-            plain.check(group).satisfiable
+        assert indexed.check_partition(*as_partition(group)).satisfiable == \
+            plain.check_partition(*as_partition(group)).satisfiable
     assert indexed.stats.ubtree_hits > 0
     assert indexed.stats.cores_minimized == 0
 

@@ -36,6 +36,7 @@ import threading
 
 import pytest
 
+from conftest import as_partition
 from repro.pipelines import CompileOptions, CompilerSession, OptLevel
 from repro.service.store import (
     FORMAT_NAME, FORMAT_VERSION, SolverKnowledgeStore, WireError,
@@ -173,9 +174,11 @@ def test_store_round_trip(tmp_path):
     assert loaded.prime(caches) == 5  # 2 groups + sat + unsat + canonical
     solver = Solver(shared=caches)
     a = var(8, "in0")
-    assert solver.check([binary(ExprOp.ULT, a, const(8, 10))]).satisfiable
-    assert not solver.check([binary(ExprOp.EQ, a, const(8, 1)),
-                             binary(ExprOp.EQ, a, const(8, 2))]).satisfiable
+    assert solver.check_partition(
+        *as_partition([binary(ExprOp.ULT, a, const(8, 10))])).satisfiable
+    assert not solver.check_partition(
+        *as_partition([binary(ExprOp.EQ, a, const(8, 1)),
+                       binary(ExprOp.EQ, a, const(8, 2))])).satisfiable
     assert solver.stats.store_hits == 2
 
 

@@ -1,15 +1,23 @@
 """Randomized differential tests for the solver's optimization layers.
 
-Two generations of machinery are locked down here:
+Every optimized-side query goes through the path the engine's verdicts
+use: the constraints are added to an ``ExecutionState``, which splits them
+into variable-disjoint groups, and the query is answered by the
+partitioned entry points (``check_partition``, ``check_branch_partition``,
+``model_for_partition``).  The reference is a naive configuration (caches
+and equality rewriting off) that solves the whole query as one group, so
+no grouping decision of the optimized side is taken on trust.
 
-* the PR 3 layers (caching, independence decomposition, model reuse,
-  interning) via a long-lived optimized solver checked against a fresh
-  cache-free naive configuration on >= 1,000 generated queries;
+Three families of checks:
+
+* the PR 3 layers (caching, group decomposition, model reuse, interning)
+  via a long-lived optimized solver checked against the naive reference on
+  >= 1,000 generated queries, plus two-sided branch queries;
 * the switchable layers via a **feature-flag matrix**: every on/off
-  combination of {independence, cache, rewrite-equalities} answers the
-  same >= 500 randomized queries and must produce the naive
-  configuration's verdict bit for bit, with every returned model
-  re-checked by substitution into the *original* (unrewritten) query;
+  combination of {cache, rewrite-equalities} answers the same >= 500
+  randomized queries and must produce the naive verdict bit for bit, with
+  every returned model re-checked by substitution into the *original*
+  (unrewritten) query;
 * branch-and-prune separately against an analytic ground truth on wide
   (>16-bit) variable queries.
 
@@ -26,6 +34,7 @@ import random
 
 import pytest
 
+from conftest import as_partition
 from repro.symex import (
     ExecutionState, ExprOp, Solver, SolverConfig, binary, const, not_expr,
     var,
@@ -38,8 +47,14 @@ WIDE_QUERY_COUNT = int(
     os.environ.get("SOLVER_DIFFERENTIAL_WIDE_QUERIES", "300"))
 
 #: Every switchable layer off: the trusted baseline configuration.
-NAIVE_CONFIG = SolverConfig(independence=False, cache=False,
-                            rewrite_equalities=False)
+NAIVE_CONFIG = SolverConfig(cache=False, rewrite_equalities=False)
+
+
+def _naive(query):
+    """The reference verdict: the whole query as one group, solved by a
+    fresh solver with every switchable layer off."""
+    return Solver(config=NAIVE_CONFIG).check_partition((), [tuple(query)])
+
 
 _COMPARISONS = [ExprOp.EQ, ExprOp.NE, ExprOp.ULT, ExprOp.ULE,
                 ExprOp.SLT, ExprOp.SLE]
@@ -84,6 +99,10 @@ def _random_query(rng):
 
 
 def test_optimized_solver_agrees_with_naive_on_random_queries():
+    """Each query is asked the way the engine asks about a path: all but
+    its last constraint form the state's partition and the last one is the
+    query's extra constraint, which the solver must join with the groups
+    sharing its variables."""
     rng = random.Random(20260729)
     optimized = Solver()  # long-lived: caches stay warm across queries
     queries = []
@@ -103,16 +122,16 @@ def test_optimized_solver_agrees_with_naive_on_random_queries():
     assert len(queries) >= QUERY_COUNT
     disagreements = []
     for index, query in enumerate(queries):
-        fast = optimized.check(query)
-        naive = Solver(enable_cache=False, enable_independence=False)
-        slow = naive.check(query)
+        fast = optimized.check_partition(*as_partition(query[:-1]),
+                                         query[-1:])
+        slow = _naive(query)
         assert fast.exact and slow.exact, \
             "differential queries must stay within the search budget"
         if fast.satisfiable != slow.satisfiable:
             disagreements.append((index, query, fast.satisfiable,
                                   slow.satisfiable))
         if fast.satisfiable:
-            model = optimized.get_model(query)
+            model = optimized.model_for_partition(*as_partition(query))
             assert model is not None
             assert all(c.evaluate(model) == 1 for c in query), \
                 (index, [c.render() for c in query], model)
@@ -126,21 +145,29 @@ def test_optimized_solver_agrees_with_naive_on_random_queries():
 
 
 def test_differential_may_be_true_false_and_branches():
-    """The branch primitive agrees with two independent naive queries."""
+    """The branch primitives, on the relevant part of a state's partition,
+    agree with two one-group naive queries."""
     rng = random.Random(1337)
     optimized = Solver()
+    compared = 0
     for index in range(300):
         constraints = _random_query(rng)
         condition = _random_constraint(rng, ["x", "y"])
-        naive = Solver(enable_cache=False, enable_independence=False)
-        base_sat = naive.check(constraints).satisfiable
-        if not base_sat:
-            continue  # check_branch assumes a satisfiable base
-        expected = (naive.may_be_true(constraints, condition),
-                    naive.may_be_false(constraints, condition))
-        got = optimized.check_branch(constraints, condition)
+        if not _naive(constraints).satisfiable:
+            continue  # the engine only branches on satisfiable states
+        compared += 1
+        expected = (_naive(constraints + [condition]).satisfiable,
+                    _naive(constraints + [not_expr(condition)]).satisfiable)
+        _, state = _rewrite_through_state(constraints, False)
+        partition = state.relevant_partition(condition)
+        got = optimized.check_branch_partition(*partition, condition)
         assert got == expected, (index, [c.render() for c in constraints],
                                  condition.render())
+        assert (optimized.may_be_true_partition(*partition, condition),
+                optimized.may_be_true_partition(
+                    *partition, not_expr(condition))) == expected, index
+    assert compared > 100
+    assert optimized.stats.branch_sides_free > 0
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +204,9 @@ def matrix_baseline():
     """The shared query list plus the naive configuration's verdicts."""
     rng = random.Random(0xB5EED)
     queries = _matrix_queries(rng)
-    naive = Solver(config=NAIVE_CONFIG)
     verdicts = []
     for query in queries:
-        result = naive.check(query)
+        result = _naive(query)
         assert result.exact, "matrix queries must stay within the budget"
         verdicts.append(result.satisfiable)
     return queries, verdicts
@@ -188,7 +214,8 @@ def matrix_baseline():
 
 def _rewrite_through_state(query, enabled):
     """Route a query through ``ExecutionState.add_constraint`` (where
-    equality rewriting lives) and return the resulting path condition."""
+    equality rewriting and the group partition live) and return the
+    resulting path condition and the state."""
     state = ExecutionState(rewrite_equalities=enabled)
     for constraint in query:
         state.add_constraint(constraint)
@@ -196,29 +223,29 @@ def _rewrite_through_state(query, enabled):
 
 
 @pytest.mark.parametrize(
-    "independence,cache,rewrite",
-    list(itertools.product([False, True], repeat=3)),
+    "cache,rewrite",
+    list(itertools.product([False, True], repeat=2)),
     ids=lambda flag: {True: "on", False: "off"}[flag])
-def test_feature_flag_matrix_agrees_with_naive(matrix_baseline, independence,
-                                               cache, rewrite):
-    """Each of the 8 flag combinations answers every query with the naive
-    verdict, and every SAT model — produced from the *rewritten* constraint
-    set — satisfies the *original* query by substitution."""
+def test_feature_flag_matrix_agrees_with_naive(matrix_baseline, cache,
+                                               rewrite):
+    """Each of the 4 flag combinations answers every query with the naive
+    verdict, and every SAT model — produced from the *rewritten* state's
+    partition — satisfies the *original* query by substitution."""
     queries, verdicts = matrix_baseline
     assert len(queries) >= MATRIX_QUERY_COUNT
-    solver = Solver(config=SolverConfig(
-        independence=independence, cache=cache, rewrite_equalities=rewrite))
+    solver = Solver(config=SolverConfig(cache=cache,
+                                        rewrite_equalities=rewrite))
     mismatches = []
     for index, (query, expected) in enumerate(zip(queries, verdicts)):
-        effective, _ = _rewrite_through_state(query, rewrite)
-        result = solver.check(effective)
+        effective, state = _rewrite_through_state(query, rewrite)
+        result = solver.check_partition(*state.full_partition())
         assert result.exact, (index, [c.render() for c in effective])
         if result.satisfiable != expected:
             mismatches.append((index, [c.render() for c in query],
                                result.satisfiable, expected))
             continue
         if result.satisfiable:
-            model = solver.get_model(effective)
+            model = solver.model_for_partition(*state.full_partition())
             assert model is not None, (index, [c.render() for c in query])
             variables = set().union(*(c.variables() for c in query))
             completed = {name: model.get(name, 0) for name in variables}
@@ -234,9 +261,9 @@ def test_matrix_full_configuration_exercises_all_layers(matrix_baseline):
     solver = Solver()
     rewrites = 0
     for query in queries:
-        effective, state = _rewrite_through_state(query, True)
+        _, state = _rewrite_through_state(query, True)
         rewrites += state.rewrites_applied
-        solver.check(effective)
+        solver.check_partition(*state.full_partition())
     assert solver.stats.ubtree_hits > 0
     assert solver.stats.ubtree_misses > 0
     assert rewrites > 0
@@ -297,13 +324,13 @@ def test_branch_and_prune_is_exact_on_wide_queries():
         query, constants = _random_wide_query(rng)
         expected, witness = _wide_ground_truth(query, constants)
         solver = Solver(config=SolverConfig(cache=False))
-        result = solver.check(query)
+        result = solver.check_partition(*as_partition(query))
         assert result.exact, \
             (index, [c.render() for c in query], "budget exhausted")
         assert result.satisfiable == expected, \
             (index, [c.render() for c in query], witness)
         if expected:
-            model = solver.get_model(query)
+            model = solver.model_for_partition(*as_partition(query))
             assert model is not None
             assert all(c.evaluate(model) == 1 for c in query), \
                 (index, [c.render() for c in query], model)
@@ -319,6 +346,6 @@ def test_branch_and_prune_budget_exhaustion_stays_conservative():
     hard = [binary(ExprOp.EQ, binary(ExprOp.MUL, w, w),
                    const(_WIDE_WIDTH, 12345))]
     solver = Solver(config=SolverConfig(cache=False))
-    result = solver.check(hard)
+    result = solver.check_partition(*as_partition(hard))
     assert result.satisfiable or not result.exact
     assert solver.stats.prune_splits > 0

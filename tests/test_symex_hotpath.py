@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import as_partition
 from repro.frontend import compile_to_ir
 from repro.symex import (
     ExecutionState, Expr, ExprOp, Solver, SolverConfig, SolverStats,
@@ -248,16 +249,18 @@ class TestConstraintGroups:
                 vars_b = frozenset().union(*(c.variables() for c in b))
                 assert not (vars_a & vars_b)
 
-    def test_relevant_constraints_selects_touching_groups_only(self):
+    def test_relevant_partition_selects_touching_groups_only(self):
         cx, cy, cxz = self._constraints()
         state = ExecutionState()
         for c in (cx, cy, cxz):
             state.add_constraint(c)
         condition = binary(ExprOp.EQ, var(8, "z"), const(8, 1))
-        relevant = state.relevant_constraints(condition)
-        assert set(map(id, relevant)) == {id(cx), id(cxz)}
+        varfree, groups = state.relevant_partition(condition)
+        assert varfree == ()
+        assert [set(map(id, group)) for group in groups] == \
+            [{id(cx), id(cxz)}]
         unrelated = binary(ExprOp.EQ, var(8, "w"), const(8, 1))
-        assert state.relevant_constraints(unrelated) == []
+        assert state.relevant_partition(unrelated) == ((), [])
 
     def test_fork_isolates_groups(self):
         cx, cy, cxz = self._constraints()
@@ -281,16 +284,21 @@ class TestConstraintGroups:
         state = ExecutionState()
         state.add_constraint(const(1, 0))
         condition = binary(ExprOp.EQ, var(8, "q"), const(8, 1))
-        assert const(1, 0) in state.relevant_constraints(condition)
-        assert not Solver().is_satisfiable(
-            state.relevant_constraints(condition) + [condition])
+        varfree, groups = state.relevant_partition(condition)
+        assert const(1, 0) in varfree
+        assert not Solver().may_be_true_partition(varfree, groups, condition)
 
 
 # ---------------------------------------------------------------------------
 # Equality rewriting (KLEE's --rewrite-equalities)
 # ---------------------------------------------------------------------------
-_NAIVE = SolverConfig(independence=False, cache=False,
-                      rewrite_equalities=False)
+_NAIVE = SolverConfig(cache=False, rewrite_equalities=False)
+
+
+def _naive_check(constraints):
+    """The reference verdict: the whole constraint list as one group,
+    every switchable solver layer off."""
+    return Solver(config=_NAIVE).check_partition((), [tuple(constraints)])
 
 
 def _random_rewrite_sequence(rng):
@@ -381,8 +389,8 @@ class TestEqualityRewriting:
         assert any(c.is_constant and c.value == 0
                    for c in state.constraints)
         condition = binary(ExprOp.ULT, var(8, "q"), const(8, 3))
-        assert not Solver().is_satisfiable(
-            state.relevant_constraints(condition) + [condition])
+        assert not Solver().may_be_true_partition(
+            *state.relevant_partition(condition), condition)
 
     def test_group_member_folded_to_false_is_globally_visible(self):
         # The mirror ordering: an *existing* group member rewritten to
@@ -396,8 +404,8 @@ class TestEqualityRewriting:
         assert any(c.is_constant and c.value == 0
                    for c in state.constraints)
         condition = binary(ExprOp.ULT, var(8, "q"), const(8, 3))
-        assert not Solver().is_satisfiable(
-            state.relevant_constraints(condition) + [condition])
+        assert not Solver().may_be_true_partition(
+            *state.relevant_partition(condition), condition)
         _assert_partition_invariants(state)
 
     def test_rewrite_folds_decided_conditions(self):
@@ -419,16 +427,16 @@ class TestEqualityRewriting:
             for constraint in sequence:
                 rewritten.add_constraint(constraint)
                 plain.add_constraint(constraint)
-                fast = Solver(config=_NAIVE).check(rewritten.constraints)
-                slow = Solver(config=_NAIVE).check(plain.constraints)
+                fast = _naive_check(rewritten.constraints)
+                slow = _naive_check(plain.constraints)
                 assert fast.exact and slow.exact
                 assert fast.satisfiable == slow.satisfiable, \
                     (round_index, [c.render() for c in sequence],
                      [c.render() for c in rewritten.constraints])
                 _assert_partition_invariants(rewritten)
             if fast.satisfiable:
-                model = Solver(config=_NAIVE).get_model(
-                    rewritten.constraints)
+                model = Solver(config=_NAIVE).model_for_partition(
+                    (), [tuple(rewritten.constraints)])
                 variables = set().union(
                     *(c.variables() for c in plain.constraints)) \
                     if plain.constraints else set()
@@ -438,9 +446,9 @@ class TestEqualityRewriting:
                            for c in plain.constraints), \
                     (round_index, completed)
 
-    def test_metamorphic_relevant_constraints_agree(self):
+    def test_metamorphic_relevant_partition_agree(self):
         """Branch queries through the rewritten state decide like queries
-        through the unrewritten state.  ``relevant_constraints`` is only
+        through the unrewritten state.  ``relevant_partition`` is only
         specified under the executor's invariant that the path condition is
         satisfiable (the executor kills UNSAT states), so infeasible
         sequences are skipped — on those, rewriting legitimately folds the
@@ -455,16 +463,16 @@ class TestEqualityRewriting:
             for constraint in sequence:
                 rewritten.add_constraint(constraint)
                 plain.add_constraint(constraint)
-            if not Solver(config=_NAIVE).check(plain.constraints).satisfiable:
+            if not _naive_check(plain.constraints).satisfiable:
                 continue
             compared += 1
             condition = binary(ExprOp.ULT, var(8, rng.choice("xyz")),
                                const(8, rng.randrange(1, 16)))
-            fast = Solver(config=_NAIVE).check(
-                rewritten.relevant_constraints(condition) + [condition])
-            slow = Solver(config=_NAIVE).check(
-                plain.relevant_constraints(condition) + [condition])
-            assert fast.satisfiable == slow.satisfiable, \
+            fast = Solver(config=_NAIVE).may_be_true_partition(
+                *rewritten.relevant_partition(condition), condition)
+            slow = Solver(config=_NAIVE).may_be_true_partition(
+                *plain.relevant_partition(condition), condition)
+            assert fast == slow, \
                 ([c.render() for c in sequence], condition.render())
         assert compared > 30
 
@@ -490,8 +498,8 @@ class TestEqualityRewriting:
             plain = ExecutionState(rewrite_equalities=False)
             for constraint in sequence:
                 plain.add_constraint(constraint)
-            fast = Solver(config=_NAIVE).check(child.constraints)
-            slow = Solver(config=_NAIVE).check(plain.constraints)
+            fast = _naive_check(child.constraints)
+            slow = _naive_check(plain.constraints)
             assert fast.satisfiable == slow.satisfiable
 
     def test_rewrites_counted_into_shared_solver_stats(self):
@@ -602,7 +610,8 @@ class TestBranchAndPrune:
     def test_wide_equality_is_exact_with_model(self):
         solver = Solver()
         w = var(32, "wide_bnp")
-        result = solver.check([binary(ExprOp.EQ, w, const(32, 123456))])
+        result = solver.check_partition(
+            *as_partition([binary(ExprOp.EQ, w, const(32, 123456))]))
         assert result.satisfiable and result.exact
         assert result.model == {"wide_bnp": 123456}
         assert solver.stats.prune_splits > 0
@@ -610,10 +619,10 @@ class TestBranchAndPrune:
     def test_wide_contradiction_is_proved_unsat(self):
         solver = Solver()
         w = var(32, "wide_bnp2")
-        result = solver.check([
+        result = solver.check_partition(*as_partition([
             binary(ExprOp.ULT, w, const(32, 1000)),
             binary(ExprOp.ULT, const(32, 2000), w),
-        ])
+        ]))
         assert not result.satisfiable
         assert result.exact
 
@@ -625,19 +634,19 @@ class TestBranchAndPrune:
                                         const(32, 100000))),
             binary(ExprOp.ULT, b, const(8, 10)),
         ]
-        result = solver.check(constraints)
+        result = solver.check_partition(*as_partition(constraints))
         assert result.satisfiable and result.exact
-        model = solver.get_model(constraints)
+        model = solver.model_for_partition(*as_partition(constraints))
         assert all(c.evaluate(model) == 1 for c in constraints)
 
     def test_width_above_sixteen_bits_goes_to_branch_and_prune(self):
         """Enumeration covers variables of up to 16 bits; one bit wider
         and the group is always decided by branch-and-prune, exactly."""
         narrow, wide = Solver(), Solver()
-        narrow_result = narrow.check(
-            [binary(ExprOp.EQ, var(16, "route_n"), const(16, 40000))])
-        wide_result = wide.check(
-            [binary(ExprOp.EQ, var(17, "route_w"), const(17, 70000))])
+        narrow_result = narrow.check_partition(*as_partition(
+            [binary(ExprOp.EQ, var(16, "route_n"), const(16, 40000))]))
+        wide_result = wide.check_partition(*as_partition(
+            [binary(ExprOp.EQ, var(17, "route_w"), const(17, 70000))]))
         assert narrow_result.satisfiable and narrow_result.exact
         assert wide_result.satisfiable and wide_result.exact
         assert narrow_result.model == {"route_n": 40000}
@@ -651,9 +660,9 @@ class TestBranchAndPrune:
         w = var(32, "wide_bnp5")
         negative = binary(ExprOp.SLT, w, const(32, 0))
         positive = binary(ExprOp.SLT, const(32, 0), w)
-        result = solver.check([negative, positive])
+        result = solver.check_partition(*as_partition([negative, positive]))
         assert not result.satisfiable and result.exact
-        sat = solver.check([negative])
+        sat = solver.check_partition(*as_partition([negative]))
         assert sat.satisfiable and sat.exact
         assert sat.model is not None and \
             negative.evaluate(sat.model) == 1
@@ -676,7 +685,8 @@ class TestSeededSplits:
 
     def test_fewer_prune_splits_on_equality_heavy_wide_query(self):
         solver = Solver()
-        result = solver.check(self._equality_heavy_query())
+        result = solver.check_partition(
+            *as_partition(self._equality_heavy_query()))
         assert result.satisfiable and result.exact
         # The win is structural, not marginal: each equality resolves in a
         # couple of splits.  Midpoint bisection, which descends once per
@@ -695,7 +705,7 @@ class TestSeededSplits:
         ]
         expected = [True, False, True]
         for constraints, satisfiable in zip(cases, expected):
-            result = Solver().check(constraints)
+            result = Solver().check_partition(*as_partition(constraints))
             assert result.exact
             assert result.satisfiable == satisfiable
             if result.satisfiable:
@@ -705,10 +715,10 @@ class TestSeededSplits:
     def test_unsat_equality_pair_proved_quickly(self):
         solver = Solver()
         w = var(32, "seeded_unsat")
-        result = solver.check([
+        result = solver.check_partition(*as_partition([
             binary(ExprOp.EQ, w, const(32, 55555)),
             binary(ExprOp.EQ, w, const(32, 66666)),
-        ])
+        ]))
         assert not result.satisfiable and result.exact
         assert solver.stats.prune_splits <= 8
 
@@ -777,12 +787,12 @@ class TestSolverCaches:
         solver = Solver()
         x = var(8, "x")
         first = binary(ExprOp.ULT, x, const(8, 100))
-        solver.check([first])
+        solver.check_partition(*as_partition([first]))
         before = solver.stats.csp_searches
         # A superset query whose extra constraint holds under the cached
         # model: answered by model reuse, no new search.
         second = binary(ExprOp.ULT, x, const(8, 200))
-        result = solver.check([first, second])
+        result = solver.check_partition(*as_partition([first, second]))
         assert result.satisfiable
         assert solver.stats.model_cache_hits >= 1
         assert solver.stats.csp_searches == before
@@ -791,9 +801,9 @@ class TestSolverCaches:
         solver = Solver()
         x = var(8, "x")
         constraints = [binary(ExprOp.EQ, x, const(8, 65))]
-        assert solver.check(constraints).satisfiable
+        assert solver.check_partition(*as_partition(constraints)).satisfiable
         searches = solver.stats.csp_searches
-        model = solver.get_model(constraints)
+        model = solver.model_for_partition(*as_partition(constraints))
         assert model == {"x": 65}
         assert solver.stats.csp_searches == searches
 
@@ -802,7 +812,7 @@ class TestSolverCaches:
         x, y = var(8, "x"), var(8, "y")
         tautology = binary(ExprOp.ULE, zext(x, 32), const(32, 300))
         constraints = [tautology, binary(ExprOp.ULT, y, const(8, 5))]
-        model = solver.get_model(constraints)
+        model = solver.model_for_partition(*as_partition(constraints))
         assert model is not None
         assert set(model) == {"x", "y"}
         assert all(c.evaluate(model) == 1 for c in constraints)
@@ -813,7 +823,8 @@ class TestSolverCaches:
         pinned = [binary(ExprOp.EQ, x, const(8, 5))]
         condition = binary(ExprOp.EQ, x, const(8, 7))
         queries = solver.stats.queries
-        can_true, can_false = solver.check_branch(pinned, condition)
+        can_true, can_false = solver.check_branch_partition(
+            *as_partition(pinned), condition)
         assert (can_true, can_false) == (False, True)
         assert solver.stats.branch_sides_free == 1
         assert solver.stats.queries == queries + 1  # single query for both
@@ -822,23 +833,49 @@ class TestSolverCaches:
         solver = Solver()
         x = var(8, "x")
         condition = binary(ExprOp.ULT, x, const(8, 128))
-        assert solver.check_branch([], condition) == (True, True)
-        assert solver.check_branch([], const(1, 1)) == (True, False)
-        assert solver.check_branch([], const(1, 0)) == (False, True)
+        assert solver.check_branch_partition((), [], condition) == \
+            (True, True)
+        assert solver.check_branch_partition((), [], const(1, 1)) == \
+            (True, False)
+        assert solver.check_branch_partition((), [], const(1, 0)) == \
+            (False, True)
+
+    def test_cache_switch_off_leaves_every_cache_empty(self):
+        """``SolverConfig.cache`` gates every caching layer: the query
+        cache, the group cache, both UBTree indices and the canonical
+        concretization models."""
+        solver = Solver(config=SolverConfig(cache=False))
+        x, y = var(8, "x"), var(8, "y")
+        queries = [[binary(ExprOp.ULT, x, const(8, 9))],
+                   [binary(ExprOp.EQ, x, const(8, 1)),
+                    binary(ExprOp.EQ, x, const(8, 2))],
+                   [binary(ExprOp.ULT, x, y)]]
+        for query in queries * 2:
+            partition = as_partition(query)
+            solver.check_partition(*partition)
+            solver.model_for_partition(*partition)
+            solver.concretization_model(*partition)
+        stats = solver.stats
+        assert stats.cache_hits == stats.ubtree_hits == 0
+        assert stats.model_cache_hits == 0
+        assert solver._cache == {}
+        stripe = solver._shared.stripes[0]
+        assert stripe.group_cache == {} and stripe.canonical_models == {}
+        assert len(stripe.sat_index) == len(stripe.unsat_index) == 0
 
     def test_unary_domains_enumerated_once(self):
         solver = Solver()
         x = var(8, "x")
         constraint = binary(ExprOp.ULT, binary(ExprOp.AND, x, const(8, 0x3F)),
                             const(8, 9))
-        solver.check([constraint])
+        solver.check_partition(*as_partition([constraint]))
         tried = solver.stats.assignments_tried
         # Same unary constraint in a different (uncachable by query key)
         # conjunction: the satisfying set is reused, no re-enumeration.
         # The allowance covers the new variable's one-off unary enumeration
         # (256) plus the CSP probes over its pruned domain (3 values).
         other = binary(ExprOp.ULT, var(8, "other"), const(8, 3))
-        solver.check([constraint, other])
+        solver.check_partition(*as_partition([constraint, other]))
         assert solver.stats.assignments_tried <= tried + 260
 
     def test_wide_variable_equality_solved_via_constant_seeding(self):
@@ -847,40 +884,45 @@ class TestSolverCaches:
         solver = Solver()
         x = var(32, "wide")
         constraints = [binary(ExprOp.EQ, x, const(32, 1000))]
-        result = solver.check(constraints)
+        result = solver.check_partition(*as_partition(constraints))
         assert result.satisfiable
-        assert solver.get_model(constraints) == {"wide": 1000}
+        assert solver.model_for_partition(*as_partition(constraints)) == \
+            {"wide": 1000}
 
     def test_wide_variable_never_yields_false_unsat_proof(self):
         # The sparse domain is not exhaustive, so a failed search must come
         # back "maybe satisfiable" (inexact), never an exact UNSAT that
-        # check_branch would treat as a proof and use to prune paths.
+        # check_branch_partition would treat as a proof and use to prune
+        # paths.
         solver = Solver()
         x = var(32, "wide2")
         contradiction_free = [
             binary(ExprOp.EQ, binary(ExprOp.MUL, x, x), const(32, 12345)),
         ]
-        result = solver.check(contradiction_free)
+        result = solver.check_partition(*as_partition(contradiction_free))
         assert result.satisfiable or not result.exact
 
     def test_get_model_returns_no_witness_on_inexact_answers(self):
         # An inexact ("maybe satisfiable") answer may carry a partial model
-        # from the groups that did decide; get_model must not zero-complete
-        # it into a fabricated witness that violates the undecided group.
-        solver = Solver(max_assignments=10)
+        # from the groups that did decide; model_for_partition must not
+        # zero-complete it into a fabricated witness that violates the
+        # undecided group.
+        solver = Solver(config=SolverConfig(max_assignments=10))
         x, y = var(32, "inexact_x"), var(8, "inexact_y")
         constraints = [
             binary(ExprOp.EQ, binary(ExprOp.MUL, x, x), const(32, 3)),
             binary(ExprOp.EQ, y, const(8, 5)),
         ]
-        result = solver.check(constraints)
+        result = solver.check_partition(*as_partition(constraints))
         assert result.satisfiable and not result.exact
-        assert solver.get_model(constraints) is None
+        assert solver.model_for_partition(
+            *as_partition(constraints)) is None
 
     def test_cached_models_are_not_aliased_by_callers(self):
         solver = Solver()
         x = var(8, "x")
         constraints = [binary(ExprOp.EQ, x, const(8, 65))]
-        model = solver.get_model(constraints)
+        model = solver.model_for_partition(*as_partition(constraints))
         model["x"] = 0  # caller mutates its copy
-        assert solver.get_model(constraints) == {"x": 65}
+        assert solver.model_for_partition(
+            *as_partition(constraints)) == {"x": 65}

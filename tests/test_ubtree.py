@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from conftest import as_partition
 from repro.symex import ExprOp, UBTree, binary, const, not_expr, var
 
 _COMPARISONS = [ExprOp.EQ, ExprOp.NE, ExprOp.ULT, ExprOp.ULE]
@@ -197,14 +198,14 @@ class TestSolverIndexing:
         solver = Solver()
         for value in range(20):
             name = var(8, f"kept_{value}")
-            assert solver.check(
+            assert solver.check_partition(*as_partition(
                 [binary(ExprOp.ULT, const(8, 1), name),
-                 binary(ExprOp.NE, name, const(8, value))]).satisfiable
+                 binary(ExprOp.NE, name, const(8, value))])).satisfiable
         for value in range(5):
             name = var(8, f"dead_{value}")
-            assert not solver.check(
+            assert not solver.check_partition(*as_partition(
                 [binary(ExprOp.ULT, name, const(8, 10)),
-                 binary(ExprOp.ULT, const(8, 20), name)]).satisfiable
+                 binary(ExprOp.ULT, const(8, 20), name)])).satisfiable
         stripes = solver._shared.stripes
         assert sum(len(stripe.sat_index) for stripe in stripes) == 20
         assert sum(len(stripe.unsat_index) for stripe in stripes) == 5
