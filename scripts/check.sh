@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI-style gate: tier-1 tests, an IR-verified compile of every workload at
 # every level (PassManager verify_after_each=True, so the IR verifier runs
-# after each individual pass), a fast benchmark smoke pass, and perfbench's
-# own tests.
+# after each individual pass), the docs, registry, fuzz, relcheck, searcher,
+# solver-matrix, service and chaos smokes, and perfbench's own tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
@@ -159,18 +159,6 @@ PY
 echo
 echo "== chaos smoke: every fault site degrades as contracted =="
 python scripts/chaos_smoke.py
-
-echo
-echo "== fault overhead: disarmed injector reproduces benchmark path counts =="
-python scripts/bench_record.py --fault-overhead
-
-echo
-echo "== benchmark smoke (compile pipeline + session sweep + solver hot path, no timing rounds) =="
-# Timing assertions are skipped under --benchmark-disable, but the wc
-# sweep's exact per-level path counts (WC_SWEEP_PATHS) are always asserted.
-python -m pytest benchmarks/test_pipeline_compile_bench.py \
-    benchmarks/test_session_bench.py \
-    benchmarks/test_symex_solver_bench.py -q --benchmark-disable
 
 echo
 echo "== perfbench tests: the benchmark's own checks against src =="

@@ -195,8 +195,13 @@ def _serve_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     from .service import VerificationServer
 
-    server = VerificationServer(args.socket, store_path=args.store,
-                                backend=args.backend, pool_size=args.pool)
+    try:
+        server = VerificationServer(args.socket, store_path=args.store,
+                                    backend=args.backend,
+                                    pool_size=args.pool)
+    except BackendSpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"serving  : {args.socket}")
     print(f"store    : {args.store or '(memory-only)'}")
     print(f"backend  : {server.backend.describe()}  pool={args.pool}")

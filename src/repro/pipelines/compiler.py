@@ -6,10 +6,10 @@ configuration (``-O0``), a release configuration (``-O3``) or a verification
 configuration (``-OVERIFY``), and the -OVERIFY configuration additionally
 links the verification-optimized C library.
 
-:func:`compile_source` and :func:`compile_at_all_levels` are thin
-wrappers over :class:`repro.pipelines.session.CompilerSession` — a one-shot
-session for a single compile, a shared one for a level sweep (which is what
-lets the sweep parse each linked source once).
+:func:`compile_source` is a thin wrapper over a one-shot
+:class:`repro.pipelines.session.CompilerSession`; a level sweep calls
+:meth:`~repro.pipelines.session.CompilerSession.compile_at_levels` on one
+shared session, which is what lets it parse each linked source once.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class CompilationResult:
     def table3_row(self) -> Dict[str, int]:
         return self.stats.table3_row()
 
-    @property
-    def analysis_cache_hit_rate(self) -> float:
-        return self.analysis_stats.hit_rate if self.analysis_stats else 0.0
-
 
 def link_sources(program_source: str, options: CompileOptions) -> str:
     """Combine the program with the selected C library variant.
@@ -110,25 +106,3 @@ def compile_source(program_source: str,
 
     driver = session or CompilerSession()
     return driver.compile(program_source, options=options, level=level)
-
-
-def compile_at_all_levels(program_source: str,
-                          levels: Optional[List[OptLevel]] = None,
-                          session: Optional["CompilerSession"] = None,
-                          **option_kwargs) -> Dict[OptLevel, CompilationResult]:
-    """Compile the same source at several levels (the shape of Table 1/3).
-
-    All levels run through one shared session, so each linked source is
-    parsed and analysed once; every level still runs its own pipeline with
-    its own analysis cache.
-    """
-    from .session import CompilerSession
-
-    levels = levels or [OptLevel.O0, OptLevel.O2, OptLevel.O3,
-                        OptLevel.OVERIFY]
-    driver = session or CompilerSession()
-    results: Dict[OptLevel, CompilationResult] = {}
-    for level in levels:
-        options = CompileOptions(level=level, **option_kwargs)
-        results[level] = driver.compile(program_source, options)
-    return results

@@ -29,8 +29,7 @@ import enum
 from typing import Dict, Iterable, List, Optional, Set
 
 from ..passes import (
-    AnalysisManager, PassManager, PipelineSpec, build_passes, format_pipeline,
-    parse_pipeline,
+    AnalysisManager, PassManager, PipelineSpec, build_passes, parse_pipeline,
 )
 
 
@@ -248,7 +247,7 @@ def build_pipeline(level: OptLevel, entry_points: Optional[Set[str]] = None,
         Run the IR verifier after every pass (used by the test suite).
     enable_checks:
         Whether -OVERIFY inserts runtime checks (Table 2's "Generate runtime
-        checks" row); the ablation benchmarks toggle this.
+        checks" row); the Table 2 ablation toggles this.
     analyses:
         Analysis manager shared by every pass in the pipeline (one is
         created when omitted); passing one in lets a driver keep analysis
@@ -265,8 +264,3 @@ def pipeline_description(level: OptLevel) -> List[str]:
     """Names of the passes in the pipeline for ``level`` (for documentation
     and the build-chain example)."""
     return level_spec(level).pass_names()
-
-
-def describe_levels() -> Dict[OptLevel, str]:
-    """Every level's canonical pipeline string (documentation helper)."""
-    return {level: format_pipeline(level_spec(level)) for level in OptLevel}

@@ -12,16 +12,15 @@ else: a compile's module and analysis cache live exactly as long as its
 :class:`CompilationResult`, and :attr:`CompilerSession.analysis_stats`
 is a running total of their counters.
 
-``compile_source`` / ``compile_at_all_levels`` are thin wrappers over a
-one-shot session, and the experiment harness routes all per-workload
-compiles through one session.
+``compile_source`` is a thin wrapper over a one-shot session, and the
+experiment harness routes all per-workload compiles through one session.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..analysis import AnalysisManagerStats
 from ..frontend import analyze, lower, parse
@@ -126,69 +125,6 @@ class CompilerSession:
             pipeline_text=(format_pipeline(pipeline.spec)
                            if pipeline.spec is not None else ""),
         )
-
-    def compile_and_verify(self, program_source: str,
-                           options: Optional[CompileOptions] = None,
-                           level: Optional[OptLevel] = None,
-                           backend: object = "symex",
-                           request: Optional[object] = None) -> Tuple[
-                               CompilationResult, object]:
-        """Compile ``program_source`` and hand the result to a verification
-        backend — the one compile-then-verify plumbing path the CLI, the
-        verification service, and tests share.
-
-        ``backend`` is a spec string resolved through
-        :func:`repro.verification.make_backend` (so ``"symex<store=...>"``
-        reaches the persistent knowledge store) or a prebuilt
-        :class:`~repro.verification.VerificationBackend` — the service
-        passes one with injected shared solver caches.  Returns
-        ``(compilation_result, verification_outcome)``.
-        """
-        # Imported here so the session stays usable without pulling the
-        # execution engines in (backends register themselves on import).
-        from ..verification import VerificationRequest, make_backend
-
-        result = self.compile(program_source, options=options, level=level)
-        if isinstance(backend, str):
-            backend = make_backend(backend)
-        if request is None:
-            request = VerificationRequest()
-        outcome = backend.verify(result.module, request)
-        return result, outcome
-
-    def compile_and_validate(self, program_source: str,
-                             levels: Optional[List[OptLevel]] = None,
-                             options: Optional[CompileOptions] = None,
-                             relcheck_config: Optional[object] = None,
-                             store: Optional[object] = None) -> Tuple[
-                                 Dict[OptLevel, CompilationResult], object]:
-        """Compile at two levels and translation-validate the pair.
-
-        The cross-level counterpart of :meth:`compile_and_verify`: the
-        same front end feeds both compilations, then the relcheck
-        product driver (:mod:`repro.relcheck`) proves the optimized
-        module path-equivalent to the reference.  Default pair: the
-        paper's (-O0, -OVERIFY).  ``relcheck_config`` is a
-        :class:`~repro.relcheck.RelcheckConfig`; ``store`` an optional
-        :class:`~repro.service.store.SolverKnowledgeStore` for warm
-        reruns.  Returns ``({level: compilation_result}, report)``.
-        """
-        # Imported lazily so sessions stay usable without the execution
-        # engines (mirrors compile_and_verify).
-        from ..relcheck import relcheck_modules
-
-        levels = levels or [OptLevel.O0, OptLevel.OVERIFY]
-        if len(levels) != 2:
-            raise ValueError("compile_and_validate needs exactly two "
-                             f"levels, got {len(levels)}")
-        results = self.compile_at_levels(program_source, levels=levels,
-                                         options=options)
-        report = relcheck_modules(results[levels[0]].module,
-                                  results[levels[1]].module,
-                                  config=relcheck_config,
-                                  pair=(str(levels[0]), str(levels[1])),
-                                  store=store)
-        return results, report
 
     def compile_at_levels(self, program_source: str,
                           levels: Optional[List[OptLevel]] = None,

@@ -85,6 +85,10 @@ class SymexBackend(VerificationBackend):
             raise BackendSpecError(
                 f"symex: 'store' must be a path string, got {store!r}")
         self.store_path = store or ""
+        if caches is not None and not isinstance(caches, SharedSolverCaches):
+            raise BackendSpecError(
+                f"symex: 'caches' must be a SharedSolverCaches object, got "
+                f"{caches!r}")
         #: Caller-injected solver caches.  ``None``: a plain run builds a
         #: private set per verification; a ``store`` run builds one so it
         #: has something to prime and persist.

@@ -20,6 +20,7 @@ The engines register themselves from :mod:`repro.symex.backend` and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -173,7 +174,9 @@ def make_backend(spec: str, **default_params: object) -> VerificationBackend:
                 params[key] = True
                 continue
             raw = raw.strip()
-            params[key] = int(raw) if raw.lstrip("-").isdigit() else raw
+            # Only an optional '-' and ASCII digits are an integer; any
+            # other text stays a string for the backend to check.
+            params[key] = int(raw) if re.fullmatch(r"-?[0-9]+", raw) else raw
     factory = _REGISTRY.get(text)
     if factory is None:
         raise BackendSpecError(

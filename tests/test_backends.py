@@ -6,7 +6,7 @@ import pytest
 from repro.harness import ExperimentConfig, run_experiment, run_level_sweep
 from repro.interp import InterpBackend, run_module
 from repro.pipelines import OptLevel, compile_source
-from repro.symex import SymexBackend, SymexLimits, explore
+from repro.symex import SharedSolverCaches, SymexBackend, SymexLimits, explore
 from repro.verification import (
     BackendSpecError, VerificationRequest, backend_names, make_backend,
 )
@@ -71,6 +71,40 @@ class TestRegistry:
         # The engine keys that remain build and describe themselves in
         # canonical form, so a spec names one configuration exactly.
         assert make_backend(spec).describe() == spec
+
+    @pytest.mark.parametrize("value", ["--5", "\u00b2"])
+    def test_non_integer_text_reaches_the_backend_check(self, value):
+        # Only an optional '-' and ASCII digits parse as an integer; any
+        # other value is handed over as text, which the backend rejects.
+        with pytest.raises(BackendSpecError, match="must be an integer"):
+            make_backend(f"symex<query-deadline-ms={value}>")
+
+    def test_caches_must_be_shared_solver_caches(self):
+        # ``caches`` takes an object, so spec text can never supply one.
+        with pytest.raises(BackendSpecError, match="'caches' must be"):
+            make_backend("symex<caches=x>")
+        with pytest.raises(BackendSpecError, match="'caches' must be"):
+            make_backend("symex", caches="x")
+        caches = SharedSolverCaches(num_stripes=1)
+        assert make_backend("symex", caches=caches).caches is caches
+
+    @pytest.mark.parametrize("argv", [
+        ["wc", "--verify", "--backend", "symex<query-deadline-ms=--5>"],
+        ["wc", "--verify", "--backend", "symex<caches=x>",
+         "--input-bytes", "1"],
+        ["serve", "{sock}", "--backend", "symex<query-deadline-ms=--5>"],
+    ], ids=["verify-double-minus", "verify-caches", "serve-double-minus"])
+    def test_bad_spec_is_a_cli_error(self, argv, tmp_path, capsys):
+        """A spec the backend rejects ends the CLI with exit status 1
+        and an ``error:`` line, not a traceback or a run that abandons
+        every path."""
+        from repro.__main__ import main
+
+        sock = str(tmp_path / "verify.sock")
+        assert main([arg.format(sock=sock) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: symex: ")
+        assert "Traceback" not in err
 
 
 class TestBackendParity:

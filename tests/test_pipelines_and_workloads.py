@@ -4,6 +4,7 @@ pipelines, and the paper's headline claims."""
 import pytest
 
 from repro.analysis import module_metrics
+from repro.faults import INJECTOR
 from repro.interp import Interpreter, run_module
 from repro.pipelines import (
     CompileOptions, OptLevel, build_pipeline, compile_source, link_sources,
@@ -229,11 +230,51 @@ class TestWorkloads:
 class TestPaperClaims:
     INPUT_BYTES = 3
 
+    #: Exact wc path counts at 4 symbolic bytes.  The engine is
+    #: deterministic, so these are equalities: a change either way is a
+    #: behaviour change to look at, and the table is re-baselined on
+    #: purpose.  Branch-free short-circuit lowering gives every level 96;
+    #: the -O2/-O3 scalar stack plus ``ifconvert<spec=4>`` takes the
+    #: optimizing levels to 26 (without that ifconvert, -O2 explores 96).
+    WC_SWEEP_PATHS = {OptLevel.O0: 96, OptLevel.O2: 26, OptLevel.O3: 26,
+                      OptLevel.OVERIFY: 4}
+
+    #: -O0 ``assignments_tried`` on the sweep before the UBTree index,
+    #: equality rewriting and branch-and-prune, when -O0 explored 1,605
+    #: paths; it now tries 3,069.
+    WC_O0_ASSIGNMENTS = 16931
+
     def _paths(self, level):
         module = compile_source(WC_PROGRAM, CompileOptions(level=level)).module
         report = explore(module, self.INPUT_BYTES,
                          limits=SymexLimits(timeout_seconds=120))
         return report
+
+    def test_table1_wc_sweep_is_pinned(self):
+        """The Table 1 sweep at 4 bytes: exact per-level path counts,
+        the same (empty) bug-signature set at every level, no contained
+        engine errors, and a concrete run that matches the reference word
+        count.  The injector is disarmed, so the sweep also fails if a
+        disarmed fault site changes what the engine explores."""
+        assert INJECTOR.armed() == []
+        text = b"the quick brown fox jumps over the lazy dog " * 6
+        reports = {}
+        for level, expected in self.WC_SWEEP_PATHS.items():
+            module = compile_source(WC_PROGRAM,
+                                    CompileOptions(level=level)).module
+            report = explore(module, 4,
+                             limits=SymexLimits(timeout_seconds=120))
+            reports[level] = report
+            assert report.stats.total_paths == expected, \
+                f"{level}: {report.stats.total_paths} paths, " \
+                f"expected {expected}"
+            assert report.stats.engine_errors == 0
+            assert report.bug_signatures() == set()
+            run = run_module(module, bytes([1]) + text)
+            assert not run.crashed
+            assert run.return_value == reference_word_count(text, True)
+        assert reports[OptLevel.O0].solver_stats.assignments_tried < \
+            self.WC_O0_ASSIGNMENTS
 
     def test_overify_explores_dramatically_fewer_paths(self):
         # The margin narrowed when branch-free short-circuit lowering made

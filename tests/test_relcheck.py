@@ -13,8 +13,8 @@ Three layers of coverage:
    a *replayable* counterexample: the concrete input must make the two
    modules visibly disagree under the concrete interpreter.
 3. **Plumbing** — trap-deletion whitelist semantics, the
-   ``SolverKnowledgeStore`` whole-run memo, and the
-   ``CompilerSession.compile_and_validate`` surface.
+   ``SolverKnowledgeStore`` whole-run memo, and reruns whose solver
+   caches are primed from a store.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import pytest
 from repro.frontend import compile_to_ir
 from repro.interp import run_module
 from repro.pipelines import (
-    CompileOptions, CompilerSession, OptLevel, build_pipeline_from_text,
-    compile_source,
+    CompileOptions, OptLevel, build_pipeline_from_text, compile_source,
 )
 from repro.relcheck import (
     RelcheckConfig, relcheck_modules, relcheck_workload,
 )
 from repro.service.store import SolverKnowledgeStore
-from repro.workloads import workload_names
+from repro.symex import SharedSolverCaches
+from repro.workloads import get_workload, workload_names
 
 # ------------------------------------------------------- positive sweep
 
@@ -199,16 +199,32 @@ def test_store_memo_round_trip(tmp_path):
                 for v in cold.verdicts])
 
 
-def test_compile_and_validate_surface():
-    """The session-level surface compiles both levels (shared front end)
-    and returns the per-level results plus the relcheck report."""
-    from repro.workloads import get_workload
+def test_store_primed_rerun_answers_from_the_store(tmp_path):
+    """A rerun whose solver caches are primed from a cold run's store,
+    with no store handed to the rerun itself (so the whole-run memo
+    cannot answer): same verdicts as the cold run, and group queries
+    really answered by primed store records."""
+    config = RelcheckConfig(input_bytes=3, timeout_seconds=120.0)
+    source = get_workload("wc").source
+    module_a, module_b = (
+        compile_source(source, CompileOptions(level=level)).module
+        for level in (OptLevel.O0, OptLevel.OVERIFY))
+    pair = ("-O0", "-OVERIFY")
+    store_path = tmp_path / "knowledge.jsonl"
+    cold = relcheck_modules(module_a, module_b, config=config, pair=pair,
+                            store=SolverKnowledgeStore(store_path))
+    assert cold.clean and not cold.truncated
+    assert cold.stats.paths_proved >= 1
 
-    session = CompilerSession()
-    results, report = session.compile_and_validate(
-        get_workload("buggy_div").source,
-        relcheck_config=RelcheckConfig(input_bytes=2))
-    assert set(results) == {OptLevel.O0, OptLevel.OVERIFY}
-    assert report.clean
-    assert report.pair == (str(OptLevel.O0), str(OptLevel.OVERIFY))
-    assert report.stats.paths_proved + report.stats.trap_agreements >= 1
+    store = SolverKnowledgeStore(store_path)
+    assert store.load()
+    caches = SharedSolverCaches(num_stripes=1)
+    store.prime(caches)
+    warm = relcheck_modules(module_a, module_b, config=config, pair=pair,
+                            shared_caches=caches)
+    assert warm.clean and not warm.truncated
+    assert ([(v.index, v.kind, v.status, v.counterexample)
+             for v in warm.verdicts]
+            == [(v.index, v.kind, v.status, v.counterexample)
+                for v in cold.verdicts])
+    assert warm.solver_stats.store_hits > 0

@@ -10,9 +10,7 @@ import weakref
 import pytest
 
 from conftest import as_partition
-from repro.pipelines import (
-    CompileOptions, CompilerSession, OptLevel, parse_opt_level,
-)
+from repro.pipelines import CompileOptions, CompilerSession, OptLevel
 from repro.service import ServiceClient, ServiceError, VerificationServer
 from repro.service.store import SolverKnowledgeStore
 from repro.symex import (
@@ -387,20 +385,3 @@ def test_client_error_when_server_absent(tmp_path):
     client = ServiceClient(tmp_path / "nobody-home.sock", timeout=1.0)
     with pytest.raises(ServiceError):
         client.ping()
-
-
-def test_session_compile_and_verify(tmp_path):
-    """The session-level convenience used by service workers and scripts:
-    one call compiles and verifies, sharing the session's caches."""
-    session = CompilerSession()
-    workload = get_workload("wc")
-    result, outcome = session.compile_and_verify(
-        workload.source, level=parse_opt_level("-OVERIFY"))
-    assert result.level == OptLevel.OVERIFY
-    assert outcome.paths > 0
-    assert outcome.provenance == "cold"
-    # String backend specs resolve through make_backend.
-    _, interp = session.compile_and_verify(
-        workload.source, level=OptLevel.O2, backend="interp",
-        request=VerificationRequest(concrete_input=b"one two\n"))
-    assert interp.backend == "interp"

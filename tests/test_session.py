@@ -10,8 +10,7 @@ import pytest
 
 from repro.ir.printer import print_module
 from repro.pipelines import (
-    CompileOptions, CompilerSession, OptLevel, compile_at_all_levels,
-    compile_source,
+    CompileOptions, CompilerSession, OptLevel, compile_source,
 )
 from repro.workloads import get_workload
 
@@ -69,12 +68,14 @@ class TestSessionSharing:
         assert session.stats.frontend_reuses == 2
         assert session.stats.compiles == 4
 
-    def test_compile_at_all_levels_uses_one_session(self, wc_source):
+    def test_compile_at_levels_uses_one_session(self, wc_source):
         session = CompilerSession()
-        results = compile_at_all_levels(wc_source, levels=SWEEP_LEVELS,
-                                        session=session)
+        results = session.compile_at_levels(wc_source, levels=SWEEP_LEVELS)
         assert set(results) == set(SWEEP_LEVELS)
+        assert {level: result.level for level, result in results.items()} \
+            == {level: level for level in SWEEP_LEVELS}
         assert session.stats.compiles == 4
+        assert session.stats.frontend_parses == 2
 
     def test_analysis_stats_is_the_sum_of_the_results(self, wc_source):
         session = CompilerSession()
@@ -89,6 +90,9 @@ class TestSessionSharing:
             sum((Counter(s.hits_by_analysis) for s in stats), Counter())
         assert Counter(total.misses_by_analysis) == \
             sum((Counter(s.misses_by_analysis) for s in stats), Counter())
+        # The longest pipeline, -OVERIFY's, both fills and reuses its cache.
+        overify = stats[SWEEP_LEVELS.index(OptLevel.OVERIFY)]
+        assert overify.hits > 0 and overify.misses > 0
 
     def test_pipeline_text_is_reported(self, wc_source):
         session = CompilerSession()

@@ -1,7 +1,8 @@
 """Invariant tests for the symbolic-execution hot path: hash-consed
 expressions, the extended interval analysis, incremental per-state constraint
 groups (with and without equality rewriting), copy-on-write forking, and the
-solver's model-reuse caches."""
+solver's model-reuse caches, down to their counters on a whole
+branch-heavy exploration."""
 
 import gc
 import random
@@ -12,8 +13,9 @@ from conftest import as_partition
 from repro.frontend import compile_to_ir
 from repro.symex import (
     ExecutionState, Expr, ExprOp, Solver, SolverConfig, SolverStats,
-    StackFrame, SymbolicMemory, binary, bounded_interval, const, explore,
-    ite, not_expr, sext, substitute, trunc, unsigned_interval, var, zext,
+    StackFrame, SymbolicMemory, SymexLimits, binary, bounded_interval, const,
+    explore, ite, not_expr, sext, substitute, trunc, unsigned_interval, var,
+    zext,
 )
 
 
@@ -606,6 +608,26 @@ class TestBoundedIntervals:
                 assert ivl_low <= value <= ivl_high
 
 
+#: ``read_value()`` is an unknown external, so the executor havocs it with
+#: a fresh 32-bit symbolic variable.  Two of the branches are infeasible
+#: under the path condition; a search that is not exact on wide variables
+#: can only answer "maybe satisfiable" and explores them.
+WIDE_VALUE_PROGRAM = r"""
+int read_value();
+
+int main(unsigned char *input, int len) {
+    int n = read_value();
+    int hits = 0;
+    if (n < 0) { return 0; }
+    if (n > 1000000) { return 1; }
+    if (n > 2000000) { hits = 1; }      /* infeasible: n <= 1000000 */
+    if (n * 2 < 0) { hits = hits + 2; } /* infeasible: 2n <= 2000000 */
+    if (input[0] == 'x') { hits = hits + 4; }
+    return hits;
+}
+"""
+
+
 class TestBranchAndPrune:
     def test_wide_equality_is_exact_with_model(self):
         solver = Solver()
@@ -666,6 +688,19 @@ class TestBranchAndPrune:
         assert sat.satisfiable and sat.exact
         assert sat.model is not None and \
             negative.evaluate(sat.model) == 1
+
+    def test_wide_value_exploration_is_exact_and_pruned(self):
+        """A whole exploration over a havocked 32-bit value: every query
+        is decided exactly, and the two infeasible branches are pruned, so
+        only the four feasible outcomes (the early exits plus the
+        ``input[0]`` fork) remain."""
+        report = explore(compile_to_ir(WIDE_VALUE_PROGRAM), 2,
+                         limits=SymexLimits(timeout_seconds=60.0))
+        stats = report.solver_stats
+        assert stats.unknown_results == 0, "wide queries must be exact"
+        assert stats.prune_splits > 0
+        assert report.stats.total_paths == 4
+        assert {path.return_value for path in report.paths} == {0, 1, 4}
 
 
 class TestSeededSplits:
@@ -926,3 +961,70 @@ class TestSolverCaches:
         model["x"] = 0  # caller mutates its copy
         assert solver.model_for_partition(
             *as_partition(constraints)) == {"x": 65}
+
+
+# ---------------------------------------------------------------------------
+# The cache stack on a whole exploration
+# ---------------------------------------------------------------------------
+#: Four input-dependent branches per byte: many small, overlapping
+#: conjunctions re-asked across sibling states, the mix the query cache,
+#: the model reuse and branch sharing are built for.
+BRANCH_HEAVY_PROGRAM = r"""
+int main(unsigned char *input, int len) {
+    int acc = 0;
+    for (int i = 0; i < len; i++) {
+        unsigned char c = input[i];
+        if (c > 'a') { acc += 1; }
+        if (c > 'm') { acc += 2; }
+        if (c == 'z') { acc += 4; }
+        if ((c & 0x0F) == 3) { acc += 8; }
+    }
+    if (acc > 6) { return 1; }
+    return acc;
+}
+"""
+
+
+def _explore_branch_heavy(solver=None):
+    return explore(compile_to_ir(BRANCH_HEAVY_PROGRAM), 3,
+                   limits=SymexLimits(timeout_seconds=60.0), solver=solver)
+
+
+class TestBranchHeavyExploration:
+    """The branch-heavy program at 3 symbolic bytes (343 paths).  The
+    engine is deterministic, so these floors are load-independent."""
+
+    #: ``assignments_tried`` on this exploration before the UBTree index,
+    #: equality rewriting and branch-and-prune, when model reuse scanned
+    #: a linear cache; the current stack tries 1,074.
+    LINEAR_SCAN_ASSIGNMENTS = 5395
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return _explore_branch_heavy()
+
+    def test_caches_decide_most_queries_without_a_search(self, report):
+        stats = report.solver_stats
+        assert report.stats.total_paths >= 100
+        assert 1.0 - stats.csp_searches / max(1, stats.queries) >= 0.90
+        assert stats.cache_hits > 0
+        assert stats.model_cache_hits > 0
+        assert stats.ubtree_hits > 0
+        assert stats.assignments_tried < self.LINEAR_SCAN_ASSIGNMENTS
+
+    def test_branch_sharing_asks_less_than_once_per_branch(self, report):
+        stats = report.solver_stats
+        assert stats.queries / report.stats.branches_encountered < 1.0
+        assert stats.branch_sides_free > 0
+
+    def test_caching_does_strictly_less_work_than_no_caching(self, report):
+        """Same exploration with every cache off: identical paths and
+        branches, strictly more tried assignments and CSP searches."""
+        naive = _explore_branch_heavy(Solver(config=SolverConfig(cache=False)))
+        assert report.stats.total_paths == naive.stats.total_paths
+        assert report.stats.branches_encountered == \
+            naive.stats.branches_encountered
+        assert report.solver_stats.assignments_tried < \
+            naive.solver_stats.assignments_tried
+        assert report.solver_stats.csp_searches < \
+            naive.solver_stats.csp_searches
