@@ -12,9 +12,7 @@ Three checks, run by ``scripts/check.sh`` and CI:
    are out of scope).
 3. **Buildable backend specs** — every concrete ``symex<...>`` spec quoted
    in ``README.md`` and ``docs/*.md`` builds with ``make_backend``, so a
-   removed or renamed key cannot survive in an example.  Specs with a
-   placeholder value (``query-deadline-ms=N``, ``store=PATH``) are
-   skipped.
+   removed or renamed key cannot survive in an example.
 
 Exits non-zero with one line per violation.
 """
@@ -36,9 +34,6 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: A quoted symex backend spec with parameters.
 _SYMEX_SPEC = re.compile(r"symex<[^<>\s]*>")
-
-#: A placeholder value such as ``N`` or ``PATH``.
-_PLACEHOLDER = re.compile(r"=[A-Z][A-Z_]*(?=[,>])")
 
 
 def _links(path: Path) -> list:
@@ -85,8 +80,6 @@ def main() -> int:
     for source in [readme] + doc_files:
         text = source.read_text(encoding="utf-8")
         for spec in sorted(set(_SYMEX_SPEC.findall(text))):
-            if _PLACEHOLDER.search(spec):
-                continue
             try:
                 make_backend(spec)
             except BackendSpecError as exc:

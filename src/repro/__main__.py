@@ -39,7 +39,7 @@ import time
 from typing import List, Optional
 
 from .frontend import CompileError, analyze, lower, parse as parse_minic
-from .ir import verify_module
+from .ir import Module, verify_module
 from .passes import (
     AnalysisManager, PipelineSpec, PipelineSyntaxError, format_pass,
     format_pipeline, parse_pipeline, registered_passes,
@@ -50,8 +50,10 @@ from .pipelines import (
     linked_prelude_lines, parse_opt_level, with_entry_points,
     with_runtime_checks,
 )
+from .symex.solver import SharedSolverCaches
 from .verification import (
-    BackendSpecError, VerificationRequest, backend_names, make_backend,
+    BackendSpecError, VerificationBackend, VerificationOutcome,
+    VerificationRequest, backend_names, make_backend,
 )
 from .workloads import all_workloads, get_workload
 
@@ -175,6 +177,30 @@ def _explain_paths(source: str, name: str, options: CompileOptions,
     return 0
 
 
+def _verify_with_store(path: str, caches: SharedSolverCaches,
+                       backend: VerificationBackend, module: Module,
+                       request: VerificationRequest) -> VerificationOutcome:
+    """Verify as the service does: prime ``caches`` from the store at
+    ``path``, answer from its memo or verify and record, then save.  A
+    failed save is reported and does not fail the run."""
+    from .faults import StoreError
+    from .service.store import (
+        SolverKnowledgeStore, verification_fingerprint, verify_memoized,
+    )
+
+    store = SolverKnowledgeStore(path)
+    store.load()
+    store.prime(caches)
+    key = verification_fingerprint(module, request, backend.describe())
+    outcome = verify_memoized(store, backend, module, request, key, caches)
+    if outcome.provenance != "memo-hit":
+        try:
+            store.save()
+        except StoreError as exc:
+            print(f"  warning: store not saved: {exc}", file=sys.stderr)
+    return outcome
+
+
 def _serve_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -193,6 +219,8 @@ def _serve_main(argv: List[str]) -> int:
                         help="worker threads verifying concurrently "
                              "(default 2)")
     args = parser.parse_args(argv)
+    if args.pool < 1:
+        parser.error(f"--pool must be >= 1, got {args.pool}")
     from .service import VerificationServer
 
     try:
@@ -336,14 +364,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   timeout_seconds=args.timeout)
 
     if args.verify:
+        caches = SharedSolverCaches(locked=False) if args.store else None
         try:
-            backend = make_backend(args.backend, store=args.store or "")
+            backend = make_backend(args.backend, caches=caches)
         except BackendSpecError as exc:
             print(f"error: {exc}", file=sys.stderr)
             print(f"known backends: {', '.join(backend_names())}",
                   file=sys.stderr)
             return 1
-        outcome = backend.verify(module, request)
+        if args.store:
+            outcome = _verify_with_store(args.store, caches, backend,
+                                         module, request)
+        else:
+            outcome = backend.verify(module, request)
         reason = outcome.termination_reason or \
             ("timeout" if outcome.timed_out else "")
         budget = f" ({reason} budget hit)" if reason else ""

@@ -19,24 +19,17 @@ from .interpreter import run_module
 
 
 class InterpBackend(VerificationBackend):
-    """Single concrete execution on the request's concrete input."""
+    """Single concrete execution on the request's concrete input, bounded
+    by the request's instruction budget."""
 
     name = "interp"
 
-    def __init__(self, max_steps: int = 50_000_000) -> None:
-        self.max_steps = max_steps
-
-    def describe(self) -> str:
-        if self.max_steps != 50_000_000:
-            return f"interp<max_steps={self.max_steps}>"
-        return "interp"
-
     def verify(self, module: Module,
                request: VerificationRequest) -> VerificationOutcome:
-        max_steps = min(self.max_steps, request.max_instructions)
         start = time.perf_counter()
         result = run_module(module, request.concrete_input,
-                            entry=request.entry, max_steps=max_steps)
+                            entry=request.entry,
+                            max_steps=request.max_instructions)
         seconds = time.perf_counter() - start
         signatures = frozenset()
         if result.error is not None:

@@ -29,8 +29,6 @@ class CompileOptions:
     """Options accepted by :func:`compile_source`."""
 
     level: OptLevel = OptLevel.O0
-    #: Link the C library (most workloads need it; tiny kernels may not).
-    link_libc: bool = True
     #: Override which libc variant is linked.  By default -OVERIFY links the
     #: verification-optimized variant and every other level links the
     #: execution-optimized one, exactly as §3 ("Library-level changes")
@@ -73,8 +71,6 @@ def link_sources(program_source: str, options: CompileOptions) -> str:
     Linking is textual (a single translation unit), which mirrors how the
     KLEE tool chain links its special uClibc before analysis.
     """
-    if not options.link_libc:
-        return program_source
     use_verification_libc = options.verification_libc
     if use_verification_libc is None:
         use_verification_libc = options.level.is_verification_oriented
@@ -83,7 +79,7 @@ def link_sources(program_source: str, options: CompileOptions) -> str:
 
 def linked_prelude_lines(full_source: str, program_source: str) -> int:
     """How many lines :func:`link_sources` put in front of
-    ``program_source`` in ``full_source`` (0 when nothing was linked).
+    ``program_source`` in ``full_source``.
     The front end reports locations in those lines as the prelude's, and
     counts the program's lines from the line after them."""
     return full_source.count("\n", 0, len(full_source) - len(program_source))

@@ -51,18 +51,9 @@ class SessionStats:
 
 class CompilerSession:
     """A stateful compiler driver: repeated compiles of one source share
-    its parsed and analysed translation unit (see module docstring).
+    its parsed and analysed translation unit (see module docstring)."""
 
-    Parameters
-    ----------
-    default_options:
-        Options used when :meth:`compile` is called without any; a copy is
-        taken per compile, so the instance handed in is never mutated.
-    """
-
-    def __init__(self, default_options: Optional[CompileOptions] = None
-                 ) -> None:
-        self.default_options = default_options or CompileOptions()
+    def __init__(self) -> None:
         self.stats = SessionStats()
         #: Analysis-cache counters of every compile so far, summed.
         self.analysis_stats = AnalysisManagerStats()
@@ -90,7 +81,7 @@ class CompilerSession:
         ``level`` are given, ``level`` wins.  The caller's options object is
         never mutated.
         """
-        base = options or self.default_options
+        base = options or CompileOptions()
         options = replace(base) if level is None else replace(base,
                                                               level=level)
         start = time.perf_counter()

@@ -248,7 +248,8 @@ class RelcheckReport:
     #: True when any budget truncated the A exploration or a replay —
     #: "clean" then means "no divergence found", not "equivalent".
     truncated: bool = False
-    #: "cold" | "warm" (store-primed) | "memo-hit".
+    #: "cold", "warm-store" (an entry primed from a knowledge store
+    #: answered a group query) or "memo-hit", as for verification.
     provenance: str = "cold"
     solver_stats: SolverStats = field(default_factory=SolverStats)
 
@@ -639,16 +640,14 @@ def relcheck_modules(module_a: Module, module_b: Module,
     if pair is None:
         pair = (str(module_a.metadata.get("opt_level", "A")),
                 str(module_b.metadata.get("opt_level", "B")))
-    provenance = "cold"
-    fingerprint = None
     if store is not None:
         from ..service.store import relcheck_fingerprint
         fingerprint = relcheck_fingerprint(module_a, module_b, config.spec())
-        memo = store.memo_lookup(fingerprint)
+        memo = store.memo_lookup(
+            fingerprint,
+            lambda payload: _report_from_memo(payload, pair, config))
         if memo is not None:
-            return _report_from_memo(memo, pair, config)
-        if len(store) > 0 or store.memo_count > 0:
-            provenance = "warm"
+            return memo
     caches = shared_caches or SharedSolverCaches(locked=False)
     if store is not None:
         store.prime(caches)
@@ -666,8 +665,7 @@ def relcheck_modules(module_a: Module, module_b: Module,
     solver_stats = SolverStats()
     solver_stats.merge(report_a.solver_stats)
     report = RelcheckReport(pair=pair, input_bytes=config.input_bytes,
-                            stats=stats, provenance=provenance,
-                            solver_stats=solver_stats)
+                            stats=stats, solver_stats=solver_stats)
     if report_a.stats.engine_errors > 0:
         detail = "; ".join(report_a.diagnostics) or "engine error"
         report.divergences.append(RelcheckDivergence(
@@ -687,10 +685,12 @@ def relcheck_modules(module_a: Module, module_b: Module,
         solver_stats.merge(checker.solver.stats)
         report.divergences.extend(checker.divergences)
         report.truncated |= checker.truncated
+    if solver_stats.store_hits:
+        report.provenance = "warm-store"
 
     if store is not None:
         store.absorb(caches)
-        if not report.truncated and fingerprint is not None:
+        if not report.truncated:
             store.memo_record(fingerprint, _report_to_memo(report))
         store.save()
     return report
@@ -733,10 +733,9 @@ def relcheck_workload(name: str,
 # ----------------------------------------------------------------- memos
 
 def _report_to_memo(report: RelcheckReport) -> Dict[str, object]:
+    """The memo payload: what :func:`_report_from_memo` reads back (the
+    caller supplies the pair and input size)."""
     return {
-        "kind": "relcheck",
-        "pair": list(report.pair),
-        "input_bytes": report.input_bytes,
         "stats": report.stats.as_dict(),
         "verdicts": [[v.index, v.kind, v.status, v.detail,
                       None if v.counterexample is None

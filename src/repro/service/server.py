@@ -51,8 +51,8 @@ from ..symex.solver import SharedSolverCaches
 from ..verification import VerificationRequest, make_backend
 from ..workloads import get_workload
 from .store import (
-    SolverKnowledgeStore, WireError, memo_to_outcome, outcome_to_memo,
-    verification_fingerprint,
+    SolverKnowledgeStore, outcome_to_memo, verification_fingerprint,
+    verify_memoized,
 )
 
 #: Stripes of the service's shared solver caches: enough that a handful of
@@ -150,7 +150,6 @@ class VerificationServer:
         if max_pending < 0:
             raise ValueError("max_pending must be >= 0")
         self.socket_path = str(socket_path)
-        self.backend_spec = backend
         self.pool_size = pool_size
         self.save_every = save_every
         self.max_pending = max_pending or 4 * pool_size + 4
@@ -348,6 +347,7 @@ class VerificationServer:
         source = request.get("source")
         label = request.get("workload")
         default_bytes = 4
+        concrete_input = VerificationRequest().concrete_input
         if label is not None:
             if source is not None:
                 raise ProtocolError("give 'workload' or 'source', not both")
@@ -357,6 +357,8 @@ class VerificationServer:
                 raise ProtocolError(str(exc)) from None
             source = workload.source
             default_bytes = workload.default_input_bytes
+            # As `python -m repro <workload> --verify` runs it.
+            concrete_input = workload.sample_input
         elif source is None:
             raise ProtocolError("a verify job needs 'workload' or 'source'")
         elif not isinstance(source, str):
@@ -379,6 +381,7 @@ class VerificationServer:
         verification = VerificationRequest(
             symbolic_input_bytes=_field_int(request, "input_bytes",
                                             default_bytes, minimum=1),
+            concrete_input=concrete_input,
             timeout_seconds=timeout,
             max_instructions=_field_int(request, "max_instructions",
                                         5_000_000, minimum=1),
@@ -394,6 +397,7 @@ class VerificationServer:
             "source": job["source"],
             "level": str(job["level"]),
             "input_bytes": request.symbolic_input_bytes,
+            "concrete_input": request.concrete_input.hex(),
             "timeout": request.timeout_seconds,
             "max_instructions": request.max_instructions,
             "entry": request.entry,
@@ -492,20 +496,12 @@ class VerificationServer:
         with self._session_lock:
             result = self.session.compile(
                 job["source"], options=CompileOptions(level=job["level"]))
+        # Called through this module's namespace, so a tracer can wrap it.
         memo_key = verification_fingerprint(
             result.module, job["request"], self.backend.describe())
-        outcome = None
-        payload = self.store.memo_lookup(memo_key)
-        if payload is not None:
-            try:
-                outcome = memo_to_outcome(payload,
-                                          backend=self.backend.describe())
-            except WireError:
-                outcome = None  # damaged memo: re-verify
-        if outcome is None:
-            outcome = self.backend.verify(result.module, job["request"])
-            self.store.memo_record(memo_key, outcome_to_memo(outcome))
-            self.store.absorb(self.caches)
+        outcome = verify_memoized(self.store, self.backend, result.module,
+                                  job["request"], memo_key, self.caches)
+        if outcome.provenance != "memo-hit":
             self._maybe_save()
         with self._stats_lock:
             self.stats["jobs_completed"] += 1
@@ -518,21 +514,11 @@ class VerificationServer:
             "op": "verify",
             "label": job["label"],
             "level": str(job["level"]),
-            "backend": outcome.backend,
             "provenance": outcome.provenance,
             "deduped": False,
-            "paths": outcome.paths,
-            "errors": outcome.errors,
-            "instructions": outcome.instructions,
-            "timed_out": outcome.timed_out,
-            "engine_errors": outcome.engine_errors,
-            "termination_reason": outcome.termination_reason,
-            "bug_signatures": sorted(list(signature) for signature
-                                     in outcome.bug_signatures),
-            "verify_seconds": outcome.seconds,
+            **outcome_to_memo(outcome),
             "compile_seconds": result.compile_seconds,
             "wall_seconds": time.perf_counter() - started,
-            "solver": dict(outcome.solver_stats),
         }
 
     def _maybe_save(self) -> None:

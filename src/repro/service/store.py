@@ -4,10 +4,12 @@
 lever left after intra-run caching is **amortization across runs**: user
 M+1 should never re-pay for anything user M already proved.  This module
 persists the solver's learned knowledge — exact group results, UBTree
-SAT/UNSAT counterexample sets (minimized UNSAT cores included), and
-canonical concretization models — plus whole-run **verification memos**
-keyed by post-pipeline IR fingerprints, so a resubmitted unchanged
-function skips symbolic execution entirely.
+SAT/UNSAT counterexample sets, and canonical concretization models —
+plus whole-run **memos** keyed by post-pipeline IR fingerprints, so a
+resubmitted unchanged function skips symbolic execution entirely.  Only
+:meth:`SolverKnowledgeStore.memo_lookup` decodes a memo, and the CLI and
+the service share one lookup-or-verify-and-record step,
+:func:`verify_memoized`.
 
 Design points (see ``docs/service.md`` for the file format):
 
@@ -40,24 +42,22 @@ import json
 import os
 import tempfile
 import threading
-from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, TypeVar
 
 from ..faults import StoreError, site as _fault_site
 from ..ir import Module
 from ..ir.printer import print_module
-from ..symex.executor import (
-    BugReport, PathRecord, SymexReport, SymexStats,
-)
 from ..symex.expr import Expr, ExprOp
-from ..symex.solver import SharedSolverCaches, SolverResult, SolverStats
-from ..symex.state import StateStatus
-from ..interp.errors import ErrorKind
-from ..verification import VerificationOutcome, VerificationRequest
+from ..symex.solver import SharedSolverCaches, SolverResult
+from ..verification import (
+    VerificationBackend, VerificationOutcome, VerificationRequest,
+)
 
 FORMAT_NAME = "repro-solver-store"
 FORMAT_VERSION = 1
+
+_Decoded = TypeVar("_Decoded")
 
 #: Fault sites around store persistence (``docs/robustness.md``).
 #: ``store.write`` fires between the temp-file write and the atomic
@@ -188,12 +188,14 @@ def verification_fingerprint(module: Module, request: VerificationRequest,
                              backend_spec: str) -> str:
     """The memo key of one verification run: the post-pipeline IR's
     printed form plus every request/backend knob that can change the
-    outcome.  Two submissions with identical optimized IR, request, and
-    backend configuration are the same verification."""
+    outcome (the concrete input too: the interpreter runs on it).  Two
+    submissions with identical optimized IR, request, and backend
+    configuration are the same verification."""
     parts = [
         backend_spec,
         request.entry,
         str(request.symbolic_input_bytes),
+        request.concrete_input.hex(),
         repr(request.timeout_seconds),
         str(request.max_instructions),
         print_module(module),
@@ -212,107 +214,62 @@ def relcheck_fingerprint(module_a: Module, module_b: Module,
 
 
 def outcome_to_memo(outcome: VerificationOutcome) -> Dict[str, object]:
-    """The JSON-ready memo payload of a completed verification."""
-    payload: Dict[str, object] = {
+    """The one encoding of a completed verification: the memo payload,
+    and the outcome part of the service's ``verify`` reply."""
+    return {
         "backend": outcome.backend,
-        "seconds": outcome.seconds,
-        "instructions": outcome.instructions,
         "paths": outcome.paths,
         "errors": outcome.errors,
+        "instructions": outcome.instructions,
         "timed_out": outcome.timed_out,
         "engine_errors": outcome.engine_errors,
         "termination_reason": outcome.termination_reason,
-        "return_value": outcome.return_value,
         "bug_signatures": sorted(list(signature)
                                  for signature in outcome.bug_signatures),
-        "solver_stats": dict(outcome.solver_stats),
+        "verify_seconds": outcome.seconds,
+        "solver": dict(outcome.solver_stats),
     }
-    detail = outcome.detail
-    if isinstance(detail, SymexReport):
-        payload["report"] = {
-            "stats": {field.name: getattr(detail.stats, field.name)
-                      for field in fields(detail.stats)},
-            "paths": [[record.status.value,
-                       record.constraint_count,
-                       record.instructions,
-                       None if record.test_input is None
-                       else record.test_input.hex(),
-                       record.return_value]
-                      for record in detail.paths],
-            "bugs": [[bug.kind.value, bug.message, bug.function, bug.block,
-                      None if bug.test_input is None
-                      else bug.test_input.hex()]
-                     for bug in detail.bugs],
-            "diagnostics": list(detail.diagnostics),
-        }
-    return payload
 
 
 def memo_to_outcome(payload: Dict[str, object],
                     backend: str) -> VerificationOutcome:
-    """Rebuild a full :class:`VerificationOutcome` (including a genuine
-    :class:`SymexReport` detail when one was memoized) from a memo
-    payload, with ``provenance="memo-hit"`` and ``seconds=0.0`` — the memo
-    hit itself costs no verification time.  Raises :class:`WireError` if
-    the payload does not reconstruct; callers treat that as a miss."""
-    try:
-        detail = None
-        report = payload.get("report")
-        if isinstance(report, dict):
-            stat_names = {field.name for field in fields(SymexStats)}
-            stats = SymexStats(**{key: value
-                                  for key, value in report["stats"].items()
-                                  if key in stat_names})
-            solver_names = {field.name for field in fields(SolverStats)}
-            solver_stats = SolverStats(
-                **{key: value
-                   for key, value in payload["solver_stats"].items()
-                   if key in solver_names})
-            paths = [PathRecord(
-                state_id=index,
-                status=StateStatus(status),
-                constraint_count=constraint_count,
-                instructions=instructions,
-                test_input=None if test_input is None
-                else bytes.fromhex(test_input),
-                return_value=return_value)
-                for index, (status, constraint_count, instructions,
-                            test_input, return_value)
-                in enumerate(report["paths"])]
-            bugs = [BugReport(
-                kind=ErrorKind(kind),
-                message=message,
-                function=function,
-                block=block,
-                test_input=None if test_input is None
-                else bytes.fromhex(test_input))
-                for kind, message, function, block, test_input
-                in report["bugs"]]
-            detail = SymexReport(stats=stats, solver_stats=solver_stats,
-                                 paths=paths, bugs=bugs,
-                                 diagnostics=list(
-                                     report.get("diagnostics", [])))
-        return VerificationOutcome(
-            backend=backend,
-            seconds=0.0,
-            instructions=int(payload["instructions"]),
-            paths=int(payload["paths"]),
-            errors=int(payload["errors"]),
-            timed_out=bool(payload["timed_out"]),
-            engine_errors=int(payload.get("engine_errors", 0)),
-            termination_reason=str(payload.get("termination_reason", "")),
-            bug_signatures=frozenset(
-                tuple(signature)
-                for signature in payload["bug_signatures"]),
-            return_value=payload.get("return_value"),
-            solver_stats=dict(payload["solver_stats"]),
-            detail=detail,
-            provenance="memo-hit",
-        )
-    except WireError:
-        raise
-    except Exception as exc:
-        raise WireError(f"memo payload does not reconstruct: {exc}") from exc
+    """The outcome a memo payload records, with ``provenance="memo-hit"``,
+    ``seconds=0.0`` (the hit costs no verification time) and no
+    ``detail``.  Raises on a payload this build cannot decode, which
+    :meth:`SolverKnowledgeStore.memo_lookup` turns into a miss."""
+    return VerificationOutcome(
+        backend=backend,
+        seconds=0.0,
+        instructions=int(payload["instructions"]),
+        paths=int(payload["paths"]),
+        errors=int(payload["errors"]),
+        timed_out=bool(payload["timed_out"]),
+        engine_errors=int(payload["engine_errors"]),
+        termination_reason=str(payload["termination_reason"]),
+        bug_signatures=frozenset(
+            tuple(signature) for signature in payload["bug_signatures"]),
+        solver_stats=dict(payload["solver"]),
+        provenance="memo-hit",
+    )
+
+
+def verify_memoized(store: "SolverKnowledgeStore",
+                    backend: VerificationBackend, module: Module,
+                    request: VerificationRequest, key: str,
+                    caches: Optional[SharedSolverCaches] = None
+                    ) -> VerificationOutcome:
+    """Answer a verification from ``store``'s memo under ``key`` (a
+    :func:`verification_fingerprint`), or run ``backend`` and record the
+    outcome — budget-truncated ones included — then fold what
+    ``caches`` learned into the store.  Saving is the caller's."""
+    outcome = store.memo_lookup(
+        key, lambda payload: memo_to_outcome(payload, backend.describe()))
+    if outcome is None:
+        outcome = backend.verify(module, request)
+        store.memo_record(key, outcome_to_memo(outcome))
+        if caches is not None:
+            store.absorb(caches)
+    return outcome
 
 
 # ------------------------------------------------------------------- store
@@ -608,9 +565,21 @@ class SolverKnowledgeStore:
         return added
 
     # ---------------------------------------------------------------- memos
-    def memo_lookup(self, key: str) -> Optional[Dict[str, object]]:
+    def memo_lookup(self, key: str,
+                    decode: Callable[[Dict[str, object]], _Decoded]
+                    ) -> Optional[_Decoded]:
+        """The memo under ``key`` as ``decode`` rebuilds it, or ``None``.
+        A payload of a shape ``decode`` rejects (damaged, or written by a
+        build with other fields) is a miss like a missing one: the caller
+        re-runs and its fresh result overwrites the payload."""
         with self._lock:
-            return self._memos.get(key)
+            payload = self._memos.get(key)
+        if payload is None:
+            return None
+        try:
+            return decode(payload)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return None
 
     def memo_record(self, key: str, payload: Dict[str, object]) -> None:
         with self._lock:
@@ -621,5 +590,5 @@ __all__ = [
     "FORMAT_NAME", "FORMAT_VERSION", "SolverKnowledgeStore",
     "StoreFormatError", "WireError", "expr_from_wire", "expr_to_wire",
     "group_fingerprint", "memo_to_outcome", "outcome_to_memo",
-    "relcheck_fingerprint", "verification_fingerprint",
+    "relcheck_fingerprint", "verification_fingerprint", "verify_memoized",
 ]

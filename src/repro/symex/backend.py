@@ -8,19 +8,12 @@ accepts ``on``/``off`` (also ``true``/``false``/``1``/``0``), and the
 integer ``query-deadline-ms`` sets a per-solver-query wall-clock deadline
 (0 = none — see ``docs/robustness.md``).
 
-Two parameters open the backend to callers that manage solver knowledge
-themselves (the verification service, tests):
-
-* ``caches`` — a prebuilt :class:`~repro.symex.solver.SharedSolverCaches`
-  the run solves into instead of constructing its own, so consecutive
-  runs (or concurrent jobs) share learned results;
-* ``store=PATH`` — a :class:`~repro.service.store.SolverKnowledgeStore`
-  file: the run primes its caches from it, consults the per-function
-  verification memo (an unchanged module/request skips symex entirely),
-  and persists everything it learned back on completion.  The outcome's
-  ``provenance`` field reports what happened: ``memo-hit``,
-  ``warm-store`` (at least one primed entry answered a group query), or
-  ``cold``.
+``caches`` takes a prebuilt :class:`~repro.symex.solver.SharedSolverCaches`
+to solve into, so runs (or concurrent service jobs) share what they
+learn.  Provenance is ``warm-store`` when an entry primed from a
+knowledge store answered a group query, otherwise ``cold``.  The backend
+only solves; memos are the store's
+(:func:`~repro.service.store.verify_memoized`).
 """
 
 from __future__ import annotations
@@ -28,7 +21,6 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ..faults import StoreError
 from ..ir import Module
 from ..verification import (
     BackendSpecError, VerificationBackend, VerificationOutcome,
@@ -71,7 +63,6 @@ class SymexBackend(VerificationBackend):
     def __init__(self, searcher: str = "dfs",
                  rewrite_equalities: object = True,
                  query_deadline_ms: object = 0,
-                 store: object = "",
                  caches: Optional[SharedSolverCaches] = None) -> None:
         make_searcher(searcher)  # validate the name eagerly
         self.searcher = searcher
@@ -81,25 +72,18 @@ class SymexBackend(VerificationBackend):
             query_deadline_seconds=_parse_count(
                 "query-deadline-ms", query_deadline_ms, 0) / 1000.0,
         )
-        if store is not None and not isinstance(store, str):
-            raise BackendSpecError(
-                f"symex: 'store' must be a path string, got {store!r}")
-        self.store_path = store or ""
         if caches is not None and not isinstance(caches, SharedSolverCaches):
             raise BackendSpecError(
                 f"symex: 'caches' must be a SharedSolverCaches object, got "
                 f"{caches!r}")
-        #: Caller-injected solver caches.  ``None``: a plain run builds a
-        #: private set per verification; a ``store`` run builds one so it
-        #: has something to prime and persist.
+        #: Caller-injected solver caches (``None``: each verification
+        #: builds a private set).
         self.caches = caches
 
-    def _config_spec(self) -> str:
-        """The canonical spec of the engine configuration — everything
+    def describe(self) -> str:
+        """The canonical spec of the engine configuration: everything
         that can change a verification outcome, and nothing that cannot
-        (the store path is deliberately excluded: it feeds the memo
-        fingerprint, and where knowledge is stored must not change what a
-        verification means)."""
+        (the injected caches only change how fast it is reached)."""
         parts = []
         if self.searcher != "dfs":
             parts.append(f"searcher={self.searcher}")
@@ -113,53 +97,18 @@ class SymexBackend(VerificationBackend):
             return f"symex<{','.join(parts)}>"
         return "symex"
 
-    def describe(self) -> str:
-        spec = self._config_spec()
-        if not self.store_path:
-            return spec
-        store_part = f"store={self.store_path}"
-        if spec.endswith(">"):
-            return f"{spec[:-1]},{store_part}>"
-        return f"{spec}<{store_part}>"
-
     def verify(self, module: Module,
                request: VerificationRequest) -> VerificationOutcome:
         limits = SymexLimits(timeout_seconds=request.timeout_seconds,
                              max_instructions=request.max_instructions)
-        store = None
-        memo_key = None
-        if self.store_path:
-            # Imported lazily: plain symex runs must not pay for (or
-            # depend on) the service package.
-            from ..service.store import (
-                SolverKnowledgeStore, WireError, memo_to_outcome,
-                outcome_to_memo, verification_fingerprint,
-            )
-            store = SolverKnowledgeStore(self.store_path)
-            store.load()
-            memo_key = verification_fingerprint(module, request,
-                                                self._config_spec())
-            payload = store.memo_lookup(memo_key)
-            if payload is not None:
-                try:
-                    return memo_to_outcome(payload, backend=self.describe())
-                except WireError:
-                    pass  # damaged memo: fall through and re-verify
-        caches = self.caches
-        if caches is None and store is not None:
-            caches = SharedSolverCaches(locked=False)
-        if store is not None and caches is not None:
-            store.prime(caches)
         start = time.perf_counter()
         report = explore(module, request.symbolic_input_bytes,
                          entry=request.entry, searcher=self.searcher,
                          limits=limits,
                          solver=Solver(config=self.solver_config,
-                                       shared=caches))
+                                       shared=self.caches))
         seconds = time.perf_counter() - start
-        provenance = "warm-store" if report.solver_stats.store_hits \
-            else "cold"
-        outcome = VerificationOutcome(
+        return VerificationOutcome(
             backend=self.describe(),
             seconds=seconds,
             instructions=report.stats.instructions_interpreted,
@@ -171,19 +120,9 @@ class SymexBackend(VerificationBackend):
             bug_signatures=frozenset(report.bug_signatures()),
             solver_stats=report.solver_stats.as_dict(),
             detail=report,
-            provenance=provenance,
+            provenance="warm-store" if report.solver_stats.store_hits
+            else "cold",
         )
-        if store is not None:
-            if caches is not None:
-                store.absorb(caches)
-            store.memo_record(memo_key, outcome_to_memo(outcome))
-            try:
-                store.save()
-            except StoreError:
-                # Persistence is best-effort: the verification stands,
-                # the next successful save will carry the knowledge.
-                pass
-        return outcome
 
 
 register_backend("symex", SymexBackend)

@@ -73,7 +73,8 @@ class VerificationOutcome:
     #: post-pipeline IR fingerprint matched a memoized verification.
     provenance: str = "cold"
     #: The engine-specific report (``SymexReport`` / ``ExecutionResult``)
-    #: for drivers that want the details.
+    #: for drivers that want the details; ``None`` on a memo hit, which
+    #: records only the fields above.
     detail: object = None
 
 
@@ -191,5 +192,6 @@ def make_backend(spec: str, **default_params: object) -> VerificationBackend:
     except BackendSpecError:
         raise
     except (TypeError, ValueError) as exc:
+        written = {key: params[key] for key in explicit}
         raise BackendSpecError(
-            f"backend '{text}' rejected parameters {params}: {exc}") from exc
+            f"backend '{text}' rejected parameters {written}: {exc}") from exc

@@ -31,6 +31,8 @@ class TestRegistry:
         # defaults the backend does not understand are dropped
         assert isinstance(make_backend("interp", searcher="dfs"),
                           InterpBackend)
+        assert make_backend("symex", store="/tmp/k.jsonl").describe() == \
+            "symex"
 
     def test_unknown_backend_error(self):
         with pytest.raises(BackendSpecError, match="unknown verification "
@@ -43,9 +45,25 @@ class TestRegistry:
                            match="unknown search strategy"):
             make_backend("symex<searcher=zigzag>")
 
+    def test_rejection_names_only_the_spec_parameters(self):
+        # Injected defaults (the service's caches) are the caller's, not
+        # the spec's: the message must not print them, or their address.
+        with pytest.raises(BackendSpecError) as excinfo:
+            make_backend("symex<searcher=zigzag>",
+                         caches=SharedSolverCaches(num_stripes=1))
+        message = str(excinfo.value)
+        assert "'searcher': 'zigzag'" in message
+        assert "caches" not in message and "0x" not in message
+
     def test_explicit_unknown_param_rejected(self):
         with pytest.raises(BackendSpecError, match="rejected parameters"):
             make_backend("interp<searcher=dfs>")
+
+    def test_interp_takes_no_parameters(self):
+        # The request's instruction budget is the interpreter's one bound.
+        with pytest.raises(BackendSpecError, match="rejected parameters"):
+            make_backend("interp<max_steps=5>")
+        assert make_backend("interp").describe() == "interp"
 
     def test_duplicate_backend_param_rejected(self):
         with pytest.raises(BackendSpecError, match="duplicate parameter"):
@@ -54,11 +72,12 @@ class TestRegistry:
     @pytest.mark.parametrize("setting", [
         "processes=on", "ubtree=off", "branch-and-prune=off",
         "seeded-splits=off", "ubtree-capacity=4", "minimize-cores=off",
-        "workers=1", "workers=4"])
+        "workers=1", "workers=4", "store=/tmp/k.jsonl"])
     def test_deleted_symex_settings_rejected(self, setting):
         # These spec keys once selected solver and engine mechanisms that
-        # no longer exist (``workers`` sized the thread pool); naming one
-        # must fail loudly, not be ignored.
+        # no longer exist (``workers`` sized the thread pool, ``store``
+        # made the backend memoize); naming one must fail loudly, not be
+        # ignored.
         with pytest.raises(BackendSpecError, match="rejected parameters"):
             make_backend(f"symex<{setting}>")
 

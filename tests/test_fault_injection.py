@@ -208,14 +208,16 @@ class TestEngineContainment:
         stats.engine_errors = 2
         assert budget.exhausted() is None
 
-    def test_diagnostics_survive_the_memo_round_trip(self, wc_module):
+    def test_engine_errors_survive_the_memo_round_trip(self, wc_module):
+        # The memo keeps the count of contained engine errors; the
+        # engine report with its diagnostics stays with the cold run.
         with injected("solver.check:every=4"):
             outcome = make_backend("symex").verify(
                 wc_module, VerificationRequest(symbolic_input_bytes=3))
         assert outcome.engine_errors > 0
         decoded = memo_to_outcome(outcome_to_memo(outcome), backend="symex")
         assert decoded.engine_errors == outcome.engine_errors
-        assert decoded.detail.diagnostics == outcome.detail.diagnostics
+        assert decoded.detail is None
 
 
 # -------------------------------------------------------------- store faults
@@ -275,18 +277,20 @@ class TestStoreFaults:
         assert store2.load() is False
         assert store2.quarantined.endswith(".corrupt-2")
 
-    def test_backend_survives_save_fault_end_to_end(self, tmp_path,
-                                                    wc_module):
+    def test_cli_survives_save_fault_end_to_end(self, tmp_path, capsys):
+        from repro.__main__ import main
+
         store_path = tmp_path / "knowledge.jsonl"
-        backend = make_backend("symex", store=str(store_path))
-        request = VerificationRequest(symbolic_input_bytes=3)
+        argv = ["wc", "--level", "O1", "--verify", "--input-bytes", "3",
+                "--store", str(store_path)]
         with injected("store.write:once"):
-            outcome = backend.verify(wc_module, request)
-        assert outcome.paths > 0  # the verification stood
+            assert main(argv) == 0  # the verification stood...
+        captured = capsys.readouterr()
+        assert "[cold]" in captured.out
+        assert "store not saved" in captured.err
         assert not store_path.exists()  # ...but nothing persisted
-        second = make_backend("symex", store=str(store_path)) \
-            .verify(wc_module, request)
-        assert second.provenance == "cold"
+        assert main(argv) == 0
+        assert "[cold]" in capsys.readouterr().out
         assert store_path.exists()
 
 
@@ -454,10 +458,12 @@ class TestCommandLineInput:
          "--timeout must be a finite number >= 0"),
         (["fuzz", "--seed", "0", "--max-paths", "0"],
          "--max-paths must be >= 1"),
+        (["serve", "verify.sock", "--pool", "0"], "--pool must be >= 1"),
+        (["serve", "verify.sock", "--pool", "-2"], "--pool must be >= 1"),
     ], ids=["compile-nan", "compile-inf", "compile-negative",
             "relcheck-nan", "relcheck-negative", "relcheck-paths-0",
             "relcheck-paths-negative", "fuzz-nan", "fuzz-negative",
-            "fuzz-paths-0"])
+            "fuzz-paths-0", "serve-pool-0", "serve-pool-negative"])
     def test_bad_budget_is_a_usage_error(self, argv, message, capsys):
         """A NaN timeout never runs out (every ``elapsed > timeout``
         comparison is false), a negative one ends the run before its first

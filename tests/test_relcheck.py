@@ -199,6 +199,85 @@ def test_store_memo_round_trip(tmp_path):
                 for v in cold.verdicts])
 
 
+def _wc_pair():
+    source = get_workload("wc").source
+    return tuple(compile_source(source, CompileOptions(level=level)).module
+                 for level in (OptLevel.O0, OptLevel.OVERIFY))
+
+
+def _verdicts(report):
+    return [(v.index, v.kind, v.status, v.counterexample)
+            for v in report.verdicts]
+
+
+def test_undecodable_memo_is_rechecked_and_overwritten(tmp_path):
+    """A relcheck memo whose stats carry a counter this build lacks (as a
+    build with a since-retired ``RelcheckStats`` field would leave it) is
+    a miss, not a crash: the pair is re-checked and the fresh report
+    replaces the memo."""
+    import copy
+
+    from repro.service.store import relcheck_fingerprint
+
+    config = RelcheckConfig(input_bytes=2)
+    module_a, module_b = _wc_pair()
+    pair = ("-O0", "-OVERIFY")
+    path = tmp_path / "store.jsonl"
+    cold = relcheck_modules(module_a, module_b, config=config, pair=pair,
+                            store=SolverKnowledgeStore(path))
+    assert cold.clean and not cold.truncated
+
+    store = SolverKnowledgeStore(path)
+    store.load()
+    key = relcheck_fingerprint(module_a, module_b, config.spec())
+    memo = store.memo_lookup(key, copy.deepcopy)
+    memo["stats"]["retired_counter"] = 3
+    store.memo_record(key, memo)
+    store.save()
+
+    stale = SolverKnowledgeStore(path)
+    stale.load()
+    rechecked = relcheck_modules(module_a, module_b, config=config,
+                                 pair=pair, store=stale)
+    assert rechecked.provenance != "memo-hit"
+    assert rechecked.clean and not rechecked.truncated
+    assert _verdicts(rechecked) == _verdicts(cold)
+
+    fresh = SolverKnowledgeStore(path)
+    fresh.load()
+    again = relcheck_modules(module_a, module_b, config=config, pair=pair,
+                             store=fresh)
+    assert again.provenance == "memo-hit"
+    assert _verdicts(again) == _verdicts(cold)
+
+
+def test_provenance_counts_store_answers_not_store_contents(tmp_path):
+    """``warm-store`` means a primed entry answered a query, as for
+    verification: a store holding only another config's memo leaves the
+    run cold; a store primed by a cold run of another config warms it."""
+    module_a, module_b = _wc_pair()
+    pair = ("-O0", "-OVERIFY")
+    config = RelcheckConfig(input_bytes=2)
+    other_config = RelcheckConfig(input_bytes=2, timeout_seconds=59.0)
+
+    memo_only = SolverKnowledgeStore(tmp_path / "memo-only.jsonl")
+    memo_only.memo_record("ab" * 32, {"paths": 1})
+    report = relcheck_modules(module_a, module_b, config=config, pair=pair,
+                              store=memo_only)
+    assert report.provenance == "cold"
+    assert report.solver_stats.store_hits == 0
+
+    path = tmp_path / "primed.jsonl"
+    relcheck_modules(module_a, module_b, config=config, pair=pair,
+                     store=SolverKnowledgeStore(path))
+    store = SolverKnowledgeStore(path)
+    store.load()
+    warm = relcheck_modules(module_a, module_b, config=other_config,
+                            pair=pair, store=store)
+    assert warm.provenance == "warm-store"
+    assert warm.solver_stats.store_hits > 0
+
+
 def test_store_primed_rerun_answers_from_the_store(tmp_path):
     """A rerun whose solver caches are primed from a cold run's store,
     with no store handed to the rerun itself (so the whole-run memo

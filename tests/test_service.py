@@ -1,9 +1,14 @@
-"""Tests for the verification service: the UNSAT index, the
-store-backed backend (memo + warm provenance), injectable solver caches,
-and the socket front door end to end (dedupe, memo hits, stats, restart
-persistence)."""
+"""Tests for the verification service: the UNSAT index, the memo path
+the CLI and the server share (memo + warm provenance, the one memo
+encoding, memos crossing between the CLI and the server), injectable
+solver caches, and the socket front door end to end (dedupe, memo hits,
+stats, restart persistence)."""
 
+import contextlib
 import gc
+import io
+import json
+import re
 import threading
 import weakref
 
@@ -12,7 +17,10 @@ import pytest
 from conftest import as_partition
 from repro.pipelines import CompileOptions, CompilerSession, OptLevel
 from repro.service import ServiceClient, ServiceError, VerificationServer
-from repro.service.store import SolverKnowledgeStore
+from repro.service.store import (
+    SolverKnowledgeStore, memo_to_outcome, outcome_to_memo,
+    verification_fingerprint, verify_memoized,
+)
 from repro.symex import (
     ExprOp, SharedSolverCaches, Solver, SolverConfig, binary, const,
     not_expr, var,
@@ -94,7 +102,7 @@ def test_unsat_index_verdicts_match_uncached():
     assert indexed.stats.cores_minimized == 0
 
 
-# ------------------------------------------------- store-backed backend
+# ------------------------------------------------------ shared memo path
 
 
 @pytest.fixture(scope="module")
@@ -107,78 +115,163 @@ def wc_build():
     return workload, module
 
 
-def test_backend_store_memo_round_trip(tmp_path, wc_build):
+def _cli_run(*argv):
+    from repro.__main__ import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def _cli_verify(*argv):
+    """One ``python -m repro ... --verify`` run: its ``verify`` line split
+    into fields, plus its bug signatures."""
+    out = _cli_run(*argv, "--verify")
+    line = next(line for line in out.splitlines()
+                if line.startswith("verify   :"))
+    match = re.search(r": (\d+) paths, (\d+) errors, (\d+) instructions "
+                      r"in ([0-9.]+)s(.*?)(?: \[([a-z-]+)\])?$", line)
+    assert match, line
+    paths, errors, instructions, seconds, budget, provenance = \
+        match.groups()
+    bugs = sorted(line.split(": ", 1)[1].split(", ")
+                  for line in out.splitlines()
+                  if line.startswith("  bug    :"))
+    return {"provenance": provenance, "paths": int(paths),
+            "errors": int(errors), "instructions": int(instructions),
+            "seconds": float(seconds), "budget": budget.strip(),
+            "bug_signatures": bugs}
+
+
+def _cli_store_verify(store_path):
+    """``python -m repro buggy_div --verify --store`` at 4 bytes."""
+    return _cli_verify("buggy_div", "--input-bytes", "4",
+                       "--store", str(store_path))
+
+
+def _verify_through_store(store_path, spec, module, request):
+    """What ``python -m repro --verify --store`` does, on a prebuilt
+    module: prime from the store, answer from its memo or verify and
+    record, save."""
+    store = SolverKnowledgeStore(store_path)
+    store.load()
+    caches = SharedSolverCaches(locked=False)
+    store.prime(caches)
+    backend = make_backend(spec, caches=caches)
+    key = verification_fingerprint(module, request, backend.describe())
+    outcome = verify_memoized(store, backend, module, request, key, caches)
+    store.save()
+    return outcome
+
+
+def test_cli_store_memo_round_trip(tmp_path):
+    store_path = tmp_path / "knowledge.jsonl"
+    cold = _cli_store_verify(store_path)
+    assert cold["provenance"] == "cold"
+    memo = _cli_store_verify(store_path)
+    assert memo["provenance"] == "memo-hit"
+    assert memo["seconds"] == 0.0
+    assert cold["bug_signatures"]
+    for field in ("paths", "errors", "instructions", "budget",
+                  "bug_signatures"):
+        assert memo[field] == cold[field]
+
+
+@pytest.mark.parametrize("spec, change", [
+    ("symex", {"max_instructions": 4_999_999}),
+    # The interpreter runs on the concrete input.
+    ("interp", {"concrete_input": b"one two three\n"}),
+], ids=["symex-budget", "interp-input"])
+def test_memo_key_tracks_the_request(tmp_path, wc_build, spec, change):
     workload, module = wc_build
     store_path = tmp_path / "knowledge.jsonl"
-    request = VerificationRequest(symbolic_input_bytes=4)
-
-    cold = make_backend("symex", store=str(store_path)) \
-        .verify(module, request)
-    assert cold.provenance == "cold"
-    memo = make_backend("symex", store=str(store_path)) \
-        .verify(module, request)
-    assert memo.provenance == "memo-hit"
-    assert memo.seconds == 0.0
-    assert memo.paths == cold.paths
-    assert memo.errors == cold.errors
-    assert memo.instructions == cold.instructions
-    assert memo.bug_signatures == cold.bug_signatures
-    # The memo reconstructs the full report, test inputs included.
-    assert sorted(p.test_input for p in memo.detail.paths) == \
-        sorted(p.test_input for p in cold.detail.paths)
-
-
-def test_backend_memo_key_tracks_the_request(tmp_path, wc_build):
-    workload, module = wc_build
-    store_path = tmp_path / "knowledge.jsonl"
-    make_backend("symex", store=str(store_path)).verify(
-        module, VerificationRequest(symbolic_input_bytes=4))
+    _verify_through_store(store_path, spec, module,
+                          VerificationRequest(symbolic_input_bytes=4))
     # A different request is a different verification: no memo hit, but
     # the primed solver knowledge still applies where groups overlap.
-    changed = make_backend("symex", store=str(store_path)).verify(
-        module, VerificationRequest(symbolic_input_bytes=4,
-                                    max_instructions=4_999_999))
+    changed = _verify_through_store(
+        store_path, spec, module,
+        VerificationRequest(symbolic_input_bytes=4, **change))
     assert changed.provenance in ("cold", "warm-store")
-    assert changed.provenance != "memo-hit"
 
 
-def test_backend_memo_key_tracks_the_config(tmp_path, wc_build):
+def test_memo_key_tracks_the_config(tmp_path, wc_build):
     workload, module = wc_build
     store_path = tmp_path / "knowledge.jsonl"
     request = VerificationRequest(symbolic_input_bytes=4)
-    make_backend("symex", store=str(store_path)).verify(module, request)
-    other = make_backend("symex<searcher=bfs>", store=str(store_path)) \
-        .verify(module, request)
+    _verify_through_store(store_path, "symex", module, request)
+    other = _verify_through_store(store_path, "symex<searcher=bfs>",
+                                  module, request)
     assert other.provenance != "memo-hit"
+    again = _verify_through_store(store_path, "symex<searcher=bfs>",
+                                  module, request)
+    assert again.provenance == "memo-hit"
+    assert again.backend == "symex<searcher=bfs>"
 
 
-def test_backend_warm_store_provenance(tmp_path, wc_build):
+def test_warm_store_provenance(tmp_path, wc_build):
     """Same constraints, different verification (the memo misses because
     the instruction budget differs): primed groups answer queries, and
     the run reports warm-store."""
     workload, module = wc_build
     store_path = tmp_path / "knowledge.jsonl"
-    make_backend("symex", store=str(store_path)).verify(
-        module, VerificationRequest(symbolic_input_bytes=4))
-    warm = make_backend("symex", store=str(store_path)).verify(
-        module, VerificationRequest(symbolic_input_bytes=4,
-                                    max_instructions=4_999_999))
+    _verify_through_store(store_path, "symex", module,
+                          VerificationRequest(symbolic_input_bytes=4))
+    warm = _verify_through_store(
+        store_path, "symex", module,
+        VerificationRequest(symbolic_input_bytes=4,
+                            max_instructions=4_999_999))
     assert warm.provenance == "warm-store"
     assert warm.solver_stats["store_hits"] > 0
 
 
-def test_backend_tolerates_corrupt_store(tmp_path, wc_build):
-    workload, module = wc_build
+def test_cli_tolerates_corrupt_store(tmp_path):
     store_path = tmp_path / "knowledge.jsonl"
     store_path.write_text("garbage that is definitely not a store\n")
-    request = VerificationRequest(symbolic_input_bytes=4)
-    outcome = make_backend("symex", store=str(store_path)) \
-        .verify(module, request)
-    assert outcome.provenance == "cold"
+    assert _cli_store_verify(store_path)["provenance"] == "cold"
     # The run rewrote the store; the next one memo-hits.
-    again = make_backend("symex", store=str(store_path)) \
-        .verify(module, request)
+    assert _cli_store_verify(store_path)["provenance"] == "memo-hit"
+
+
+def test_memo_payload_is_the_reply_encoding(tmp_path, wc_build):
+    """A memo records exactly the outcome fields of a ``verify`` reply —
+    no engine report — and decodes to an outcome without ``detail``."""
+    workload, module = wc_build
+    request = VerificationRequest(symbolic_input_bytes=4)
+    outcome = make_backend("symex").verify(module, request)
+    payload = outcome_to_memo(outcome)
+    assert set(payload) == {
+        "backend", "paths", "errors", "instructions", "timed_out",
+        "engine_errors", "termination_reason", "bug_signatures",
+        "verify_seconds", "solver"}
+    decoded = memo_to_outcome(json.loads(json.dumps(payload)), "symex")
+    assert decoded.detail is None
+    assert decoded.provenance == "memo-hit" and decoded.seconds == 0.0
+    fields = ("paths", "errors", "instructions", "timed_out",
+              "engine_errors", "termination_reason", "bug_signatures",
+              "solver_stats")
+    assert [getattr(decoded, name) for name in fields] == \
+        [getattr(outcome, name) for name in fields]
+
+
+def test_undecodable_memo_is_a_miss_and_is_overwritten(tmp_path, wc_build):
+    """A memo this build cannot decode (here one in the layout that also
+    carried the engine report) is re-verified, and the fresh outcome
+    replaces it."""
+    workload, module = wc_build
+    store_path = tmp_path / "knowledge.jsonl"
+    request = VerificationRequest(symbolic_input_bytes=4)
+    key = verification_fingerprint(module, request, "symex")
+    store = SolverKnowledgeStore(store_path)
+    store.memo_record(key, {"backend": "symex", "seconds": 0.1, "paths": 1,
+                            "solver_stats": {}, "report": {}})
+    store.save()
+    fresh = _verify_through_store(store_path, "symex", module, request)
+    assert fresh.provenance != "memo-hit"
+    again = _verify_through_store(store_path, "symex", module, request)
     assert again.provenance == "memo-hit"
+    assert again.paths == fresh.paths
 
 
 def test_backend_injected_caches_are_reused(wc_build):
@@ -204,24 +297,10 @@ def test_interp_backend_ignores_service_defaults(wc_build):
     """make_backend drops defaults a backend does not accept: handing the
     service's caches/store defaults to interp must not error."""
     workload, module = wc_build
-    backend = make_backend("interp", caches=SharedSolverCaches(),
-                           store="/nonexistent/path.jsonl")
+    backend = make_backend("interp", caches=SharedSolverCaches())
     outcome = backend.verify(
         module, VerificationRequest(concrete_input=b"a b\n"))
     assert outcome.backend == "interp"
-
-
-def test_store_spec_round_trips_through_describe(tmp_path, wc_build):
-    workload, module = wc_build
-    store_path = str(tmp_path / "knowledge.jsonl")
-    backend = make_backend("symex", store=store_path)
-    described = backend.describe()
-    assert f"store={store_path}" in described
-    rebuilt = make_backend(described)
-    assert rebuilt.describe() == described
-    outcome = rebuilt.verify(module,
-                             VerificationRequest(symbolic_input_bytes=4))
-    assert outcome.provenance == "cold"
 
 
 # --------------------------------------------------------- socket front door
@@ -277,6 +356,63 @@ def test_server_end_to_end(tmp_path):
         assert stats["memo_hits"] == 1
         assert stats["store_records"] > 0
     assert store_path.exists()
+
+
+def _assert_same_verification(reply, cli):
+    assert (reply["paths"], reply["errors"], reply["instructions"],
+            reply["bug_signatures"]) == \
+        (cli["paths"], cli["errors"], cli["instructions"],
+         cli["bug_signatures"])
+    # The CLI prints "(<reason> budget hit)" exactly when a budget
+    # truncated the run.
+    assert cli["budget"] == ""
+    assert reply["timed_out"] is False
+    assert reply["termination_reason"] == ""
+
+
+def test_cli_memo_answers_the_server(tmp_path):
+    """The CLI and the server share one memo key and one encoding: a
+    store two CLI runs wrote answers the server's identical request."""
+    store_path = tmp_path / "knowledge.jsonl"
+    cold = _cli_store_verify(store_path)
+    assert cold["provenance"] in ("cold", "warm-store")
+    memo = _cli_store_verify(store_path)
+    assert memo["provenance"] == "memo-hit"
+    with _RunningServer(tmp_path, "cli-wrote",
+                        store_path=store_path) as running:
+        reply = running.client.verify(workload="buggy_div", level="-OVERIFY",
+                                      input_bytes=4)
+    assert reply["provenance"] == "memo-hit"
+    _assert_same_verification(reply, cold)
+    _assert_same_verification(reply, memo)
+
+
+def test_server_memo_answers_the_cli(tmp_path):
+    store_path = tmp_path / "knowledge.jsonl"
+    with _RunningServer(tmp_path, "server-wrote",
+                        store_path=store_path) as running:
+        reply = running.client.verify(workload="buggy_div", level="-OVERIFY",
+                                      input_bytes=4)
+    assert reply["provenance"] == "cold"
+    cli = _cli_store_verify(store_path)
+    assert cli["provenance"] == "memo-hit"
+    _assert_same_verification(reply, cli)
+
+
+def test_server_interp_memo_is_the_cli_run(tmp_path):
+    """A workload job runs on the workload's sample input, as the CLI
+    does, so an interpreter memo the server wrote is the CLI's run."""
+    store_path = tmp_path / "knowledge.jsonl"
+    with _RunningServer(tmp_path, "interp", store_path=store_path,
+                        backend="interp") as running:
+        reply = running.client.verify(workload="wc", level="-OVERIFY")
+    assert reply["provenance"] == "cold"
+    plain = _cli_verify("wc", "--backend", "interp")
+    memo = _cli_verify("wc", "--backend", "interp",
+                       "--store", str(store_path))
+    assert memo["provenance"] == "memo-hit"
+    assert memo["instructions"] == plain["instructions"] == \
+        reply["instructions"]
 
 
 def test_server_persists_across_restart(tmp_path):

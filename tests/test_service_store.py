@@ -166,7 +166,8 @@ def test_store_round_trip(tmp_path):
     assert loaded.load_error == ""
     assert len(loaded) == len(store)
     assert loaded.memo_count == 1
-    assert loaded.memo_lookup("deadbeef" * 8) == {"paths": 4, "errors": 0}
+    assert loaded.memo_lookup("deadbeef" * 8, dict) == \
+        {"paths": 4, "errors": 0}
 
     # Priming a fresh cache set from the loaded store reproduces the
     # original solver knowledge: the sat group hits, the unsat group hits.
@@ -182,13 +183,26 @@ def test_store_round_trip(tmp_path):
     assert solver.stats.store_hits == 2
 
 
+def test_memo_lookup_treats_an_undecodable_payload_as_a_miss():
+    store = SolverKnowledgeStore(None)
+    store.memo_record("k", {"paths": "many"})
+
+    def decode(payload):
+        return int(payload["paths"])
+
+    assert store.memo_lookup("k", decode) is None
+    assert store.memo_lookup("absent", decode) is None
+    store.memo_record("k", {"paths": 3})
+    assert store.memo_lookup("k", decode) == 3
+
+
 def test_save_without_path_is_noop(tmp_path):
     store = SolverKnowledgeStore(None)
     store.memo_record("k", {"v": 1})
     store.save()  # must not raise, must not write anywhere
     assert store.load() is False
     # load() resets even a memory-only store
-    assert store.memo_lookup("k") is None
+    assert store.memo_lookup("k", dict) is None
 
 
 # --------------------------------------------------------- corruption → cold
@@ -313,8 +327,8 @@ def test_read_merge_replace_unions_writers(tmp_path):
 
     merged = SolverKnowledgeStore(path)
     assert merged.load() is True
-    assert merged.memo_lookup("aa" * 32) == {"paths": 1}
-    assert merged.memo_lookup("bb" * 32) == {"paths": 2}
+    assert merged.memo_lookup("aa" * 32, dict) == {"paths": 1}
+    assert merged.memo_lookup("bb" * 32, dict) == {"paths": 2}
 
 
 def test_existing_entry_wins_on_collision(tmp_path):
@@ -330,7 +344,8 @@ def test_existing_entry_wins_on_collision(tmp_path):
     merged.load()
     # The saver's own (newer) entry wins within its save; what matters is
     # the file stays coherent and holds exactly one record for the key.
-    assert merged.memo_lookup("cc" * 32) in ({"paths": 1}, {"paths": 99})
+    assert merged.memo_lookup("cc" * 32, dict) in \
+        ({"paths": 1}, {"paths": 99})
     assert merged.memo_count == 1
 
 
