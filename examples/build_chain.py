@@ -8,7 +8,7 @@ A development team keeps (at least) three configurations of the same source:
 * a verification build (``-OVERIFY``) handed to automated analysis tools.
 
 This example builds one Coreutils-like utility in all three configurations
-through a single :class:`CompilerSession` (so each linked source is parsed
+through a single :class:`CompilerSession` (so the program is parsed
 once), prints each pipeline in the
 registry's textual syntax, runs the release build on concrete input, and
 runs the verification build through the symbolic-execution backend to

@@ -38,7 +38,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .frontend import CompileError, analyze, lower, parse as parse_minic
+from .frontend import CompileError
 from .ir import Module, verify_module
 from .passes import (
     AnalysisManager, PipelineSpec, PipelineSyntaxError, format_pass,
@@ -46,9 +46,8 @@ from .passes import (
 )
 from .pipelines import (
     CompileOptions, CompilerSession, LEVEL_PIPELINES, OptLevel,
-    build_pipeline_from_spec, level_spec, level_spec_string, link_sources,
-    linked_prelude_lines, parse_opt_level, with_entry_points,
-    with_runtime_checks,
+    build_pipeline_from_spec, level_spec, level_spec_string,
+    parse_opt_level, with_entry_points, with_runtime_checks,
 )
 from .symex.solver import SharedSolverCaches
 from .verification import (
@@ -131,8 +130,7 @@ def _list_levels() -> int:
     return 0
 
 
-def _explain_paths(source: str, name: str, options: CompileOptions,
-                   spec: PipelineSpec, input_bytes: int,
+def _explain_paths(module: Module, spec: PipelineSpec, input_bytes: int,
                    timeout: float) -> int:
     """Run the pipeline one pass at a time, symbolically exploring the
     module after each, and print every pass's path-count delta.  This
@@ -140,11 +138,6 @@ def _explain_paths(source: str, name: str, options: CompileOptions,
     instead of reporting only the endpoints."""
     from .symex import SymexLimits, explore
 
-    full_source = link_sources(source, options)
-    unit = parse_minic(full_source, prelude_lines=linked_prelude_lines(
-        full_source, source))
-    analyze(unit)
-    module = lower(unit, name)
     verify_module(module)
     limits = SymexLimits(timeout_seconds=timeout)
 
@@ -300,6 +293,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     options = CompileOptions(level=level,
                              enable_runtime_checks=not args.no_checks)
+    session = CompilerSession()
 
     if args.explain_paths:
         try:
@@ -309,7 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 spec = with_runtime_checks(level_spec(level),
                                            not args.no_checks)
                 spec = with_entry_points(spec, {"main"})
-            return _explain_paths(source, name, options, spec,
+            return _explain_paths(session.front_end(source, options), spec,
                                   input_bytes, args.timeout)
         except (CompileError, PipelineSyntaxError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -322,11 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(format_pipeline(spec))
                 return 0
             start = time.perf_counter()
-            full_source = link_sources(source, options)
-            unit = parse_minic(full_source, prelude_lines=linked_prelude_lines(
-                full_source, source))
-            analyze(unit)
-            module = lower(unit, name)
+            module = session.front_end(source, options)
             pipeline = build_pipeline_from_spec(spec)
             pipeline.run_until_fixpoint(module)
             verify_module(module)
@@ -338,7 +328,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.show_pipeline:
                 print(level_spec_string(level))
                 return 0
-            session = CompilerSession()
             result = session.compile(source, options)
             module = result.module
             elapsed = result.compile_seconds

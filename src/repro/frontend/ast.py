@@ -7,9 +7,9 @@ fills in; the lowering pass relies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .ctype import CType
+from .ctype import CFunction, CType
 from .source import SourceLocation, UNKNOWN_LOCATION
 
 
@@ -245,3 +245,7 @@ class TranslationUnit(Node):
     functions: List[FunctionDef] = field(default_factory=list)
     globals: List[GlobalDecl] = field(default_factory=list)
     structs: List[StructDef] = field(default_factory=list)
+    #: Filled in by sema: every function signature the unit can call (a
+    #: library's included), and the names each function defined here calls.
+    signatures: Dict[str, CFunction] = field(default_factory=dict)
+    calls: Dict[str, Set[str]] = field(default_factory=dict)

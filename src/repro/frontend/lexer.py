@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .source import PRELUDE_FILENAME, CompileError, SourceLocation
+from .source import CompileError, SourceLocation
 
 
 class TokenKind(enum.Enum):
@@ -68,14 +68,9 @@ _ESCAPES = {
 class Lexer:
     """Converts MiniC source text into a token stream."""
 
-    def __init__(self, source: str, filename: str = "<source>",
-                 prelude_lines: int = 0) -> None:
+    def __init__(self, source: str, filename: str = "<source>") -> None:
         self.source = source
         self.filename = filename
-        #: Leading lines that belong to a linked prelude, not to
-        #: ``filename``: locations there are reported in the prelude, and
-        #: the program's own lines are counted from the line after it.
-        self.prelude_lines = prelude_lines
         self.pos = 0
         self.line = 1
         self.column = 1
@@ -91,10 +86,7 @@ class Lexer:
 
     # ------------------------------------------------------------- internal
     def _location(self) -> SourceLocation:
-        if self.line <= self.prelude_lines:
-            return SourceLocation(self.line, self.column, PRELUDE_FILENAME)
-        return SourceLocation(self.line - self.prelude_lines, self.column,
-                              self.filename)
+        return SourceLocation(self.line, self.column, self.filename)
 
     def _peek(self, offset: int = 0) -> str:
         index = self.pos + offset
@@ -233,7 +225,6 @@ class Lexer:
         raise CompileError(f"unexpected character {self._peek()!r}", location)
 
 
-def tokenize(source: str, filename: str = "<source>",
-             prelude_lines: int = 0) -> List[Token]:
+def tokenize(source: str, filename: str = "<source>") -> List[Token]:
     """Tokenize ``source`` and return the token list (ending with EOF)."""
-    return Lexer(source, filename, prelude_lines).tokenize()
+    return Lexer(source, filename).tokenize()

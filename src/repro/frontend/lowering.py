@@ -12,7 +12,7 @@ GEP convention: ``getelementptr`` takes a single index operand holding a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from . import ast
 from .ctype import (
@@ -765,6 +765,32 @@ class Codegen:
         return self.module
 
 
-def lower(unit: ast.TranslationUnit, module_name: str = "module") -> Module:
-    """Lower a type-checked translation unit to an IR module."""
+def lower(unit: ast.TranslationUnit, module_name: str = "module",
+          library: Optional[ast.TranslationUnit] = None,
+          entry_points: Iterable[str] = ()) -> Module:
+    """Lower a type-checked translation unit to an IR module.
+
+    With the analysed ``library`` unit it was analysed against, the module
+    is linked: the library's declarations and the library functions
+    reachable over the AST call graph from ``entry_points`` and from every
+    function ``unit`` defines come first, in library order, then ``unit``'s
+    own functions.  A program function that redefines a library function
+    is reached by construction, so it is reported as a redefinition.
+    """
+    if library is not None:
+        calls = {**library.calls, **unit.calls}
+        pending = [f.name for f in unit.functions if f.body is not None]
+        pending.extend(entry_points)
+        reached: Set[str] = set()
+        while pending:
+            name = pending.pop()
+            if name not in reached:
+                reached.add(name)
+                pending.extend(calls.get(name, ()))
+        unit = ast.TranslationUnit(
+            functions=[f for f in library.functions
+                       if f.body is None or f.name in reached]
+            + unit.functions,
+            globals=library.globals + unit.globals,
+            structs=library.structs + unit.structs)
     return Codegen(unit, module_name).run()

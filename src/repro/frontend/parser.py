@@ -512,11 +512,9 @@ class Parser:
         raise CompileError(f"unexpected token '{token.text}'", token.location)
 
 
-def parse(source: str, filename: str = "<source>",
-          prelude_lines: int = 0) -> ast.TranslationUnit:
-    """Parse MiniC ``source`` into an AST.  The first ``prelude_lines``
-    lines are a linked prelude (see :class:`~repro.frontend.lexer.Lexer`)."""
-    parser = Parser(tokenize(source, filename, prelude_lines))
+def parse(source: str, filename: str = "<source>") -> ast.TranslationUnit:
+    """Parse MiniC ``source`` into an AST."""
+    parser = Parser(tokenize(source, filename))
     try:
         return parser.parse_translation_unit()
     except RecursionError:

@@ -7,7 +7,7 @@ reports type errors.  The lowering pass relies on these annotations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from . import ast
 from .ctype import (
@@ -39,15 +39,23 @@ class Scope:
 
 
 class SemanticAnalyzer:
-    """Type checks a translation unit and annotates its expressions."""
+    """Type checks a translation unit and annotates its expressions.
 
-    def __init__(self, unit: ast.TranslationUnit) -> None:
+    ``library`` is an analysed unit the program is linked against: its
+    function signatures are in scope, as if declared before the program.
+    """
+
+    def __init__(self, unit: ast.TranslationUnit,
+                 library: Optional[ast.TranslationUnit] = None) -> None:
         self.unit = unit
         self.globals = Scope()
-        self.functions: Dict[str, CFunction] = {}
+        self.functions: Dict[str, CFunction] = \
+            dict(library.signatures) if library is not None else {}
         self.structs: Dict[str, CStruct] = {}
         self.current_return_type: CType = VOID
         self.loop_depth = 0
+        #: Callee names of the function being analysed.
+        self.callees: Set[str] = set()
 
     # ------------------------------------------------------------------ API
     def analyze(self) -> ast.TranslationUnit:
@@ -74,8 +82,10 @@ class SemanticAnalyzer:
                     self._analyze_expr(gvar.initializer, self.globals)
         for function in self.unit.functions:
             if function.body is not None:
+                self.callees = self.unit.calls[function.name] = set()
                 with nesting_limit(function.location):
                     self._analyze_function(function)
+        self.unit.signatures = self.functions
         return self.unit
 
     # ------------------------------------------------------------- helpers
@@ -351,6 +361,7 @@ class SemanticAnalyzer:
         if signature is None:
             raise CompileError(f"call to undeclared function '{expr.callee}'",
                                expr.location)
+        self.callees.add(expr.callee)
         arg_types = [self._analyze_expr(arg, scope) for arg in expr.args]
         expected = len(signature.param_types)
         if signature.is_vararg:
@@ -390,6 +401,9 @@ class SemanticAnalyzer:
         raise CompileError(f"cannot assign {value} to {target}", node.location)
 
 
-def analyze(unit: ast.TranslationUnit) -> ast.TranslationUnit:
-    """Run semantic analysis on ``unit`` in place and return it."""
-    return SemanticAnalyzer(unit).analyze()
+def analyze(unit: ast.TranslationUnit,
+            library: Optional[ast.TranslationUnit] = None
+            ) -> ast.TranslationUnit:
+    """Run semantic analysis on ``unit`` in place and return it; calls may
+    name any function of the analysed ``library`` unit."""
+    return SemanticAnalyzer(unit, library).analyze()

@@ -21,10 +21,6 @@ class SourceLocation:
 
 UNKNOWN_LOCATION = SourceLocation(0, 0, "<unknown>")
 
-#: The file name diagnostics give to lines of a linked prelude (the C
-#: library the driver puts in front of the program).
-PRELUDE_FILENAME = "<prelude>"
-
 
 class CompileError(Exception):
     """A diagnostic raised by the lexer, parser, or semantic analyzer."""

@@ -8,7 +8,6 @@ from .levels import (
 )
 from .compiler import (
     CompilationResult, CompileOptions, compile_source, link_sources,
-    linked_prelude_lines,
 )
 from .session import CompilerSession, SessionStats
 
@@ -19,6 +18,5 @@ __all__ = [
     "level_spec", "level_spec_string", "parse_opt_level",
     "pipeline_description", "with_entry_points", "with_runtime_checks",
     "CompilationResult", "CompileOptions", "compile_source", "link_sources",
-    "linked_prelude_lines",
     "CompilerSession", "SessionStats",
 ]

@@ -7,9 +7,11 @@ configuration (``-OVERIFY``), and the -OVERIFY configuration additionally
 links the verification-optimized C library.
 
 :func:`compile_source` is a thin wrapper over a one-shot
-:class:`repro.pipelines.session.CompilerSession`; a level sweep calls
+:class:`repro.pipelines.session.CompilerSession`, which links the library
+as a separately analysed unit and lowers only the library functions the
+program reaches; a level sweep calls
 :meth:`~repro.pipelines.session.CompilerSession.compile_at_levels` on one
-shared session, which is what lets it parse each linked source once.
+shared session, which is what lets it parse each program text once.
 """
 
 from __future__ import annotations
@@ -65,24 +67,23 @@ class CompilationResult:
         return self.stats.table3_row()
 
 
+def uses_verification_libc(options: CompileOptions) -> bool:
+    """Whether ``options`` link the verification-optimized libc variant."""
+    if options.verification_libc is None:
+        return options.level.is_verification_oriented
+    return options.verification_libc
+
+
 def link_sources(program_source: str, options: CompileOptions) -> str:
-    """Combine the program with the selected C library variant.
+    """The program with the selected C library variant pasted in front: one
+    translation unit holding the whole library.
 
-    Linking is textual (a single translation unit), which mirrors how the
-    KLEE tool chain links its special uClibc before analysis.
+    The driver does not compile this text (see
+    :meth:`~repro.pipelines.session.CompilerSession.front_end`); it is the
+    reference the linked front end is tested against.
     """
-    use_verification_libc = options.verification_libc
-    if use_verification_libc is None:
-        use_verification_libc = options.level.is_verification_oriented
-    return libc_source(use_verification_libc) + "\n" + program_source
-
-
-def linked_prelude_lines(full_source: str, program_source: str) -> int:
-    """How many lines :func:`link_sources` put in front of
-    ``program_source`` in ``full_source``.
-    The front end reports locations in those lines as the prelude's, and
-    counts the program's lines from the line after them."""
-    return full_source.count("\n", 0, len(full_source) - len(program_source))
+    return libc_source(uses_verification_libc(options)) + "\n" \
+        + program_source
 
 
 def compile_source(program_source: str,

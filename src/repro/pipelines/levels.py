@@ -19,8 +19,9 @@ driver-level knobs (``entry_points``, ``enable_checks``) are spec
 transforms over the parsed :class:`~repro.passes.PipelineSpec`.
 
 The fourth element of the paper's design — linking a verification-optimized
-C library — is handled by the driver in :mod:`repro.pipelines.compiler`,
-which selects the library variant from :mod:`repro.vlibc`.
+C library — is handled by the driver: :mod:`repro.pipelines.compiler`
+selects the library variant from :mod:`repro.vlibc`, and
+:class:`~repro.pipelines.session.CompilerSession` links it.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ CLEANUP = "instcombine,dce,simplifycfg"
 
 #: The shared scalarization prefix of -O2, -O3 and -OVERIFY.  It opens with
 #: ``globaldce``: those levels end with it anyway, so pruning the functions
-#: the roots cannot reach (most of the linked vlibc) before any other pass
-#: runs changes no output and saves optimizing code that is deleted later.
+#: the roots cannot reach before any other pass runs changes no output and
+#: saves optimizing code that is deleted later.  (The vlibc functions no
+#: path reaches are never lowered: the session links only what the program
+#: calls.)
 _SCALARIZE = f"globaldce,simplifycfg,mem2reg,sroa,mem2reg,{CLEANUP}"
 
 #: Re-promote and clean up after the inliner has merged bodies.

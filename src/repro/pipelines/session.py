@@ -3,10 +3,16 @@
 The paper's workflow compiles the *same* source several times — once per
 build configuration (Table 1/3 sweep all levels, the ablation harness
 toggles single knobs).  :class:`CompilerSession` parses and semantically
-analyses each linked source once; every compile lowers a fresh module
-from the cached, analysed translation unit (lowering is deterministic and
-side-effect free on the unit, which the test suite pins down) and runs
-its pipeline with the pipeline's own
+analyses each program text once, on its own: the C library is a separate
+unit, parsed and analysed once per process per variant, on the first
+compile that links that variant, the way KLEE links a prebuilt uClibc
+instead of recompiling it for every program.  Both variants define the
+same API, so one analysed program unit serves every level.
+
+Every compile lowers a fresh module from the cached units (lowering is
+deterministic and side-effect free on them, which the test suite pins
+down), linking in only the library functions the program can reach, and
+runs its pipeline with the pipeline's own
 :class:`~repro.analysis.AnalysisManager`.  The session keeps nothing
 else: a compile's module and analysis cache live exactly as long as its
 :class:`CompilationResult`, and :attr:`CompilerSession.analysis_stats`
@@ -23,13 +29,18 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..analysis import AnalysisManagerStats
-from ..frontend import analyze, lower, parse
-from ..ir import verify_module
+from ..frontend import analyze, ast, lower, parse
+from ..ir import Module, verify_module
 from ..passes import format_pipeline
+from ..vlibc import libc_source
 from .levels import OptLevel, build_pipeline
-from .compiler import (
-    CompilationResult, CompileOptions, link_sources, linked_prelude_lines,
-)
+from .compiler import CompilationResult, CompileOptions, uses_verification_libc
+
+#: Each libc variant's analysed unit, keyed by "is the verification
+#: variant"; filled on first use, never at import.  Nothing writes to a
+#: unit after its analysis, so every session and thread of the process
+#: shares them (two threads racing on a first use each store an equal unit).
+_LIBRARIES: Dict[bool, ast.TranslationUnit] = {}
 
 
 @dataclass
@@ -37,7 +48,8 @@ class SessionStats:
     """What a session saved so far."""
 
     compiles: int = 0
-    #: Front-end cache behaviour: a parse is one full parse+sema run.
+    #: Front-end cache behaviour: a parse is one full parse+sema run of a
+    #: program text (the library units are per process, not per session).
     frontend_parses: int = 0
     frontend_reuses: int = 0
 
@@ -57,19 +69,29 @@ class CompilerSession:
         self.stats = SessionStats()
         #: Analysis-cache counters of every compile so far, summed.
         self.analysis_stats = AnalysisManagerStats()
-        #: Linked source -> its parsed and analysed translation unit.
-        self._units: Dict[str, object] = {}
+        #: Program text -> its parsed and analysed translation unit.
+        self._units: Dict[str, ast.TranslationUnit] = {}
 
-    def _analysed_unit(self, full_source: str, prelude_lines: int) -> object:
-        unit = self._units.get(full_source)
+    # ---------------------------------------------------------- front end
+    def front_end(self, program_source: str,
+                  options: CompileOptions) -> Module:
+        """``program_source`` linked with the libc variant ``options``
+        select and lowered: the unoptimized module a pipeline starts
+        from."""
+        verification = uses_verification_libc(options)
+        library = _LIBRARIES.get(verification)
+        if library is None:
+            library = analyze(parse(libc_source(verification), "<vlibc>"))
+            _LIBRARIES[verification] = library
+        unit = self._units.get(program_source)
         if unit is None:
-            unit = parse(full_source, prelude_lines=prelude_lines)
-            analyze(unit)
-            self._units[full_source] = unit
+            unit = analyze(parse(program_source), library=library)
+            self._units[program_source] = unit
             self.stats.frontend_parses += 1
         else:
             self.stats.frontend_reuses += 1
-        return unit
+        return lower(unit, options.module_name, library=library,
+                     entry_points=options.entry_points)
 
     # ------------------------------------------------------------ compile
     def compile(self, program_source: str,
@@ -85,11 +107,7 @@ class CompilerSession:
         options = replace(base) if level is None else replace(base,
                                                               level=level)
         start = time.perf_counter()
-        full_source = link_sources(program_source, options)
-        unit = self._analysed_unit(
-            full_source, linked_prelude_lines(full_source, program_source))
-
-        module = lower(unit, options.module_name)
+        module = self.front_end(program_source, options)
         module.metadata["opt_level"] = str(options.level)
 
         pipeline = build_pipeline(

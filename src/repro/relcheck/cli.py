@@ -81,6 +81,17 @@ def _print_report(name: str, report: RelcheckReport,
         print(f"  DIVERGENCE {divergence.describe()}")
 
 
+def _save(store) -> None:
+    """Persist ``store``; a failed save is reported and the run stands,
+    as for ``python -m repro --verify --store``."""
+    from ..faults import StoreError
+
+    try:
+        store.save()
+    except StoreError as exc:
+        print(f"  warning: store not saved: {exc}", file=sys.stderr)
+
+
 def relcheck_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro relcheck",
@@ -155,6 +166,8 @@ def relcheck_main(argv: Optional[List[str]] = None) -> int:
                                  config=config, store=store)
         _print_report(name, report, args.show_paths)
         total_divergences += len(report.divergences)
+        if store is not None and report.provenance != "memo-hit":
+            _save(store)
     elapsed = time.perf_counter() - start
     print(f"total    : {len(names)} workload(s), "
           f"{total_divergences} divergence(s) in {elapsed:.3f}s")

@@ -632,9 +632,10 @@ def relcheck_modules(module_a: Module, module_b: Module,
 
     ``store`` is an optional
     :class:`~repro.service.store.SolverKnowledgeStore`: primed before the
-    run, absorbed and saved after, plus a whole-run memo keyed by both
-    modules' printed IR and :meth:`RelcheckConfig.spec` so an unchanged
-    pair is answered without executing anything.
+    run and absorbed after, plus a whole-run memo keyed by both modules'
+    printed IR and :meth:`RelcheckConfig.spec` so an unchanged pair is
+    answered without executing anything.  Saving the store is left to the
+    caller that owns its file.
     """
     config = config or RelcheckConfig()
     if pair is None:
@@ -692,7 +693,6 @@ def relcheck_modules(module_a: Module, module_b: Module,
         store.absorb(caches)
         if not report.truncated:
             store.memo_record(fingerprint, _report_to_memo(report))
-        store.save()
     return report
 
 

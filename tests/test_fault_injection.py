@@ -293,6 +293,24 @@ class TestStoreFaults:
         assert "[cold]" in capsys.readouterr().out
         assert store_path.exists()
 
+    def test_relcheck_cli_survives_save_fault_end_to_end(self, tmp_path,
+                                                         capsys):
+        from repro.__main__ import main
+
+        store_path = tmp_path / "relcheck.jsonl"
+        argv = ["relcheck", "wc", "--input-bytes", "2",
+                "--store", str(store_path)]
+        with injected("store.write:once"):
+            assert main(argv) == 0  # no divergence, and no traceback
+        captured = capsys.readouterr()
+        assert "EQUIVALENT" in captured.out and "[cold]" in captured.out
+        assert "store not saved" in captured.err
+        assert not store_path.exists()
+        assert main(argv) == 0
+        assert store_path.exists()
+        assert main(argv) == 0  # the saved memo answers the rerun
+        assert "[memo-hit]" in capsys.readouterr().out
+
 
 # ------------------------------------------------------------ query deadline
 

@@ -11,7 +11,7 @@ from repro.frontend import ast
 from repro.frontend.ctype import CInt, CPointer, INT, UCHAR
 from repro.interp import Interpreter
 from repro.ir import verify_module
-from repro.pipelines import OptLevel, compile_source, linked_prelude_lines
+from repro.pipelines import OptLevel, compile_source
 
 from conftest import run_snippet
 
@@ -388,8 +388,8 @@ class TestLowering:
 # Diagnostics through the linking driver
 # ---------------------------------------------------------------------------
 class TestDriverDiagnostics:
-    """``compile_source`` links the vlibc prelude in front of the program;
-    diagnostics must still point into the program as the user wrote it."""
+    """``compile_source`` links the vlibc as a separately analysed unit;
+    diagnostics point into the program as the user wrote it."""
 
     def test_locations_are_relative_to_the_program(self):
         source = ("int main(unsigned char *input, int len) {\n"
@@ -403,12 +403,53 @@ class TestDriverDiagnostics:
             compile_to_ir(source)
         assert str(excinfo.value.location) == "<source>:2:10"
 
-    def test_prelude_lines_are_labelled_as_the_prelude(self):
-        program = "int main() { return 0; }"
-        full = "int helper(int a) {\n  return a +;\n}\n" + program
-        with pytest.raises(CompileError) as excinfo:
-            parse(full, prelude_lines=linked_prelude_lines(full, program))
-        assert str(excinfo.value.location) == "<prelude>:2:13"
+    @pytest.mark.parametrize("level", list(OptLevel), ids=str)
+    def test_errors_are_located_on_program_lines_at_every_level(self,
+                                                                 level):
+        # A parse error, a sema error and a lowering error, each on line 3.
+        cases = [
+            ("int helper(int a) {\n  int b = a;\n  return a +;\n}\n",
+             "<source>:3:13"),
+            ("int main(unsigned char *input, int len) {\n  int n = 0;\n"
+             "  return strlen(n, n);\n}\n", "<source>:3:10"),
+            ("int main(unsigned char *input, int len) {\n  return 0;\n}\n"
+             "long strlen(unsigned char *s) {\n  return 0;\n}\n",
+             "<source>:4:6"),
+        ]
+        for source, location in cases:
+            with pytest.raises(CompileError) as excinfo:
+                compile_source(source, level=level)
+            assert str(excinfo.value.location) == location, source
+
+    @pytest.mark.parametrize("level", list(OptLevel), ids=str)
+    def test_redefining_a_library_function_is_an_error(self, level):
+        source = ("int main(unsigned char *input, int len) {\n"
+                  "  return 0;\n"
+                  "}\n"
+                  "long strlen(unsigned char *s) {\n"
+                  "  return 0;\n"
+                  "}\n")
+        with pytest.raises(CompileError,
+                           match="redefinition of function 'strlen'") \
+                as excinfo:
+            compile_source(source, level=level)
+        assert str(excinfo.value.location) == "<source>:4:6"
+
+    def test_library_functions_are_declared_but_others_are_not(self):
+        calls_library = ("int main(unsigned char *input, int len) {\n"
+                         "  return isdigit(input[0]);\n"
+                         "}\n")
+        assert compile_source(calls_library, level=OptLevel.O0).module \
+            .get_function("isdigit") is not None
+        calls_nothing = ("int main(unsigned char *input, int len) {\n"
+                         "  return strlen_or_not(input);\n"
+                         "}\n")
+        for level in OptLevel:
+            with pytest.raises(CompileError,
+                               match="undeclared function 'strlen_or_not'") \
+                    as excinfo:
+                compile_source(calls_nothing, level=level)
+            assert str(excinfo.value.location) == "<source>:2:10"
 
     def test_deep_nesting_is_a_compile_error_with_a_location(self):
         source = ("int main(unsigned char *input, int len) {\n"

@@ -1,10 +1,11 @@
-"""The pass pipeline's two work savers leave every module as it was.
+"""The pass pipeline's two work savers, and linking only the library
+functions a program reaches, leave every module as it was.
 
 -O2, -O3 and -OVERIFY open with ``globaldce`` (functions the roots cannot
 reach are never optimized), and the pass manager skips a pass run when the
 same pass spec last ran without a change and nothing has changed since.
 Neither may change what a compile produces, and neither may leaving
-``constprop`` out of the ``CLEANUP`` bundle.  Five layers of coverage:
+``constprop`` out of the ``CLEANUP`` bundle.  Six layers of coverage:
 
 1. **IR identity** — a test-local reference driver runs the loop without
    either saver: every pass of the level spec except the leading
@@ -23,6 +24,16 @@ Neither may change what a compile produces, and neither may leaving
 5. **No constprop in CLEANUP** — ``instcombine`` runs the same folding
    first, so putting ``constprop`` back at the head of every bundle must
    print the same module (the no-silent-change program set).
+6. **Linking** — the session lowers only the library functions a program
+   reaches.  Against the textual link (``link_sources``: the whole
+   library's source in front of the program, one unit) on the same
+   program set as layer 1: -O2 and -O3 print the same module; -OVERIFY
+   prints the same once the ``__overify_check_fail`` declaration, which
+   may move to the end, is dropped; at -O0 and -O1 the module is the
+   textual one without the library functions the program cannot reach.
+   Exploring every registry program's -O0 and -O1 build over one byte,
+   to a path budget, gives the same counters and bugs as the textual
+   link's.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -42,9 +54,11 @@ from repro.ir import print_module
 from repro.passes import Pass, build_passes, parse_pipeline
 from repro.pipelines import (
     CLEANUP, LEVEL_MAX_ITERATIONS, LEVEL_PIPELINES, CompileOptions,
-    CompilerSession, OptLevel, build_pipeline_from_text, level_spec,
-    link_sources, with_entry_points,
+    CompilerSession, OptLevel, build_pipeline, build_pipeline_from_text,
+    level_spec, link_sources, with_entry_points,
 )
+from repro.symex import SymexLimits, explore
+from repro.vlibc import LIBC_FUNCTIONS
 from repro.workloads import get_workload, workload_names
 
 _WIDE = os.environ.get("PIPELINE_SWEEP", "") == "all"
@@ -62,17 +76,10 @@ LEVELS = list(OptLevel)
 
 # ------------------------------------------------------- reference driver
 
-@functools.lru_cache(maxsize=4)  # one program's two vlibc variants
-def _analyzed_unit(full_source: str):
-    unit = parse(full_source)
-    analyze(unit)
-    return unit
-
-
 def _lowered(source: str, level: OptLevel):
-    options = CompileOptions(level=level)
-    module = lower(_analyzed_unit(link_sources(source, options)),
-                   options.module_name)
+    """The session's linked front end: this driver tests the pass
+    manager's savers, not linking (layer 6 does)."""
+    module = CompilerSession().front_end(source, CompileOptions(level=level))
     module.metadata["opt_level"] = str(level)
     return module
 
@@ -110,6 +117,7 @@ def reference_compile(source: str, level: OptLevel) -> str:
     return print_module(module)
 
 
+@functools.lru_cache(maxsize=None)  # layers 1 and 6 compare the same
 def session_outputs(source: str):
     session = CompilerSession()
     return {level: print_module(session.compile(source, level=level).module)
@@ -153,13 +161,110 @@ def test_constprop_in_cleanup_changes_no_output(name):
             f"{name} {level}: constprop in CLEANUP changes the output"
 
 
-def test_early_prune_leaves_only_reachable_functions_to_optimize():
-    source = get_workload("wc").source
-    result = CompilerSession().compile(source, level=OptLevel.OVERIFY)
-    first = result.pass_history[0]
-    assert first.pass_name == "globaldce" and first.changed
-    # The prune removed most of the linked vlibc before any other pass.
-    assert result.stats.functions_removed > 10
+# ---------------------------------------------------------------- linking
+
+@functools.lru_cache(maxsize=4)  # one program's two vlibc variants
+def _analyzed_unit(full_source: str):
+    unit = parse(full_source)
+    analyze(unit)
+    return unit
+
+
+def _textual_link(source: str, level: OptLevel):
+    """The reference link: one unit holding the whole library's source and
+    the program, every library function lowered, then the level's
+    pipeline as the session runs it."""
+    options = CompileOptions(level=level)
+    module = lower(_analyzed_unit(link_sources(source, options)),
+                   options.module_name)
+    module.metadata["opt_level"] = str(level)
+    build_pipeline(level, entry_points=options.entry_points) \
+        .run_until_fixpoint(module)
+    return module
+
+
+#: The first line of a printed function; group 1 is its name.
+_FUNCTION_LINE = re.compile(r"^(?:define|declare) .*? @([\w.]+)\(", re.M)
+
+
+def _dropping(text: str, names) -> str:
+    """A printed module without the functions named in ``names``."""
+    kept, skipping = [], False
+    for line in text.splitlines():
+        match = _FUNCTION_LINE.match(line)
+        if match is not None:
+            skipping = match.group(1) in names
+        if not skipping:
+            kept.append(line)
+        elif not line:  # the blank line after a dropped function
+            skipping = False
+    return "\n".join(kept).rstrip() + "\n"
+
+
+def _assert_link_matches_textual_link(source: str, label: str) -> None:
+    program = {f.name for f in parse(source).functions
+               if f.body is not None}
+    for level, linked in session_outputs(source).items():
+        textual = _textual_link(source, level)
+        expected = print_module(textual)
+        if level is OptLevel.OVERIFY:
+            linked, expected = (_dropping(text, ["__overify_check_fail"])
+                                for text in (linked, expected))
+        elif level in (OptLevel.O0, OptLevel.O1):
+            reachable = AnalysisManager().call_graph(textual) \
+                .reachable_from(sorted(program | {"main"}))
+            missing = set(textual.functions) - set(
+                _FUNCTION_LINE.findall(linked))
+            assert missing <= set(LIBC_FUNCTIONS) - reachable, \
+                f"{label} {level}: reachable functions missing"
+            expected = _dropping(expected, missing)
+        assert linked == expected, \
+            f"{label} {level}: the linked module differs from the textual link"
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_registry_link_matches_textual_link(name):
+    _assert_link_matches_textual_link(get_workload(name).source, name)
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_link_matches_textual_link(seed):
+    _assert_link_matches_textual_link(generate_program(seed),
+                                      f"fuzz seed {seed}")
+
+
+def _exploration(module):
+    """Counters and bugs of a one-byte exploration to a path budget (a
+    clock budget would cut runs where the machine is slow)."""
+    report = explore(module, 1, limits=SymexLimits(max_paths=32))
+    stats = report.stats
+    return (stats.total_paths, stats.paths_errored,
+            stats.instructions_interpreted, stats.forks,
+            stats.termination_reason, sorted(report.bug_signatures()))
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_linked_exploration_matches_textual_link(name):
+    source = get_workload(name).source
+    session = CompilerSession()
+    for level in (OptLevel.O0, OptLevel.O1):
+        linked = session.compile(source, level=level).module
+        assert _exploration(linked) == \
+            _exploration(_textual_link(source, level)), f"{name} {level}"
+
+
+def test_linking_lowers_only_the_library_functions_reached():
+    source = get_workload("wc").source  # its functions call isspace alone
+    session = CompilerSession()
+    module = session.compile(source, level=OptLevel.O0).module
+    assert list(module.functions) == \
+        ["__overify_check_fail", "isspace", "emit", "main"]
+    # Entry points are roots too; toupper calls islower.
+    options = CompileOptions(entry_points={"main", "toupper"})
+    module = session.compile(source, options, level=OptLevel.O0).module
+    assert list(module.functions) == \
+        ["__overify_check_fail", "isspace", "islower", "toupper", "emit",
+         "main"]
 
 
 # ------------------------------------------------------- no silent change

@@ -40,12 +40,18 @@ def _call_libc(variant_source: str, function: str, args, buffers=None):
 
 class TestVlibc:
     def test_both_variants_define_the_same_api(self):
-        from repro.frontend import compile_to_ir
+        from repro.frontend import analyze, compile_to_ir, parse
         for source in (EXECUTION_LIBC, VERIFICATION_LIBC):
             module = compile_to_ir(source)
             for name in LIBC_FUNCTIONS:
                 function = module.get_function(name)
                 assert not function.is_declaration
+        # The session analyses a program once against either variant's
+        # signatures and links it with both, so they must be the same.
+        execution, verification = (analyze(parse(source)).signatures
+                                   for source in (EXECUTION_LIBC,
+                                                  VERIFICATION_LIBC))
+        assert execution == verification
 
     @pytest.mark.parametrize("char", [0, ord(" "), ord("\t"), ord("\n"),
                                       ord("a"), ord("Z"), ord("5"), ord("!"),

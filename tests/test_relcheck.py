@@ -186,6 +186,7 @@ def test_store_memo_round_trip(tmp_path):
     cold = relcheck_workload("wc", config=config, store=store)
     assert cold.provenance == "cold"
     assert cold.clean and not cold.truncated
+    store.save()
 
     warm_store = SolverKnowledgeStore(path)
     assert warm_store.load()
@@ -223,9 +224,11 @@ def test_undecodable_memo_is_rechecked_and_overwritten(tmp_path):
     module_a, module_b = _wc_pair()
     pair = ("-O0", "-OVERIFY")
     path = tmp_path / "store.jsonl"
+    store = SolverKnowledgeStore(path)
     cold = relcheck_modules(module_a, module_b, config=config, pair=pair,
-                            store=SolverKnowledgeStore(path))
+                            store=store)
     assert cold.clean and not cold.truncated
+    store.save()
 
     store = SolverKnowledgeStore(path)
     store.load()
@@ -242,6 +245,7 @@ def test_undecodable_memo_is_rechecked_and_overwritten(tmp_path):
     assert rechecked.provenance != "memo-hit"
     assert rechecked.clean and not rechecked.truncated
     assert _verdicts(rechecked) == _verdicts(cold)
+    stale.save()
 
     fresh = SolverKnowledgeStore(path)
     fresh.load()
@@ -268,8 +272,10 @@ def test_provenance_counts_store_answers_not_store_contents(tmp_path):
     assert report.solver_stats.store_hits == 0
 
     path = tmp_path / "primed.jsonl"
+    primer = SolverKnowledgeStore(path)
     relcheck_modules(module_a, module_b, config=config, pair=pair,
-                     store=SolverKnowledgeStore(path))
+                     store=primer)
+    primer.save()
     store = SolverKnowledgeStore(path)
     store.load()
     warm = relcheck_modules(module_a, module_b, config=other_config,
@@ -290,10 +296,12 @@ def test_store_primed_rerun_answers_from_the_store(tmp_path):
         for level in (OptLevel.O0, OptLevel.OVERIFY))
     pair = ("-O0", "-OVERIFY")
     store_path = tmp_path / "knowledge.jsonl"
+    cold_store = SolverKnowledgeStore(store_path)
     cold = relcheck_modules(module_a, module_b, config=config, pair=pair,
-                            store=SolverKnowledgeStore(store_path))
+                            store=cold_store)
     assert cold.clean and not cold.truncated
     assert cold.stats.paths_proved >= 1
+    cold_store.save()
 
     store = SolverKnowledgeStore(store_path)
     assert store.load()
