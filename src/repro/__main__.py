@@ -170,6 +170,15 @@ def _explain_paths(module: Module, spec: PipelineSpec, input_bytes: int,
     return 0
 
 
+def _lacks_main(module: Module) -> bool:
+    """True when ``module`` defines no ``main`` to explore or run."""
+    main = module.get_function_or_none("main")
+    return main is None or main.is_declaration
+
+
+_NO_MAIN = "error: program defines no function 'main'"
+
+
 def _verify_with_store(path: str, caches: SharedSolverCaches,
                        backend: VerificationBackend, module: Module,
                        request: VerificationRequest) -> VerificationOutcome:
@@ -303,8 +312,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 spec = with_runtime_checks(level_spec(level),
                                            not args.no_checks)
                 spec = with_entry_points(spec, {"main"})
-            return _explain_paths(session.front_end(source, options), spec,
-                                  input_bytes, args.timeout)
+            module = session.front_end(source, options)
+            if _lacks_main(module):
+                print(_NO_MAIN, file=sys.stderr)
+                return 1
+            return _explain_paths(module, spec, input_bytes, args.timeout)
         except (CompileError, PipelineSyntaxError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -336,6 +348,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             analysis_stats = result.analysis_stats
     except (CompileError, PipelineSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if (args.verify or args.run) and _lacks_main(module):
+        print(_NO_MAIN, file=sys.stderr)
         return 1
 
     print(f"workload : {name}")

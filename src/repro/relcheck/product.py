@@ -344,8 +344,9 @@ class _PathChecker:
         self.entry = entry
         self.config = config
         self.stats = RelcheckStats()
+        #: One solver for the replay and the checks on its paths, so its
+        #: stats hold all of this path's solver work.
         self.solver = Solver(config=config.solver_config(), shared=caches)
-        self.caches = caches
         self.divergences: List[RelcheckDivergence] = []
         self.truncated = False
 
@@ -409,11 +410,8 @@ class _PathChecker:
         finished: List[ExecutionState] = []
         engine = SymbolicExecutor(
             self.module_b, entry=self.entry, searcher="dfs",
-            solver=Solver(config=self.config.solver_config(),
-                          shared=self.caches),
-            limits=self.config.replay_limits(),
-            state_sink=finished.append,
-            fact_pruning=True)
+            solver=self.solver, limits=self.config.replay_limits(),
+            state_sink=finished.append)
         seeded = engine.make_initial_state(self.config.input_bytes)
         for constraint in a_state.constraints:
             seeded.add_constraint(constraint)
@@ -658,8 +656,7 @@ def relcheck_modules(module_a: Module, module_b: Module,
     executor = ParallelExecutor(
         module_a, entry=entry, searcher=config.searcher,
         solver=Solver(config=config.solver_config(), shared=caches),
-        limits=config.limits(), state_sink=a_finished.append,
-        fact_pruning=True)
+        limits=config.limits(), state_sink=a_finished.append)
     report_a = executor.run(config.input_bytes)
 
     stats = RelcheckStats()

@@ -29,7 +29,6 @@ from ..ir import (
     Type, UndefValue, UnreachableInst, Value,
 )
 from .expr import Expr, ExprOp
-from .facts import decide_with_facts, unary_facts
 from .memory import SymbolicMemory
 from .searcher import Searcher, make_searcher
 from .simplify import binary, const, ite, not_expr, sext, trunc, var, zext, bitwise_not
@@ -200,8 +199,11 @@ class SymbolicExecutor:
     """Explores every feasible path of a module's entry function.
 
     One executor runs one exploration loop (:meth:`run` or
-    :meth:`run_seeded`) on the calling thread.  The only structure it may
-    share with other executors is its solver's
+    :meth:`run_seeded`) on the calling thread, and every caller (the
+    symex backend and both relcheck phases) explores the same way: each
+    branch, divisor and address check is one solver query over the
+    state's constraint partition.  The only structure it may share with
+    other executors is its solver's
     :class:`~repro.symex.solver.SharedSolverCaches`.
     """
 
@@ -210,8 +212,7 @@ class SymbolicExecutor:
                  solver: Optional[Solver] = None,
                  limits: Optional[SymexLimits] = None,
                  state_sink: Optional[Callable[[ExecutionState], None]]
-                 = None,
-                 fact_pruning: bool = False) -> None:
+                 = None) -> None:
         self.module = module
         self.entry = module.get_function(entry)
         self.searcher = make_searcher(searcher) if isinstance(searcher, str) \
@@ -230,22 +231,6 @@ class SymbolicExecutor:
         #: each path's constraints and symbolic return value — data the
         #: :class:`PathRecord` deliberately does not carry.
         self._state_sink = state_sink
-        #: Refute "maybe satisfiable" fork conditions against the path's
-        #: unary facts before forking (:mod:`repro.symex.facts`).  Off by
-        #: default to keep the canonical exploration semantics; the
-        #: relcheck product driver turns it on because phantom paths are
-        #: pure waste there — every verdict is feasibility-confirmed
-        #: anyway.
-        self._fact_pruning = fact_pruning
-
-    def _fact_decide(self, state: ExecutionState,
-                     condition: Expr) -> Optional[bool]:
-        """Cheap exact decision of ``condition`` from the path's unary
-        facts; None when they leave it open."""
-        facts = unary_facts(state.constraints)
-        if not facts:
-            return None
-        return decide_with_facts(condition, facts, self.solver, {})
 
     # --------------------------------------------------------------- setup
     def make_initial_state(self, num_input_bytes: int) -> ExecutionState:
@@ -570,14 +555,9 @@ class SymbolicExecutor:
                 raise ProgramError(ErrorKind.DIVISION_BY_ZERO, "")
             return
         is_zero = binary(ExprOp.EQ, divisor, zero)
-        decided = self._fact_decide(state, is_zero) \
-            if self._fact_pruning else None
-        if decided is not None:
-            can_zero, can_nonzero = decided, not decided
-        else:
-            varfree, groups = state.relevant_partition(is_zero)
-            can_zero, can_nonzero = self.solver.check_branch_partition(
-                varfree, groups, is_zero)
+        varfree, groups = state.relevant_partition(is_zero)
+        can_zero, can_nonzero = self.solver.check_branch_partition(
+            varfree, groups, is_zero)
         if not can_zero:
             # Division is safe; the nonzero fact is implied by the path
             # condition, so there is nothing to record.
@@ -649,12 +629,8 @@ class SymbolicExecutor:
                 ExprOp.OR,
                 binary(ExprOp.ULT, address, low),
                 binary(ExprOp.ULT, high, address))
-            decided = self._fact_decide(state, out_of_bounds) \
-                if self._fact_pruning else None
-            may_oob = decided if decided is not None else \
-                self.solver.may_be_true_partition(
-                    *state.relevant_partition(out_of_bounds), out_of_bounds)
-            if may_oob:
+            if self.solver.may_be_true_partition(
+                    *state.relevant_partition(out_of_bounds), out_of_bounds):
                 error_state = state.fork()
                 self.stats.forks += 1
                 self.stats.states_created += 1
@@ -737,18 +713,9 @@ class SymbolicExecutor:
         # affect the branch; disjoint groups are satisfiable by the state
         # invariant and drop out of the query.  The state's partition goes
         # to the solver as-is.
-        # With fact pruning on, the cheap per-variable decision runs
-        # first: when the unary facts decide the branch, the coupled
-        # full-partition query — which may burn its whole assignment
-        # budget only to answer "maybe" — is skipped entirely.
-        decided = self._fact_decide(state, condition) \
-            if self._fact_pruning else None
-        if decided is not None:
-            can_true, can_false = decided, not decided
-        else:
-            varfree, groups = state.relevant_partition(condition)
-            can_true, can_false = self.solver.check_branch_partition(
-                varfree, groups, condition)
+        varfree, groups = state.relevant_partition(condition)
+        can_true, can_false = self.solver.check_branch_partition(
+            varfree, groups, condition)
         if can_true and not can_false:
             state.add_constraint(condition)
             state.jump_to(inst.true_target)

@@ -3,10 +3,11 @@
 Expressions are immutable, **hash-consed** DAG nodes: ``Expr.__new__`` interns
 every node in a global weak table, so structurally-equal expressions are the
 *same object*.  That makes equality and hashing identity-based (O(1)), lets
-per-node analyses (``variables()``, :func:`unsigned_interval`, the evaluation
-schedule) be memoized once per unique node, and turns state forking into pure
-structure sharing.  The constructors in :mod:`repro.symex.simplify` perform
-light canonicalization/constant folding; the solver consumes expressions
+per-node analyses (``variables()``, ``boolean_subterms()``,
+:func:`unsigned_interval`, the evaluation schedule) be memoized once per
+unique node, and turns state forking into pure structure sharing.  The
+constructors in :mod:`repro.symex.simplify` perform light
+canonicalization/constant folding; the solver consumes expressions
 directly.
 
 Widths follow the IR: 1, 8, 16, 32, 64 bit unsigned bitvectors with two's
@@ -88,13 +89,18 @@ def truncdiv(a: int, b: int) -> int:
     return -quotient if (a < 0) != (b < 0) else quotient
 
 
+#: The shared empty memo of :meth:`Expr.boolean_subterms`.
+_NO_EXPRS: FrozenSet["Expr"] = frozenset()
+
+
 class Expr:
     """An immutable, interned bitvector expression.
 
     Because every node goes through the intern table, ``a is b`` whenever
     ``a`` and ``b`` are structurally equal; ``==`` and ``hash`` are the
-    (default) identity operations.  Per-node caches (``_vars``, ``_interval``,
-    ``_schedule``) are therefore shared by every user of the node.
+    (default) identity operations.  Per-node caches (``_vars``, ``_bools``,
+    ``_interval``, ``_schedule``) are therefore shared by every user of the
+    node.
 
     Nodes are safe to share across threads (the verification service runs
     one exploration per job thread): they are immutable after
@@ -105,7 +111,8 @@ class Expr:
 
     __slots__ = ("op", "width", "operands", "value", "name",
                  "is_constant", "is_symbolic",
-                 "_vars", "_interval", "_schedule", "__weakref__")
+                 "_vars", "_bools", "_interval", "_schedule",
+                 "__weakref__")
 
     #: The global intern table.  Keys hold strong references to the operand
     #: tuple, values are weak: a node (and its intern entry) dies as soon as
@@ -144,6 +151,7 @@ class Expr:
             self.is_constant = op is ExprOp.CONST
             self.is_symbolic = op is not ExprOp.CONST
             self._vars: Optional[FrozenSet[str]] = None
+            self._bools: Optional[FrozenSet[Expr]] = None
             self._interval: Optional[Tuple[int, int]] = None
             self._schedule: Optional[List[tuple]] = None
             cls._intern[key] = self
@@ -193,6 +201,36 @@ class Expr:
             node._vars = frozenset(names)
             stack.pop()
         return self._vars
+
+    def boolean_subterms(self) -> FrozenSet["Expr"]:
+        """The 1-bit non-constant proper subterms of the expression: the
+        comparisons and conditions nested inside it, which the solver's
+        literal propagation matches against a group's constraints.
+
+        Memoized in a slot like :meth:`variables`, so the memo lives and
+        dies with its node in the weak intern table."""
+        cached = self._bools
+        if cached is not None:
+            return cached
+        stack: List["Expr"] = [self]
+        while stack:
+            node = stack[-1]
+            if node._bools is not None:
+                stack.pop()
+                continue
+            pending = [operand for operand in node.operands
+                       if operand._bools is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            found: set = set()
+            for operand in node.operands:
+                found |= operand._bools
+                if operand.width == 1 and operand.is_symbolic:
+                    found.add(operand)
+            node._bools = frozenset(found) if found else _NO_EXPRS
+            stack.pop()
+        return self._bools
 
     def size(self) -> int:
         """Number of unique nodes in the expression DAG."""

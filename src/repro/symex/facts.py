@@ -1,21 +1,18 @@
-"""Unary-fact refutation: cheap, exact pruning of conditions that the
-path's single-variable constraints already decide.
+"""Select resolution against a path's unary facts.
 
-The solver's CSP enumeration is exact on small per-variable domains but
-concedes "maybe satisfiable" once several input bytes couple into one
-group and the assignment budget runs out.  The engine then forks both
-ways, materializing *phantom* paths whose condition is actually
-infeasible.  Most of those conditions are not genuinely hard: they are
-ite-chains (if-conversion residue) and pointer-arithmetic checks whose
-leaf conditions compare one input byte each — and the path condition
-usually carries a unary fact (``ne(in_2, 47)``, ...) that decides every
-leaf.  Checking a leaf against only the facts over its own variables
-keeps the query in the solver's exact regime, and UNSAT against a
-*subset* of the path constraints is UNSAT against all of them, so every
-resolution and refutation here is sound.
+If-conversion leaves ite chains whose conditions compare one input byte
+each, and a path condition usually carries a unary fact
+(``ne(in_2, 47)``, ...) that decides each of them.  Resolving those ITE
+nodes folds an expression to the branch the path actually takes.  Each
+condition is checked against the facts over its own variables only, and
+UNSAT against a *subset* of the path constraints is UNSAT against all of
+them, so every resolution here is sound.
 
-Both the executor's opt-in ``fact_pruning`` mode and the relcheck
-product driver (:mod:`repro.relcheck.product`) build on these helpers.
+The relcheck product driver (:mod:`repro.relcheck.product`) simplifies
+path conditions and return-value disequalities this way before it asks
+the solver, and counts the resolutions (``selects_resolved``).  The
+engine itself does not use this module: the solver's literal propagation
+and value classes decide such queries exactly inside one search.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from .expr import Expr, ExprOp
 from .simplify import not_expr, rebuild
 from .solver import Solver
 
-__all__ = ["unary_facts", "resolve_selects", "decide_with_facts"]
+__all__ = ["unary_facts", "resolve_selects"]
 
 
 def unary_facts(constraints: Iterable[Expr]) -> Dict[str, Tuple[Expr, ...]]:
@@ -89,25 +86,3 @@ def resolve_selects(expr: Expr, facts: Dict[str, Tuple[Expr, ...]],
             else rebuild(expr.op, expr.width, operands)
     cache[expr] = result
     return result
-
-
-def decide_with_facts(condition: Expr, facts: Dict[str, Tuple[Expr, ...]],
-                      solver: Solver, cache: Dict[Expr, Expr],
-                      on_resolve: Optional[Callable[[], None]] = None
-                      ) -> Optional[bool]:
-    """Decide ``condition`` under the facts when cheaply possible.
-
-    Returns True/False when the condition provably takes that value on
-    every model of the path condition, None when the facts leave it
-    open.  Sound both ways: a non-None answer is backed by exact UNSAT
-    of the opposite polarity."""
-    if not facts:
-        return None
-    resolved = resolve_selects(condition, facts, solver, cache, on_resolve)
-    if resolved.is_constant:
-        return bool(resolved.value)
-    if _refuted(resolved, facts, solver):
-        return False
-    if _refuted(not_expr(resolved), facts, solver):
-        return True
-    return None

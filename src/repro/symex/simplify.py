@@ -143,6 +143,12 @@ def binary(op: ExprOp, lhs: Expr, rhs: Expr) -> Expr:
             return lhs
         if op is ExprOp.UDIV and rv == 1:
             return lhs
+        # Shifting a zero-extended value right past its original bits
+        # leaves 0: the memory model's byte reassembly of a stored byte
+        # then folds back to that byte.
+        if op is ExprOp.LSHR and lhs.op is ExprOp.ZEXT and \
+                rv % width >= lhs.operands[0].width:
+            return const(width, 0)
 
     if lhs is rhs or lhs == rhs:
         if op is ExprOp.SUB or op is ExprOp.XOR:

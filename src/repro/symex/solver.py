@@ -20,7 +20,12 @@ The solver combines, in order of increasing cost:
    cached subsets are cheap candidate assignments (KLEE's counterexample
    cache, indexed as in Hoffmann & Koehler's UBTrees),
 5. a backtracking CSP search over the byte domains of the variables in a
-   group, with unary-constraint domain pruning and early constraint checking;
+   group, with unary-constraint domain pruning and early constraint
+   checking, made exact on if-conversion shapes by two rewrites:
+   **literal propagation** (a constraint nested in another becomes true
+   there, its negation false, and a constraint next to its negation is
+   UNSAT at once) and **value classes** (a variable seen only through
+   1-bit tests of itself alone is searched over one value per class);
    groups containing **wide (>16-bit) variables** are instead solved by
    **branch-and-prune**: the variable box is recursively split at constants
    the constraints mention, sub-boxes are pruned through
@@ -57,11 +62,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..faults import SolverError, site as _fault_site
 from .expr import Expr, ExprOp, bounded_interval, mask, unsigned_interval
-from .simplify import not_expr
+from .simplify import const, not_expr, substitute
 from .ubtree import UBTree
 
 #: Fault site covering every top-level solver query (``docs/robustness.md``).
 _SOLVER_CHECK = _fault_site("solver.check", SolverError)
+
+#: What literal propagation substitutes for a literal and its negation.
+_TRUE = const(1, 1)
+_FALSE = const(1, 0)
 
 #: How many cached subset models the UBTree lookup tries as candidate
 #: assignments before giving up and searching.
@@ -700,28 +709,34 @@ class Solver:
             return self._branch_and_prune(constraints, variables, widths)
 
         # Unary-constraint domain pruning.
-        domains: Dict[str, List[int]] = {}
-        unary: Dict[str, List[Expr]] = {}
+        domains: Dict[str, List[int]] = {
+            name: list(range(mask(widths.get(name, 8)) + 1))
+            for name in variables}
         multi: List[Expr] = []
         for constraint in constraints:
-            names = constraint.variables()
-            if len(names) == 1:
-                unary.setdefault(next(iter(names)), []).append(constraint)
-            else:
+            if len(constraint.variables()) > 1:
                 multi.append(constraint)
-        for name in variables:
-            width = widths.get(name, 8)
-            domain = list(range(mask(width) + 1))
-            for constraint in unary.get(name, []):
-                allowed = self._unary_satisfying_values(constraint, name,
-                                                        width)
-                domain = [value for value in domain if value in allowed]
-            if not domain:
+            elif not self._prune_domain(domains, constraint, widths):
                 return SolverResult(False)
-            domains[name] = domain
 
         # Order variables: smallest domain first (most constrained first).
+        # The order is keyed by the group's own unary domains, before the
+        # two rewrites below shrink them.  The rewritten group has the same
+        # models, and each value of the lexicographically first one is the
+        # smallest of its class, so the search in this order still returns
+        # that model.
         order = sorted(variables, key=lambda name: len(domains[name]))
+        if multi:
+            rewritten = self._propagate_literals(constraints, multi)
+            if rewritten is None:
+                return SolverResult(False)
+            multi = []
+            for constraint in rewritten:
+                if len(constraint.variables()) > 1:
+                    multi.append(constraint)
+                elif not self._prune_domain(domains, constraint, widths):
+                    return SolverResult(False)
+            self._reduce_to_value_classes(domains, multi, widths)
         constraint_vars = [(c, c.variables()) for c in multi]
 
         assignment: Dict[str, int] = {}
@@ -774,6 +789,105 @@ class Solver:
                 self.stats.query_deadlines += 1
             return SolverResult(True, model=None, exact=False)
         return SolverResult(False)
+
+    def _prune_domain(self, domains: Dict[str, List[int]], constraint: Expr,
+                      widths: Dict[str, int]) -> bool:
+        """Keep only the values of a unary ``constraint``'s variable that
+        satisfy it; False when none is left."""
+        (name,) = constraint.variables()
+        allowed = self._unary_satisfying_values(constraint, name,
+                                                widths.get(name, 8))
+        domains[name] = [value for value in domains[name] if value in allowed]
+        return bool(domains[name])
+
+    @staticmethod
+    def _propagate_literals(constraints: List[Expr], multi: List[Expr]
+                            ) -> Optional[List[Expr]]:
+        """Rewrite each multi-variable constraint under the group's other
+        literals; None when the group is unsatisfiable.
+
+        A constraint that occurs inside another is replaced there by true,
+        and its negation by false.  A constraint whose negation is also in
+        the group makes it UNSAT at once.  A literal is only substituted
+        into constraints larger than its own constraint, so a constraint
+        never rewrites itself (``x -> false`` inside ``not x`` would drop
+        the fact) and no two constraints lean on each other: every model
+        of the original group satisfies the rewritten one, and by
+        induction over constraint size the converse holds too."""
+        literals: Dict[Expr, Tuple[Expr, int]] = {
+            constraint: (_TRUE, constraint.size())
+            for constraint in constraints}
+        for constraint in constraints:
+            negation = not_expr(constraint)
+            entry = literals.get(negation)
+            if entry is not None and entry[0] is _TRUE:
+                return None
+            if entry is None:
+                literals[negation] = (_FALSE, constraint.size())
+        rewritten: List[Expr] = []
+        for constraint in multi:
+            size = constraint.size()
+            mapping = {}
+            for term in constraint.boolean_subterms():
+                entry = literals.get(term)
+                if entry is not None and entry[1] < size:
+                    mapping[term] = entry[0]
+            if mapping:
+                constraint = substitute(constraint, mapping)
+                if constraint.is_constant:
+                    if constraint.value == 0:
+                        return None
+                    continue
+            rewritten.append(constraint)
+        return rewritten
+
+    def _reduce_to_value_classes(self, domains: Dict[str, List[int]],
+                                 multi: List[Expr],
+                                 widths: Dict[str, int]) -> None:
+        """Shrink the domain of every class-reducible variable to the
+        smallest value of each of its classes.
+
+        A variable is class-reducible when each of its occurrences in the
+        multi-variable constraints lies inside a 1-bit subterm over that
+        variable alone (``in_3 == 47``, ``zext in_1 <s 58``): values that
+        agree on all of those subterms are interchangeable in every
+        constraint, so a model over the representatives is a model and no
+        value works where no representative does.  The smallest value
+        keeps the model the full enumeration would return."""
+        atoms: Dict[str, set] = {}
+        bare: set = set()
+        seen: set = set()
+        stack: List[Expr] = list(multi)
+        while stack:
+            node = stack.pop()
+            if node in seen or node.is_constant:
+                continue
+            seen.add(node)
+            if node.op is ExprOp.VAR:
+                bare.add(node.name)
+                continue
+            names = node.variables()
+            if node.width == 1 and len(names) == 1:
+                atoms.setdefault(next(iter(names)), set()).add(node)
+                continue
+            stack.extend(node.operands)
+        for name, domain in domains.items():
+            if name in bare:
+                continue
+            if name not in atoms:
+                domains[name] = domain[:1]
+                continue
+            width = widths.get(name, 8)
+            allowed = [self._unary_satisfying_values(atom, name, width)
+                       for atom in atoms[name]]
+            classes: set = set()
+            representatives: List[int] = []
+            for value in domain:
+                signature = tuple(value in values for values in allowed)
+                if signature not in classes:
+                    classes.add(signature)
+                    representatives.append(value)
+            domains[name] = representatives
 
     # ------------------------------------------------------ branch-and-prune
     def _branch_and_prune(self, constraints: List[Expr],

@@ -512,6 +512,22 @@ class TestCommandLineInput:
             explore(wc_module, 1,
                     limits=SymexLimits(timeout_seconds=float("nan")))
 
+    @pytest.mark.parametrize("flag", ["--verify", "--run",
+                                      "--explain-paths"])
+    def test_source_without_main_is_an_error(self, flag, tmp_path, capsys):
+        """A program with nothing to explore or run gets an ``error:``
+        line and exit status 1, as a compile error does, instead of a
+        ``KeyError`` traceback from the entry lookup.  Compiling it alone
+        still succeeds."""
+        from repro.__main__ import main
+
+        source = tmp_path / "helper.c"
+        source.write_text("int helper(int a) { return a; }\n")
+        assert main(["--source", str(source), flag]) == 1
+        assert "error: program defines no function 'main'" in \
+            capsys.readouterr().err
+        assert main(["--source", str(source)]) == 0
+
 
 # --------------------------------------------------------------- client retry
 

@@ -9,8 +9,8 @@ from repro.interp import ErrorKind, Interpreter, Memory, ProgramError, run_modul
 from repro.pipelines import CompileOptions, OptLevel, compile_source
 from repro.symex import (
     BFSSearcher, DFSSearcher, ExecutionState, ExprOp, RandomSearcher, Solver,
-    SymbolicMemory, SymexLimits, binary, const, explore, ite, not_expr, sext,
-    trunc, unsigned_interval, var, zext,
+    SymbolicMemory, SymexLimits, binary, concat_bytes, const, explore,
+    extract_byte, ite, not_expr, sext, trunc, unsigned_interval, var, zext,
 )
 
 
@@ -151,6 +151,17 @@ class TestExpressions:
         # Comparisons against zero narrow back to the original variable.
         cmp = binary(ExprOp.NE, wide, const(32, 0))
         assert x in cmp.operands or cmp.operands[0] is x
+
+    def test_shift_past_a_zero_extension_folds_to_zero(self):
+        x = var(8, "x")
+        wide = zext(x, 32)
+        assert binary(ExprOp.LSHR, wide, const(32, 8)).value == 0
+        assert binary(ExprOp.LSHR, wide, const(32, 40)).value == 0
+        assert binary(ExprOp.LSHR, wide, const(32, 7)).op is ExprOp.LSHR
+        # A stored byte read back through the memory model's byte
+        # reassembly is the byte again.
+        reassembled = concat_bytes(extract_byte(wide, i) for i in range(4))
+        assert reassembled is wide
 
     def test_ite_simplifications(self):
         c = binary(ExprOp.EQ, var(8, "x"), const(8, 1))

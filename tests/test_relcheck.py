@@ -80,6 +80,22 @@ def test_registry_workloads_equivalent(name, pair):
         assert report.stats.paths_proved + report.stats.trap_agreements >= 1
 
 
+@pytest.mark.parametrize("name", ["comm", "head", "join", "sort", "tsort"])
+def test_pairs_with_negated_literals_prove_every_path(name):
+    """These pairs' queries are shapes that literal propagation and value
+    classes decide without a long search (join's replay meets
+    ``zext in_1 == zext in_0`` next to its ``!=``): every path is proved,
+    with no unknown answer, under a budget of paths and no query
+    deadline."""
+    config = RelcheckConfig(input_bytes=2, max_paths=64,
+                            timeout_seconds=600.0)
+    report = relcheck_workload(name, config=config)
+    assert report.clean and not report.truncated
+    assert report.stats.unknown_paths == 0
+    assert report.stats.paths_proved == report.stats.paths_checked > 0
+    assert report.solver_stats.unknown_results == 0
+
+
 # -------------------------------------------- negative: planted miscompiles
 
 _TRAPPING_DIV = """
@@ -174,6 +190,33 @@ def test_unsafe_jump_threading_is_caught():
 
 
 # ------------------------------------------------------------- plumbing
+
+def test_report_counts_the_replays_solver_work(monkeypatch):
+    """Each replay explores on its path checker's solver, so the report's
+    solver counters hold every solver's work, replays included."""
+    from repro.symex import Solver, SymbolicExecutor
+
+    solvers, replay_work = [], []
+    original_init = Solver.__init__
+    original_replay = SymbolicExecutor.run_seeded
+
+    def tracked_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        solvers.append(self)
+
+    def tracked_replay(self, state):
+        before = self.solver.stats.assignments_tried
+        report = original_replay(self, state)
+        replay_work.append(self.solver.stats.assignments_tried - before)
+        return report
+
+    monkeypatch.setattr(Solver, "__init__", tracked_init)
+    monkeypatch.setattr(SymbolicExecutor, "run_seeded", tracked_replay)
+    report = relcheck_workload("head", config=RelcheckConfig(input_bytes=2))
+    assert sum(replay_work) > 0
+    assert report.solver_stats.assignments_tried == \
+        sum(solver.stats.assignments_tried for solver in solvers)
+
 
 def test_store_memo_round_trip(tmp_path):
     """A second run over an unchanged pair must be answered from the

@@ -8,7 +8,7 @@ partitioned entry points (``check_partition``, ``check_branch_partition``,
 and equality rewriting off) that solves the whole query as one group, so
 no grouping decision of the optimized side is taken on trust.
 
-Three families of checks:
+Four families of checks:
 
 * the PR 3 layers (caching, group decomposition, model reuse, interning)
   via a long-lived optimized solver checked against the naive reference on
@@ -19,7 +19,12 @@ Three families of checks:
   every returned model re-checked by substitution into the *original*
   (unrewritten) query;
 * branch-and-prune separately against an analytic ground truth on wide
-  (>16-bit) variable queries.
+  (>16-bit) variable queries;
+* the CSP search's literal propagation and value classes against
+  **exhaustive enumeration**: the naive configuration runs those layers
+  too, so here every point of a 65,536-point space is evaluated by a
+  separately written evaluator, for if-conversion chains, literals next to
+  their negations and literals nested in ``ite`` conditions.
 
 Queries are generated small enough that the naive CSP always terminates
 within the assignment budget, so both configurations produce exact answers
@@ -36,8 +41,8 @@ import pytest
 
 from conftest import as_partition
 from repro.symex import (
-    ExecutionState, ExprOp, Solver, SolverConfig, binary, const, not_expr,
-    var,
+    ExecutionState, ExprOp, Solver, SolverConfig, binary, const, ite,
+    not_expr, sext, var, zext,
 )
 
 QUERY_COUNT = int(os.environ.get("SOLVER_DIFFERENTIAL_QUERIES", "1200"))
@@ -45,6 +50,9 @@ MATRIX_QUERY_COUNT = int(
     os.environ.get("SOLVER_DIFFERENTIAL_MATRIX_QUERIES", "500"))
 WIDE_QUERY_COUNT = int(
     os.environ.get("SOLVER_DIFFERENTIAL_WIDE_QUERIES", "300"))
+#: Queries per enumerated family.  The three families take about 5 s, so
+#: the CI gate runs them at this count too.
+ENUMERATED_QUERY_COUNT = 40
 
 #: Every switchable layer off: the trusted baseline configuration.
 NAIVE_CONFIG = SolverConfig(cache=False, rewrite_equalities=False)
@@ -349,3 +357,282 @@ def test_branch_and_prune_budget_exhaustion_stays_conservative():
     result = solver.check_partition(*as_partition(hard))
     assert result.satisfiable or not result.exact
     assert solver.stats.prune_splits > 0
+
+
+# ---------------------------------------------------------------------------
+# Literal propagation and value classes, against exhaustive enumeration
+# ---------------------------------------------------------------------------
+#: ``op -> format`` of the enumeration's evaluator, written from the
+#: operators' definitions rather than taken from ``Expr.evaluate``.
+#: ``{m}`` is the result mask, ``{h}`` the operand sign bit.
+_PYTHON_OPS = {
+    ExprOp.ADD: "({a} + {b}) & {m}", ExprOp.SUB: "({a} - {b}) & {m}",
+    ExprOp.MUL: "({a} * {b}) & {m}", ExprOp.AND: "{a} & {b}",
+    ExprOp.OR: "{a} | {b}", ExprOp.XOR: "{a} ^ {b}",
+    ExprOp.EQ: "int({a} == {b})", ExprOp.NE: "int({a} != {b})",
+    ExprOp.ULT: "int({a} < {b})", ExprOp.ULE: "int({a} <= {b})",
+    ExprOp.SLT: "int(({a} ^ {h}) - {h} < ({b} ^ {h}) - {h})",
+    ExprOp.SLE: "int(({a} ^ {h}) - {h} <= ({b} ^ {h}) - {h})",
+    ExprOp.ZEXT: "{a}", ExprOp.TRUNC: "{a} & {m}",
+    ExprOp.SEXT: "(({a} ^ {h}) - {h}) & {m}",
+    ExprOp.ITE: "{b} if {a} else {c}",
+}
+
+
+def _compiled(query, names):
+    """A Python function of ``names`` that is 1 exactly when every
+    constraint of ``query`` holds: one assignment per DAG node."""
+    slots = {}
+    lines = []
+
+    def emit(node):
+        if node in slots:
+            return slots[node]
+        if node.op is ExprOp.CONST:
+            return str(node.value)
+        if node.op is ExprOp.VAR:
+            return node.name
+        operands = [emit(operand) for operand in node.operands]
+        operands += ["0"] * (3 - len(operands))
+        slot = f"v{len(lines)}"
+        source = _PYTHON_OPS[node.op].format(
+            a=operands[0], b=operands[1], c=operands[2],
+            m=(1 << node.width) - 1,
+            h=1 << (node.operands[0].width - 1))
+        lines.append(f"    {slot} = {source}")
+        slots[node] = slot
+        return slot
+
+    roots = [emit(constraint) for constraint in query]
+    lines.append(f"    return {' and '.join(roots)}")
+    namespace = {}
+    exec(f"def holds({', '.join(names)}):\n" + "\n".join(lines), namespace)
+    return namespace["holds"]
+
+
+def _enumerated(query, names, values):
+    """(first model or None, holds) by trying the points of
+    ``values ** names`` in the plain search's order: variables with the
+    fewest values their unary constraints allow first (ties by name),
+    each variable's values ascending.  ``holds`` checks a model."""
+    def allowed(name):
+        unary = [c for c in query if c.variables() == {name}]
+        check = _compiled(unary, [name]) if unary else None
+        return sum(1 for value in values if check is None or check(value))
+
+    order = sorted(names, key=allowed)
+    in_order = _compiled(query, order)
+    first = next((dict(zip(order, point)) for point in
+                  itertools.product(values, repeat=len(order))
+                  if in_order(*point)), None)
+    return first, _compiled(query, names)
+
+
+def _space(rng):
+    """Two free bytes, or two to four variables each bounded by
+    ``in_i <u 16``: 65,536 points at most either way.  The bounds are
+    part of the query, so enumerating below 16 covers every model."""
+    if rng.random() < 0.5:
+        return ["in_0", "in_1"], range(256), []
+    names = [f"in_{i}" for i in range(rng.randrange(2, 5))]
+    bounds = [binary(ExprOp.ULT, var(8, name), const(8, 16))
+              for name in names]
+    return names, range(16), bounds
+
+
+def _byte_literal(rng, name, values):
+    """A 1-bit test of one byte against a constant, as the front end and
+    if-conversion write them."""
+    byte = var(8, name)
+    constant = rng.choice([0, 1, 3, 9, 15, 16, 47, 58, 255,
+                           rng.choice(values)])
+    kind = rng.randrange(5)
+    if kind == 0:
+        return binary(ExprOp.EQ, byte, const(8, constant))
+    if kind == 1:
+        return binary(ExprOp.NE, byte, const(8, constant))
+    if kind == 2:
+        return binary(ExprOp.ULT, byte, const(8, constant))
+    if kind == 3:
+        return binary(ExprOp.ULE, const(8, constant), byte)
+    return binary(ExprOp.SLT, zext(byte, 32), const(32, constant))
+
+
+def _ite_chain(rng, names, values):
+    """``ite(in_i == c, k, ... ite(in_j == d, l, -1))``: the select chain
+    if-conversion leaves behind, with small (and negative) leaves."""
+    chain = const(32, rng.choice([-1, 0, 7]))
+    for _ in range(rng.randrange(1, 5)):
+        chain = ite(_byte_literal(rng, rng.choice(names), values),
+                    const(32, rng.randrange(-4, 8)), chain)
+    return chain
+
+
+def _chain_constraint(rng, names, values):
+    """A comparison over one or two ite chains, under ``+`` and ``sext``
+    (basename's ``(t + 1) + 4136 == 0`` is one of these)."""
+    chain = _ite_chain(rng, names, values)
+    if rng.random() < 0.4:
+        return binary(rng.choice(_COMPARISONS), chain,
+                      _ite_chain(rng, names, values))
+    wide = binary(ExprOp.ADD, sext(chain, 64),
+                  const(64, rng.choice([1, 4136, -3])))
+    target = binary(ExprOp.ADD, const(64, rng.randrange(-4, 8)),
+                    const(64, rng.choice([1, 4136, -3])))
+    if rng.random() < 0.3:
+        target = const(64, 0)
+    return binary(rng.choice(_COMPARISONS), wide, target)
+
+
+def _coupling_literal(rng, names, values):
+    """A 1-bit term over two variables."""
+    first, second = rng.sample(names, 2)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return binary(ExprOp.EQ, zext(var(8, first), 32),
+                      zext(var(8, second), 32))
+    if kind == 1:
+        return binary(ExprOp.ULT, var(8, first), var(8, second))
+    if kind == 2:
+        return ite(_byte_literal(rng, first, values),
+                   _byte_literal(rng, second, values),
+                   _byte_literal(rng, second, values))
+    return _chain_constraint(rng, [first, second], values)
+
+
+def _chain_query(rng):
+    names, values, bounds = _space(rng)
+    query = [_chain_constraint(rng, names, values)
+             for _ in range(rng.randrange(1, 4))]
+    return names, values, bounds + query
+
+
+def _negation_query(rng):
+    """A literal with its negation, written as ``not_expr`` does or as a
+    plain ``xor 1``; now and then a different literal instead, so that not
+    every query is UNSAT."""
+    names, values, bounds = _space(rng)
+    literal = _coupling_literal(rng, names, values)
+    if rng.random() < 0.7:
+        other = not_expr(literal) if rng.random() < 0.6 \
+            else binary(ExprOp.XOR, literal, const(1, 1))
+    else:
+        other = _coupling_literal(rng, names, values)
+    query = [literal, other]
+    if rng.random() < 0.5:
+        query.append(_chain_constraint(rng, names, values))
+    rng.shuffle(query)
+    return names, values, bounds + query
+
+
+def _nested_query(rng):
+    """A constraint set where one constraint (or its negation) is the
+    condition of ``ite`` nodes inside another.  The ``not x`` next to a
+    term holding ``x`` is the shape where a constraint must not rewrite
+    itself."""
+    names, values, bounds = _space(rng)
+    literal = _coupling_literal(rng, names, values) if rng.random() < 0.5 \
+        else _byte_literal(rng, rng.choice(names), values)
+    asserted = literal if rng.random() < 0.5 else not_expr(literal)
+    inner = literal if rng.random() < 0.5 else not_expr(literal)
+    first, second = rng.choice(names), rng.choice(names)
+    kind = rng.randrange(3)
+    if kind == 0:
+        nested = binary(rng.choice(_COMPARISONS),
+                        ite(inner, zext(var(8, first), 32),
+                            const(32, rng.randrange(16))),
+                        ite(inner, const(32, rng.randrange(16)),
+                            zext(var(8, second), 32)))
+    elif kind == 1:
+        nested = ite(inner, _byte_literal(rng, first, values),
+                     _coupling_literal(rng, names, values))
+    else:
+        nested = binary(ExprOp.XOR,
+                        ite(inner, _byte_literal(rng, first, values),
+                            _byte_literal(rng, second, values)),
+                        const(1, 1))
+    query = [asserted, nested]
+    if rng.random() < 0.4:
+        query.append(_chain_constraint(rng, names, values))
+    rng.shuffle(query)
+    return names, values, bounds + query
+
+
+_ENUMERATED_FAMILIES = {"ite-chains": _chain_query,
+                        "literal-and-negation": _negation_query,
+                        "nested-literals": _nested_query}
+
+
+#: Assignment budget of the uncached solver per family.  Every variable
+#: of an ite-chain query is class-reducible, so a few representatives per
+#: variable answer it: a budget far below the 65,536-point space must
+#: still give exact answers there.
+_ENUMERATED_BUDGETS = {"ite-chains": 2_000}
+
+
+@pytest.mark.parametrize("family", sorted(_ENUMERATED_FAMILIES))
+def test_csp_layers_agree_with_enumeration(family):
+    """Every verdict matches exhaustive enumeration, every model the
+    solver returns holds under the enumeration's own evaluator, and
+    ``concretization_model`` (a fresh search) returns the enumeration's
+    first model: the two layers leave the model a plain search finds
+    unchanged."""
+    make = _ENUMERATED_FAMILIES[family]
+    rng = random.Random(f"enumerated:{family}")
+    solver = Solver()
+    budget = _ENUMERATED_BUDGETS.get(family, SolverConfig.max_assignments)
+    verdicts = set()
+    for index in range(ENUMERATED_QUERY_COUNT):
+        names, values, query = make(rng)
+        first, holds = _enumerated(query, names, values)
+        expected = first is not None
+        shown = [c.render() for c in query]
+        fresh = Solver(config=SolverConfig(cache=False,
+                                           max_assignments=budget))
+        for engine in (solver, fresh):
+            result = engine.check_partition(*as_partition(query))
+            assert result.exact, (index, shown)
+            assert result.satisfiable == expected, (index, shown)
+        verdicts.add(expected)
+        if not expected:
+            assert solver.concretization_model(*as_partition(query)) is None
+            continue
+        model = solver.model_for_partition(*as_partition(query))
+        assert model is not None, (index, shown)
+        assert holds(*(model.get(name, 0) for name in names)), \
+            (index, shown, model)
+        model = fresh.concretization_model(*as_partition(query))
+        assert model is not None, (index, shown)
+        assert {name: model.get(name, 0) for name in names} == first, \
+            (index, shown, model)
+    assert verdicts == {True, False}, f"{family}: one-sided verdicts"
+
+
+def test_literal_with_its_negation_needs_no_search():
+    """A group holding a literal and its negation is UNSAT before the
+    search starts: with a budget of one assignment the answer is still an
+    exact UNSAT, for the join shape and for dirname's shared ite term."""
+    in_0, in_1 = var(8, "in_0"), var(8, "in_1")
+    equal = binary(ExprOp.EQ, zext(in_1, 32), zext(in_0, 32))
+    chain = ite(binary(ExprOp.EQ, in_1, const(8, 47)), const(32, 1),
+                ite(binary(ExprOp.EQ, in_0, const(8, 47)), const(32, 0),
+                    const(32, -1)))
+    below = binary(ExprOp.SLE, chain, const(32, 0))
+    for query in ([equal, not_expr(equal)], [below, not_expr(below)]):
+        solver = Solver(config=SolverConfig(cache=False, max_assignments=1))
+        result = solver.check_partition(*as_partition(query))
+        assert result.exact and not result.satisfiable
+
+
+def test_a_constraint_does_not_rewrite_itself():
+    """``not x`` where the group's unary facts force ``x`` true is UNSAT.
+    Substituting ``x -> false`` inside ``not x`` itself would turn that
+    constraint into true and drop it, leaving only the satisfiable facts."""
+    in_0, in_1 = var(8, "in_0"), var(8, "in_1")
+    x = ite(binary(ExprOp.EQ, in_0, const(8, 3)),
+            binary(ExprOp.EQ, in_1, const(8, 4)),
+            binary(ExprOp.ULT, in_1, const(8, 9)))
+    query = [not_expr(x), binary(ExprOp.EQ, in_0, const(8, 3)),
+             binary(ExprOp.EQ, in_1, const(8, 4))]
+    result = Solver().check_partition(*as_partition(query))
+    assert result.exact and not result.satisfiable

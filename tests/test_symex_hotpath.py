@@ -67,6 +67,31 @@ class TestHashConsing:
         # alive by the strong const/var caches).
         assert after < before
 
+    def test_boolean_subterms_are_memoized_on_the_node(self):
+        x, y = var(8, "bx"), var(8, "by")
+        inner = binary(ExprOp.EQ, x, const(8, 47))
+        chain = ite(inner, zext(y, 32), const(32, 3))
+        outer = binary(ExprOp.ULT, chain, const(32, 9))
+        assert outer.boolean_subterms() == {inner}
+        # Filled bottom-up: the operands' memos are set on the way.
+        assert chain._bools == {inner}
+        assert inner.boolean_subterms() == frozenset()
+
+    def test_boolean_subterm_memo_keeps_no_node_alive(self):
+        """The memo lives in a slot of its node, so computing it leaves
+        dead expressions free to leave the weak intern table."""
+        def unique_tree():
+            flag = binary(ExprOp.EQ, var(8, "memotest"), const(8, 201))
+            return binary(ExprOp.ULT, ite(flag, const(32, 1), const(32, 2)),
+                          const(32, 2))
+
+        tree = unique_tree()
+        tree.boolean_subterms()
+        before = Expr.intern_table_size()
+        del tree
+        gc.collect()
+        assert Expr.intern_table_size() < before - 2
+
     def test_set_membership_uses_identity(self):
         x = var(8, "x")
         seen = {binary(ExprOp.ULT, x, const(8, 9))}
@@ -1028,3 +1053,41 @@ class TestBranchHeavyExploration:
             naive.solver_stats.assignments_tried
         assert report.solver_stats.csp_searches < \
             naive.solver_stats.csp_searches
+
+
+# ---------------------------------------------------------------------------
+# Work floors of if-converted programs
+# ---------------------------------------------------------------------------
+class TestIfConvertedWorkFloors:
+    """Registry builds whose queries are if-conversion chains or a literal
+    next to its negation: literal propagation and value classes decide
+    them, so each run finishes within a path and instruction budget, with
+    no unknown answer and a small search.  The budgets count work, not
+    time, and a solver budget of 20,000 assignments per search turns a
+    regression into an unknown answer instead of a long run."""
+
+    #: (program, level) -> paths at the program's default input size.
+    PATHS = {("basename", "OVERIFY"): 5, ("cat", "OVERIFY"): 5,
+             ("dirname", "OVERIFY"): 11, ("echo_args", "OVERIFY"): 9,
+             ("expand", "OVERIFY"): 55, ("tail", "OVERIFY"): 31,
+             ("head", "O0"): 15}
+
+    @pytest.mark.parametrize("program, level", sorted(PATHS),
+                             ids=lambda value: value)
+    def test_finishes_with_a_small_search(self, program, level):
+        from repro.pipelines import CompileOptions, OptLevel, compile_source
+        from repro.workloads import get_workload
+
+        workload = get_workload(program)
+        module = compile_source(
+            workload.source,
+            CompileOptions(level=getattr(OptLevel, level))).module
+        solver = Solver(config=SolverConfig(max_assignments=20_000))
+        report = explore(module, workload.default_input_bytes, solver=solver,
+                         limits=SymexLimits(max_paths=1_000,
+                                            max_instructions=200_000,
+                                            timeout_seconds=600.0))
+        assert report.stats.termination_reason == ""
+        assert report.stats.total_paths == self.PATHS[program, level]
+        assert report.solver_stats.unknown_results == 0
+        assert report.solver_stats.assignments_tried < 20_000
