@@ -368,7 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   timeout_seconds=args.timeout)
 
     if args.verify:
-        caches = SharedSolverCaches(locked=False) if args.store else None
+        caches = SharedSolverCaches() if args.store else None
         try:
             backend = make_backend(args.backend, caches=caches)
         except BackendSpecError as exc:

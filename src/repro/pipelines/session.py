@@ -16,7 +16,9 @@ runs its pipeline with the pipeline's own
 :class:`~repro.analysis.AnalysisManager`.  The session keeps nothing
 else: a compile's module and analysis cache live exactly as long as its
 :class:`CompilationResult`, and :attr:`CompilerSession.analysis_stats`
-is a running total of their counters.
+is a running total of their counters.  It keeps at most
+:data:`MAX_SESSION_UNITS` program units, dropping the least recently
+used, so a session that lives as long as a server stays bounded.
 
 ``compile_source`` is a thin wrapper over a one-shot session, and the
 experiment harness routes all per-workload compiles through one session.
@@ -25,6 +27,7 @@ experiment harness routes all per-workload compiles through one session.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
@@ -41,6 +44,11 @@ from .compiler import CompilationResult, CompileOptions, uses_verification_libc
 #: unit after its analysis, so every session and thread of the process
 #: shares them (two threads racing on a first use each store an equal unit).
 _LIBRARIES: Dict[bool, ast.TranslationUnit] = {}
+
+#: Analysed program units one session keeps (least recently used first
+#: out).  Re-analysing an evicted text gives an equal unit, so eviction
+#: costs time, never output.
+MAX_SESSION_UNITS = 256
 
 
 @dataclass
@@ -69,8 +77,9 @@ class CompilerSession:
         self.stats = SessionStats()
         #: Analysis-cache counters of every compile so far, summed.
         self.analysis_stats = AnalysisManagerStats()
-        #: Program text -> its parsed and analysed translation unit.
-        self._units: Dict[str, ast.TranslationUnit] = {}
+        #: Program text -> its parsed and analysed translation unit, least
+        #: recently used first.
+        self._units: "OrderedDict[str, ast.TranslationUnit]" = OrderedDict()
 
     # ---------------------------------------------------------- front end
     def front_end(self, program_source: str,
@@ -87,8 +96,11 @@ class CompilerSession:
         if unit is None:
             unit = analyze(parse(program_source), library=library)
             self._units[program_source] = unit
+            if len(self._units) > MAX_SESSION_UNITS:
+                self._units.popitem(last=False)
             self.stats.frontend_parses += 1
         else:
+            self._units.move_to_end(program_source)
             self.stats.frontend_reuses += 1
         return lower(unit, options.module_name, library=library,
                      entry_points=options.entry_points)

@@ -647,7 +647,7 @@ def relcheck_modules(module_a: Module, module_b: Module,
             lambda payload: _report_from_memo(payload, pair, config))
         if memo is not None:
             return memo
-    caches = shared_caches or SharedSolverCaches(locked=False)
+    caches = shared_caches or SharedSolverCaches()
     if store is not None:
         store.prime(caches)
 

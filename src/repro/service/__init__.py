@@ -1,11 +1,10 @@
 """The verification service: a persistent solver-knowledge store and an
 asyncio front door over a local socket.
 
-* :mod:`repro.service.store` — :class:`SolverKnowledgeStore`: solver
-  results, UBTree SAT/UNSAT indices, canonical models and per-function
-  verification memos, serialized to a versioned, checksummed,
-  atomically-replaced file keyed by canonical constraint-group
-  fingerprints.
+* :mod:`repro.service.store` — :class:`SolverKnowledgeStore`: exact
+  solver group results and per-function verification memos, serialized
+  to a versioned, checksummed, atomically-replaced file keyed by
+  canonical constraint-group fingerprints.
 * :mod:`repro.service.server` — :class:`VerificationServer`: the
   JSON-line front door that compiles, dedupes, memoizes and verifies
   jobs against store-primed shared solver caches.

@@ -18,16 +18,17 @@ service-level layers on top:
   answered from the memo without running symex
   (``"provenance": "memo-hit"``).
 * **Shared, store-primed solver caches.**  All jobs solve into one
-  lock-striped :class:`~repro.symex.solver.SharedSolverCaches`, primed
-  from the store at startup; a job whose constraint groups are answered
-  by primed entries reports ``"provenance": "warm-store"``.  Everything
-  learned is absorbed back into the store and saved atomically.
+  :class:`~repro.symex.solver.SharedSolverCaches` table of exact group
+  results under one lock, primed from the store at startup; a job whose
+  constraint groups are answered by primed entries reports
+  ``"provenance": "warm-store"``.  Everything learned is absorbed back
+  into the store and saved atomically.
 
 Concurrency model: the asyncio loop only parses requests and awaits; the
 blocking work (compile + verify) runs on a thread pool.  Compiles are
 serialized behind one lock (the session's front-end cache is not
 thread-safe; compiles are the cheap part), verifications run in parallel
-across the pool — the solver caches are built for exactly that.
+across the pool — each solver search runs outside the caches' lock.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ from .store import (
     SolverKnowledgeStore, outcome_to_memo, verification_fingerprint,
     verify_memoized,
 )
-
-#: Stripes of the service's shared solver caches: enough that a handful of
-#: concurrent verifications rarely collide on a stripe lock.
-CACHE_STRIPES = 8
 
 #: Seconds past a job's cooperative deadline before the server stops
 #: waiting and answers ``error_kind="deadline"``.  The engine's own
@@ -155,8 +152,7 @@ class VerificationServer:
         self.max_pending = max_pending or 4 * pool_size + 4
         self.drain_seconds = drain_seconds
         self.store = SolverKnowledgeStore(store_path)
-        self.caches = SharedSolverCaches(num_stripes=CACHE_STRIPES,
-                                         locked=True)
+        self.caches = SharedSolverCaches()
         #: One backend instance serves every job (verify() is stateless);
         #: backends that take injected caches get the shared set.
         self.backend = make_backend(backend, caches=self.caches)
@@ -449,7 +445,8 @@ class VerificationServer:
         """Run one distinct job on the pool and publish its response to
         every waiter.  Runs as its own task so a waiter abandoning the
         job (deadline, disconnect) never cancels the job itself — the
-        result is still memoized and handed to other waiters."""
+        result is still memoized (unless the clock cut it) and handed to
+        other waiters."""
         try:
             try:
                 response = await asyncio.get_running_loop().run_in_executor(
@@ -475,8 +472,8 @@ class VerificationServer:
                          deadline: Optional[float]) -> Dict[str, object]:
         """Wait for a job's published response; with a deadline, stop
         waiting ``DEADLINE_GRACE`` past it and answer
-        ``error_kind="deadline"`` (the job keeps running and is still
-        memoized — only this waiter gives up)."""
+        ``error_kind="deadline"`` (the job keeps running, and is memoized
+        unless the clock cuts it — only this waiter gives up)."""
         if deadline is None:
             return dict(await asyncio.shield(future))
         try:
@@ -543,4 +540,4 @@ def serve(socket_path: object, store_path: object = None,
                        drain_seconds=drain_seconds).run()
 
 
-__all__ = ["CACHE_STRIPES", "VerificationServer", "serve"]
+__all__ = ["VerificationServer", "serve"]

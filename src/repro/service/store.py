@@ -3,10 +3,12 @@
 -OVERIFY treats verification cost as a budget to engineer; the biggest
 lever left after intra-run caching is **amortization across runs**: user
 M+1 should never re-pay for anything user M already proved.  This module
-persists the solver's learned knowledge — exact group results, UBTree
-SAT/UNSAT counterexample sets, and canonical concretization models —
-plus whole-run **memos** keyed by post-pipeline IR fingerprints, so a
-resubmitted unchanged function skips symbolic execution entirely.  Only
+persists the solver's table of exact group results
+(:class:`~repro.symex.solver.SharedSolverCaches`, each result tagged with
+whether a search found it) plus whole-run **memos** keyed by post-pipeline
+IR fingerprints, so a resubmitted unchanged function skips symbolic
+execution entirely.  The UBTree indexes are rebuilt from the table when it
+is absorbed, so they are never written.  Only
 :meth:`SolverKnowledgeStore.memo_lookup` decodes a memo, and the CLI and
 the service share one lookup-or-verify-and-record step,
 :func:`verify_memoized`.
@@ -31,7 +33,7 @@ Design points (see ``docs/service.md`` for the file format):
   malformed JSON or wire form — empties the store and records the reason
   in :attr:`SolverKnowledgeStore.load_error`.  A store entry is only ever
   *added* to the solver caches through
-  :meth:`~repro.symex.solver.SharedSolverCaches.absorb_state`, which the
+  :meth:`~repro.symex.solver.SharedSolverCaches.remember`, which the
   solver treats exactly like knowledge it solved itself.
 """
 
@@ -55,7 +57,7 @@ from ..verification import (
 )
 
 FORMAT_NAME = "repro-solver-store"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _Decoded = TypeVar("_Decoded")
 
@@ -190,13 +192,14 @@ def verification_fingerprint(module: Module, request: VerificationRequest,
     printed form plus every request/backend knob that can change the
     outcome (the concrete input too: the interpreter runs on it).  Two
     submissions with identical optimized IR, request, and backend
-    configuration are the same verification."""
+    configuration are the same verification.  The wall-clock budget is
+    left out: :func:`verify_memoized` never records an outcome the clock
+    cut, so no memo depends on it."""
     parts = [
         backend_spec,
         request.entry,
         str(request.symbolic_input_bytes),
         request.concrete_input.hex(),
-        repr(request.timeout_seconds),
         str(request.max_instructions),
         print_module(module),
     ]
@@ -259,14 +262,22 @@ def verify_memoized(store: "SolverKnowledgeStore",
                     caches: Optional[SharedSolverCaches] = None
                     ) -> VerificationOutcome:
     """Answer a verification from ``store``'s memo under ``key`` (a
-    :func:`verification_fingerprint`), or run ``backend`` and record the
-    outcome — budget-truncated ones included — then fold what
-    ``caches`` learned into the store.  Saving is the caller's."""
+    :func:`verification_fingerprint`), or run ``backend``, record the
+    outcome and fold what ``caches`` learned into the store.  Saving is
+    the caller's.
+
+    An outcome the clock cut — the run's wall-clock budget or a solver
+    query deadline — is not recorded: on a loaded machine it would
+    otherwise answer every later identical request.  Truncation by a
+    path, instruction or fork budget counts work, not time, so those
+    outcomes are recorded."""
     outcome = store.memo_lookup(
         key, lambda payload: memo_to_outcome(payload, backend.describe()))
     if outcome is None:
         outcome = backend.verify(module, request)
-        store.memo_record(key, outcome_to_memo(outcome))
+        if outcome.termination_reason != "timeout" and \
+                not outcome.solver_stats.get("query_deadlines"):
+            store.memo_record(key, outcome_to_memo(outcome))
         if caches is not None:
             store.absorb(caches)
     return outcome
@@ -275,8 +286,8 @@ def verify_memoized(store: "SolverKnowledgeStore",
 # ------------------------------------------------------------------- store
 
 class SolverKnowledgeStore:
-    """The persistent knowledge store: solver cache snapshots plus
-    verification memos, living in one JSON-lines file.
+    """The persistent knowledge store: the solver's exact group results
+    plus verification memos, living in one JSON-lines file.
 
     ``path=None`` makes a memory-only store (the service without
     ``--store``): the same API, with :meth:`load`/:meth:`save` as no-ops.
@@ -296,15 +307,10 @@ class SolverKnowledgeStore:
 
     def _reset(self) -> None:
         self._groups: Dict[str, dict] = {}
-        self._sat_sets: Dict[str, dict] = {}
-        self._unsat_sets: Dict[str, dict] = {}
-        self._canonical_models: Dict[str, dict] = {}
         self._memos: Dict[str, dict] = {}
 
     def __len__(self) -> int:
-        return (len(self._groups) + len(self._sat_sets)
-                + len(self._unsat_sets) + len(self._canonical_models)
-                + len(self._memos))
+        return len(self._groups) + len(self._memos)
 
     @property
     def memo_count(self) -> int:
@@ -385,10 +391,7 @@ class SolverKnowledgeStore:
             raise StoreFormatError(
                 f"truncated: footer expects {footer.get('records')} "
                 f"records, found {len(records)}")
-        tables = {"group": self._groups, "sat_set": self._sat_sets,
-                  "unsat_core": self._unsat_sets,
-                  "canonical_model": self._canonical_models,
-                  "memo": self._memos}
+        tables = self._tables()
         for line in records:
             record = json.loads(line)
             if not isinstance(record, dict):
@@ -402,6 +405,10 @@ class SolverKnowledgeStore:
             if table is None or not isinstance(key, str):
                 raise StoreFormatError(f"malformed record kind={kind!r}")
             table[key] = record
+
+    def _tables(self) -> Dict[str, Dict[str, dict]]:
+        """The record kinds, in file order, with their tables."""
+        return {"group": self._groups, "memo": self._memos}
 
     # -------------------------------------------------------------- saving
     def save(self) -> None:
@@ -418,22 +425,14 @@ class SolverKnowledgeStore:
         with self._lock:
             current = SolverKnowledgeStore(self.path)
             current.load()
-            for ours, theirs in (
-                    (self._groups, current._groups),
-                    (self._sat_sets, current._sat_sets),
-                    (self._unsat_sets, current._unsat_sets),
-                    (self._canonical_models, current._canonical_models),
-                    (self._memos, current._memos)):
-                for key, record in theirs.items():
-                    ours.setdefault(key, record)
+            theirs = current._tables()
+            for kind, table in self._tables().items():
+                for key, record in theirs[kind].items():
+                    table.setdefault(key, record)
             lines = [_canonical_json({"format": FORMAT_NAME,
                                       "version": FORMAT_VERSION})]
             count = 0
-            for kind, table in (("group", self._groups),
-                                ("sat_set", self._sat_sets),
-                                ("unsat_core", self._unsat_sets),
-                                ("canonical_model", self._canonical_models),
-                                ("memo", self._memos)):
+            for kind, table in self._tables().items():
                 for key in sorted(table):
                     record = dict(table[key])
                     record["kind"] = kind
@@ -475,61 +474,36 @@ class SolverKnowledgeStore:
 
     # ------------------------------------------------- cache <-> store
     def prime(self, caches: SharedSolverCaches) -> int:
-        """Inject every stored solver fact into ``caches`` (tagged so hits
-        count as ``SolverStats.store_hits``).  Returns the number of
-        entries absorbed.  A record whose constraints no longer decode is
-        skipped, never fatal."""
-        state: Dict[str, list] = {"groups": [], "sat_sets": [],
-                                  "unsat_sets": [], "canonical_models": []}
+        """Absorb every stored group result into ``caches`` (tagged so hits
+        count as ``SolverStats.store_hits``; entries ``caches`` already
+        holds win).  Returns the number of results added.  A record whose
+        constraints no longer decode is skipped, never fatal."""
         with self._lock:
-            group_items = list(self._groups.items())
-            sat_items = list(self._sat_sets.items())
-            unsat_items = list(self._unsat_sets.items())
-            canonical_items = list(self._canonical_models.items())
-        for _key, record in group_items:
+            records = list(self._groups.values())
+        added = 0
+        for record in records:
             try:
-                constraints = frozenset(expr_from_wire(wire)
-                                        for wire in record["constraints"])
+                constraints = tuple(expr_from_wire(wire)
+                                    for wire in record["constraints"])
                 model = record["model"]
                 result = SolverResult(
                     bool(record["satisfiable"]),
                     None if model is None else _model_from_wire(model))
+                canonical = bool(record["canonical"])
             except (WireError, KeyError, TypeError, RecursionError):
                 continue
-            state["groups"].append((constraints, result))
-        for _key, record in sat_items:
-            try:
-                elements = tuple(expr_from_wire(wire)
-                                 for wire in record["constraints"])
-                model = _model_from_wire(record["model"])
-            except (WireError, KeyError, TypeError, RecursionError):
-                continue
-            state["sat_sets"].append((elements, model))
-        for _key, record in unsat_items:
-            try:
-                elements = tuple(expr_from_wire(wire)
-                                 for wire in record["constraints"])
-            except (WireError, KeyError, TypeError, RecursionError):
-                continue
-            state["unsat_sets"].append(elements)
-        for _key, record in canonical_items:
-            try:
-                constraints = frozenset(expr_from_wire(wire)
-                                        for wire in record["constraints"])
-                model = _model_from_wire(record["model"])
-            except (WireError, KeyError, TypeError, RecursionError):
-                continue
-            state["canonical_models"].append((constraints, model))
-        return caches.absorb_state(state, from_store=True)
+            added += caches.remember(constraints, result,
+                                     canonical=canonical, from_store=True)
+        return added
 
     def absorb(self, caches: SharedSolverCaches) -> int:
-        """Fold everything ``caches`` learned into the store (existing
-        entries win — knowledge, once recorded, is stable).  Returns the
-        number of new records."""
-        state = caches.export_state()
+        """Fold every exact group result ``caches`` holds into the store
+        (existing records win — knowledge, once recorded, is stable).
+        Returns the number of new records."""
+        entries = caches.entries()
         added = 0
         with self._lock:
-            for key, result in state["groups"]:
+            for key, result, canonical in entries:
                 fingerprint = group_fingerprint(key)
                 if fingerprint not in self._groups:
                     self._groups[fingerprint] = {
@@ -537,29 +511,7 @@ class SolverKnowledgeStore:
                         "satisfiable": result.satisfiable,
                         "model": None if result.model is None
                         else dict(result.model),
-                    }
-                    added += 1
-            for elements, model in state["sat_sets"]:
-                fingerprint = group_fingerprint(elements)
-                if fingerprint not in self._sat_sets:
-                    self._sat_sets[fingerprint] = {
-                        "constraints": _sorted_wires(elements),
-                        "model": dict(model),
-                    }
-                    added += 1
-            for elements in state["unsat_sets"]:
-                fingerprint = group_fingerprint(elements)
-                if fingerprint not in self._unsat_sets:
-                    self._unsat_sets[fingerprint] = {
-                        "constraints": _sorted_wires(elements),
-                    }
-                    added += 1
-            for key, model in state["canonical_models"]:
-                fingerprint = group_fingerprint(key)
-                if fingerprint not in self._canonical_models:
-                    self._canonical_models[fingerprint] = {
-                        "constraints": _sorted_wires(key),
-                        "model": dict(model),
+                        "canonical": canonical,
                     }
                     added += 1
         return added

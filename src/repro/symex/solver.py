@@ -34,6 +34,9 @@ The solver combines, in order of increasing cost:
    permitting) exact decision procedure,
 6. query caching (both full queries and per-group results, models included,
    so :meth:`Solver.model_for_partition` never re-solves a decided query).
+   Exact group results live in one table,
+   :class:`SharedSolverCaches`, which the UBTree indexes derive from and
+   the knowledge store persists.
 
 Branch feasibility uses :meth:`Solver.check_branch_partition`, which shares
 work between the two sides of a fork: when one side is proved
@@ -72,8 +75,8 @@ _SOLVER_CHECK = _fault_site("solver.check", SolverError)
 _TRUE = const(1, 1)
 _FALSE = const(1, 0)
 
-#: How many cached subset models the UBTree lookup tries as candidate
-#: assignments before giving up and searching.
+#: How many distinct recorded subset models the UBTree lookup tries as
+#: candidate assignments before giving up and searching.
 SUBSET_MODEL_TRIALS = 8
 
 #: A branch-and-prune box is enumerated concretely once it contains at most
@@ -138,13 +141,13 @@ class SolverStats:
     #: Interval splits performed by branch-and-prune searches.
     prune_splits: int = 0
     #: Always 0: the solver does not minimize UNSAT cores, so a group
-    #: enters the UNSAT index exactly as solved.  Kept because perfbench
+    #: enters the UNSAT index exactly as recorded.  Kept because perfbench
     #: reads the field by name (``perfbench/local.py``).
     cores_minimized: int = 0
     #: Group-cache and concretization-model hits answered by entries that
-    #: were primed from a persistent knowledge store
+    #: were absorbed from a persistent knowledge store
     #: (:class:`repro.service.store.SolverKnowledgeStore`) rather than
-    #: solved in this run.  UBTree containment hits on primed sets are
+    #: solved in this run.  UBTree containment hits on absorbed groups are
     #: counted as ordinary ``ubtree_hits``.
     store_hits: int = 0
     #: Queries interrupted by :attr:`SolverConfig.query_deadline_seconds`
@@ -175,157 +178,66 @@ class SolverResult:
     exact: bool = True
 
 
-class _NullLock:
-    """A no-op context manager: the lock of a single-owner cache stripe.
-
-    A private (non-shared) solver routes through the same stripe code as a
-    shared one; swapping the lock out for this keeps the sequential hot
-    path free of real lock traffic."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-class _CacheStripe:
-    """One shard of the solver's group-level caches.
-
-    Everything a group query touches lives together on its stripe — the
-    exact group-result cache and the SAT/UNSAT UBTree counterexample
-    indices — so one lock acquisition covers a whole lookup or
-    insertion."""
-
-    __slots__ = ("lock", "group_cache", "sat_index", "unsat_index",
-                 "canonical_models", "from_store", "canonical_from_store")
-
-    def __init__(self, lock: object) -> None:
-        self.lock = lock
-        self.group_cache: Dict[FrozenSet[Expr], SolverResult] = {}
-        self.sat_index = UBTree()
-        self.unsat_index = UBTree()
-        #: Group -> the model a *fresh deterministic search* finds — a pure
-        #: function of the group, unlike the SAT index's models, whose
-        #: identity depends on what happened to be cached first.
-        #: Backs :meth:`Solver.concretization_model`.
-        self.canonical_models: Dict[FrozenSet[Expr], Dict[str, int]] = {}
-        #: Group-cache keys primed from a persistent store (provenance
-        #: accounting only: a hit on one bumps ``SolverStats.store_hits``).
-        self.from_store: set = set()
-        #: Same, for primed canonical-model keys.
-        self.canonical_from_store: set = set()
-
-
 class SharedSolverCaches:
-    """The solver's group caches, sharded into lock stripes.
+    """The solver's table of exact group results, under one lock.
 
-    Several :class:`Solver` front ends can solve into one set: the
-    verification service hands its set to every job it runs on its job
+    Several :class:`Solver` front ends can solve into one table: the
+    verification service hands its table to every job it runs on its job
     threads, and relcheck shares one between its reference exploration and
-    its per-path replays.  A constraint group is routed to the stripe
-    selected by its fingerprint (the hash of its interned constraint set),
-    so the same group always lands on the same stripe and a result solved
-    by one solver answers every other solver's queries about it.  Lock
-    striping bounds contention: two job threads only serialize when their
-    groups collide on a stripe, and the expensive searches themselves run
-    outside the stripe lock (two threads racing to solve the same group
-    merely duplicate that one search; both arrive at the same
-    deterministic result).  ``locked=False`` gives the stripes no-op
-    locks, for a set that only one thread ever uses.
+    its per-path replays.  Every exact group result enters through
+    :meth:`remember` — one a search found, one the UBTree counterexample
+    index answered, or one absorbed from a knowledge store — which also
+    inserts it into the SAT or UNSAT index, so the indexes are derived
+    data the store never writes.  Searches, and the evaluation of
+    candidate models, run outside the lock: two threads racing on one
+    group merely duplicate its search, and the first result recorded wins.
     """
 
-    def __init__(self, num_stripes: int = 1, locked: bool = True) -> None:
-        if num_stripes < 1:
-            raise ValueError("num_stripes must be >= 1")
-        make_lock = threading.Lock if locked else _NullLock
-        self.stripes: List[_CacheStripe] = [
-            _CacheStripe(make_lock()) for _ in range(num_stripes)]
-        self._num_stripes = num_stripes
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        #: Constraint group -> its exact result.
+        self.results: Dict[FrozenSet[Expr], SolverResult] = {}
+        #: Groups whose result a fresh search found: a pure function of the
+        #: group, unlike a model the index reused, whose identity depends
+        #: on what happened to be recorded first.  Backs
+        #: :meth:`Solver.concretization_model`.
+        self.canonical: set = set()
+        #: Groups absorbed from a knowledge store (provenance accounting
+        #: only: a hit on one bumps ``SolverStats.store_hits``).
+        self.from_store: set = set()
+        self.sat_index = UBTree()
+        self.unsat_index = UBTree()
 
-    def stripe_for(self, group_key: FrozenSet[Expr]) -> _CacheStripe:
-        """The stripe owning ``group_key`` (stable within a process:
-        interning makes the constraint set's hash reproducible for the
-        lifetime of its expressions)."""
-        if self._num_stripes == 1:
-            return self.stripes[0]
-        return self.stripes[hash(group_key) % self._num_stripes]
+    def remember(self, constraints: Sequence[Expr], result: SolverResult,
+                 canonical: bool = False, from_store: bool = False) -> bool:
+        """Record the exact ``result`` of the group ``constraints`` and
+        index it; a group that already has a result keeps it.  Returns
+        whether the result was added."""
+        key = frozenset(constraints)
+        with self.lock:
+            recorded = self.results.get(key)
+            if recorded is not None:
+                # A search that finds the recorded model confirms it.
+                if canonical and recorded.model == result.model:
+                    self.canonical.add(key)
+                return False
+            self.results[key] = result
+            if canonical:
+                self.canonical.add(key)
+            if from_store:
+                self.from_store.add(key)
+            if not result.satisfiable:
+                self.unsat_index.insert(constraints, True)
+            elif result.model:
+                self.sat_index.insert(constraints, result.model)
+            return True
 
-    # ------------------------------------------------- persistence support
-    # The knowledge store (repro.service.store) speaks in terms of these
-    # two methods: export_state() snapshots everything worth persisting at
-    # the Expr level, absorb_state() injects a (possibly deserialized)
-    # snapshot back.  Keeping the stripe layout private here means the
-    # store never touches locks or routing.
-
-    def export_state(self) -> Dict[str, list]:
-        """Snapshot the persistable cache contents across all stripes.
-
-        Returns Expr-level entries: exact group results, SAT index sets
-        with their models, UNSAT index sets, and canonical concretization
-        models.  Inexact (budget-exhausted) group results are excluded —
-        they are conservative answers, not knowledge worth re-using."""
-        state: Dict[str, list] = {"groups": [], "sat_sets": [],
-                                  "unsat_sets": [], "canonical_models": []}
-        for stripe in self.stripes:
-            with stripe.lock:
-                for key, result in stripe.group_cache.items():
-                    if result.exact:
-                        model = None if result.model is None \
-                            else dict(result.model)
-                        state["groups"].append(
-                            (key, SolverResult(result.satisfiable, model)))
-                for elements, model in stripe.sat_index.items():
-                    state["sat_sets"].append((elements, dict(model)))
-                for elements, _payload in stripe.unsat_index.items():
-                    state["unsat_sets"].append(elements)
-                for key, model in stripe.canonical_models.items():
-                    state["canonical_models"].append((key, dict(model)))
-        return state
-
-    def absorb_state(self, state: Dict[str, list],
-                     from_store: bool = False) -> int:
-        """Inject a snapshot produced by :meth:`export_state` (possibly in
-        another process, deserialized from disk).  Existing entries win:
-        absorption never overwrites what this run already solved.  With
-        ``from_store`` the injected keys are tagged so later hits count as
-        ``SolverStats.store_hits``.  Returns the number of entries added."""
-        absorbed = 0
-        for key, result in state.get("groups", ()):
-            key = frozenset(key)
-            stripe = self.stripe_for(key)
-            with stripe.lock:
-                if key not in stripe.group_cache:
-                    stripe.group_cache[key] = result
-                    if from_store:
-                        stripe.from_store.add(key)
-                    absorbed += 1
-        for elements, model in state.get("sat_sets", ()):
-            elements = tuple(elements)
-            stripe = self.stripe_for(frozenset(elements))
-            with stripe.lock:
-                if not stripe.sat_index.contains(elements):
-                    stripe.sat_index.insert(elements, dict(model))
-                    absorbed += 1
-        for elements in state.get("unsat_sets", ()):
-            elements = tuple(elements)
-            stripe = self.stripe_for(frozenset(elements))
-            with stripe.lock:
-                if not stripe.unsat_index.contains(elements):
-                    stripe.unsat_index.insert(elements, True)
-                    absorbed += 1
-        for key, model in state.get("canonical_models", ()):
-            key = frozenset(key)
-            stripe = self.stripe_for(key)
-            with stripe.lock:
-                if key not in stripe.canonical_models:
-                    stripe.canonical_models[key] = dict(model)
-                    if from_store:
-                        stripe.canonical_from_store.add(key)
-                    absorbed += 1
-        return absorbed
+    def entries(self) -> List[Tuple[FrozenSet[Expr], SolverResult, bool]]:
+        """Every recorded group with its result and whether that result is
+        canonical: what the knowledge store persists."""
+        with self.lock:
+            return [(key, result, key in self.canonical)
+                    for key, result in self.results.items()]
 
 
 class Solver:
@@ -339,15 +251,13 @@ class Solver:
         #: shared cache set: full queries are path-shaped and rarely collide
         #: across runs, so sharing them would buy little and cost a lock.
         self._cache: Dict[FrozenSet[Expr], SolverResult] = {}
-        #: The group-level caches (exact results, UBTree counterexample
-        #: indices), possibly shared with other solvers via lock stripes.
-        #: A private solver gets a single stripe with a no-op lock, so the
-        #: sequential path pays no lock traffic.
-        self._shared = shared or SharedSolverCaches(1, locked=False)
+        #: The table of exact group results and the UBTree indexes derived
+        #: from it, possibly shared with other solvers.
+        self._shared = shared or SharedSolverCaches()
         #: Unary constraint -> frozenset of satisfying variable values.
         #: Hash-consing makes the constraint expression itself the key.
-        #: Worker-local: it is a memo (cheap to recompute), and keeping it
-        #: off the stripes removes it from every lock footprint.
+        #: Private: it is a memo (cheap to recompute), and keeping it out
+        #: of the shared table keeps it out of every lock footprint.
         self._unary_sat: Dict[Tuple[Expr, int], FrozenSet[int]] = {}
         #: Wall-clock instant the running query must stop at (0.0 = no
         #: deadline).  Set on entry to each top-level query when
@@ -510,10 +420,9 @@ class Solver:
         depending on what another query cached first.  That is fine for
         witnesses, but the executor feeds one model back into control
         flow — address concretization pins ``address == model value`` —
-        so it must come from this entry point: each group is solved by a
-        fresh deterministic search, memoized per group on its stripe
-        (the memoized value is a pure function of the group, so a race
-        merely duplicates the search)."""
+        so it must come from this entry point: each group's model is the
+        one a fresh deterministic search finds, read from the table when
+        a search recorded it there (a race merely duplicates the search)."""
         start = time.perf_counter()
         self.stats.queries += 1
         self._begin_query(start)
@@ -523,6 +432,7 @@ class Solver:
             for constraint in varfree:
                 if constraint.is_constant and constraint.value == 0:
                     return None
+            shared = self._shared
             completed: Dict[str, int] = {}
             for group in groups:
                 filtered = self._filter_constraints(group)
@@ -530,23 +440,26 @@ class Solver:
                     return None
                 if not filtered:
                     continue
-                key = frozenset(filtered)
-                stripe = self._shared.stripe_for(key)
-                with stripe.lock:
-                    model = stripe.canonical_models.get(key)
-                    if model is not None and \
-                            key in stripe.canonical_from_store:
-                        self.stats.store_hits += 1
-                if model is None:
+                result = None
+                if self.config.cache:
+                    key = frozenset(filtered)
+                    with shared.lock:
+                        entry = shared.results.get(key)
+                        # An UNSAT answer has no model to differ in.
+                        if entry is not None and (
+                                key in shared.canonical
+                                or not entry.satisfiable):
+                            result = entry
+                            if key in shared.from_store:
+                                self.stats.store_hits += 1
+                if result is None:
                     result = self._solve_group_uncached(filtered)
-                    if not result.satisfiable or not result.exact or \
-                            result.model is None:
-                        return None
-                    model = dict(result.model)
-                    if self.config.cache:
-                        with stripe.lock:
-                            stripe.canonical_models[key] = model
-                completed.update(model)
+                    if self.config.cache and result.exact:
+                        shared.remember(filtered, result, canonical=True)
+                if not result.satisfiable or not result.exact or \
+                        result.model is None:
+                    return None
+                completed.update(result.model)
             for group in groups:
                 for constraint in group:
                     for name in constraint.variables():
@@ -586,63 +499,59 @@ class Solver:
     # ------------------------------------------------------- group solving
     def _solve_group(self, constraints: List[Expr]) -> SolverResult:
         self.stats.group_queries += 1
+        if not self.config.cache:
+            return self._solve_group_uncached(constraints)
+        shared = self._shared
         group_key = frozenset(constraints)
-        stripe = self._shared.stripe_for(group_key)
-        if self.config.cache:
-            with stripe.lock:
-                cached = stripe.group_cache.get(group_key)
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    if group_key in stripe.from_store:
-                        self.stats.store_hits += 1
-                    return cached
-                # Under the lock: only the trie walks (they read the shared
-                # structure).  Candidate-model *evaluations* happen
-                # outside, below.
-                unsat, superset_model, candidates = \
-                    self._ubtree_snapshot(stripe, constraints)
-            result = self._resolve_model_candidates(
-                constraints, unsat, superset_model, candidates)
-            if result is not None:
-                with stripe.lock:
-                    stripe.group_cache[group_key] = result
-                return result
-        # The search itself runs outside the stripe lock: it can be orders
-        # of magnitude more expensive than a lookup, and duplicating it in
-        # the (rare) event of two threads racing on one group is cheaper
-        # than serializing every colliding query behind it.
-        result = self._solve_group_uncached(constraints)
-        if self.config.cache and result.exact:
-            with stripe.lock:
-                stripe.group_cache[group_key] = result
-                if not result.satisfiable:
-                    stripe.unsat_index.insert(constraints, True)
-                elif result.model:
-                    stripe.sat_index.insert(constraints, dict(result.model))
+        with shared.lock:
+            cached = shared.results.get(group_key)
+            if cached is not None:
+                self.stats.cache_hits += 1
+                if group_key in shared.from_store:
+                    self.stats.store_hits += 1
+                return cached
+            # Under the lock: only the trie walks (they read the shared
+            # structure).  Candidate-model *evaluations* happen outside,
+            # below.
+            unsat, superset_model, candidates = \
+                self._ubtree_snapshot(shared, constraints)
+        result = self._resolve_model_candidates(
+            constraints, unsat, superset_model, candidates)
+        searched = result is None
+        if searched:
+            # The search runs outside the lock: it can be orders of
+            # magnitude more expensive than a lookup, and duplicating it
+            # when two threads race on one group is cheaper than
+            # serializing every other query behind it.
+            result = self._solve_group_uncached(constraints)
+        if result.exact:
+            shared.remember(constraints, result, canonical=searched)
         return result
 
     # ---------------------------------------------------------- model reuse
     @staticmethod
-    def _ubtree_snapshot(stripe: _CacheStripe, constraints: List[Expr]
+    def _ubtree_snapshot(shared: SharedSolverCaches, constraints: List[Expr]
                          ) -> Tuple[bool, Optional[Dict[str, int]],
                                     List[Dict[str, int]]]:
         """The trie walks of a counterexample-cache lookup (caller holds
-        the stripe lock): whether a cached UNSAT subset proves the query
-        UNSAT, a cached SAT superset's model if any, and up to
-        ``SUBSET_MODEL_TRIALS`` cached subset models to try as candidates.
-        Candidate *evaluation* is the expensive part and happens outside
-        the lock (:meth:`_resolve_model_candidates`)."""
-        if stripe.unsat_index.find_subset(constraints) is not None:
+        the table's lock): whether a recorded UNSAT subset proves the query
+        UNSAT, a recorded SAT superset's model if any, and up to
+        ``SUBSET_MODEL_TRIALS`` recorded subset models to try as
+        candidates.  Candidate *evaluation* is the expensive part and
+        happens outside the lock (:meth:`_resolve_model_candidates`)."""
+        if shared.unsat_index.find_subset(constraints) is not None:
             return True, None, []
-        superset_model = stripe.sat_index.find_superset(constraints)
+        superset_model = shared.sat_index.find_superset(constraints)
         if superset_model is not None:
             return False, superset_model, []
-        candidates = []
-        for trial, model in enumerate(
-                stripe.sat_index.iter_subsets(constraints)):
-            if trial >= SUBSET_MODEL_TRIALS:
-                break
-            candidates.append(model)
+        candidates: List[Dict[str, int]] = []
+        for model in shared.sat_index.iter_subsets(constraints):
+            # A group the index answered is recorded with the model it
+            # reused, so equal models recur; each is worth one trial.
+            if model not in candidates:
+                candidates.append(model)
+                if len(candidates) == SUBSET_MODEL_TRIALS:
+                    break
         return False, None, candidates
 
     def _resolve_model_candidates(self, constraints: List[Expr],
@@ -651,7 +560,7 @@ class Solver:
                                   candidates: List[Dict[str, int]]
                                   ) -> Optional[SolverResult]:
         """Turn a lookup snapshot into a result, or None on a miss —
-        candidate evaluation runs outside any stripe lock.
+        candidate evaluation runs outside the table's lock.
 
         Three containment rules, in order of strength: a cached UNSAT set
         contained in the query proves UNSAT; a cached SAT superset's model

@@ -50,7 +50,7 @@ class TestRegistry:
         # the spec's: the message must not print them, or their address.
         with pytest.raises(BackendSpecError) as excinfo:
             make_backend("symex<searcher=zigzag>",
-                         caches=SharedSolverCaches(num_stripes=1))
+                         caches=SharedSolverCaches())
         message = str(excinfo.value)
         assert "'searcher': 'zigzag'" in message
         assert "caches" not in message and "0x" not in message
@@ -104,7 +104,7 @@ class TestRegistry:
             make_backend("symex<caches=x>")
         with pytest.raises(BackendSpecError, match="'caches' must be"):
             make_backend("symex", caches="x")
-        caches = SharedSolverCaches(num_stripes=1)
+        caches = SharedSolverCaches()
         assert make_backend("symex", caches=caches).caches is caches
 
     @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ verifying at the same time (as the verification service's job threads
 share one locked cache set), or already warm.  Relcheck inherits the
 contract: its report may not depend on the searcher or on cache warmth.
 The remaining tests pin the machinery those contracts rest on: the
-lock-striped shared solver caches and the COW ownership invariants under
+shared table of solver results and the COW ownership invariants under
 forking.
 """
 
@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro.pipelines import CompileOptions, OptLevel, compile_source
-from repro.service.server import CACHE_STRIPES
 from repro.symex import (
     ExecutionState, ParallelExecutor, SharedSolverCaches, Solver,
     SolverConfig, SymbolicExecutor, SymexLimits, binary, const, explore,
@@ -93,7 +92,7 @@ class TestSharedCachesAcrossThreads:
                                       timeout_seconds=120.0)
         private = [make_backend("symex").verify(module, request)
                    for module in modules]
-        caches = SharedSolverCaches(num_stripes=CACHE_STRIPES, locked=True)
+        caches = SharedSolverCaches()
         backend = make_backend("symex", caches=caches)
         start = threading.Barrier(len(modules))
         shared = [None] * len(modules)
@@ -159,7 +158,7 @@ class TestRelcheckDeterminism:
 
         module_a, module_b = self._workload_pair(name)
         config = RelcheckConfig(input_bytes=DIFFERENTIAL_BYTES)
-        caches = SharedSolverCaches(locked=False)
+        caches = SharedSolverCaches()
         cold = relcheck_modules(module_a, module_b, config=config,
                                 shared_caches=caches)
         warm = relcheck_modules(module_a, module_b, config=config,
@@ -176,7 +175,7 @@ class TestRelcheckDeterminism:
         from repro.relcheck import RelcheckConfig, relcheck_modules
 
         module_a, module_b = self._planted_miscompile()
-        caches = SharedSolverCaches(locked=False)
+        caches = SharedSolverCaches()
         runs = [relcheck_modules(module_a, module_b, pair=("-O0", "-Obroken"),
                                  config=RelcheckConfig(input_bytes=1),
                                  shared_caches=caches)
@@ -249,21 +248,15 @@ class TestSharedSolverCaches:
                 binary(ExprOp.NE, x, const(8, 9))]
 
     def test_group_result_crosses_workers(self):
-        shared = SharedSolverCaches(num_stripes=4)
+        shared = SharedSolverCaches()
         first = Solver(config=SolverConfig(), shared=shared)
         second = Solver(config=SolverConfig(), shared=shared)
         assert first.check_partition(*as_partition(self._query())).satisfiable
         searches_before = second.stats.csp_searches
         assert second.check_partition(*as_partition(self._query())).satisfiable
-        # The second worker answered from the shared stripe: no search.
+        # The second worker answered from the shared table: no search.
         assert second.stats.csp_searches == searches_before
         assert second.stats.cache_hits >= 1
-
-    def test_same_group_same_stripe(self):
-        shared = SharedSolverCaches(num_stripes=4)
-        key = frozenset(self._query())
-        assert shared.stripe_for(key) is shared.stripe_for(frozenset(
-            self._query()))
 
     def test_concretization_model_is_cache_independent(self):
         """Address concretization feeds a model back into path structure,
@@ -286,7 +279,7 @@ class TestSharedSolverCaches:
         assert warm.concretization_model((), [group]) == baseline
 
     def test_private_solver_unaffected_by_shared(self):
-        shared = SharedSolverCaches(num_stripes=2)
+        shared = SharedSolverCaches()
         warm = Solver(shared=shared)
         assert warm.check_partition(*as_partition(self._query())).satisfiable
         cold = Solver()

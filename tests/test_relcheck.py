@@ -348,7 +348,7 @@ def test_store_primed_rerun_answers_from_the_store(tmp_path):
 
     store = SolverKnowledgeStore(store_path)
     assert store.load()
-    caches = SharedSolverCaches(num_stripes=1)
+    caches = SharedSolverCaches()
     store.prime(caches)
     warm = relcheck_modules(module_a, module_b, config=config, pair=pair,
                             shared_caches=caches)

@@ -25,7 +25,9 @@ from repro.symex import (
     ExprOp, SharedSolverCaches, Solver, SolverConfig, binary, const,
     not_expr, var,
 )
-from repro.verification import VerificationRequest, make_backend
+from repro.verification import (
+    VerificationOutcome, VerificationRequest, make_backend,
+)
 from repro.workloads import get_workload
 
 # ------------------------------------------------------------ UNSAT index
@@ -54,7 +56,7 @@ def test_unsat_group_is_indexed_as_solved():
     solver = Solver()
     assert not solver.check_partition(*as_partition(group)).satisfiable
     assert solver.stats.cores_minimized == 0
-    unsat_index = solver._shared.stripes[0].unsat_index
+    unsat_index = solver._shared.unsat_index
     assert len(unsat_index) == 1 and unsat_index.contains(group)
     fresh = [binary(ExprOp.EQ, var(8, "in1"), const(8, 77))] + group
     hits_before = solver.stats.ubtree_hits
@@ -156,7 +158,7 @@ def _verify_through_store(store_path, spec, module, request):
     record, save."""
     store = SolverKnowledgeStore(store_path)
     store.load()
-    caches = SharedSolverCaches(locked=False)
+    caches = SharedSolverCaches()
     store.prime(caches)
     backend = make_backend(spec, caches=caches)
     key = verification_fingerprint(module, request, backend.describe())
@@ -274,12 +276,90 @@ def test_undecodable_memo_is_a_miss_and_is_overwritten(tmp_path, wc_build):
     assert again.paths == fresh.paths
 
 
+def test_clock_cut_outcome_is_not_memoized(tmp_path, wc_build):
+    """A run the wall-clock budget cut is not recorded: on a loaded
+    machine the truncation would otherwise answer every later identical
+    request."""
+    _, module = wc_build
+    store_path = tmp_path / "knowledge.jsonl"
+    request = VerificationRequest(symbolic_input_bytes=4,
+                                  timeout_seconds=0.0)
+    first = _verify_through_store(store_path, "symex", module, request)
+    assert first.termination_reason == "timeout"
+    again = _verify_through_store(store_path, "symex", module, request)
+    assert again.provenance in ("cold", "warm-store")
+    assert _stored_memo_count(store_path) == 0
+
+
+def test_query_deadline_outcome_is_not_memoized():
+    """A solver query deadline is the clock too: an outcome that hit one
+    is not recorded, even when the run itself finished."""
+
+    class DeadlineBackend:
+        runs = 0
+
+        def describe(self):
+            return "stub"
+
+        def verify(self, module, request):
+            DeadlineBackend.runs += 1
+            return VerificationOutcome(
+                backend="stub", seconds=0.1, instructions=7, paths=1,
+                errors=0, timed_out=False,
+                solver_stats={"query_deadlines": 1})
+
+    store = SolverKnowledgeStore(None)
+    request = VerificationRequest()
+    for _ in range(2):
+        outcome = verify_memoized(store, DeadlineBackend(), None, request,
+                                  "k")
+        assert outcome.provenance == "cold"
+    assert DeadlineBackend.runs == 2 and store.memo_count == 0
+
+
+def test_instruction_budget_cut_outcome_is_memoized(tmp_path, wc_build):
+    """An instruction budget counts work, not time: the truncated outcome
+    is the same on any machine, so it is recorded."""
+    _, module = wc_build
+    store_path = tmp_path / "knowledge.jsonl"
+    request = VerificationRequest(symbolic_input_bytes=4,
+                                  max_instructions=20)
+    first = _verify_through_store(store_path, "symex", module, request)
+    assert first.termination_reason == "instructions"
+    again = _verify_through_store(store_path, "symex", module, request)
+    assert again.provenance == "memo-hit"
+    assert (again.paths, again.instructions, again.termination_reason) == \
+        (first.paths, first.instructions, first.termination_reason)
+
+
+def test_requests_differing_only_in_timeout_share_one_memo(tmp_path,
+                                                          wc_build):
+    _, module = wc_build
+    store_path = tmp_path / "knowledge.jsonl"
+    first = _verify_through_store(
+        store_path, "symex", module,
+        VerificationRequest(symbolic_input_bytes=2, timeout_seconds=60.0))
+    assert first.termination_reason == ""
+    again = _verify_through_store(
+        store_path, "symex", module,
+        VerificationRequest(symbolic_input_bytes=2, timeout_seconds=30.0))
+    assert again.provenance == "memo-hit"
+    assert again.paths == first.paths
+    assert _stored_memo_count(store_path) == 1
+
+
+def _stored_memo_count(store_path):
+    store = SolverKnowledgeStore(store_path)
+    store.load()
+    return store.memo_count
+
+
 def test_backend_injected_caches_are_reused(wc_build):
     """Two runs sharing one injected cache set: the second run's group
     queries hit the first run's entries (ordinary cache hits — injected
     knowledge is not store-primed, so provenance stays cold)."""
     workload, module = wc_build
-    caches = SharedSolverCaches(num_stripes=1)
+    caches = SharedSolverCaches()
     request = VerificationRequest(symbolic_input_bytes=4)
     backend = make_backend("symex", caches=caches)
     first = backend.verify(module, request)

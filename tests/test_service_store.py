@@ -6,7 +6,7 @@ Four layers are locked down here:
   schedule form back to the *identical* (interned) object, group
   fingerprints are order-independent, and damaged wire forms raise
   :class:`WireError` instead of materializing malformed expressions;
-* the **file format**: save/load round-trips every table, and every
+* the **file format**: save/load round-trips both record kinds, and every
   corruption mode — version mismatch, truncated tail, flipped record
   bytes, junk content, a directory in the file's place — degrades to a
   cold start with the reason recorded, never an exception or a wrong
@@ -135,21 +135,18 @@ def test_expr_from_wire_rejects_damage(wire):
 
 
 def _populated_store(path):
-    """A store holding one entry of every kind."""
+    """A store holding a satisfiable group, an unsatisfiable group, a
+    group a search solved (canonical) and a memo."""
     a, b = var(8, "in0"), var(8, "in1")
-    sat_group = frozenset([binary(ExprOp.ULT, a, const(8, 10))])
-    unsat_group = frozenset([binary(ExprOp.EQ, a, const(8, 1)),
-                             binary(ExprOp.EQ, a, const(8, 2))])
     store = SolverKnowledgeStore(path)
-    caches = SharedSolverCaches(num_stripes=2)
-    caches.absorb_state({
-        "groups": [(sat_group, SolverResult(True, {"in0": 3})),
-                   (unsat_group, SolverResult(False, None))],
-        "sat_sets": [(tuple(sorted(sat_group, key=str)), {"in0": 3})],
-        "unsat_sets": [tuple(sorted(unsat_group, key=str))],
-        "canonical_models": [(frozenset([binary(ExprOp.EQ, b, const(8, 5))]),
-                              {"in1": 5})],
-    })
+    caches = SharedSolverCaches()
+    caches.remember([binary(ExprOp.ULT, a, const(8, 10))],
+                    SolverResult(True, {"in0": 3}))
+    caches.remember([binary(ExprOp.EQ, a, const(8, 1)),
+                     binary(ExprOp.EQ, a, const(8, 2))],
+                    SolverResult(False, None))
+    caches.remember([binary(ExprOp.EQ, b, const(8, 5))],
+                    SolverResult(True, {"in1": 5}), canonical=True)
     store.absorb(caches)
     store.memo_record("deadbeef" * 8, {"paths": 4, "errors": 0})
     return store
@@ -158,7 +155,7 @@ def _populated_store(path):
 def test_store_round_trip(tmp_path):
     path = tmp_path / "knowledge.jsonl"
     store = _populated_store(path)
-    assert len(store) == 6  # 2 groups + sat + unsat + canonical + memo
+    assert len(store) == 4  # 3 groups + memo
     store.save()
 
     loaded = SolverKnowledgeStore(path)
@@ -170,17 +167,54 @@ def test_store_round_trip(tmp_path):
         {"paths": 4, "errors": 0}
 
     # Priming a fresh cache set from the loaded store reproduces the
-    # original solver knowledge: the sat group hits, the unsat group hits.
-    caches = SharedSolverCaches(num_stripes=2)
-    assert loaded.prime(caches) == 5  # 2 groups + sat + unsat + canonical
+    # original solver knowledge: the sat group hits, the unsat group hits,
+    # and the canonical group answers concretization without a search.
+    caches = SharedSolverCaches()
+    assert loaded.prime(caches) == 3
     solver = Solver(shared=caches)
-    a = var(8, "in0")
+    a, b = var(8, "in0"), var(8, "in1")
     assert solver.check_partition(
         *as_partition([binary(ExprOp.ULT, a, const(8, 10))])).satisfiable
     assert not solver.check_partition(
         *as_partition([binary(ExprOp.EQ, a, const(8, 1)),
                        binary(ExprOp.EQ, a, const(8, 2))])).satisfiable
-    assert solver.stats.store_hits == 2
+    assert solver.concretization_model(
+        (), [(binary(ExprOp.EQ, b, const(8, 5)),)]) == {"in1": 5}
+    assert solver.stats.store_hits == 3
+    assert solver.stats.csp_searches == 0
+
+
+def test_saved_store_holds_group_and_memo_records_only(tmp_path):
+    """Format version 2: the table of group results and the memos are the
+    whole file; the UBTree indexes are rebuilt on priming."""
+    path = tmp_path / "knowledge.jsonl"
+    _populated_store(path).save()
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines[0] == {"format": FORMAT_NAME, "version": 2}
+    assert FORMAT_VERSION == 2
+    assert lines[-1] == {"kind": "end", "records": 4}
+    assert [record["kind"] for record in lines[1:-1]] == \
+        ["group"] * 3 + ["memo"]
+
+
+def test_absorbed_group_answers_a_superset_through_the_unsat_index(
+        tmp_path):
+    """A group primed from a store enters the UNSAT index, so a query on
+    a superset of its constraints is a containment hit, not a search."""
+    path = tmp_path / "knowledge.jsonl"
+    _populated_store(path).save()
+    loaded = SolverKnowledgeStore(path)
+    assert loaded.load()
+    caches = SharedSolverCaches()
+    loaded.prime(caches)
+    solver = Solver(shared=caches)
+    a, c = var(8, "in0"), var(8, "in2")
+    superset = [binary(ExprOp.EQ, a, const(8, 1)),
+                binary(ExprOp.EQ, a, const(8, 2)),
+                binary(ExprOp.ULT, binary(ExprOp.ADD, a, c), const(8, 9))]
+    assert not solver.check_partition(*as_partition(superset)).satisfiable
+    assert solver.stats.ubtree_hits == 1
+    assert solver.stats.csp_searches == 0
 
 
 def test_memo_lookup_treats_an_undecodable_payload_as_a_miss():
@@ -308,9 +342,9 @@ def test_damaged_stored_expression_is_skipped_not_fatal(tmp_path):
     store.save()
     loaded = SolverKnowledgeStore(path)
     assert loaded.load() is True  # checksums match: the file is valid
-    caches = SharedSolverCaches(num_stripes=2)
+    caches = SharedSolverCaches()
     primed = loaded.prime(caches)
-    assert primed == 4  # one group dropped, everything else intact
+    assert primed == 2  # one group dropped, the other two intact
 
 
 # ------------------------------------------------------- concurrent writers
@@ -444,7 +478,7 @@ def test_warm_store_differential_over_registry(tmp_path):
                 workload.source, options=CompileOptions(level=level)).module
             store_path = tmp_path / f"{workload.name}-{level}.jsonl"
 
-            cold_caches = SharedSolverCaches(num_stripes=1)
+            cold_caches = SharedSolverCaches()
             cold = explore(module, _DIFFERENTIAL_BYTES, limits=limits,
                            solver=Solver(shared=cold_caches))
             store = SolverKnowledgeStore(store_path)
@@ -453,7 +487,7 @@ def test_warm_store_differential_over_registry(tmp_path):
 
             warm_store = SolverKnowledgeStore(store_path)
             assert warm_store.load() is True or len(store) == 0
-            warm_caches = SharedSolverCaches(num_stripes=1)
+            warm_caches = SharedSolverCaches()
             warm_store.prime(warm_caches)
             warm = explore(module, _DIFFERENTIAL_BYTES, limits=limits,
                            solver=Solver(shared=warm_caches))

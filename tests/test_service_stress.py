@@ -35,6 +35,10 @@ int main(unsigned char *input, int len) {
 }
 """
 
+#: An instruction budget that ends a ``SLOW_SOURCE`` job after about two
+#: seconds of work.
+SLOW_INSTRUCTIONS = 100_000
+
 
 class _RunningServer:
     def __init__(self, tmp_path, name, **kwargs):
@@ -110,8 +114,10 @@ def test_concurrent_clients_duplicate_and_distinct(tmp_path):
 
 def test_client_disconnect_mid_job_does_not_wedge(tmp_path):
     with _RunningServer(tmp_path, "gone", pool_size=1) as running:
+        # The instruction budget, not the clock, ends this job (about 2 s):
+        # an outcome the clock cut would not be memoized.
         payload = {"op": "verify", "source": SLOW_SOURCE, "level": "-O0",
-                   "timeout": 2.0}
+                   "timeout": 60.0, "max_instructions": SLOW_INSTRUCTIONS}
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
             sock.settimeout(10.0)
             sock.connect(running.socket_path)
@@ -130,8 +136,10 @@ def test_client_disconnect_mid_job_does_not_wedge(tmp_path):
             pytest.fail("orphaned job never completed")
         # The finished job's memo answers the next client instantly.
         result = running.client.verify(source=SLOW_SOURCE, level="-O0",
-                                       timeout=2.0)
+                                       timeout=60.0,
+                                       max_instructions=SLOW_INSTRUCTIONS)
         assert result["provenance"] == "memo-hit"
+        assert result["termination_reason"] == "instructions"
 
 
 def test_backpressure_rejection_and_client_retry(tmp_path):

@@ -1,6 +1,6 @@
 """Tests for :class:`repro.pipelines.CompilerSession`: front-end caching,
-the running analysis-stats total, and that a session pins no compiled
-module."""
+the running analysis-stats total, that a session pins no compiled
+module, and that its table of analysed units is bounded."""
 
 import gc
 import weakref
@@ -12,6 +12,7 @@ from repro.ir.printer import print_module
 from repro.pipelines import (
     CompileOptions, CompilerSession, OptLevel, compile_source,
 )
+from repro.pipelines.session import MAX_SESSION_UNITS
 from repro.workloads import get_workload
 
 SWEEP_LEVELS = [OptLevel.O0, OptLevel.O2, OptLevel.O3, OptLevel.OVERIFY]
@@ -114,3 +115,25 @@ class TestSessionRetention:
         gc.collect()
         assert [ref() for ref in modules] == [None] * len(modules)
         assert session.stats.compiles == len(modules)
+
+    def test_units_are_bounded_least_recently_used_first(self):
+        """A session keeps at most ``MAX_SESSION_UNITS`` analysed program
+        units, evicting the least recently used; an evicted text is
+        analysed again into a byte-identical module."""
+        sources = [f"int main(unsigned char *input, int len) "
+                   f"{{ return len + {n}; }}\n"
+                   for n in range(MAX_SESSION_UNITS + 1)]
+        session = CompilerSession()
+        session.compile(sources[0], level=OptLevel.O2)
+        for source in sources[1:-1]:
+            session.front_end(source, CompileOptions())
+        session.compile(sources[0], level=OptLevel.O2)  # most recent now
+        session.front_end(sources[-1], CompileOptions())
+        assert len(session._units) == MAX_SESSION_UNITS
+        assert sources[0] in session._units
+        assert sources[1] not in session._units
+        parses = session.stats.frontend_parses
+        again = session.compile(sources[1], level=OptLevel.O2).module
+        assert session.stats.frontend_parses == parses + 1
+        assert print_module(again) == print_module(
+            compile_source(sources[1], level=OptLevel.O2).module)

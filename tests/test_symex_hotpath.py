@@ -6,16 +6,19 @@ branch-heavy exploration."""
 
 import gc
 import random
+import sys
+import threading
+import time
 
 import pytest
 
 from conftest import as_partition
 from repro.frontend import compile_to_ir
 from repro.symex import (
-    ExecutionState, Expr, ExprOp, Solver, SolverConfig, SolverStats,
-    StackFrame, SymbolicMemory, SymexLimits, binary, bounded_interval, const,
-    explore, ite, not_expr, sext, substitute, trunc, unsigned_interval, var,
-    zext,
+    ExecutionState, Expr, ExprOp, SharedSolverCaches, Solver, SolverConfig,
+    SolverResult, SolverStats, StackFrame, SymbolicMemory, SymexLimits,
+    binary, bounded_interval, const, explore, ite, not_expr, sext,
+    substitute, trunc, unsigned_interval, var, zext,
 )
 
 
@@ -857,6 +860,26 @@ class TestSolverCaches:
         assert solver.stats.model_cache_hits >= 1
         assert solver.stats.csp_searches == before
 
+    def test_equal_subset_models_take_one_trial(self):
+        """Groups the index answered are recorded with the model they
+        reused, so one model can sit under many subsets.  It is tried
+        once, leaving the other trials for distinct models."""
+        x = var(8, "dup_x")
+        shared = SharedSolverCaches()
+        for value in range(1, 10):
+            model = {"dup_x": 100 if value == 9 else 200}
+            shared.remember([binary(ExprOp.NE, x, const(8, value))],
+                            SolverResult(True, model))
+        query = [binary(ExprOp.NE, x, const(8, value))
+                 for value in range(1, 10)]
+        query += [binary(ExprOp.ULT, const(8, 50), x),
+                  binary(ExprOp.ULT, x, const(8, 150))]
+        solver = Solver(shared=shared)
+        result = solver.check_partition(*as_partition(query))
+        assert result.satisfiable and result.model == {"dup_x": 100}
+        assert solver.stats.ubtree_hits == 1
+        assert solver.stats.csp_searches == 0
+
     def test_get_model_does_not_resolve_decided_queries(self):
         solver = Solver()
         x = var(8, "x")
@@ -902,8 +925,8 @@ class TestSolverCaches:
 
     def test_cache_switch_off_leaves_every_cache_empty(self):
         """``SolverConfig.cache`` gates every caching layer: the query
-        cache, the group cache, both UBTree indices and the canonical
-        concretization models."""
+        cache, the table of group results (canonical concretization
+        models included) and both UBTree indices."""
         solver = Solver(config=SolverConfig(cache=False))
         x, y = var(8, "x"), var(8, "y")
         queries = [[binary(ExprOp.ULT, x, const(8, 9))],
@@ -919,9 +942,82 @@ class TestSolverCaches:
         assert stats.cache_hits == stats.ubtree_hits == 0
         assert stats.model_cache_hits == 0
         assert solver._cache == {}
-        stripe = solver._shared.stripes[0]
-        assert stripe.group_cache == {} and stripe.canonical_models == {}
-        assert len(stripe.sat_index) == len(stripe.unsat_index) == 0
+        shared = solver._shared
+        assert shared.results == {} and shared.canonical == set()
+        assert len(shared.sat_index) == len(shared.unsat_index) == 0
+
+    def test_concretization_reads_the_result_a_search_recorded(self):
+        """A group ``check_partition`` searched is recorded as canonical,
+        so ``concretization_model`` reads its model instead of searching
+        again, and returns what a cold solver's concretization does."""
+        x, y = var(8, "conc_x"), var(8, "conc_y")
+        group = [binary(ExprOp.ULT, const(8, 40), x),
+                 binary(ExprOp.ULT, x, y)]
+        solver = Solver()
+        assert solver.check_partition(*as_partition(group)).satisfiable
+        searches = solver.stats.csp_searches
+        model = solver.concretization_model(*as_partition(group))
+        assert solver.stats.csp_searches == searches
+        assert model == Solver().concretization_model(*as_partition(group))
+
+    def test_concretization_never_hands_out_a_reused_model(self):
+        """A group the index answered keeps the model it reused, which is
+        not the one a search finds; concretization searches it, every
+        time, and hands out the search's model."""
+        x = var(8, "reuse_x")
+        group = [binary(ExprOp.ULT, const(8, 3), x)]
+        superset = group + [binary(ExprOp.ULT, const(8, 100), x)]
+        solver = Solver()
+        assert solver.check_partition(*as_partition(superset)).satisfiable
+        reused = solver.check_partition(*as_partition(group))
+        assert reused.model == {"reuse_x": 101}
+        cold = Solver().concretization_model(*as_partition(group))
+        assert cold == {"reuse_x": 4}
+        for _ in range(2):
+            assert solver.concretization_model(*as_partition(group)) == cold
+        assert solver.check_partition(*as_partition(group)).model == \
+            reused.model
+
+    def test_concurrent_remember_records_each_group_once(self):
+        """Four threads record the same 500 groups into one table, in the
+        same order, under a short switch interval, with the table's lookup
+        yielding the interpreter lock: every group is added exactly once
+        and indexed once.  A check-then-act outside the table's lock adds
+        some group more than once."""
+
+        class YieldingDict(dict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                time.sleep(0)  # let another thread run between check and act
+                return value
+
+        groups = [([binary(ExprOp.ULT, var(8, f"race_{n}"),
+                           const(8, 1 + n % 200))],
+                   SolverResult(True, {f"race_{n}": 0}))
+                  for n in range(500)]
+        shared = SharedSolverCaches()
+        shared.results = YieldingDict()
+        added = []
+        start = threading.Barrier(4)
+
+        def record():
+            start.wait(timeout=30)
+            added.append(sum(shared.remember(group, result)
+                             for group, result in groups))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=record) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(added) == len(groups)
+        assert len(shared.results) == len(shared.sat_index) == len(groups)
 
     def test_unary_domains_enumerated_once(self):
         solver = Solver()

@@ -192,7 +192,7 @@ class TestSubsetLookup:
 
 class TestSolverIndexing:
     def test_solver_indexes_every_solved_group(self):
-        """Every group the solver decides by search enters its stripe's
+        """Every group the solver decides by search enters the table's
         index, SAT groups with their model and UNSAT groups as solved."""
         from repro.symex import Solver
         solver = Solver()
@@ -206,6 +206,5 @@ class TestSolverIndexing:
             assert not solver.check_partition(*as_partition(
                 [binary(ExprOp.ULT, name, const(8, 10)),
                  binary(ExprOp.ULT, const(8, 20), name)])).satisfiable
-        stripes = solver._shared.stripes
-        assert sum(len(stripe.sat_index) for stripe in stripes) == 20
-        assert sum(len(stripe.unsat_index) for stripe in stripes) == 5
+        assert len(solver._shared.sat_index) == 20
+        assert len(solver._shared.unsat_index) == 5
