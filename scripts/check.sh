@@ -125,11 +125,15 @@ SOLVER_DIFFERENTIAL_WIDE_QUERIES=60 \
 echo
 echo "== verification service smoke: serve, two identical jobs, memo hit =="
 python - <<'PY'
+import json
+import socket
 import tempfile
 import threading
 from pathlib import Path
 
 from repro.service import ServiceClient, VerificationServer
+from repro.service.server import MAX_REQUEST_BYTES
+from repro.workloads import get_workload
 
 with tempfile.TemporaryDirectory() as tmp:
     socket_path = Path(tmp) / "verify.sock"
@@ -147,11 +151,36 @@ with tempfile.TemporaryDirectory() as tmp:
     assert second["paths"] == first["paths"]
     stats = client.stats()
     assert stats["jobs_completed"] == 2 and stats["memo_hits"] == 1, stats
+    # One computed job, one save; a memo hit saves nothing.
+    assert stats["saves"] == 1, stats
+    # A request line past asyncio's default 64-KiB limit is still served.
+    wc = get_workload("wc")
+    padded = wc.source + "\n/*" + " pad" * 20_000 + " */\n"
+    assert len(padded) > 1 << 16
+    long_line = client.verify(source=padded, level="-OVERIFY",
+                              input_bytes=wc.default_input_bytes)
+    assert long_line["ok"], long_line
+    # A line past the server's bound gets a protocol error, and the
+    # server goes on answering.
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(60.0)
+        sock.connect(str(socket_path))
+        sock.sendall(b'{"op": "ping", "pad": "'
+                     + b"x" * MAX_REQUEST_BYTES + b'"}\n')
+        reply = b""
+        while not reply.endswith(b"\n"):
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed without a reply"
+            reply += chunk
+    assert json.loads(reply)["error_kind"] == "protocol", reply
+    assert client.ping() is True
     client.shutdown()
     thread.join(timeout=30)
     assert not thread.is_alive(), "server did not shut down cleanly"
     assert store_path.exists(), "store was not persisted"
     print(f"service: cold -> memo-hit on identical resubmission, "
+          f"one save per computed job, a {len(padded)}-byte source "
+          f"served, an over-long line refused, "
           f"{stats['store_records']} store records persisted, "
           f"clean shutdown")
 PY

@@ -21,8 +21,9 @@ service-level layers on top:
   :class:`~repro.symex.solver.SharedSolverCaches` table of exact group
   results under one lock, primed from the store at startup; a job whose
   constraint groups are answered by primed entries reports
-  ``"provenance": "warm-store"``.  Everything learned is absorbed back
-  into the store and saved atomically.
+  ``"provenance": "warm-store"``.  Everything a job learned is absorbed
+  back into the store, which is saved atomically after every job that was
+  not a memo hit.
 
 Concurrency model: the asyncio loop only parses requests and awaits; the
 blocking work (compile + verify) runs on a thread pool.  Compiles are
@@ -62,6 +63,16 @@ from .store import (
 #: job wedges (the failure the deadline exists for).
 DEADLINE_GRACE = 5.0
 
+#: Longest request line the server reads, in bytes before its newline.  A
+#: longer line is answered with ``error_kind="protocol"`` and its
+#: connection closed.
+MAX_REQUEST_BYTES = 1 << 20
+
+#: Largest ``input_bytes`` a verify job may ask for: the engine builds one
+#: symbolic byte per unit before any budget applies, so an unbounded value
+#: could exhaust the server's memory (the registry's largest default is 6).
+MAX_INPUT_BYTES = 1024
+
 #: Fault site wrapping request dispatch (``docs/robustness.md``): proves
 #: a fault inside the handler produces one structured error response and
 #: leaves the server answering.
@@ -91,7 +102,7 @@ def _field_float(request: Dict[str, object], name: str, default: float,
 
 
 def _field_int(request: Dict[str, object], name: str, default: int,
-               minimum: int = 0) -> int:
+               minimum: int = 0, maximum: Optional[int] = None) -> int:
     """An integer request field (digit strings accepted), or a
     :class:`ProtocolError` naming the offending field."""
     value = request.get(name, default)
@@ -105,7 +116,23 @@ def _field_int(request: Dict[str, object], name: str, default: int,
         raise ProtocolError(f"'{name}' must be an integer, got {value!r}")
     if value < minimum:
         raise ProtocolError(f"'{name}' must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ProtocolError(f"'{name}' must be <= {maximum}, got {value}")
     return value
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Read and drop the rest of an over-long request line, through its
+    newline or the end of input, so a client still sending it can read
+    the reply."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
 
 
 class VerificationServer:
@@ -117,7 +144,8 @@ class VerificationServer:
         Unix-domain socket to listen on (created; a stale file is
         replaced).
     store_path:
-        Knowledge-store file.  ``None`` runs memory-only: memoization and
+        Knowledge-store file, saved after every job that was not a memo
+        hit and on shutdown.  ``None`` runs memory-only: memoization and
         cache sharing still work within the server's lifetime, nothing
         persists.
     backend:
@@ -125,9 +153,6 @@ class VerificationServer:
         injects its shared caches into backends that accept them.
     pool_size:
         Worker threads verifying concurrently.
-    save_every:
-        Persist the store after every N completed (non-memoized) jobs;
-        the store is always saved on shutdown.  0 = only at shutdown.
     max_pending:
         Backpressure bound: distinct jobs in flight at once (duplicates
         ride an existing job for free).  A submission past the bound is
@@ -140,15 +165,13 @@ class VerificationServer:
 
     def __init__(self, socket_path: object, store_path: object = None,
                  backend: str = "symex", pool_size: int = 2,
-                 save_every: int = 1, max_pending: int = 0,
-                 drain_seconds: float = 30.0) -> None:
+                 max_pending: int = 0, drain_seconds: float = 30.0) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         if max_pending < 0:
             raise ValueError("max_pending must be >= 0")
         self.socket_path = str(socket_path)
         self.pool_size = pool_size
-        self.save_every = save_every
         self.max_pending = max_pending or 4 * pool_size + 4
         self.drain_seconds = drain_seconds
         self.store = SolverKnowledgeStore(store_path)
@@ -166,8 +189,6 @@ class VerificationServer:
         }
         self._session_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._save_lock = threading.Lock()
-        self._jobs_since_save = 0
         self._inflight: Dict[str, "asyncio.Future"] = {}
         #: Distinct jobs currently running (event-loop-thread only).
         self._active_jobs = 0
@@ -197,7 +218,8 @@ class VerificationServer:
         except FileNotFoundError:
             pass
         self._server = await asyncio.start_unix_server(
-            self._handle_client, path=self.socket_path)
+            self._handle_client, path=self.socket_path,
+            limit=MAX_REQUEST_BYTES)
 
     async def serve_until_shutdown(self) -> None:
         """Serve until a ``shutdown`` request arrives, then clean up:
@@ -249,14 +271,22 @@ class VerificationServer:
         handler = asyncio.current_task()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # a last line without its newline
+                    if not line:
+                        break
+                except asyncio.LimitOverrunError:
+                    await _skip_line(reader)
+                    line = None
                 self._answering.add(handler)
                 try:
                     await self._answer(line, writer)
                 finally:
                     self._answering.discard(handler)
+                if line is None:
+                    break
         except asyncio.CancelledError:
             pass  # server shutting down mid-read: just close the connection
         except (ConnectionResetError, BrokenPipeError):
@@ -269,10 +299,14 @@ class VerificationServer:
                     BrokenPipeError):
                 pass
 
-    async def _answer(self, line: bytes,
+    async def _answer(self, line: Optional[bytes],
                       writer: asyncio.StreamWriter) -> None:
-        """Dispatch one request line and write its reply."""
+        """Dispatch one request line and write its reply (``None``: the
+        line was longer than ``MAX_REQUEST_BYTES``)."""
         try:
+            if line is None:
+                raise ProtocolError(
+                    f"request line longer than {MAX_REQUEST_BYTES} bytes")
             try:
                 request = json.loads(line)
             except ValueError as exc:
@@ -376,7 +410,8 @@ class VerificationServer:
             timeout = min(timeout, deadline)
         verification = VerificationRequest(
             symbolic_input_bytes=_field_int(request, "input_bytes",
-                                            default_bytes, minimum=1),
+                                            default_bytes, minimum=1,
+                                            maximum=MAX_INPUT_BYTES),
             concrete_input=concrete_input,
             timeout_seconds=timeout,
             max_instructions=_field_int(request, "max_instructions",
@@ -498,8 +533,8 @@ class VerificationServer:
             result.module, job["request"], self.backend.describe())
         outcome = verify_memoized(self.store, self.backend, result.module,
                                   job["request"], memo_key, self.caches)
-        if outcome.provenance != "memo-hit":
-            self._maybe_save()
+        if outcome.provenance != "memo-hit" and self.store.path is not None:
+            self._save_store()
         with self._stats_lock:
             self.stats["jobs_completed"] += 1
             provenance_key = outcome.provenance.replace("-", "_") \
@@ -518,26 +553,15 @@ class VerificationServer:
             "wall_seconds": time.perf_counter() - started,
         }
 
-    def _maybe_save(self) -> None:
-        if not self.save_every or self.store.path is None:
-            return
-        with self._save_lock:
-            self._jobs_since_save += 1
-            if self._jobs_since_save < self.save_every:
-                return
-            self._jobs_since_save = 0
-        self._save_store()
-
 
 def serve(socket_path: object, store_path: object = None,
           backend: str = "symex", pool_size: int = 2,
-          save_every: int = 1, max_pending: int = 0,
-          drain_seconds: float = 30.0) -> None:
+          max_pending: int = 0, drain_seconds: float = 30.0) -> None:
     """Convenience blocking runner (``python -m repro serve``)."""
     VerificationServer(socket_path, store_path=store_path, backend=backend,
-                       pool_size=pool_size, save_every=save_every,
-                       max_pending=max_pending,
+                       pool_size=pool_size, max_pending=max_pending,
                        drain_seconds=drain_seconds).run()
 
 
-__all__ = ["VerificationServer", "serve"]
+__all__ = ["MAX_INPUT_BYTES", "MAX_REQUEST_BYTES", "VerificationServer",
+           "serve"]

@@ -26,8 +26,14 @@ Design points (see ``docs/service.md`` for the file format):
   its own body, and a footer records the expected record count (a
   truncated tail is detected even when it ends on a line boundary).
   Saves go through a temp file + ``os.replace`` in the same directory,
-  and re-read the current file first (read-merge-replace), so concurrent
-  writers never corrupt the store and never read a half-written one.
+  so no reader ever sees a half-written file.  A save whose file another
+  writer has replaced since this store last read or wrote it unions that
+  file's records first (read-merge-replace), so concurrent writers never
+  clobber each other's knowledge.
+* **Pay for what is new.**  :meth:`SolverKnowledgeStore.absorb`
+  fingerprints only groups the store does not already hold, and a save
+  encodes only records it has not written before; neither re-reads nor
+  re-encodes what the store already knows.
 * **Corruption degrades to cold, never to wrong.**  Any load problem —
   missing file, version mismatch, truncation, checksum mismatch,
   malformed JSON or wire form — empties the store and records the reason
@@ -45,7 +51,9 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, TypeVar
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, TypeVar,
+)
 
 from ..faults import StoreError, site as _fault_site
 from ..ir import Module
@@ -308,6 +316,14 @@ class SolverKnowledgeStore:
     def _reset(self) -> None:
         self._groups: Dict[str, dict] = {}
         self._memos: Dict[str, dict] = {}
+        #: Solver groups (keys of ``SharedSolverCaches.results``) whose
+        #: record this store holds; :meth:`absorb` skips them unhashed.
+        self._known: Set[FrozenSet[Expr]] = set()
+        #: ``(kind, key)`` -> the record's encoded line, ``sum`` included.
+        self._lines: Dict[Tuple[str, str], str] = {}
+        #: SHA-256 of the file bytes this store last read or wrote: a save
+        #: that finds them unchanged has nothing to merge.
+        self._digest: Optional[bytes] = None
 
     def __len__(self) -> int:
         return len(self._groups) + len(self._memos)
@@ -336,7 +352,8 @@ class SolverKnowledgeStore:
                     self.load_error = f"fault: {exc}"
                     return False
             try:
-                text = self.path.read_text(encoding="utf-8")
+                data = self.path.read_bytes()
+                text = data.decode("utf-8")
             except FileNotFoundError:
                 self.load_error = "missing"
                 return False
@@ -350,6 +367,7 @@ class SolverKnowledgeStore:
                 self.load_error = f"corrupt: {exc}"
                 self.quarantined = self._quarantine()
                 return False
+            self._digest = hashlib.sha256(data).digest()
             return len(self) > 0
 
     def _quarantine(self) -> str:
@@ -414,34 +432,46 @@ class SolverKnowledgeStore:
     def save(self) -> None:
         """Atomically persist the store (read-merge-replace).
 
-        The current file is re-read first and any records it has that this
-        store lacks are merged in (this store's entries win on key
-        collisions), so two concurrent writers union their knowledge
-        instead of the last one clobbering the first.  The write itself
-        goes through a same-directory temp file and ``os.replace``:
-        readers only ever see a complete old or complete new file."""
+        When the file is not the one this store last read or wrote (its
+        SHA-256 differs: another writer replaced it, it was deleted, or
+        this store never read it), it is re-read first and any records it
+        has that this store lacks are merged in (this store's entries win
+        on key collisions), so two concurrent writers union their
+        knowledge instead of the last one clobbering the first.  Each
+        record is encoded once and its line reused by later saves.  The
+        write itself goes through a same-directory temp file and
+        ``os.replace``: readers only ever see a complete old or complete
+        new file."""
         if self.path is None:
             return
         with self._lock:
-            current = SolverKnowledgeStore(self.path)
-            current.load()
-            theirs = current._tables()
-            for kind, table in self._tables().items():
-                for key, record in theirs[kind].items():
-                    table.setdefault(key, record)
+            try:
+                on_disk = hashlib.sha256(self.path.read_bytes()).digest()
+            except OSError:
+                on_disk = None
+            if on_disk != self._digest:
+                current = SolverKnowledgeStore(self.path)
+                current.load()
+                theirs = current._tables()
+                for kind, table in self._tables().items():
+                    for key, record in theirs[kind].items():
+                        table.setdefault(key, record)
             lines = [_canonical_json({"format": FORMAT_NAME,
                                       "version": FORMAT_VERSION})]
-            count = 0
             for kind, table in self._tables().items():
                 for key in sorted(table):
-                    record = dict(table[key])
-                    record["kind"] = kind
-                    record["key"] = key
-                    record["sum"] = _record_checksum(record)
-                    lines.append(_canonical_json(record))
-                    count += 1
-            lines.append(_canonical_json({"kind": "end", "records": count}))
-            payload = "\n".join(lines) + "\n"
+                    line = self._lines.get((kind, key))
+                    if line is None:
+                        record = dict(table[key])
+                        record["kind"] = kind
+                        record["key"] = key
+                        record["sum"] = _record_checksum(record)
+                        line = _canonical_json(record)
+                        self._lines[(kind, key)] = line
+                    lines.append(line)
+            lines.append(_canonical_json({"kind": "end",
+                                          "records": len(lines) - 1}))
+            payload = ("\n".join(lines) + "\n").encode("utf-8")
             try:
                 directory = self.path.parent
                 directory.mkdir(parents=True, exist_ok=True)
@@ -452,7 +482,7 @@ class SolverKnowledgeStore:
                 raise StoreError(f"store save failed: {exc}",
                                  site="store.write") from exc
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                with os.fdopen(fd, "wb") as handle:
                     handle.write(payload)
                     handle.flush()
                     os.fsync(handle.fileno())
@@ -471,16 +501,19 @@ class SolverKnowledgeStore:
                     raise StoreError(f"store save failed: {exc}",
                                      site="store.write") from exc
                 raise
+            self._digest = hashlib.sha256(payload).digest()
 
     # ------------------------------------------------- cache <-> store
     def prime(self, caches: SharedSolverCaches) -> int:
         """Absorb every stored group result into ``caches`` (tagged so hits
         count as ``SolverStats.store_hits``; entries ``caches`` already
         holds win).  Returns the number of results added.  A record whose
-        constraints no longer decode is skipped, never fatal."""
+        constraints no longer decode is skipped, never fatal; every group
+        that decodes is one :meth:`absorb` will not fingerprint again."""
         with self._lock:
             records = list(self._groups.values())
         added = 0
+        decoded = []
         for record in records:
             try:
                 constraints = tuple(expr_from_wire(wire)
@@ -492,18 +525,26 @@ class SolverKnowledgeStore:
                 canonical = bool(record["canonical"])
             except (WireError, KeyError, TypeError, RecursionError):
                 continue
+            decoded.append(frozenset(constraints))
             added += caches.remember(constraints, result,
                                      canonical=canonical, from_store=True)
+        with self._lock:
+            self._known.update(decoded)
         return added
 
     def absorb(self, caches: SharedSolverCaches) -> int:
         """Fold every exact group result ``caches`` holds into the store
         (existing records win — knowledge, once recorded, is stable).
-        Returns the number of new records."""
+        Returns the number of new records.  Only groups the store does not
+        hold yet are fingerprinted: hash-consing makes an equal group the
+        same key, so a known one costs one set lookup."""
         entries = caches.entries()
         added = 0
         with self._lock:
             for key, result, canonical in entries:
+                if key in self._known:
+                    continue
+                self._known.add(key)
                 fingerprint = group_fingerprint(key)
                 if fingerprint not in self._groups:
                     self._groups[fingerprint] = {
@@ -536,6 +577,7 @@ class SolverKnowledgeStore:
     def memo_record(self, key: str, payload: Dict[str, object]) -> None:
         with self._lock:
             self._memos[key] = payload
+            self._lines.pop(("memo", key), None)
 
 
 __all__ = [

@@ -17,6 +17,7 @@ import pytest
 from conftest import as_partition
 from repro.pipelines import CompileOptions, CompilerSession, OptLevel
 from repro.service import ServiceClient, ServiceError, VerificationServer
+from repro.service.server import MAX_INPUT_BYTES, MAX_REQUEST_BYTES
 from repro.service.store import (
     SolverKnowledgeStore, memo_to_outcome, outcome_to_memo,
     verification_fingerprint, verify_memoized,
@@ -25,6 +26,7 @@ from repro.symex import (
     ExprOp, SharedSolverCaches, Solver, SolverConfig, binary, const,
     not_expr, var,
 )
+from repro.symex.executor import SymbolicExecutor
 from repro.verification import (
     VerificationOutcome, VerificationRequest, make_backend,
 )
@@ -570,6 +572,57 @@ def test_server_inline_source_and_errors(tmp_path):
         # Failures are reported, never fatal: the server still answers.
         assert client.ping() is True
         assert client.stats()["jobs_failed"] >= 3
+
+
+def test_server_reads_a_request_line_over_64_kib(tmp_path):
+    """asyncio's default stream limit is 64 KiB: a longer request line
+    once killed its connection with a traceback, and the client saw a
+    retryable "empty reply" for a request that could never succeed."""
+    source = ("int main(unsigned char *input, int len) { return 0; }\n"
+              + "// pad\n" * 12_000)
+    assert len(source) > 80_000
+    with _RunningServer(tmp_path, "long-line") as running:
+        reply = running.client.verify(source=source, level="-O0",
+                                      input_bytes=1)
+        assert reply["ok"] and reply["paths"] == 1
+        assert running.client.ping() is True
+
+
+def test_server_refuses_a_request_line_over_its_bound(tmp_path):
+    """A line past ``MAX_REQUEST_BYTES`` gets one non-retryable protocol
+    error, so a retrying client gives up at once, and the server goes on
+    answering."""
+    source = "// pad\n" * (2 * MAX_REQUEST_BYTES // 7)
+    with _RunningServer(tmp_path, "huge-line") as running:
+        client = ServiceClient(running.socket_path, timeout=60.0, retries=3)
+        with pytest.raises(ServiceError) as excinfo:
+            client.verify(source=source, level="-O0")
+        assert excinfo.value.kind == "protocol"
+        assert excinfo.value.retryable is False
+        assert str(MAX_REQUEST_BYTES) in str(excinfo.value)
+        assert running.client.ping() is True
+        stats = running.client.stats()
+        assert stats["jobs_failed"] == 1 and stats["jobs_completed"] == 0
+
+
+def test_server_refuses_input_bytes_over_its_bound(tmp_path, monkeypatch):
+    """One symbolic byte per unit is built before any budget applies, so
+    an unbounded ``input_bytes`` could exhaust the server's memory."""
+    states = []
+    monkeypatch.setattr(SymbolicExecutor, "make_initial_state",
+                        lambda self, size: states.append(size))
+    with _RunningServer(tmp_path, "input-bound") as running:
+        with pytest.raises(ServiceError, match="'input_bytes' must be <= "
+                           f"{MAX_INPUT_BYTES}") as excinfo:
+            running.client.verify(workload="wc",
+                                  input_bytes=MAX_INPUT_BYTES + 1)
+        assert excinfo.value.kind == "protocol"
+        assert running.client.stats()["jobs_failed"] == 1
+        assert running.server.session.stats.compiles == 0
+    assert states == []
+    job = running.server._resolve_job({"workload": "wc",
+                                       "input_bytes": MAX_INPUT_BYTES})
+    assert job["request"].symbolic_input_bytes == MAX_INPUT_BYTES
 
 
 def test_server_session_keeps_no_job_module(tmp_path, monkeypatch):

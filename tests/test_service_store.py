@@ -1,6 +1,6 @@
 """Tests for the persistent solver-knowledge store.
 
-Four layers are locked down here:
+Five layers are locked down here:
 
 * the **wire codec**: expressions round-trip through their canonical
   schedule form back to the *identical* (interned) object, group
@@ -13,6 +13,9 @@ Four layers are locked down here:
   answer;
 * **concurrent writers**: read-merge-replace unions knowledge from
   racing stores, and parallel savers never produce an unparseable file;
+* **incremental persistence**: absorb fingerprints only groups the store
+  lacks, and a save re-reads the file only when another writer changed
+  it and encodes only records it has not written before;
 * the **warm-vs-cold differential** over the workload registry: priming
   a fresh run from a store produced by a cold run must not change a
   single observable — bug signatures, path sets (test inputs included),
@@ -32,12 +35,15 @@ whose cold solve takes minutes at larger sizes).
 import json
 import os
 import random
+import sys
 import threading
 
 import pytest
 
 from conftest import as_partition
+from repro.faults import StoreError, injected
 from repro.pipelines import CompileOptions, CompilerSession, OptLevel
+from repro.service import store as store_module
 from repro.service.store import (
     FORMAT_NAME, FORMAT_VERSION, SolverKnowledgeStore, WireError,
     expr_from_wire, expr_to_wire, group_fingerprint,
@@ -134,11 +140,10 @@ def test_expr_from_wire_rejects_damage(wire):
 # ------------------------------------------------------------ file round trip
 
 
-def _populated_store(path):
-    """A store holding a satisfiable group, an unsatisfiable group, a
-    group a search solved (canonical) and a memo."""
+def _sample_caches():
+    """A satisfiable group, an unsatisfiable group and a group a search
+    solved (canonical)."""
     a, b = var(8, "in0"), var(8, "in1")
-    store = SolverKnowledgeStore(path)
     caches = SharedSolverCaches()
     caches.remember([binary(ExprOp.ULT, a, const(8, 10))],
                     SolverResult(True, {"in0": 3}))
@@ -147,7 +152,13 @@ def _populated_store(path):
                     SolverResult(False, None))
     caches.remember([binary(ExprOp.EQ, b, const(8, 5))],
                     SolverResult(True, {"in1": 5}), canonical=True)
-    store.absorb(caches)
+    return caches
+
+
+def _populated_store(path):
+    """A store holding :func:`_sample_caches`' three groups and a memo."""
+    store = SolverKnowledgeStore(path)
+    store.absorb(_sample_caches())
     store.memo_record("deadbeef" * 8, {"paths": 4, "errors": 0})
     return store
 
@@ -415,6 +426,184 @@ def test_concurrent_savers_never_corrupt(tmp_path):
     assert final.load() is True
     assert final.memo_count >= 5  # at least one writer's records survive
     assert final.memo_count % 5 == 0  # whole saves, never partial ones
+
+
+# ---------------------------------------------- incremental persistence
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (which still runs) in a list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _memos(path, keys):
+    store = SolverKnowledgeStore(path)
+    assert store.load() is True, store.load_error
+    return {key: store.memo_lookup(key, dict) for key in keys}
+
+
+def test_absorb_fingerprints_only_groups_the_store_lacks(tmp_path,
+                                                         monkeypatch):
+    path = tmp_path / "knowledge.jsonl"
+    caches = _sample_caches()
+    store = SolverKnowledgeStore(path)
+    assert store.absorb(caches) == 3
+    store.save()
+    fingerprints = _count_calls(monkeypatch, store_module,
+                                "group_fingerprint")
+    assert store.absorb(caches) == 0
+    assert fingerprints == []
+    # A store knows the groups it primed without fingerprinting them.
+    primed = SolverKnowledgeStore(path)
+    assert primed.load() is True
+    primed_caches = SharedSolverCaches()
+    assert primed.prime(primed_caches) == 3
+    assert primed.absorb(primed_caches) == 0
+    assert fingerprints == []
+    caches.remember([binary(ExprOp.ULT, var(8, "in0"), const(8, 20))],
+                    SolverResult(True, {"in0": 0}))
+    assert store.absorb(caches) == 1
+    assert len(fingerprints) == 1
+
+
+def test_save_of_an_unchanged_file_encodes_only_new_records(tmp_path,
+                                                            monkeypatch):
+    path = tmp_path / "knowledge.jsonl"
+    store = _populated_store(path)
+    store.save()
+    checksums = _count_calls(monkeypatch, store_module, "_record_checksum")
+    loads = _count_calls(monkeypatch, SolverKnowledgeStore, "load")
+    store.memo_record("ab" * 32, {"paths": 7})
+    store.save()
+    assert len(checksums) == 1  # the new memo's line, nothing re-encoded
+    assert loads == []  # the file was this store's own: nothing to merge
+    assert path.read_bytes() == _resaved(path)
+
+
+def test_save_merges_a_file_another_writer_replaced(tmp_path):
+    path = tmp_path / "knowledge.jsonl"
+    first = SolverKnowledgeStore(path)
+    first.memo_record("aa" * 32, {"paths": 1})
+    first.save()
+    second = SolverKnowledgeStore(path)
+    second.memo_record("bb" * 32, {"paths": 2})
+    second.save()
+    first.memo_record("cc" * 32, {"paths": 3})
+    first.save()
+    assert _memos(path, ["aa" * 32, "bb" * 32, "cc" * 32]) == {
+        "aa" * 32: {"paths": 1}, "bb" * 32: {"paths": 2},
+        "cc" * 32: {"paths": 3}}
+
+
+def test_save_after_the_file_was_deleted_writes_every_record(tmp_path):
+    path = tmp_path / "knowledge.jsonl"
+    store = _populated_store(path)
+    store.save()
+    path.unlink()
+    store.memo_record("ab" * 32, {"paths": 7})
+    store.save()
+    loaded = SolverKnowledgeStore(path)
+    assert loaded.load() is True
+    assert len(loaded) == 5 and loaded.memo_count == 2
+
+
+def test_an_overwritten_memo_is_written_anew(tmp_path):
+    path = tmp_path / "knowledge.jsonl"
+    store = SolverKnowledgeStore(path)
+    store.memo_record("k" * 64, {"paths": 1})
+    store.save()
+    store.memo_record("k" * 64, {"paths": 2})
+    store.save()
+    assert _memos(path, ["k" * 64]) == {"k" * 64: {"paths": 2}}
+
+
+def test_a_torn_write_keeps_the_digest_of_the_published_file(
+        tmp_path, monkeypatch):
+    """The failed save published nothing, so the file is still the one
+    this store last wrote: the retry has nothing to merge."""
+    path = tmp_path / "knowledge.jsonl"
+    store = SolverKnowledgeStore(path)
+    store.memo_record("aa" * 32, {"paths": 1})
+    store.save()
+    store.memo_record("bb" * 32, {"paths": 2})
+    with injected("store.write:once"):
+        with pytest.raises(StoreError):
+            store.save()
+    loads = _count_calls(monkeypatch, SolverKnowledgeStore, "load")
+    store.save()
+    assert loads == []
+    assert _memos(path, ["aa" * 32, "bb" * 32]) == {
+        "aa" * 32: {"paths": 1}, "bb" * 32: {"paths": 2}}
+
+
+def test_a_retry_after_a_torn_write_merges_a_foreign_writer(tmp_path):
+    path = tmp_path / "knowledge.jsonl"
+    store = SolverKnowledgeStore(path)
+    store.memo_record("aa" * 32, {"paths": 1})
+    store.save()
+    store.memo_record("bb" * 32, {"paths": 2})
+    with injected("store.write:once"):
+        with pytest.raises(StoreError):
+            store.save()
+    other = SolverKnowledgeStore(path)
+    assert other.load() is True
+    other.memo_record("cc" * 32, {"paths": 3})
+    other.save()
+    store.save()
+    assert _memos(path, ["aa" * 32, "bb" * 32, "cc" * 32]) == {
+        "aa" * 32: {"paths": 1}, "bb" * 32: {"paths": 2},
+        "cc" * 32: {"paths": 3}}
+
+
+def test_one_store_shared_by_saving_threads_loses_no_record(tmp_path):
+    """Job threads share one store: each records memos and saves after
+    every one, as the server does after every computed job.  Every record
+    must reach the file."""
+    path = tmp_path / "knowledge.jsonl"
+    store = SolverKnowledgeStore(path)
+    errors = []
+
+    def job(index):
+        try:
+            for j in range(5):
+                store.memo_record(f"{index:02d}{j:02d}" * 16, {"n": j})
+                store.save()
+        except Exception as exc:  # pragma: no cover - the test's point
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=job, args=(i,))
+                   for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    final = SolverKnowledgeStore(path)
+    assert final.load() is True
+    assert final.memo_count == 30
+    assert path.read_bytes() == _resaved(path)
+
+
+def _resaved(path):
+    """The bytes a fresh store writes after loading ``path``."""
+    fresh = SolverKnowledgeStore(path)
+    fresh.load()
+    fresh.save()
+    return path.read_bytes()
 
 
 # ------------------------------------------------- warm-vs-cold differential
