@@ -132,6 +132,7 @@ import threading
 from pathlib import Path
 
 from repro.service import ServiceClient, VerificationServer
+from repro.service import ServiceError
 from repro.service.server import MAX_REQUEST_BYTES
 from repro.workloads import get_workload
 
@@ -173,6 +174,16 @@ with tempfile.TemporaryDirectory() as tmp:
             assert chunk, "connection closed without a reply"
             reply += chunk
     assert json.loads(reply)["error_kind"] == "protocol", reply
+    assert client.ping() is True
+    # Bad source is the client's fault: a non-retryable compile error,
+    # and the server goes on answering.
+    try:
+        client.verify(source="int main(unsigned char *input, int len) "
+                             "{ return 1 +; }", level="-O0")
+    except ServiceError as exc:
+        assert exc.kind == "compile" and not exc.retryable, exc
+    else:
+        raise AssertionError("a syntax error was verified")
     assert client.ping() is True
     client.shutdown()
     thread.join(timeout=30)

@@ -8,7 +8,7 @@ from .ctype import (
     BOOL, CHAR, UCHAR, SHORT, USHORT, INT, UINT, LONG, ULONG, VOID,
     decay, integer_promote, usual_arithmetic_conversion,
 )
-from .lexer import Lexer, Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, tokenize
 from .parser import Parser, parse
 from .sema import SemanticAnalyzer, analyze
 from .lowering import Codegen, lower
@@ -31,7 +31,7 @@ __all__ = [
     "BOOL", "CHAR", "UCHAR", "SHORT", "USHORT", "INT", "UINT", "LONG",
     "ULONG", "VOID",
     "decay", "integer_promote", "usual_arithmetic_conversion",
-    "Lexer", "Token", "TokenKind", "tokenize",
+    "Token", "TokenKind", "tokenize",
     "Parser", "parse",
     "SemanticAnalyzer", "analyze",
     "Codegen", "lower",

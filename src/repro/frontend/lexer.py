@@ -4,13 +4,22 @@ MiniC covers the constructs that matter for the paper's experiments: integer
 types of several widths and signedness, pointers, arrays, structs, the usual
 expression operators, control flow (if/while/for/do/break/continue/return),
 string and character literals, and function definitions.
+
+The lexer is one compiled master pattern: each match is the trivia
+(whitespace, comments, and ``#`` lines: preprocessor directives are
+skipped, since the C library is linked as a unit) before a token plus the
+token itself, and the alternative that matched names its kind.  Lines
+and columns come from counting newlines between token starts.
+Identifiers and integer literals are ASCII, and string and character
+literals hold bytes: a character above U+00FF in one is an error at that
+character.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
+import re
+from typing import List, NamedTuple
 
 from .source import CompileError, SourceLocation
 
@@ -41,22 +50,12 @@ PUNCTUATORS = [
 ]
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     location: SourceLocation
     value: int = 0  # numeric value for INT_LITERAL / CHAR_LITERAL
     string: bytes = b""  # decoded bytes for STRING_LITERAL
-
-    def is_keyword(self, *names: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text in names
-
-    def is_punct(self, *texts: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.text in texts
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind.name}, {self.text!r})"
 
 
 _ESCAPES = {
@@ -64,167 +63,140 @@ _ESCAPES = {
     "a": 7, "b": 8, "f": 12, "v": 11,
 }
 
+# The token part of the master pattern always matches (``bad`` takes any
+# character, ``eof`` the end), so the engine never backtracks into the
+# trivia before it.  The literal patterns are unambiguous (a \x escape
+# takes every hex digit that follows, as in C), so a malformed literal
+# fails in linear time and falls to ``bad``.
+_ESCAPE = r"\\(?:x[0-9a-fA-F]+(?![0-9a-fA-F])|[ntr0\\'\"abfv])"
+# Byte-sized characters but the backslash (and, for strings, the quote),
+# as ranges: a negated class reaching U+10FFFF costs milliseconds to
+# compile, and every process compiles this pattern on import.
+_CHAR_PLAIN = r"[\x00-\[\]-\xff]"
+_STRING_PLAIN = r"[\x00-!#-\[\]-\xff]"
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|\#[^\n]*|/\*(?s:.*?)\*/)*"
+    r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*[uUlL]*)"
+    r"|(?P<dec>[0-9]+[uUlL]*)"
+    r"|(?P<comment>/\*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, PUNCTUATORS)) + ")"
+    rf"|(?P<char>'(?:{_CHAR_PLAIN}|{_ESCAPE})')"
+    rf"|(?P<string>\"{_STRING_PLAIN}*(?:{_ESCAPE}{_STRING_PLAIN}*)*\")"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>(?s:.)))")
+_GROUP = _TOKEN_RE.groupindex
+_IDENT, _DEC, _HEX, _COMMENT, _PUNCT, _CHAR, _STRING, _EOF = (
+    _GROUP[name] for name in ("ident", "dec", "hex", "comment", "punct",
+                              "char", "string", "eof"))
+_ESCAPE_RE = re.compile(_ESCAPE)
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
-class Lexer:
-    """Converts MiniC source text into a token stream."""
 
-    def __init__(self, source: str, filename: str = "<source>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+def _unescape(match: "re.Match[str]") -> str:
+    esc = match[0]
+    if esc[1] == "x":
+        return chr(int(esc[2:], 16) & 0xFF)
+    return chr(_ESCAPES[esc[1]])
 
-    # ------------------------------------------------------------------ API
-    def tokenize(self) -> List[Token]:
-        tokens: List[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
 
-    # ------------------------------------------------------------- internal
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.filename)
+def _locate(source: str, pos: int, filename: str) -> SourceLocation:
+    line_start = source.rfind("\n", 0, pos) + 1
+    return SourceLocation(source.count("\n", 0, pos) + 1, pos - line_start + 1,
+                          filename)
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
 
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance()
-                self._advance()
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
-                else:
-                    raise CompileError("unterminated block comment",
-                                       self._location())
-            elif ch == "#":
-                # Preprocessor directives are ignored (the workloads do not
-                # rely on them; headers are resolved by the driver).
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        location = self._location()
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", location)
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._lex_identifier(location)
-        if ch.isdigit():
-            return self._lex_number(location)
-        if ch == "'":
-            return self._lex_char(location)
-        if ch == '"':
-            return self._lex_string(location)
-        return self._lex_punct(location)
-
-    def _lex_identifier(self, location: SourceLocation) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and \
-                (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.source[start:self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, location)
-
-    def _lex_number(self, location: SourceLocation) -> Token:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance()
-            self._advance()
-            while self.pos < len(self.source) and \
-                    self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.source[start:self.pos]
-            value = int(text, 16)
-        else:
-            while self.pos < len(self.source) and self._peek().isdigit():
-                self._advance()
-            text = self.source[start:self.pos]
-            value = int(text, 10)
-        # Integer suffixes are accepted and ignored (type comes from context).
-        while self.pos < len(self.source) and self._peek() in "uUlL":
-            self._advance()
-            text = self.source[start:self.pos]
-        return Token(TokenKind.INT_LITERAL, text, location, value=value)
-
-    def _read_escaped_char(self) -> int:
-        ch = self._advance()
+def _literal_error(source: str, start: int, filename: str) -> CompileError:
+    """The diagnostic for the malformed literal at ``start``: the first
+    fault a left-to-right reading of it meets."""
+    quote = source[start]
+    noun = "character" if quote == "'" else "string"
+    unterminated = CompileError(f"unterminated {noun} literal",
+                                _locate(source, start, filename))
+    pos, end = start + 1, len(source)
+    while pos < end and not (quote == '"' and source[pos] == '"'):
+        ch = source[pos]
+        pos += 1
         if ch != "\\":
-            return ord(ch)
-        esc = self._advance()
-        if esc == "x":
-            digits = ""
-            while self.pos < len(self.source) and \
-                    self._peek() in "0123456789abcdefABCDEF":
-                digits += self._advance()
-            if not digits:
-                raise CompileError("invalid hex escape", self._location())
-            return int(digits, 16) & 0xFF
-        if esc in _ESCAPES:
-            return _ESCAPES[esc]
-        raise CompileError(f"unknown escape sequence '\\{esc}'", self._location())
-
-    def _lex_char(self, location: SourceLocation) -> Token:
-        self._advance()  # opening quote
-        if self.pos >= len(self.source):
-            raise CompileError("unterminated character literal", location)
-        value = self._read_escaped_char()
-        if self.pos >= len(self.source) or self._peek() != "'":
-            raise CompileError("unterminated character literal", location)
-        self._advance()  # closing quote
-        return Token(TokenKind.CHAR_LITERAL, f"'{chr(value)}'", location,
-                     value=value)
-
-    def _lex_string(self, location: SourceLocation) -> Token:
-        self._advance()  # opening quote
-        data = bytearray()
-        while True:
-            if self.pos >= len(self.source):
-                raise CompileError("unterminated string literal", location)
-            if self._peek() == '"':
-                self._advance()
-                break
-            data.append(self._read_escaped_char())
-        return Token(TokenKind.STRING_LITERAL, "", location, string=bytes(data))
-
-    def _lex_punct(self, location: SourceLocation) -> Token:
-        for punct in PUNCTUATORS:
-            if self.source.startswith(punct, self.pos):
-                for _ in punct:
-                    self._advance()
-                return Token(TokenKind.PUNCT, punct, location)
-        raise CompileError(f"unexpected character {self._peek()!r}", location)
+            if ord(ch) > 0xFF:
+                return CompileError(
+                    f"character {ch!r} in a {noun} literal is not a byte",
+                    _locate(source, pos - 1, filename))
+        elif pos == end:
+            break
+        elif source[pos] == "x":
+            pos += 1
+            if pos == end or source[pos] not in _HEX_DIGITS:
+                return CompileError("invalid hex escape",
+                                    _locate(source, pos, filename))
+            while pos < end and source[pos] in _HEX_DIGITS:
+                pos += 1
+        elif source[pos] in _ESCAPES:
+            pos += 1
+        else:
+            return CompileError(f"unknown escape sequence '\\{source[pos]}'",
+                                _locate(source, pos + 1, filename))
+        if quote == "'":
+            break
+    return unterminated
 
 
 def tokenize(source: str, filename: str = "<source>") -> List[Token]:
     """Tokenize ``source`` and return the token list (ending with EOF)."""
-    return Lexer(source, filename).tokenize()
+    # This loop runs once per token: it builds tokens and locations with
+    # tuple.__new__, not through the named tuples' Python-level __new__.
+    new = tuple.__new__
+    count = source.count
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start, scanned = 1, 0, 0
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastindex
+        start, end = match.span(group)
+        newlines = count("\n", scanned, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", scanned, start) + 1
+        scanned = start
+        location = new(SourceLocation,
+                       (line, start - line_start + 1, filename))
+        text = source[start:end]
+        if group == _PUNCT:
+            append(new(Token, (TokenKind.PUNCT, text, location, 0, b"")))
+        elif group == _IDENT:
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append(new(Token, (kind, text, location, 0, b"")))
+        elif group == _DEC or group == _HEX:
+            # Suffixes are ignored: the type comes from context.
+            digits = text.rstrip("uUlL")
+            if digits in ("0x", "0X"):
+                raise CompileError(f"hexadecimal literal '{text}' has no "
+                                   "digits", location)
+            try:
+                value = int(digits, 10 if group == _DEC else 16)
+            except ValueError:
+                raise CompileError("integer literal has too many digits",
+                                   location) from None
+            append(new(Token, (TokenKind.INT_LITERAL, text, location, value,
+                               b"")))
+        elif group == _STRING:
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(_unescape, body)
+            append(new(Token, (TokenKind.STRING_LITERAL, "", location, 0,
+                               body.encode("latin-1"))))
+        elif group == _CHAR:
+            char = _ESCAPE_RE.sub(_unescape, text[1:-1])
+            append(new(Token, (TokenKind.CHAR_LITERAL, f"'{char}'", location,
+                               ord(char), b"")))
+        elif group == _EOF:
+            append(new(Token, (TokenKind.EOF, "", location, 0, b"")))
+            return tokens
+        elif group == _COMMENT:
+            raise CompileError("unterminated block comment",
+                               _locate(source, len(source), filename))
+        elif text in "'\"":
+            raise _literal_error(source, start, filename)
+        else:
+            raise CompileError(f"unexpected character {text!r}", location)
+    raise AssertionError("the master pattern matches at the end of input")

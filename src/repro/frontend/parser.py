@@ -29,10 +29,17 @@ _BINARY_PRECEDENCE: Dict[str, int] = {
 }
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
+_UNARY_OPS = {"+", "-", "!", "~", "*", "&", "++", "--"}
+_TYPE_KEYWORDS = {"void", "char", "short", "int", "long", "unsigned", "signed",
+                  "_Bool", "const", "struct"}
 
 
 class Parser:
-    """Parses a token stream into a :class:`repro.frontend.ast.TranslationUnit`."""
+    """Parses a token stream into a :class:`repro.frontend.ast.TranslationUnit`.
+
+    Only punctuation tokens spell a punctuator and only keyword tokens a
+    keyword, so the parser tests either with one compare of ``text``.
+    """
 
     def __init__(self, tokens: List[Token]) -> None:
         self.tokens = tokens
@@ -40,9 +47,12 @@ class Parser:
         self.struct_types: Dict[str, CStruct] = {}
 
     # ------------------------------------------------------------ utilities
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def _peek_ahead(self, offset: int) -> Token:
+        index = self.pos + offset
+        return self.tokens[index if index < len(self.tokens) else -1]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -51,20 +61,21 @@ class Parser:
         return token
 
     def _check_punct(self, text: str) -> bool:
-        return self._peek().is_punct(text)
+        return self.tokens[self.pos].text == text
 
     def _accept_punct(self, text: str) -> bool:
-        if self._check_punct(text):
-            self._advance()
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
     def _expect_punct(self, text: str) -> Token:
-        token = self._peek()
-        if not token.is_punct(text):
+        token = self.tokens[self.pos]
+        if token.text != text:
             raise CompileError(f"expected '{text}', found '{token.text}'",
                                token.location)
-        return self._advance()
+        self.pos += 1
+        return token
 
     def _expect_ident(self) -> Token:
         token = self._peek()
@@ -75,19 +86,15 @@ class Parser:
 
     # ------------------------------------------------------------ types
     def _at_type_start(self) -> bool:
-        token = self._peek()
-        if token.is_keyword("void", "char", "short", "int", "long", "unsigned",
-                            "signed", "_Bool", "const", "struct"):
-            return True
-        return False
+        return self.tokens[self.pos].text in _TYPE_KEYWORDS
 
     def _parse_base_type(self) -> CType:
         token = self._peek()
         # const is accepted and ignored (MiniC has no const semantics).
-        while self._peek().is_keyword("const"):
+        while token.text == "const":
             self._advance()
             token = self._peek()
-        if token.is_keyword("struct"):
+        if token.text == "struct":
             self._advance()
             name_tok = self._expect_ident()
             if name_tok.text not in self.struct_types:
@@ -97,37 +104,38 @@ class Parser:
 
         signed = True
         saw_sign = False
-        if token.is_keyword("unsigned"):
+        if token.text == "unsigned":
             signed = False
             saw_sign = True
             self._advance()
-        elif token.is_keyword("signed"):
+        elif token.text == "signed":
             saw_sign = True
             self._advance()
 
         token = self._peek()
-        if token.is_keyword("void"):
+        text = token.text
+        if text == "void":
             self._advance()
             return VOID
-        if token.is_keyword("_Bool"):
+        if text == "_Bool":
             self._advance()
             return BOOL
-        if token.is_keyword("char"):
+        if text == "char":
             self._advance()
             return CHAR if signed else UCHAR
-        if token.is_keyword("short"):
+        if text == "short":
             self._advance()
-            if self._peek().is_keyword("int"):
+            if self._peek().text == "int":
                 self._advance()
             return SHORT if signed else USHORT
-        if token.is_keyword("long"):
+        if text == "long":
             self._advance()
-            if self._peek().is_keyword("long"):
+            if self._peek().text == "long":
                 self._advance()
-            if self._peek().is_keyword("int"):
+            if self._peek().text == "int":
                 self._advance()
             return LONG if signed else ULONG
-        if token.is_keyword("int"):
+        if text == "int":
             self._advance()
             return INT if signed else UINT
         if saw_sign:
@@ -137,7 +145,7 @@ class Parser:
     def _parse_type(self) -> CType:
         ty = self._parse_base_type()
         while self._accept_punct("*"):
-            while self._peek().is_keyword("const"):
+            while self._peek().text == "const":
                 self._advance()
             ty = CPointer(ty)
         return ty
@@ -147,14 +155,13 @@ class Parser:
         unit = ast.TranslationUnit()
         while self._peek().kind is not TokenKind.EOF:
             token = self._peek()
-            if token.is_keyword("struct") and self._peek(2).is_punct("{"):
+            if token.text == "struct" and self._peek_ahead(2).text == "{":
                 unit.structs.append(self._parse_struct_def())
                 continue
             is_extern = False
-            while self._peek().is_keyword("extern", "static"):
-                if self._peek().is_keyword("extern"):
+            while self._peek().text in ("extern", "static"):
+                if self._advance().text == "extern":
                     is_extern = True
-                self._advance()
             base = self._parse_type()
             name_tok = self._expect_ident()
             if self._check_punct("("):
@@ -214,7 +221,7 @@ class Parser:
         self._expect_punct("(")
         parameters: List[ast.Parameter] = []
         is_vararg = False
-        if self._peek().is_keyword("void") and self._peek(1).is_punct(")"):
+        if self._peek().text == "void" and self._peek_ahead(1).text == ")":
             self._advance()
         elif not self._check_punct(")"):
             while True:
@@ -251,31 +258,32 @@ class Parser:
 
     def _parse_statement(self) -> ast.Stmt:
         token = self._peek()
-        if token.is_punct("{"):
+        text = token.text
+        if text == "{":
             return self._parse_block()
-        if token.is_punct(";"):
+        if text == ";":
             self._advance()
             return ast.EmptyStmt(location=token.location)
-        if token.is_keyword("if"):
+        if text == "if":
             return self._parse_if()
-        if token.is_keyword("while"):
+        if text == "while":
             return self._parse_while()
-        if token.is_keyword("do"):
+        if text == "do":
             return self._parse_do_while()
-        if token.is_keyword("for"):
+        if text == "for":
             return self._parse_for()
-        if token.is_keyword("return"):
+        if text == "return":
             self._advance()
             value = None
             if not self._check_punct(";"):
                 value = self._parse_expression()
             self._expect_punct(";")
             return ast.Return(value=value, location=token.location)
-        if token.is_keyword("break"):
+        if text == "break":
             self._advance()
             self._expect_punct(";")
             return ast.Break(location=token.location)
-        if token.is_keyword("continue"):
+        if text == "continue":
             self._advance()
             self._expect_punct(";")
             return ast.Continue(location=token.location)
@@ -315,7 +323,7 @@ class Parser:
         self._expect_punct(")")
         then = self._parse_statement()
         otherwise = None
-        if self._peek().is_keyword("else"):
+        if self._peek().text == "else":
             self._advance()
             otherwise = self._parse_statement()
         return ast.If(condition=condition, then=then, otherwise=otherwise,
@@ -332,7 +340,7 @@ class Parser:
     def _parse_do_while(self) -> ast.DoWhile:
         location = self._advance().location
         body = self._parse_statement()
-        if not self._peek().is_keyword("while"):
+        if self._peek().text != "while":
             raise CompileError("expected 'while' after do-body",
                                self._peek().location)
         self._advance()
@@ -380,7 +388,7 @@ class Parser:
     def _parse_assignment_expr(self) -> ast.Expr:
         lhs = self._parse_conditional_expr()
         token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.text in _ASSIGN_OPS:
+        if token.text in _ASSIGN_OPS:
             self._advance()
             rhs = self._parse_assignment_expr()
             return ast.Assignment(op=token.text, target=lhs, value=rhs,
@@ -401,13 +409,11 @@ class Parser:
     def _parse_binary_expr(self, min_precedence: int) -> ast.Expr:
         lhs = self._parse_unary_expr()
         while True:
-            token = self._peek()
-            if token.kind is not TokenKind.PUNCT:
-                return lhs
+            token = self.tokens[self.pos]
             precedence = _BINARY_PRECEDENCE.get(token.text)
             if precedence is None or precedence < min_precedence:
                 return lhs
-            self._advance()
+            self.pos += 1
             rhs = self._parse_binary_expr(precedence + 1)
             if token.text in ("&&", "||"):
                 lhs = ast.LogicalOp(op=token.text, lhs=lhs, rhs=rhs,
@@ -417,15 +423,15 @@ class Parser:
                                    location=token.location)
 
     def _parse_unary_expr(self) -> ast.Expr:
-        token = self._peek()
-        if token.is_punct("+", "-", "!", "~", "*", "&", "++", "--"):
-            self._advance()
+        token = self.tokens[self.pos]
+        if token.text in _UNARY_OPS:
+            self.pos += 1
             operand = self._parse_unary_expr()
             if token.text == "+":
                 return operand
             return ast.UnaryOp(op=token.text, operand=operand,
                                location=token.location)
-        if token.is_keyword("sizeof"):
+        if token.text == "sizeof":
             self._advance()
             self._expect_punct("(")
             if self._at_type_start():
@@ -438,7 +444,7 @@ class Parser:
             self._expect_punct(")")
             return ast.SizeOf(operand=operand, location=token.location)
         # A parenthesized type is a cast.
-        if token.is_punct("(") and self._is_type_token(self._peek(1)):
+        if token.text == "(" and self._peek_ahead(1).text in _TYPE_KEYWORDS:
             self._advance()
             target_type = self._parse_type()
             self._expect_punct(")")
@@ -447,53 +453,40 @@ class Parser:
                             location=token.location)
         return self._parse_postfix_expr()
 
-    def _is_type_token(self, token: Token) -> bool:
-        return token.is_keyword("void", "char", "short", "int", "long",
-                                "unsigned", "signed", "_Bool", "const",
-                                "struct")
-
     def _parse_postfix_expr(self) -> ast.Expr:
         expr = self._parse_primary_expr()
         while True:
-            token = self._peek()
-            if token.is_punct("["):
-                self._advance()
+            token = self.tokens[self.pos]
+            text = token.text
+            if text == "[":
+                self.pos += 1
                 index = self._parse_expression()
                 self._expect_punct("]")
                 expr = ast.Index(base=expr, index=index,
                                  location=token.location)
-            elif token.is_punct("."):
-                self._advance()
+            elif text == ".":
+                self.pos += 1
                 field = self._expect_ident()
                 expr = ast.Member(base=expr, field_name=field.text,
                                   is_arrow=False, location=token.location)
-            elif token.is_punct("->"):
-                self._advance()
+            elif text == "->":
+                self.pos += 1
                 field = self._expect_ident()
                 expr = ast.Member(base=expr, field_name=field.text,
                                   is_arrow=True, location=token.location)
-            elif token.is_punct("++", "--"):
-                self._advance()
-                expr = ast.PostfixOp(op=token.text, operand=expr,
+            elif text == "++" or text == "--":
+                self.pos += 1
+                expr = ast.PostfixOp(op=text, operand=expr,
                                      location=token.location)
             else:
                 return expr
 
     def _parse_primary_expr(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.INT_LITERAL:
-            self._advance()
-            return ast.IntLiteral(value=token.value, location=token.location)
-        if token.kind is TokenKind.CHAR_LITERAL:
-            self._advance()
-            return ast.CharLiteral(value=token.value, location=token.location)
-        if token.kind is TokenKind.STRING_LITERAL:
-            self._advance()
-            return ast.StringLiteral(value=token.string, location=token.location)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._check_punct("("):
-                self._advance()
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind is TokenKind.IDENT:
+            self.pos += 1
+            if self._accept_punct("("):
                 args: List[ast.Expr] = []
                 if not self._check_punct(")"):
                     while True:
@@ -504,8 +497,17 @@ class Parser:
                 return ast.Call(callee=token.text, args=args,
                                 location=token.location)
             return ast.Identifier(name=token.text, location=token.location)
-        if token.is_punct("("):
-            self._advance()
+        if kind is TokenKind.INT_LITERAL:
+            self.pos += 1
+            return ast.IntLiteral(value=token.value, location=token.location)
+        if kind is TokenKind.CHAR_LITERAL:
+            self.pos += 1
+            return ast.CharLiteral(value=token.value, location=token.location)
+        if kind is TokenKind.STRING_LITERAL:
+            self.pos += 1
+            return ast.StringLiteral(value=token.string, location=token.location)
+        if token.text == "(":
+            self.pos += 1
             expr = self._parse_expression()
             self._expect_punct(")")
             return expr

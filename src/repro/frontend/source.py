@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+from ..faults import ReproError
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A position in a source file (1-based line and column)."""
 
     line: int
@@ -22,8 +22,12 @@ class SourceLocation:
 UNKNOWN_LOCATION = SourceLocation(0, 0, "<unknown>")
 
 
-class CompileError(Exception):
-    """A diagnostic raised by the lexer, parser, or semantic analyzer."""
+class CompileError(ReproError):
+    """A diagnostic raised by the lexer, parser, or semantic analyzer: the
+    source is at fault, so an identical retry fails the same way."""
+
+    kind = "compile"
+    retryable = False
 
     def __init__(self, message: str, location: SourceLocation = UNKNOWN_LOCATION) -> None:
         super().__init__(f"{location}: {message}")

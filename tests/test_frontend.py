@@ -53,7 +53,7 @@ class TestLexer:
             /* block
                comment */ int x;
         """)
-        assert tokens[0].is_keyword("int")
+        assert tokens[0][:2] == (TokenKind.KEYWORD, "int")
 
     def test_unterminated_string_reports_error(self):
         with pytest.raises(CompileError, match="unterminated"):
@@ -68,6 +68,47 @@ class TestLexer:
         assert tokens[0].location.line == 1
         assert tokens[1].location.line == 2
         assert tokens[1].location.column == 3
+
+    def test_tokens_are_immutable_values(self):
+        token = tokenize("int\n  x;", "f.c")[1]
+        assert str(token.location) == "f.c:2:3"
+        assert token == tokenize("int\n  x;", "f.c")[1]
+        assert len({token, tokenize("int\n  x;", "f.c")[1]}) == 1
+        with pytest.raises(AttributeError):
+            token.location.line = 1
+
+    # Malformed literals are diagnosed where they stand; tokenize used to
+    # raise a bare ValueError on some of them and accept the others.
+    def _error(self, source):
+        with pytest.raises(CompileError) as excinfo:
+            tokenize(source)
+        return excinfo.value.message, excinfo.value.location.column
+
+    def test_hex_literal_without_digits_reports_error(self):
+        assert self._error("int f(void) { return 0x; }") == (
+            "hexadecimal literal '0x' has no digits", 22)
+
+    def test_non_ascii_digit_reports_error(self):
+        assert self._error("return \u00b2;") == (
+            "unexpected character '\u00b2'", 8)
+        assert self._error("return 1\u0663;") == (
+            "unexpected character '\u0663'", 9)
+
+    def test_non_byte_character_in_string_reports_error(self):
+        assert self._error('char *s = "ok \u20ac";') == (
+            "character '\u20ac' in a string literal is not a byte", 15)
+
+    def test_non_byte_character_literal_reports_error(self):
+        assert self._error("int c = '\u20ac';") == (
+            "character '\u20ac' in a character literal is not a byte", 10)
+
+    def test_identifiers_are_ascii(self):
+        assert self._error("int \u00e9 = 1;") == (
+            "unexpected character '\u00e9'", 5)
+
+    def test_latin1_characters_in_literals_are_bytes(self):
+        tokens = tokenize("'\u00e9' \"\u00ff\"")
+        assert tokens[0].value == 0xE9 and tokens[1].string == b"\xff"
 
 
 # ---------------------------------------------------------------------------

@@ -605,6 +605,36 @@ def test_server_refuses_a_request_line_over_its_bound(tmp_path):
         assert stats["jobs_failed"] == 1 and stats["jobs_completed"] == 0
 
 
+@pytest.mark.parametrize("body, message", [
+    ("return 1 +;", "unexpected token ';'"),
+    ("return 0x;", "hexadecimal literal '0x' has no digits"),
+], ids=["syntax-error", "hex-without-digits"])
+def test_server_answers_bad_source_with_a_compile_error(tmp_path,
+                                                        monkeypatch, body,
+                                                        message):
+    """Bad source is the client's fault: one non-retryable ``compile``
+    error, so a retrying client sends it once, and the server goes on
+    serving."""
+    source = f"int main(unsigned char *input, int len) {{ {body} }}"
+    with _RunningServer(tmp_path, "compile-error") as running:
+        client = ServiceClient(running.socket_path, timeout=60.0, retries=3)
+        attempts = []
+        send_once = client._request_once
+        monkeypatch.setattr(client, "_request_once", lambda payload: (
+            attempts.append(payload), send_once(payload))[1])
+        with pytest.raises(ServiceError, match=re.escape(message)) as excinfo:
+            client.verify(source=source, level="-O0")
+        assert excinfo.value.kind == "compile"
+        assert excinfo.value.retryable is False
+        assert len(attempts) == 1
+        reply = running.client.verify(
+            source="int main(unsigned char *input, int len) { return 0; }",
+            level="-O0", input_bytes=1)
+        assert reply["ok"] and reply["paths"] == 1
+        stats = running.client.stats()
+        assert stats["jobs_failed"] == 1 and stats["jobs_completed"] == 1
+
+
 def test_server_refuses_input_bytes_over_its_bound(tmp_path, monkeypatch):
     """One symbolic byte per unit is built before any budget applies, so
     an unbounded ``input_bytes`` could exhaust the server's memory."""
