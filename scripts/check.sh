@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI-style gate: tier-1 tests, an IR-verified compile of every workload at
 # every level (PassManager verify_after_each=True, so the IR verifier runs
-# after each individual pass), the docs, registry, fuzz, relcheck, searcher,
-# solver-matrix, service and chaos smokes, and perfbench's own tests.
+# after each individual pass), the library archive's lazy-load check, the
+# docs, registry, fuzz, relcheck, searcher, solver-matrix, service and
+# chaos smokes, and perfbench's own tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
@@ -33,6 +34,27 @@ total = hits + misses
 rate = hits / total if total else 0.0
 print(f"verified {len(all_workloads())} workloads x {len(levels)} levels; "
       f"analysis cache: {hits} hits / {misses} misses ({rate:.0%})")
+PY
+
+echo
+echo "== library archive: a fresh process analyses only the functions it links =="
+# The C library is an archive (src/repro/vlibc/archive.py): a program that
+# calls no library function must load none, so an eager load fails here.
+python - <<'PY'
+from repro.pipelines import CompilerSession, OptLevel
+from repro.pipelines.session import library_archive
+from repro.vlibc import LIBC_FUNCTIONS
+from repro.workloads import get_workload
+
+session = CompilerSession()
+for level in (OptLevel.O0, OptLevel.OVERIFY):
+    session.compile(get_workload("true").source, level=level)
+for verification in (False, True):
+    loaded = library_archive(verification).loaded()
+    functions = [name for name in loaded if name in LIBC_FUNCTIONS]
+    assert not functions, f"true loaded library functions {functions}"
+print(f"true at -O0 and -OVERIFY: loaded {loaded} from each variant, "
+      f"no library function")
 PY
 
 echo

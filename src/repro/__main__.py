@@ -282,7 +282,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             with open(args.source, "r", encoding="utf-8") as handle:
                 source = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             parser.error(f"cannot read {args.source}: {exc}")
         name = args.source
         input_bytes = args.input_bytes if args.input_bytes is not None else 4

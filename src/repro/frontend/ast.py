@@ -245,7 +245,7 @@ class TranslationUnit(Node):
     functions: List[FunctionDef] = field(default_factory=list)
     globals: List[GlobalDecl] = field(default_factory=list)
     structs: List[StructDef] = field(default_factory=list)
-    #: Filled in by sema: every function signature the unit can call (a
-    #: library's included), and the names each function defined here calls.
+    #: Filled in by sema: the signature of every function the unit
+    #: declares or defines, and the names each function defined here calls.
     signatures: Dict[str, CFunction] = field(default_factory=dict)
     calls: Dict[str, Set[str]] = field(default_factory=dict)

@@ -12,7 +12,7 @@ GEP convention: ``getelementptr`` takes a single index operand holding a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from . import ast
 from .ctype import (
@@ -25,6 +25,9 @@ from ..ir import (
     ICmpPredicate, IRBuilder, IntType, Module, Opcode, PointerType, Type,
     Value, I1, I8, I32, I64, VOID as IR_VOID, int_type,
 )
+
+if TYPE_CHECKING:
+    from ..vlibc.archive import LibraryArchive
 
 
 class LoweringError(CompileError):
@@ -766,31 +769,36 @@ class Codegen:
 
 
 def lower(unit: ast.TranslationUnit, module_name: str = "module",
-          library: Optional[ast.TranslationUnit] = None,
+          library: Optional["LibraryArchive"] = None,
           entry_points: Iterable[str] = ()) -> Module:
     """Lower a type-checked translation unit to an IR module.
 
-    With the analysed ``library`` unit it was analysed against, the module
-    is linked: the library's declarations and the library functions
+    With the library archive ``unit`` was analysed against, the module is
+    linked: the library's declarations and the library functions
     reachable over the AST call graph from ``entry_points`` and from every
-    function ``unit`` defines come first, in library order, then ``unit``'s
-    own functions.  A program function that redefines a library function
-    is reached by construction, so it is reported as a redefinition.
+    function ``unit`` defines come first, in library order, then
+    ``unit``'s own functions.  Walking that graph loads each library
+    member it reaches.  A program function that redefines a library
+    function is reached by construction, so it is reported as a
+    redefinition.
     """
     if library is not None:
-        calls = {**library.calls, **unit.calls}
         pending = [f.name for f in unit.functions if f.body is not None]
         pending.extend(entry_points)
         reached: Set[str] = set()
         while pending:
             name = pending.pop()
-            if name not in reached:
-                reached.add(name)
-                pending.extend(calls.get(name, ()))
-        unit = ast.TranslationUnit(
-            functions=[f for f in library.functions
-                       if f.body is None or f.name in reached]
-            + unit.functions,
-            globals=library.globals + unit.globals,
-            structs=library.structs + unit.structs)
+            if name in reached:
+                continue
+            reached.add(name)
+            callees = unit.calls.get(name)
+            if callees is None:
+                member = library.load(name)
+                callees = () if member is None else member.calls.get(name, ())
+            pending.extend(callees)
+        linked = [function for member in library.members
+                  if member.is_declaration or member.name in reached
+                  for function in library.load(member.name).functions]
+        unit = ast.TranslationUnit(functions=linked + unit.functions,
+                                   globals=unit.globals, structs=unit.structs)
     return Codegen(unit, module_name).run()

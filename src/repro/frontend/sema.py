@@ -7,7 +7,7 @@ reports type errors.  The lowering pass relies on these annotations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from . import ast
 from .ctype import (
@@ -15,6 +15,12 @@ from .ctype import (
     ULONG, VOID, decay, integer_promote, usual_arithmetic_conversion,
 )
 from .source import CompileError, nesting_limit
+
+if TYPE_CHECKING:
+    from ..vlibc.archive import LibraryArchive
+
+#: The largest integer literal a 64-bit type (``unsigned long``) holds.
+_MAX_LITERAL = 2 ** 64 - 1
 
 
 class Scope:
@@ -41,16 +47,21 @@ class Scope:
 class SemanticAnalyzer:
     """Type checks a translation unit and annotates its expressions.
 
-    ``library`` is an analysed unit the program is linked against: its
-    function signatures are in scope, as if declared before the program.
+    ``library`` is the archive the program is linked against: its
+    functions are in scope, as if declared before the program.  A name
+    the program calls without declaring it, and a name the program
+    declares or defines, is looked up there, which loads that member.
     """
 
     def __init__(self, unit: ast.TranslationUnit,
-                 library: Optional[ast.TranslationUnit] = None) -> None:
+                 library: Optional["LibraryArchive"] = None) -> None:
         self.unit = unit
+        self.library = library
         self.globals = Scope()
-        self.functions: Dict[str, CFunction] = \
-            dict(library.signatures) if library is not None else {}
+        #: The signatures the unit declares so far (a library archive
+        #: reads them while the unit is one of its members in analysis).
+        self.functions: Dict[str, CFunction] = {}
+        unit.signatures = self.functions
         self.structs: Dict[str, CStruct] = {}
         self.current_return_type: CType = VOID
         self.loop_depth = 0
@@ -68,7 +79,7 @@ class SemanticAnalyzer:
                 function.return_type,
                 tuple(p.param_type for p in function.parameters),
                 function.is_vararg)
-            existing = self.functions.get(function.name)
+            existing = self._function(function.name)
             if existing is not None and function.body is not None and \
                     existing != signature:
                 raise CompileError(
@@ -85,10 +96,17 @@ class SemanticAnalyzer:
                 self.callees = self.unit.calls[function.name] = set()
                 with nesting_limit(function.location):
                     self._analyze_function(function)
-        self.unit.signatures = self.functions
         return self.unit
 
     # ------------------------------------------------------------- helpers
+    def _function(self, name: str) -> Optional[CFunction]:
+        """The signature of function ``name``: the unit's own
+        declaration so far, else the library's."""
+        signature = self.functions.get(name)
+        if signature is None and self.library is not None:
+            signature = self.library.signature(name)
+        return signature
+
     def _resolve(self, ctype: CType) -> CType:
         """Resolve forward-declared struct types to their full definitions."""
         if isinstance(ctype, CStruct) and not ctype.field_names:
@@ -189,6 +207,10 @@ class SemanticAnalyzer:
 
     def _compute_type(self, expr: ast.Expr, scope: Scope) -> CType:
         if isinstance(expr, ast.IntLiteral):
+            if expr.value > _MAX_LITERAL:
+                raise CompileError(
+                    "integer literal is too large for any integer type",
+                    expr.location)
             return INT if -(2 ** 31) <= expr.value < 2 ** 31 else LONG
         if isinstance(expr, ast.CharLiteral):
             return INT
@@ -357,7 +379,7 @@ class SemanticAnalyzer:
         return target_type
 
     def _type_call(self, expr: ast.Call, scope: Scope) -> CType:
-        signature = self.functions.get(expr.callee)
+        signature = self._function(expr.callee)
         if signature is None:
             raise CompileError(f"call to undeclared function '{expr.callee}'",
                                expr.location)
@@ -402,8 +424,9 @@ class SemanticAnalyzer:
 
 
 def analyze(unit: ast.TranslationUnit,
-            library: Optional[ast.TranslationUnit] = None
+            library: Optional["LibraryArchive"] = None
             ) -> ast.TranslationUnit:
     """Run semantic analysis on ``unit`` in place and return it; calls may
-    name any function of the analysed ``library`` unit."""
+    name any function of the ``library`` archive, and resolving one loads
+    that member (see :class:`repro.vlibc.archive.LibraryArchive`)."""
     return SemanticAnalyzer(unit, library).analyze()

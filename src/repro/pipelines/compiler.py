@@ -8,8 +8,8 @@ links the verification-optimized C library.
 
 :func:`compile_source` is a thin wrapper over a one-shot
 :class:`repro.pipelines.session.CompilerSession`, which links the library
-as a separately analysed unit and lowers only the library functions the
-program reaches; a level sweep calls
+as a per-process archive: it analyses a library function only when the
+program reaches it, and lowers only those; a level sweep calls
 :meth:`~repro.pipelines.session.CompilerSession.compile_at_levels` on one
 shared session, which is what lets it parse each program text once.
 """

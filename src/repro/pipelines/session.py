@@ -3,11 +3,13 @@
 The paper's workflow compiles the *same* source several times — once per
 build configuration (Table 1/3 sweep all levels, the ablation harness
 toggles single knobs).  :class:`CompilerSession` parses and semantically
-analyses each program text once, on its own: the C library is a separate
-unit, parsed and analysed once per process per variant, on the first
-compile that links that variant, the way KLEE links a prebuilt uClibc
-instead of recompiling it for every program.  Both variants define the
-same API, so one analysed program unit serves every level.
+analyses each program text once, on its own.  The C library is linked
+the way ``ld`` links ``libc.a``: each variant is a per-process
+:class:`~repro.vlibc.archive.LibraryArchive` with one member per
+function, and a member is parsed and analysed only when the program (or
+another member) first names it, once per process; a program that calls
+no library function analyses none.  Both variants define the same API,
+so one analysed program unit serves every level.
 
 Every compile lowers a fresh module from the cached units (lowering is
 deterministic and side-effect free on them, which the test suite pins
@@ -35,20 +37,34 @@ from ..analysis import AnalysisManagerStats
 from ..frontend import analyze, ast, lower, parse
 from ..ir import Module, verify_module
 from ..passes import format_pipeline
-from ..vlibc import libc_source
+from ..vlibc import LibraryArchive, libc_source
 from .levels import OptLevel, build_pipeline
 from .compiler import CompilationResult, CompileOptions, uses_verification_libc
 
-#: Each libc variant's analysed unit, keyed by "is the verification
-#: variant"; filled on first use, never at import.  Nothing writes to a
-#: unit after its analysis, so every session and thread of the process
-#: shares them (two threads racing on a first use each store an equal unit).
-_LIBRARIES: Dict[bool, ast.TranslationUnit] = {}
+#: Each libc variant's archive, keyed by "is the verification variant";
+#: made on first use, never at import, and shared by every session and
+#: thread of the process.
+_LIBRARIES: Dict[bool, LibraryArchive] = {}
 
 #: Analysed program units one session keeps (least recently used first
 #: out).  Re-analysing an evicted text gives an equal unit, so eviction
 #: costs time, never output.
 MAX_SESSION_UNITS = 256
+
+
+def library_archive(verification: bool) -> LibraryArchive:
+    """The process's archive of the libc variant (the verification one if
+    ``verification``), split on first use.  Its members are parsed and
+    analysed through this module's ``parse`` and ``analyze``, looked up at
+    each load as the program's are, so a wrapper installed on those names
+    sees every member load too."""
+    archive = _LIBRARIES.get(verification)
+    if archive is None:
+        archive = _LIBRARIES.setdefault(verification, LibraryArchive(
+            libc_source(verification),
+            lambda text: parse(text, "<vlibc>"),
+            lambda unit, library: analyze(unit, library=library)))
+    return archive
 
 
 @dataclass
@@ -57,7 +73,7 @@ class SessionStats:
 
     compiles: int = 0
     #: Front-end cache behaviour: a parse is one full parse+sema run of a
-    #: program text (the library units are per process, not per session).
+    #: program text (library members are per process, not per session).
     frontend_parses: int = 0
     frontend_reuses: int = 0
 
@@ -87,11 +103,7 @@ class CompilerSession:
         """``program_source`` linked with the libc variant ``options``
         select and lowered: the unoptimized module a pipeline starts
         from."""
-        verification = uses_verification_libc(options)
-        library = _LIBRARIES.get(verification)
-        if library is None:
-            library = analyze(parse(libc_source(verification), "<vlibc>"))
-            _LIBRARIES[verification] = library
+        library = library_archive(uses_verification_libc(options))
         unit = self._units.get(program_source)
         if unit is None:
             unit = analyze(parse(program_source), library=library)

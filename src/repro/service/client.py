@@ -23,6 +23,12 @@ import time
 from typing import Dict, Optional
 
 
+#: Seconds :meth:`ServiceClient.wait_until_ready` waits between pings: a
+#: failed ping to a socket not yet bound costs microseconds, so a short
+#: poll sees a starting server within milliseconds of its bind.
+READY_POLL_S = 0.005
+
+
 class ServiceError(RuntimeError):
     """The service could not be reached or reported a failure.
 
@@ -183,9 +189,9 @@ class ServiceClient:
         return self.request(payload)
 
     def wait_until_ready(self, deadline: float = 10.0) -> None:
-        """Poll ``ping`` until the server answers (it may still be
-        binding its socket); raise :class:`ServiceError` after
-        ``deadline`` seconds."""
+        """Poll ``ping`` every :data:`READY_POLL_S` seconds until the
+        server answers (it may still be binding its socket); raise
+        :class:`ServiceError` after ``deadline`` seconds."""
         end = time.monotonic() + deadline
         while True:
             try:
@@ -197,7 +203,7 @@ class ServiceClient:
                 raise ServiceError(
                     f"verification service at {self.socket_path} did not "
                     f"come up within {deadline:.1f}s")
-            time.sleep(0.05)
+            time.sleep(READY_POLL_S)
 
 
 __all__ = ["ServiceClient", "ServiceError"]

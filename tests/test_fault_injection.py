@@ -528,6 +528,21 @@ class TestCommandLineInput:
             capsys.readouterr().err
         assert main(["--source", str(source)]) == 0
 
+    def test_source_that_is_not_utf8_is_a_usage_error(self, tmp_path,
+                                                       capsys):
+        """A source file the CLI cannot decode is refused like one it
+        cannot open: a ``cannot read`` usage error and exit status 2, not
+        a ``UnicodeDecodeError`` traceback."""
+        from repro.__main__ import main
+
+        source = tmp_path / "latin1.c"
+        source.write_bytes(b"int main(unsigned char *input, int len) "
+                           b"{ return \xff; }\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--source", str(source), "--level", "O0"])
+        assert excinfo.value.code == 2
+        assert f"cannot read {source}" in capsys.readouterr().err
+
 
 # --------------------------------------------------------------- client retry
 
@@ -541,6 +556,30 @@ class TestClientRetry:
             client.ping()
         assert excinfo.value.kind == "unavailable"
         assert time.monotonic() - start >= 0.01  # it did back off
+
+    def test_readiness_poll_is_short_and_keeps_its_deadline(self, tmp_path,
+                                                           monkeypatch):
+        """``wait_until_ready`` pings every few milliseconds, so a
+        server is seen within milliseconds of binding, and still gives up
+        with ``ServiceError`` at its deadline when nothing ever binds."""
+        import repro.service.client as client_module
+
+        sleeps = []
+        real_sleep = time.sleep
+
+        def recording_sleep(seconds):
+            sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(client_module.time, "sleep", recording_sleep)
+        client = ServiceClient(tmp_path / "never-bound.sock", timeout=1.0)
+        start = time.monotonic()
+        with pytest.raises(ServiceError, match="did not come up"):
+            client.wait_until_ready(deadline=0.2)
+        elapsed = time.monotonic() - start
+        assert 0.2 <= elapsed < 2.0
+        assert sleeps and max(sleeps) <= 0.005
+        assert len(sleeps) >= 10  # it kept polling up to the deadline
 
     def test_protocol_errors_are_never_retried(self, tmp_path):
         with _RunningServer(tmp_path, "noretry") as running:

@@ -208,6 +208,24 @@ class TestSema:
         with pytest.raises(CompileError, match="undeclared function"):
             analyze(parse("int f() { return g(); }"))
 
+    @pytest.mark.parametrize("literal", [
+        "1111111111111111111111111111111111111111",  # 40 decimal digits
+        "18446744073709551616",  # 2**64
+        "0x10000000000000000",
+    ])
+    def test_integer_literal_wider_than_64_bits_is_an_error(self, literal):
+        source = f"int f(void) {{\n  return {literal};\n}}\n"
+        with pytest.raises(CompileError, match="too large") as excinfo:
+            analyze(parse(source))
+        location = excinfo.value.location
+        assert (location.line, location.column) == (2, 10)
+
+    @pytest.mark.parametrize("literal", ["18446744073709551615",
+                                         "0xFFFFFFFFFFFFFFFF"])
+    def test_largest_64_bit_literal_is_accepted(self, literal):
+        unit = analyze(parse(f"long f(void) {{ return {literal}; }}"))
+        assert unit.functions[0].body.statements[0].value.ctype.width == 64
+
     def test_call_arity_checked(self):
         with pytest.raises(CompileError, match="expects 2 arguments"):
             analyze(parse("int g(int a, int b) { return a; }"

@@ -31,9 +31,10 @@ Neither may change what a compile produces, and neither may leaving
    prints the same once the ``__overify_check_fail`` declaration, which
    may move to the end, is dropped; at -O0 and -O1 the module is the
    textual one without the library functions the program cannot reach.
-   Exploring every registry program's -O0 and -O1 build over one byte,
-   to a path budget, gives the same counters and bugs as the textual
-   link's.
+   The same holds for a program that prototypes the library functions it
+   calls.  Exploring every registry program's -O0 and -O1 build over one
+   byte, to a path budget, gives the same counters and bugs as the
+   textual link's.
 """
 
 from __future__ import annotations
@@ -231,6 +232,15 @@ def test_registry_link_matches_textual_link(name):
 def test_fuzz_link_matches_textual_link(seed):
     _assert_link_matches_textual_link(generate_program(seed),
                                       f"fuzz seed {seed}")
+
+
+def test_prototyped_library_functions_link_as_the_textual_link():
+    source = ("int atoi(unsigned char *s);\n"
+              "int isdigit(int c);\n"
+              "int main(unsigned char *input, int len) {\n"
+              "  return atoi(input) + isdigit(input[0]);\n"
+              "}\n")
+    _assert_link_matches_textual_link(source, "prototypes")
 
 
 def _exploration(module):
