@@ -74,12 +74,18 @@ def check_store_write(tmp: Path) -> str:
         except StoreError as exc:
             assert exc.retryable and exc.site == "store.write"
         else:
-            raise AssertionError("torn write did not surface")
-        assert path.read_bytes() == before, "atomicity violated"
-        assert not list(tmp.glob("*.tmp")), "temp-file debris left behind"
+            raise AssertionError("torn append did not surface")
+        assert path.read_bytes().startswith(before), "saved bytes rewritten"
+        reader = SolverKnowledgeStore(path)
+        assert reader.load() is True and reader.memo_count == 1, \
+            "a record saved before the torn append was lost"
+        assert reader.load_error == "skipped damaged record lines: 1", \
+            reader.load_error
         store.save()
-    assert SolverKnowledgeStore(path).load() is True
-    return "previous file byte-identical through the torn write; retry won"
+    reader = SolverKnowledgeStore(path)
+    assert reader.load() is True and reader.memo_count == 2, \
+        "the retry did not append its batch"
+    return "records saved before the torn append load; the retry appended"
 
 
 def check_store_load(tmp: Path) -> str:

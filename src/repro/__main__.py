@@ -179,6 +179,16 @@ def _lacks_main(module: Module) -> bool:
 _NO_MAIN = "error: program defines no function 'main'"
 
 
+def _error_line(exc: Exception, source_path: Optional[str]) -> str:
+    """The ``error:`` line of a failed build; a diagnostic in the program
+    names the ``--source`` file, one in the library keeps its name."""
+    if source_path and isinstance(exc, CompileError) and \
+            exc.location.filename == "<source>":
+        location = exc.location._replace(filename=source_path)
+        return f"error: {location}: {exc.message}"
+    return f"error: {exc}"
+
+
 def _verify_with_store(path: str, caches: SharedSolverCaches,
                        backend: VerificationBackend, module: Module,
                        request: VerificationRequest) -> VerificationOutcome:
@@ -318,7 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 1
             return _explain_paths(module, spec, input_bytes, args.timeout)
         except (CompileError, PipelineSyntaxError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(_error_line(exc, args.source), file=sys.stderr)
             return 1
 
     try:
@@ -347,7 +357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             instruction_count = result.instruction_count
             analysis_stats = result.analysis_stats
     except (CompileError, PipelineSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_error_line(exc, args.source), file=sys.stderr)
         return 1
     if (args.verify or args.run) and _lacks_main(module):
         print(_NO_MAIN, file=sys.stderr)

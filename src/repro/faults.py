@@ -2,9 +2,9 @@
 
 The stack treats partial failure as a first-class outcome (see
 ``docs/robustness.md``): a solver exception on one path becomes a
-diagnosed ``engine-error`` path, a torn store write leaves the previous
-store intact, a malformed service request gets a structured ``protocol``
-error response.  Two things make that contract testable:
+diagnosed ``engine-error`` path, a torn store append costs no record
+saved before it, a malformed service request gets a structured
+``protocol`` error response.  Two things make that contract testable:
 
 * **The taxonomy.**  Every failure the stack raises deliberately is a
   :class:`ReproError` subclass carrying a stable ``kind`` string (wired

@@ -33,6 +33,9 @@ _UNARY_OPS = {"+", "-", "!", "~", "*", "&", "++", "--"}
 _TYPE_KEYWORDS = {"void", "char", "short", "int", "long", "unsigned", "signed",
                   "_Bool", "const", "struct"}
 
+#: The largest array a declaration may make, in bytes.
+_MAX_ARRAY_BYTES = 2**31 - 1
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.frontend.ast.TranslationUnit`.
@@ -193,7 +196,7 @@ class Parser:
                              field_types=field_types, location=location)
 
     def _parse_array_suffix(self, ty: CType) -> CType:
-        dims: List[int] = []
+        sizes: List[Token] = []
         while self._accept_punct("["):
             size_tok = self._peek()
             if size_tok.kind is not TokenKind.INT_LITERAL:
@@ -201,9 +204,17 @@ class Parser:
                                    size_tok.location)
             self._advance()
             self._expect_punct("]")
-            dims.append(size_tok.value)
-        for dim in reversed(dims):
-            ty = CArray(ty, dim)
+            sizes.append(size_tok)
+        for size_tok in reversed(sizes):
+            if ty.is_void:
+                raise CompileError("array of void", size_tok.location)
+            if size_tok.value == 0:
+                raise CompileError("array size must be positive",
+                                   size_tok.location)
+            ty = CArray(ty, size_tok.value)
+            if ty.size_in_bytes() > _MAX_ARRAY_BYTES:
+                raise CompileError(f"array is larger than {_MAX_ARRAY_BYTES} "
+                                   f"bytes", size_tok.location)
         return ty
 
     def _parse_global(self, var_type: CType, name_tok: Token) -> ast.GlobalDecl:

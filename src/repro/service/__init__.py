@@ -2,9 +2,9 @@
 asyncio front door over a local socket.
 
 * :mod:`repro.service.store` — :class:`SolverKnowledgeStore`: exact
-  solver group results and per-function verification memos, serialized
-  to a versioned, checksummed, atomically-replaced file keyed by
-  canonical constraint-group fingerprints.
+  solver group results and per-function verification memos, appended
+  to a versioned, checksummed journal keyed by canonical
+  constraint-group fingerprints.
 * :mod:`repro.service.server` — :class:`VerificationServer`: the
   JSON-line front door that compiles, dedupes, memoizes and verifies
   jobs against store-primed shared solver caches.
@@ -17,14 +17,14 @@ See ``docs/service.md``.
 from .client import ServiceClient, ServiceError
 from .server import VerificationServer, serve
 from .store import (
-    SolverKnowledgeStore, StoreFormatError, WireError, expr_from_wire,
-    expr_to_wire, group_fingerprint, verification_fingerprint,
+    SolverKnowledgeStore, WireError, expr_from_wire, expr_to_wire,
+    group_fingerprint, verification_fingerprint,
 )
 
 __all__ = [
     "ServiceClient", "ServiceError",
     "VerificationServer", "serve",
-    "SolverKnowledgeStore", "StoreFormatError", "WireError",
+    "SolverKnowledgeStore", "WireError",
     "expr_from_wire", "expr_to_wire", "group_fingerprint",
     "verification_fingerprint",
 ]

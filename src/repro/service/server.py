@@ -22,8 +22,8 @@ service-level layers on top:
   results under one lock, primed from the store at startup; a job whose
   constraint groups are answered by primed entries reports
   ``"provenance": "warm-store"``.  Everything a job learned is absorbed
-  back into the store, which is saved atomically after every job that was
-  not a memo hit.
+  back into the store, which appends what the job learned to its file
+  after every job that was not a memo hit.
 
 Concurrency model: the asyncio loop only parses requests and awaits; the
 blocking work (compile + verify) runs on a thread pool.  Compiles are

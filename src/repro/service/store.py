@@ -21,26 +21,26 @@ Design points (see ``docs/service.md`` for the file format):
   constraint group's fingerprint is the SHA-256 over its sorted
   constraint wire forms and is therefore independent of process, hash
   seed, and constraint order.
-* **Versioned, checksummed JSON-lines format with atomic writes.**  A
-  header pins format name + version, every record carries a checksum of
-  its own body, and a footer records the expected record count (a
-  truncated tail is detected even when it ends on a line boundary).
-  Saves go through a temp file + ``os.replace`` in the same directory,
-  so no reader ever sees a half-written file.  A save whose file another
-  writer has replaced since this store last read or wrote it unions that
-  file's records first (read-merge-replace), so concurrent writers never
-  clobber each other's knowledge.
+* **A versioned, checksummed, append-only journal.**  A header pins
+  format name + version and every record carries a checksum of its own
+  body.  A save appends, in one ``O_APPEND`` write and an fsync, the
+  records learned since the store's last successful save; it never
+  reads, merges or rewrites the file, so writers sharing one path (the
+  CLI, relcheck and a server) union their knowledge and none can drop
+  another's batch.  Every append starts a new line, so a record never
+  continues a line a torn append left unfinished.
 * **Pay for what is new.**  :meth:`SolverKnowledgeStore.absorb`
   fingerprints only groups the store does not already hold, and a save
-  encodes only records it has not written before; neither re-reads nor
-  re-encodes what the store already knows.
-* **Corruption degrades to cold, never to wrong.**  Any load problem —
-  missing file, version mismatch, truncation, checksum mismatch,
-  malformed JSON or wire form — empties the store and records the reason
-  in :attr:`SolverKnowledgeStore.load_error`.  A store entry is only ever
-  *added* to the solver caches through
-  :meth:`~repro.symex.solver.SharedSolverCaches.remember`, which the
-  solver treats exactly like knowledge it solved itself.
+  encodes only the records it appends; neither re-reads nor re-encodes
+  what the store already knows.
+* **Damage costs the damaged line, never a wrong answer.**  A record
+  line that does not parse or fails its checksum (a torn append, a
+  flipped byte) is skipped and counted in
+  :attr:`SolverKnowledgeStore.load_error` while the rest loads; a file
+  whose header is foreign or of another version is moved aside and the
+  run starts cold.  A store entry is only ever *added* to the solver
+  caches through :meth:`~repro.symex.solver.SharedSolverCaches.remember`,
+  which the solver treats exactly like knowledge it solved itself.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import (
@@ -65,25 +64,21 @@ from ..verification import (
 )
 
 FORMAT_NAME = "repro-solver-store"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _Decoded = TypeVar("_Decoded")
 
 #: Fault sites around store persistence (``docs/robustness.md``).
-#: ``store.write`` fires between the temp-file write and the atomic
-#: rename — the torn-write window the save path must survive;
-#: ``store.load`` fires at read time, degrading the run to a cold start.
+#: ``store.write`` fires after part of an append is in the file, before
+#: the rest and the fsync — the torn-append window the journal must
+#: survive; ``store.load`` fires at read time, degrading the run to a
+#: cold start.
 _STORE_WRITE = _fault_site("store.write", StoreError)
 _STORE_LOAD = _fault_site("store.load", StoreError)
 
 
 class WireError(ValueError):
     """A serialized expression or record failed validation."""
-
-
-class StoreFormatError(ValueError):
-    """The store file is unreadable as a whole (version, truncation,
-    checksum); the loader turns this into a cold start."""
 
 
 # --------------------------------------------------------------- wire codec
@@ -192,6 +187,18 @@ def _record_checksum(record: Dict[str, object]) -> str:
         _canonical_json(body).encode("utf-8")).hexdigest()[:16]
 
 
+#: The first line of every store file.
+_HEADER = _canonical_json({"format": FORMAT_NAME, "version": FORMAT_VERSION})
+
+
+def _record_line(kind: str, key: str, body: Dict[str, object]) -> str:
+    """The journal line of one record: its body, kind and key, and the
+    checksum of all three."""
+    record = dict(body, kind=kind, key=key)
+    record["sum"] = _record_checksum(record)
+    return _canonical_json(record)
+
+
 # ----------------------------------------------------- verification memos
 
 def verification_fingerprint(module: Module, request: VerificationRequest,
@@ -295,7 +302,7 @@ def verify_memoized(store: "SolverKnowledgeStore",
 
 class SolverKnowledgeStore:
     """The persistent knowledge store: the solver's exact group results
-    plus verification memos, living in one JSON-lines file.
+    plus verification memos, living in one append-only JSON-lines file.
 
     ``path=None`` makes a memory-only store (the service without
     ``--store``): the same API, with :meth:`load`/:meth:`save` as no-ops.
@@ -305,11 +312,12 @@ class SolverKnowledgeStore:
     def __init__(self, path: Optional[object] = None) -> None:
         self.path = None if path is None else Path(path)
         self._lock = threading.Lock()
-        #: Why the last load came up cold ("" = it didn't).
+        #: What the last load could not use ("" = nothing): why it came
+        #: up cold, or how many damaged record lines it skipped.
         self.load_error = ""
-        #: Where a corrupt store file was moved aside ("" = never).  The
-        #: quarantined original is kept for post-mortems; the service
-        #: continues cold instead of crash-looping on the same bad bytes.
+        #: Where a store file this build cannot read was moved aside
+        #: ("" = never).  The original is kept for post-mortems; the
+        #: service continues cold instead of crash-looping on it.
         self.quarantined = ""
         self._reset()
 
@@ -319,11 +327,9 @@ class SolverKnowledgeStore:
         #: Solver groups (keys of ``SharedSolverCaches.results``) whose
         #: record this store holds; :meth:`absorb` skips them unhashed.
         self._known: Set[FrozenSet[Expr]] = set()
-        #: ``(kind, key)`` -> the record's encoded line, ``sum`` included.
-        self._lines: Dict[Tuple[str, str], str] = {}
-        #: SHA-256 of the file bytes this store last read or wrote: a save
-        #: that finds them unchanged has nothing to merge.
-        self._digest: Optional[bytes] = None
+        #: ``(kind, key)`` of every record learned since the last
+        #: successful save: the next save's batch.
+        self._pending: Set[Tuple[str, str]] = set()
 
     def __len__(self) -> int:
         return len(self._groups) + len(self._memos)
@@ -335,9 +341,10 @@ class SolverKnowledgeStore:
     # ------------------------------------------------------------- loading
     def load(self) -> bool:
         """Read the store file.  Returns True when warm knowledge was
-        loaded; every failure mode (missing file, bad version, truncation,
-        checksum mismatch, malformed content) leaves the store empty and
-        the reason in :attr:`load_error` — never an exception."""
+        loaded.  A missing, empty or unreadable file, or one whose header
+        is foreign or of another version, leaves the store empty; a
+        damaged record line is skipped while the rest loads.  Either way
+        the reason is in :attr:`load_error` — never an exception."""
         with self._lock:
             self._reset()
             self.load_error = ""
@@ -352,30 +359,40 @@ class SolverKnowledgeStore:
                     self.load_error = f"fault: {exc}"
                     return False
             try:
-                data = self.path.read_bytes()
-                text = data.decode("utf-8")
+                text = self.path.read_bytes().decode("utf-8", "replace")
             except FileNotFoundError:
                 self.load_error = "missing"
                 return False
-            except (OSError, UnicodeDecodeError) as exc:
+            except OSError as exc:
                 self.load_error = f"unreadable: {exc}"
                 return False
+            lines = [line for line in text.split("\n") if line]
+            if not lines:
+                self.load_error = "empty"
+                return False
             try:
-                self._parse(text)
-            except Exception as exc:
-                self._reset()
+                header = json.loads(lines[0])
+                if not isinstance(header, dict) or \
+                        header.get("format") != FORMAT_NAME:
+                    raise ValueError("not a solver store")
+                if header.get("version") != FORMAT_VERSION:
+                    raise ValueError(
+                        f"version {header.get('version')!r} "
+                        f"(this build reads {FORMAT_VERSION})")
+            except (ValueError, RecursionError) as exc:
                 self.load_error = f"corrupt: {exc}"
                 self.quarantined = self._quarantine()
                 return False
-            self._digest = hashlib.sha256(data).digest()
+            damaged = self._parse(lines)
+            if damaged:
+                self.load_error = f"skipped damaged record lines: {damaged}"
             return len(self) > 0
 
     def _quarantine(self) -> str:
-        """Move a corrupt store file aside to ``<path>.corrupt-<n>`` so
-        the next save starts clean instead of re-reading (and re-merging
-        with) bad bytes forever.  Returns the quarantine path, or ``""``
-        when the rename itself failed (read-only filesystem, races) — the
-        store still degrades to cold either way."""
+        """Move a store file this build cannot read aside to
+        ``<path>.corrupt-<n>``, so the next save starts a new journal.
+        Returns that path, or ``""`` when the rename failed (the store
+        is cold either way)."""
         for n in range(1, 1000):
             target = Path(f"{self.path}.corrupt-{n}")
             if target.exists():
@@ -387,121 +404,80 @@ class SolverKnowledgeStore:
             return str(target)
         return ""
 
-    def _parse(self, text: str) -> None:
-        lines = text.splitlines()
-        if not lines:
-            raise StoreFormatError("empty file")
-        header = json.loads(lines[0])
-        if not isinstance(header, dict) or \
-                header.get("format") != FORMAT_NAME:
-            raise StoreFormatError("not a solver store")
-        if header.get("version") != FORMAT_VERSION:
-            raise StoreFormatError(
-                f"version {header.get('version')!r} "
-                f"(this build reads {FORMAT_VERSION})")
-        if len(lines) < 2:
-            raise StoreFormatError("truncated: missing footer")
-        footer = json.loads(lines[-1])
-        if not isinstance(footer, dict) or footer.get("kind") != "end":
-            raise StoreFormatError("truncated: no end marker")
-        records = lines[1:-1]
-        if footer.get("records") != len(records):
-            raise StoreFormatError(
-                f"truncated: footer expects {footer.get('records')} "
-                f"records, found {len(records)}")
-        tables = self._tables()
-        for line in records:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise StoreFormatError(f"record is not an object: {line!r}")
-            if record.get("sum") != _record_checksum(record):
-                raise StoreFormatError("record checksum mismatch")
-            kind = record.pop("kind", None)
-            record.pop("sum", None)
-            key = record.pop("key", None)
-            table = tables.get(kind)
-            if table is None or not isinstance(key, str):
-                raise StoreFormatError(f"malformed record kind={kind!r}")
-            table[key] = record
-
-    def _tables(self) -> Dict[str, Dict[str, dict]]:
-        """The record kinds, in file order, with their tables."""
-        return {"group": self._groups, "memo": self._memos}
+    def _parse(self, lines: List[str]) -> int:
+        """Load the record lines after the header and return how many were
+        damaged.  A later memo line replaces an earlier one; the first
+        line for a group wins, as in ``remember``."""
+        damaged = 0
+        for line in lines[1:]:
+            if line == _HEADER:
+                continue  # a writer that created the file concurrently
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):
+                record = None
+            if not isinstance(record, dict) or \
+                    record.pop("sum", None) != _record_checksum(record):
+                damaged += 1
+                continue
+            kind, key = record.pop("kind", None), record.pop("key", None)
+            if kind == "group" and isinstance(key, str):
+                self._groups.setdefault(key, record)
+            elif kind == "memo" and isinstance(key, str):
+                self._memos[key] = record
+            else:
+                damaged += 1
+        return damaged
 
     # -------------------------------------------------------------- saving
     def save(self) -> None:
-        """Atomically persist the store (read-merge-replace).
+        """Append the records learned since the last successful save.
 
-        When the file is not the one this store last read or wrote (its
-        SHA-256 differs: another writer replaced it, it was deleted, or
-        this store never read it), it is re-read first and any records it
-        has that this store lacks are merged in (this store's entries win
-        on key collisions), so two concurrent writers union their
-        knowledge instead of the last one clobbering the first.  Each
-        record is encoded once and its line reused by later saves.  The
-        write itself goes through a same-directory temp file and
-        ``os.replace``: readers only ever see a complete old or complete
-        new file."""
+        The batch goes to the file in one ``O_APPEND`` write followed by
+        an fsync; a missing or empty file gets the header and every
+        record this store holds.  The file is never read, merged or
+        rewritten, so concurrent writers cannot drop each other's
+        batches.  A failed save raises :class:`StoreError` and keeps its
+        batch for the retry; what it left in the file is at most a torn
+        line, which the loader skips."""
         if self.path is None:
             return
         with self._lock:
+            tables = {"group": self._groups, "memo": self._memos}
             try:
-                on_disk = hashlib.sha256(self.path.read_bytes()).digest()
-            except OSError:
-                on_disk = None
-            if on_disk != self._digest:
-                current = SolverKnowledgeStore(self.path)
-                current.load()
-                theirs = current._tables()
-                for kind, table in self._tables().items():
-                    for key, record in theirs[kind].items():
-                        table.setdefault(key, record)
-            lines = [_canonical_json({"format": FORMAT_NAME,
-                                      "version": FORMAT_VERSION})]
-            for kind, table in self._tables().items():
-                for key in sorted(table):
-                    line = self._lines.get((kind, key))
-                    if line is None:
-                        record = dict(table[key])
-                        record["kind"] = kind
-                        record["key"] = key
-                        record["sum"] = _record_checksum(record)
-                        line = _canonical_json(record)
-                        self._lines[(kind, key)] = line
-                    lines.append(line)
-            lines.append(_canonical_json({"kind": "end",
-                                          "records": len(lines) - 1}))
-            payload = ("\n".join(lines) + "\n").encode("utf-8")
-            try:
-                directory = self.path.parent
-                directory.mkdir(parents=True, exist_ok=True)
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=str(directory), prefix=self.path.name + ".",
-                    suffix=".tmp")
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.path,
+                             os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+                try:
+                    lines = []
+                    if os.fstat(fd).st_size == 0:
+                        # A new journal: the header and every record.
+                        lines.append(_HEADER)
+                        self._pending.update(
+                            (kind, key) for kind, table in tables.items()
+                            for key in table)
+                    elif not self._pending:
+                        return
+                    lines.extend(_record_line(kind, key, tables[kind][key])
+                                 for kind, key in sorted(self._pending))
+                    payload = "".join("\n" + line for line in lines).encode()
+                    if _STORE_WRITE.armed:
+                        # The torn-append window: half the batch is in the
+                        # file.  An injected kill here must cost no record
+                        # saved before, and the retry must append it whole.
+                        half = len(payload) // 2
+                        os.write(fd, payload[:half])
+                        _STORE_WRITE.fire()
+                        payload = payload[half:]
+                    if os.write(fd, payload) != len(payload):
+                        raise OSError("short write")
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
             except OSError as exc:
                 raise StoreError(f"store save failed: {exc}",
                                  site="store.write") from exc
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                if _STORE_WRITE.armed:
-                    # The torn-write window: the temp file is complete but
-                    # the rename has not happened.  An injected kill here
-                    # must leave the published file byte-identical.
-                    _STORE_WRITE.fire()
-                os.replace(tmp_name, self.path)
-            except BaseException as exc:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                if isinstance(exc, OSError):
-                    raise StoreError(f"store save failed: {exc}",
-                                     site="store.write") from exc
-                raise
-            self._digest = hashlib.sha256(payload).digest()
+            self._pending.clear()
 
     # ------------------------------------------------- cache <-> store
     def prime(self, caches: SharedSolverCaches) -> int:
@@ -554,6 +530,7 @@ class SolverKnowledgeStore:
                         else dict(result.model),
                         "canonical": canonical,
                     }
+                    self._pending.add(("group", fingerprint))
                     added += 1
         return added
 
@@ -577,12 +554,12 @@ class SolverKnowledgeStore:
     def memo_record(self, key: str, payload: Dict[str, object]) -> None:
         with self._lock:
             self._memos[key] = payload
-            self._lines.pop(("memo", key), None)
+            self._pending.add(("memo", key))
 
 
 __all__ = [
-    "FORMAT_NAME", "FORMAT_VERSION", "SolverKnowledgeStore",
-    "StoreFormatError", "WireError", "expr_from_wire", "expr_to_wire",
+    "FORMAT_NAME", "FORMAT_VERSION", "SolverKnowledgeStore", "WireError",
+    "expr_from_wire", "expr_to_wire",
     "group_fingerprint", "memo_to_outcome", "outcome_to_memo",
     "relcheck_fingerprint", "verification_fingerprint", "verify_memoized",
 ]

@@ -231,21 +231,31 @@ def _populated_store(path):
 
 class TestStoreFaults:
     def test_torn_write_leaves_previous_file_intact(self, tmp_path):
+        """A torn append costs at most its own batch: every record saved
+        before it loads, the torn line is skipped and counted, and the
+        retry appends the batch whole."""
         path = tmp_path / "knowledge.jsonl"
-        _populated_store(path).save()
-        before = path.read_bytes()
         store = _populated_store(path)
+        store.save()
+        before = path.read_bytes()
         store.memo_record("m" * 64, {"paths": 2})
         with injected("store.write:once"):
             with pytest.raises(StoreError) as excinfo:
                 store.save()
             assert excinfo.value.site == "store.write"
             assert excinfo.value.retryable
-            assert path.read_bytes() == before  # atomicity held
-            assert list(tmp_path.glob("*.tmp")) == []  # no debris
+            torn = path.read_bytes()
+            assert torn.startswith(before) and len(torn) > len(before)
+            reader = SolverKnowledgeStore(path)
+            assert reader.load() is True
+            assert len(reader) == len(store) - 1  # all but the torn memo
+            assert reader.load_error == "skipped damaged record lines: 1"
             store.save()  # budget spent: the retry succeeds
-        assert path.read_bytes() != before
-        assert SolverKnowledgeStore(path).load() is True
+        assert path.read_bytes().startswith(torn)
+        reader = SolverKnowledgeStore(path)
+        assert reader.load() is True
+        assert len(reader) == len(store)
+        assert reader.memo_lookup("m" * 64, dict) == {"paths": 2}
 
     def test_load_fault_degrades_to_cold_without_touching_file(
             self, tmp_path):
@@ -288,10 +298,13 @@ class TestStoreFaults:
         captured = capsys.readouterr()
         assert "[cold]" in captured.out
         assert "store not saved" in captured.err
-        assert not store_path.exists()  # ...but nothing persisted
-        assert main(argv) == 0
-        assert "[cold]" in capsys.readouterr().out
+        # ...and half its batch reached the file: the memo, written last,
+        # did not, so the rerun verifies again and appends it.
         assert store_path.exists()
+        assert main(argv) == 0
+        assert "[memo-hit]" not in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "[memo-hit]" in capsys.readouterr().out
 
     def test_relcheck_cli_survives_save_fault_end_to_end(self, tmp_path,
                                                          capsys):
@@ -305,9 +318,9 @@ class TestStoreFaults:
         captured = capsys.readouterr()
         assert "EQUIVALENT" in captured.out and "[cold]" in captured.out
         assert "store not saved" in captured.err
-        assert not store_path.exists()
+        assert store_path.exists()  # half the batch, not the memo
         assert main(argv) == 0
-        assert store_path.exists()
+        assert "[memo-hit]" not in capsys.readouterr().out
         assert main(argv) == 0  # the saved memo answers the rerun
         assert "[memo-hit]" in capsys.readouterr().out
 
@@ -542,6 +555,26 @@ class TestCommandLineInput:
             main(["--source", str(source), "--level", "O0"])
         assert excinfo.value.code == 2
         assert f"cannot read {source}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--explain-paths"],
+                                       ["--passes", "mem2reg"]])
+    def test_compile_error_names_the_source_file(self, flags, tmp_path,
+                                                  capsys):
+        """A diagnostic in a ``--source`` program names that file, not
+        ``<source>``; a library diagnostic keeps ``<vlibc>``."""
+        from repro.__main__ import _error_line, main
+        from repro.frontend import CompileError
+        from repro.frontend.source import SourceLocation
+
+        source = tmp_path / "wide.c"
+        source.write_text("int main(unsigned char *input, int len) "
+                          "{ return " + "1" * 40 + "; }\n")
+        assert main(["--source", str(source), "--level", "O0", *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {source}:1:50: integer literal is too large for any "
+            f"integer type\n")
+        library = CompileError("bad", SourceLocation(3, 4, "<vlibc>"))
+        assert _error_line(library, str(source)) == "error: <vlibc>:3:4: bad"
 
 
 # --------------------------------------------------------------- client retry

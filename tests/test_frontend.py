@@ -190,6 +190,33 @@ class TestParser:
         with pytest.raises(CompileError):
             parse("int f() { if (1) { return 0; }")
 
+    @pytest.mark.parametrize("declaration, literal, message", [
+        ("unsigned char a[0];", "0", "must be positive"),
+        ("unsigned char a[99999999999999999999999];", "9999",
+         "larger than 2147483647 bytes"),
+        ("int a[536870912];", "536870912", "larger than"),  # 2 GiB of int
+        ("char a[2][1073741824];", "2", "larger than"),  # the outer size
+        ("struct s { char b[0]; };", "0", "must be positive"),
+        ("void a[3];", "3", "array of void"),
+    ])
+    def test_array_size_out_of_range_is_an_error_at_its_literal(
+            self, declaration, literal, message):
+        """A zero dimension and an array above 2**31 - 1 bytes are
+        diagnosed at the size literal; they used to compile, and the
+        memory model gave the zero-size array a byte, so an access past
+        it ran unflagged."""
+        source = f"int n;\n  {declaration}\n"
+        with pytest.raises(CompileError, match=message) as excinfo:
+            parse(source)
+        location = excinfo.value.location
+        assert (location.line, location.column) == \
+            (2, 3 + declaration.index(literal))
+
+    def test_largest_array_is_accepted(self):
+        unit = parse("char a[2147483647]; int b[536870911];")
+        assert [g.var_type.size_in_bytes() for g in unit.globals] == \
+            [2**31 - 1, 2**31 - 4]
+
 
 # ---------------------------------------------------------------------------
 # Semantic analysis

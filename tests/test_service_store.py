@@ -6,16 +6,17 @@ Five layers are locked down here:
   schedule form back to the *identical* (interned) object, group
   fingerprints are order-independent, and damaged wire forms raise
   :class:`WireError` instead of materializing malformed expressions;
-* the **file format**: save/load round-trips both record kinds, and every
-  corruption mode — version mismatch, truncated tail, flipped record
-  bytes, junk content, a directory in the file's place — degrades to a
-  cold start with the reason recorded, never an exception or a wrong
+* the **journal format**: save/load round-trips both record kinds, a
+  save appends only what the store learned since its last save, a
+  damaged record line (torn append, flipped byte) costs that line and
+  nothing else, and a foreign or other-version file is moved aside and
+  loads cold with the reason recorded — never an exception or a wrong
   answer;
-* **concurrent writers**: read-merge-replace unions knowledge from
-  racing stores, and parallel savers never produce an unparseable file;
+* **concurrent writers**: threads and processes appending to one path
+  union their knowledge and lose no record;
 * **incremental persistence**: absorb fingerprints only groups the store
-  lacks, and a save re-reads the file only when another writer changed
-  it and encodes only records it has not written before;
+  lacks, and a save reads no file and encodes only the records it
+  appends;
 * the **warm-vs-cold differential** over the workload registry: priming
   a fresh run from a store produced by a cold run must not change a
   single observable — bug signatures, path sets (test inputs included),
@@ -32,11 +33,14 @@ a handful of -OVERIFY builds carry solver-hard runtime-check constraints
 whose cold solve takes minutes at larger sizes).
 """
 
+import builtins
 import json
 import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -195,16 +199,24 @@ def test_store_round_trip(tmp_path):
     assert solver.stats.csp_searches == 0
 
 
+def _journal(path):
+    """The store file's lines, parsed (every append starts a new line,
+    so a file starts with a blank one)."""
+    text = path.read_text()
+    assert text.startswith("\n")
+    return [json.loads(line) for line in text.split("\n")[1:]]
+
+
 def test_saved_store_holds_group_and_memo_records_only(tmp_path):
-    """Format version 2: the table of group results and the memos are the
-    whole file; the UBTree indexes are rebuilt on priming."""
+    """Format version 3, a journal: a header, then the table of group
+    results and the memos, and no footer; the UBTree indexes are rebuilt
+    on priming."""
     path = tmp_path / "knowledge.jsonl"
     _populated_store(path).save()
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines[0] == {"format": FORMAT_NAME, "version": 2}
-    assert FORMAT_VERSION == 2
-    assert lines[-1] == {"kind": "end", "records": 4}
-    assert [record["kind"] for record in lines[1:-1]] == \
+    lines = _journal(path)
+    assert lines[0] == {"format": FORMAT_NAME, "version": 3}
+    assert FORMAT_VERSION == 3
+    assert [record["kind"] for record in lines[1:]] == \
         ["group"] * 3 + ["memo"]
 
 
@@ -268,12 +280,12 @@ def test_version_mismatch_is_cold(tmp_path):
     path = tmp_path / "knowledge.jsonl"
     store = _populated_store(path)
     store.save()
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
+    lines = path.read_text().split("\n")
+    header = json.loads(lines[1])
     assert header == {"format": FORMAT_NAME, "version": FORMAT_VERSION}
     header["version"] = FORMAT_VERSION + 1
-    lines[0] = json.dumps(header)
-    path.write_text("\n".join(lines) + "\n")
+    lines[1] = json.dumps(header)
+    path.write_text("\n".join(lines))
     _assert_cold(path, "version")
 
 
@@ -284,38 +296,42 @@ def test_wrong_format_name_is_cold(tmp_path):
     _assert_cold(path, "not a solver store")
 
 
-def test_truncated_file_is_cold(tmp_path):
+def test_truncated_file_loads_every_whole_record(tmp_path):
+    """A tail cut mid-record costs that record: every whole line before
+    it loads, and the cut line is counted."""
     path = tmp_path / "knowledge.jsonl"
-    store = _populated_store(path)
-    store.save()
+    _populated_store(path).save()
     full = path.read_text()
-    # Chop the footer (a clean line-boundary truncation)...
-    lines = full.splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    _assert_cold(path, "truncated")
-    # ...then a mid-record truncation.
-    path.write_text(full[:len(full) * 2 // 3])
-    store2 = SolverKnowledgeStore(path)
-    assert store2.load() is False
-    assert store2.load_error != ""
+    # A cut on a line boundary loses the last record and nothing else...
+    path.write_text(full[:full.rindex("\n")])
+    store = SolverKnowledgeStore(path)
+    assert store.load() is True
+    assert (len(store), store.memo_count, store.load_error) == (3, 0, "")
+    # ...and a cut inside it leaves a torn line, skipped and counted.
+    path.write_text(full[:len(full) - 40])
+    store = SolverKnowledgeStore(path)
+    assert store.load() is True
+    assert (len(store), store.memo_count) == (3, 0)
+    assert store.load_error == "skipped damaged record lines: 1"
 
 
-def test_flipped_record_byte_is_cold(tmp_path):
+def test_flipped_record_byte_skips_only_that_record(tmp_path):
+    """A record whose body no longer matches its checksum is skipped and
+    counted, never primed or served; the other records load."""
     path = tmp_path / "knowledge.jsonl"
-    store = _populated_store(path)
-    store.save()
-    lines = path.read_text().splitlines()
-    # Flip a value inside a record body without touching its checksum.
-    victim = json.loads(lines[1])
-    for key, value in victim.items():
-        if isinstance(value, bool):
-            victim[key] = not value
-            break
-    else:
-        victim["key"] = "0" * len(victim.get("key", "00"))
-    lines[1] = json.dumps(victim)
-    path.write_text("\n".join(lines) + "\n")
-    _assert_cold(path, "checksum")
+    _populated_store(path).save()
+    text = path.read_text()
+    # Flip a satisfiable group to unsatisfiable and change the memo's
+    # path count, leaving both checksums as they were.
+    text = text.replace('"satisfiable":true', '"satisfiable":false', 1)
+    text = text.replace('"paths":4', '"paths":5')
+    path.write_text(text)
+    store = SolverKnowledgeStore(path)
+    assert store.load() is True
+    assert store.load_error == "skipped damaged record lines: 2"
+    assert (len(store), store.memo_count) == (2, 0)
+    assert store.memo_lookup("deadbeef" * 8, dict) is None
+    assert store.prime(SharedSolverCaches()) == 2
 
 
 def test_junk_content_is_cold(tmp_path):
@@ -361,14 +377,14 @@ def test_damaged_stored_expression_is_skipped_not_fatal(tmp_path):
 # ------------------------------------------------------- concurrent writers
 
 
-def test_read_merge_replace_unions_writers(tmp_path):
+def test_appending_writers_union_their_records(tmp_path):
     path = tmp_path / "knowledge.jsonl"
     first = SolverKnowledgeStore(path)
     first.memo_record("aa" * 32, {"paths": 1})
     second = SolverKnowledgeStore(path)
     second.memo_record("bb" * 32, {"paths": 2})
     first.save()
-    second.save()  # must merge, not clobber, first's record
+    second.save()  # must append to, not clobber, first's record
 
     merged = SolverKnowledgeStore(path)
     assert merged.load() is True
@@ -376,7 +392,7 @@ def test_read_merge_replace_unions_writers(tmp_path):
     assert merged.memo_lookup("bb" * 32, dict) == {"paths": 2}
 
 
-def test_existing_entry_wins_on_collision(tmp_path):
+def test_a_later_memo_line_replaces_an_earlier_one(tmp_path):
     path = tmp_path / "knowledge.jsonl"
     first = SolverKnowledgeStore(path)
     first.memo_record("cc" * 32, {"paths": 1})
@@ -387,18 +403,14 @@ def test_existing_entry_wins_on_collision(tmp_path):
     second.save()
     merged = SolverKnowledgeStore(path)
     merged.load()
-    # The saver's own (newer) entry wins within its save; what matters is
-    # the file stays coherent and holds exactly one record for the key.
-    assert merged.memo_lookup("cc" * 32, dict) in \
-        ({"paths": 1}, {"paths": 99})
+    assert merged.memo_lookup("cc" * 32, dict) == {"paths": 99}
     assert merged.memo_count == 1
 
 
 def test_concurrent_savers_never_corrupt(tmp_path):
     """Many threads saving disjoint knowledge into one path: every save
-    must leave a parseable file, and the final file must hold a
-    consistent union (atomic replace means a whole save can lose the
-    race, but the file can never interleave two writers)."""
+    must leave a loadable file, and the final file must hold every
+    writer's records (each batch is one append; none is lost)."""
     path = tmp_path / "knowledge.jsonl"
     errors = []
 
@@ -424,8 +436,44 @@ def test_concurrent_savers_never_corrupt(tmp_path):
     assert errors == []
     final = SolverKnowledgeStore(path)
     assert final.load() is True
-    assert final.memo_count >= 5  # at least one writer's records survive
-    assert final.memo_count % 5 == 0  # whole saves, never partial ones
+    assert final.memo_count == 40
+    assert final.load_error == ""
+
+
+#: One writer process: waits until both writers are ready, then saves
+#: after every memo it records.
+_APPENDER = """
+import os, sys, time
+from repro.service.store import SolverKnowledgeStore
+path, tag = sys.argv[1], sys.argv[2]
+open(f"{path}.ready-{tag}", "w").close()
+deadline = time.monotonic() + 60
+while not all(os.path.exists(f"{path}.ready-{other}") for other in "ab"):
+    assert time.monotonic() < deadline, "the other writer never started"
+    time.sleep(0.001)
+store = SolverKnowledgeStore(path)
+for j in range(25):
+    store.memo_record(f"{tag}{j:02d}" * 16, {"writer": tag, "j": j})
+    store.save()
+"""
+
+
+def test_two_processes_appending_at_once_lose_no_record(tmp_path):
+    path = tmp_path / "knowledge.jsonl"
+    src = str(Path(store_module.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    writers = [subprocess.Popen([sys.executable, "-c", _APPENDER,
+                                 str(path), tag], env=env)
+               for tag in "ab"]
+    assert [writer.wait(timeout=120) for writer in writers] == [0, 0]
+    final = SolverKnowledgeStore(path)
+    assert final.load() is True
+    assert final.load_error == ""
+    assert final.memo_count == 50
+    for tag in "ab":
+        for j in range(25):
+            assert final.memo_lookup(f"{tag}{j:02d}" * 16, dict) == \
+                {"writer": tag, "j": j}
 
 
 # ---------------------------------------------- incremental persistence
@@ -442,6 +490,14 @@ def _count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _appended_keys(before, after):
+    """The record keys a save appended to a file that held ``before``;
+    the bytes already there must be untouched."""
+    assert after.startswith(before)
+    return [json.loads(line)["key"]
+            for line in after[len(before):].decode().split("\n")[1:]]
 
 
 def _memos(path, keys):
@@ -481,14 +537,52 @@ def test_save_of_an_unchanged_file_encodes_only_new_records(tmp_path,
     store.save()
     checksums = _count_calls(monkeypatch, store_module, "_record_checksum")
     loads = _count_calls(monkeypatch, SolverKnowledgeStore, "load")
+    before = path.read_bytes()
     store.memo_record("ab" * 32, {"paths": 7})
     store.save()
     assert len(checksums) == 1  # the new memo's line, nothing re-encoded
-    assert loads == []  # the file was this store's own: nothing to merge
-    assert path.read_bytes() == _resaved(path)
+    assert loads == []
+    after = path.read_bytes()
+    assert _appended_keys(before, after) == ["ab" * 32]
+    store.save()  # nothing new: nothing appended
+    assert path.read_bytes() == after
 
 
-def test_save_merges_a_file_another_writer_replaced(tmp_path):
+def test_a_save_after_a_load_reads_no_file_and_encodes_only_new_records(
+        tmp_path, monkeypatch):
+    path = tmp_path / "knowledge.jsonl"
+    writer = _populated_store(path)
+    for index in range(20):
+        writer.memo_record(f"{index:064d}", {"paths": index})
+    writer.save()
+    store = SolverKnowledgeStore(path)
+    assert store.load() is True and len(store) == 24
+    before = path.read_bytes()
+    checksums = _count_calls(monkeypatch, store_module, "_record_checksum")
+    opened = []
+    real_open = os.open
+
+    def watched_open(file, flags, *args, **kwargs):
+        opened.append((flags & os.O_ACCMODE, bool(flags & os.O_APPEND)))
+        return real_open(file, flags, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("save read a file")
+
+    store.memo_record("ab" * 32, {"paths": 7})
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "open", watched_open)
+        for name in ("read_bytes", "read_text", "open"):
+            patched.setattr(Path, name, refuse)
+        patched.setattr(builtins, "open", refuse)
+        patched.setattr(os, "read", refuse)
+        store.save()
+    assert opened == [(os.O_WRONLY, True)]
+    assert len(checksums) == 1
+    assert _appended_keys(before, path.read_bytes()) == ["ab" * 32]
+
+
+def test_a_save_appends_after_another_writers_batch(tmp_path):
     path = tmp_path / "knowledge.jsonl"
     first = SolverKnowledgeStore(path)
     first.memo_record("aa" * 32, {"paths": 1})
@@ -525,10 +619,9 @@ def test_an_overwritten_memo_is_written_anew(tmp_path):
     assert _memos(path, ["k" * 64]) == {"k" * 64: {"paths": 2}}
 
 
-def test_a_torn_write_keeps_the_digest_of_the_published_file(
-        tmp_path, monkeypatch):
-    """The failed save published nothing, so the file is still the one
-    this store last wrote: the retry has nothing to merge."""
+def test_a_retry_after_a_torn_append_reads_nothing(tmp_path, monkeypatch):
+    """The failed save keeps its batch: the retry appends it whole,
+    without reading the file, and the torn half is one skipped line."""
     path = tmp_path / "knowledge.jsonl"
     store = SolverKnowledgeStore(path)
     store.memo_record("aa" * 32, {"paths": 1})
@@ -542,9 +635,62 @@ def test_a_torn_write_keeps_the_digest_of_the_published_file(
     assert loads == []
     assert _memos(path, ["aa" * 32, "bb" * 32]) == {
         "aa" * 32: {"paths": 1}, "bb" * 32: {"paths": 2}}
+    reloaded = SolverKnowledgeStore(path)
+    reloaded.load()
+    assert reloaded.load_error == "skipped damaged record lines: 1"
 
 
-def test_a_retry_after_a_torn_write_merges_a_foreign_writer(tmp_path):
+def test_a_batch_appended_after_a_torn_one_loads_intact(tmp_path):
+    """A writer that dies mid-append leaves a line without its end; the
+    next writer's append starts a new line, so none of its records is
+    glued onto the torn one."""
+    path = tmp_path / "knowledge.jsonl"
+    _populated_store(path).save()
+    dying = SolverKnowledgeStore(path)
+    dying.memo_record("aa" * 32, {"paths": 1})
+    with injected("store.write:once"):
+        with pytest.raises(StoreError):
+            dying.save()
+    assert not path.read_text().endswith("}")
+    later = SolverKnowledgeStore(path)
+    later.memo_record("bb" * 32, {"paths": 2})
+    later.save()
+    loaded = SolverKnowledgeStore(path)
+    assert loaded.load() is True
+    assert loaded.load_error == "skipped damaged record lines: 1"
+    assert (len(loaded), loaded.memo_count) == (5, 2)
+    assert loaded.memo_lookup("bb" * 32, dict) == {"paths": 2}
+    assert loaded.memo_lookup("aa" * 32, dict) is None
+
+
+def test_a_version_2_store_is_moved_aside_once(tmp_path):
+    """A store of the read-merge-replace format (version 2, with a
+    footer) is quarantined on the first load; the next save starts a
+    version-3 journal, which later loads read without moving it."""
+    path = tmp_path / "knowledge.jsonl"
+    memo = {"key": "aa" * 32, "kind": "memo", "paths": 1}
+    memo["sum"] = store_module._record_checksum(memo)
+    path.write_text("".join(
+        json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+        for line in ({"format": FORMAT_NAME, "version": 2}, memo,
+                     {"kind": "end", "records": 1})))
+    store = SolverKnowledgeStore(path)
+    assert store.load() is False
+    assert "version 2" in store.load_error
+    assert store.quarantined == f"{path}.corrupt-1"
+    store.memo_record("bb" * 32, {"paths": 2})
+    store.save()
+    assert _journal(path)[0] == {"format": FORMAT_NAME, "version": 3}
+    again = SolverKnowledgeStore(path)
+    assert again.load() is True
+    assert (again.load_error, again.quarantined) == ("", "")
+    assert again.memo_lookup("bb" * 32, dict) == {"paths": 2}
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == \
+        ["knowledge.jsonl", "knowledge.jsonl.corrupt-1"]
+
+
+def test_a_retry_after_a_torn_append_keeps_a_foreign_writers_records(
+        tmp_path):
     path = tmp_path / "knowledge.jsonl"
     store = SolverKnowledgeStore(path)
     store.memo_record("aa" * 32, {"paths": 1})
@@ -595,15 +741,7 @@ def test_one_store_shared_by_saving_threads_loses_no_record(tmp_path):
     final = SolverKnowledgeStore(path)
     assert final.load() is True
     assert final.memo_count == 30
-    assert path.read_bytes() == _resaved(path)
-
-
-def _resaved(path):
-    """The bytes a fresh store writes after loading ``path``."""
-    fresh = SolverKnowledgeStore(path)
-    fresh.load()
-    fresh.save()
-    return path.read_bytes()
+    assert len(_journal(path)) == 31  # the header and each memo once
 
 
 # ------------------------------------------------- warm-vs-cold differential
