@@ -49,10 +49,9 @@ from .pipelines import (
     build_pipeline_from_spec, level_spec, level_spec_string,
     parse_opt_level, with_entry_points, with_runtime_checks,
 )
-from .symex.solver import SharedSolverCaches
 from .verification import (
-    BackendSpecError, VerificationBackend, VerificationOutcome,
-    VerificationRequest, backend_names, make_backend,
+    BackendSpecError, VerificationOutcome, VerificationRequest,
+    backend_names, make_backend,
 )
 from .workloads import all_workloads, get_workload
 
@@ -189,22 +188,21 @@ def _error_line(exc: Exception, source_path: Optional[str]) -> str:
     return f"error: {exc}"
 
 
-def _verify_with_store(path: str, caches: SharedSolverCaches,
-                       backend: VerificationBackend, module: Module,
+def _verify_with_store(path: str, spec: str, module: Module,
                        request: VerificationRequest) -> VerificationOutcome:
-    """Verify as the service does: prime ``caches`` from the store at
-    ``path``, answer from its memo or verify and record, then save.  A
-    failed save is reported and does not fail the run."""
+    """Verify as the service does: build backend ``spec`` on the table of
+    the store at ``path``, load it, answer from its memo or verify and
+    record, then save.  A failed save is reported and does not fail it."""
     from .faults import StoreError
     from .service.store import (
         SolverKnowledgeStore, verification_fingerprint, verify_memoized,
     )
 
     store = SolverKnowledgeStore(path)
+    backend = make_backend(spec, caches=store.caches)
     store.load()
-    store.prime(caches)
     key = verification_fingerprint(module, request, backend.describe())
-    outcome = verify_memoized(store, backend, module, request, key, caches)
+    outcome = verify_memoized(store, backend, module, request, key)
     if outcome.provenance != "memo-hit":
         try:
             store.save()
@@ -378,19 +376,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   timeout_seconds=args.timeout)
 
     if args.verify:
-        caches = SharedSolverCaches() if args.store else None
         try:
-            backend = make_backend(args.backend, caches=caches)
+            if args.store:
+                outcome = _verify_with_store(args.store, args.backend,
+                                             module, request)
+            else:
+                outcome = make_backend(args.backend).verify(module, request)
         except BackendSpecError as exc:
             print(f"error: {exc}", file=sys.stderr)
             print(f"known backends: {', '.join(backend_names())}",
                   file=sys.stderr)
             return 1
-        if args.store:
-            outcome = _verify_with_store(args.store, caches, backend,
-                                         module, request)
-        else:
-            outcome = backend.verify(module, request)
         reason = outcome.termination_reason or \
             ("timeout" if outcome.timed_out else "")
         budget = f" ({reason} budget hit)" if reason else ""

@@ -170,10 +170,13 @@ def fuzz_main(argv: List[str]) -> int:
                         help="run the oracle over the committed fuzz "
                              "regression workloads instead of new seeds")
     args = parser.parse_args(argv)
-    if args.input_bytes is not None and args.input_bytes < 1:
-        parser.error(f"--input-bytes must be >= 1, got {args.input_bytes}")
-    if args.max_paths < 1:
-        parser.error(f"--max-paths must be >= 1, got {args.max_paths}")
+    for name, least in (("seeds", 1), ("jobs", 1), ("input_bytes", 1),
+                        ("max_paths", 1), ("max_concrete_inputs", 0),
+                        ("progress", 0)):
+        value = getattr(args, name)
+        if value is not None and value < least:
+            parser.error(f"--{name.replace('_', '-')} must be >= {least}, "
+                         f"got {value}")
     if not math.isfinite(args.timeout) or args.timeout < 0:
         parser.error(f"--timeout must be a finite number >= 0, got "
                      f"{args.timeout}")
@@ -211,7 +214,7 @@ def fuzz_main(argv: List[str]) -> int:
     if args.jobs > 1 and len(tasks) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(min(args.jobs, len(tasks))) as pool:
             for outcome in pool.imap(_worker, tasks, chunksize=1):
                 outcomes.append(outcome)
                 _progress(args.progress, outcomes, started)

@@ -213,10 +213,10 @@ def _normalize_value(info: PassInfo, param: PassParam,
                      value: object) -> object:
     """Coerce ``value`` into the canonical stored form for ``param``."""
     if param.kind == _INT:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise PipelineSyntaxError(
                 f"pass '{info.name}': parameter '{param.key}' expects an "
-                f"integer, got {value!r}")
+                f"integer >= 0, got {value!r}")
         return value
     if param.kind == _FLAG:
         if not isinstance(value, bool):
@@ -333,16 +333,16 @@ def parse_pass(text: str) -> PassSpec:
 
 
 def _parse_value(info: PassInfo, param: PassParam, raw: str) -> object:
+    value: object = raw
     if param.kind == _INT:
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise PipelineSyntaxError(
                 f"pass '{info.name}': parameter '{param.key}' expects an "
                 f"integer, got '{raw}'") from None
-    if param.kind == _NAMES:
-        return _normalize_value(info, param, raw)
-    assert param.kind == _FLAG
+    if param.kind != _FLAG:
+        return _normalize_value(info, param, value)
     if raw in ("true", "on", "1"):
         return True
     if raw in ("false", "off", "0"):

@@ -42,10 +42,10 @@ input:
      always a divergence.
 
 Queries route through :class:`~repro.symex.solver.SharedSolverCaches`,
-so the A exploration's branch work pre-pays most replay queries, and a
-:class:`~repro.service.store.SolverKnowledgeStore` makes warm reruns
-cache-dominated — plus a whole-run memo keyed by both modules' printed
-IR that skips the product entirely for an unchanged pair.
+so the A exploration's branch work pre-pays most replay queries, and the
+one table of a :class:`~repro.service.store.SolverKnowledgeStore` makes
+warm reruns cache-dominated — plus a whole-run memo keyed by both
+modules' printed IR that skips the product entirely for an unchanged pair.
 
 Determinism: verdicts, divergences, counterexamples, and every
 :class:`RelcheckStats` counter come out the same on every run — phase 1
@@ -143,15 +143,15 @@ class RelcheckConfig:
             query_deadline_seconds=self.query_deadline_seconds)
 
     def spec(self) -> str:
-        """Canonical text of every knob that can change a verdict —
-        the memo-key contribution of the configuration."""
+        """Canonical text of every knob that can change a recorded
+        verdict — the memo-key contribution of the configuration (not the
+        wall-clock budget: a truncated report is never recorded)."""
         return json.dumps({
             "input_bytes": self.input_bytes,
             "searcher": self.searcher,
             "max_paths": self.max_paths,
             "max_instructions": self.max_instructions,
             "max_forks": self.max_forks,
-            "timeout_seconds": self.timeout_seconds,
             "replay_max_paths": self.replay_max_paths,
             "replay_max_instructions": self.replay_max_instructions,
             "query_deadline_seconds": self.query_deadline_seconds,
@@ -307,13 +307,6 @@ def _witness(state: ExecutionState, solver: Solver,
     return bytes(model.get(f"in_{i}", 0) & 0xFF for i in range(input_bytes))
 
 
-def _unary_facts(state: ExecutionState) -> Dict[str, Tuple[Expr, ...]]:
-    """The state's single-variable constraints, grouped per variable —
-    the cheap, always-exactly-decidable slice of the path condition that
-    :func:`_resolve_selects` prunes against."""
-    return unary_facts(state.constraints)
-
-
 def _resolve_selects(expr: Expr, facts: Dict[str, Tuple[Expr, ...]],
                      solver: Solver, cache: Dict[Expr, Expr],
                      stats: RelcheckStats) -> Expr:
@@ -431,7 +424,7 @@ class _PathChecker:
         the path's unary facts — the ite-chains ``ifconvert`` leaves
         behind often fold to constants this way, keeping the residual
         system inside the solver's exact regime."""
-        facts = _unary_facts(state)
+        facts = unary_facts(state.constraints)
         cache: Dict[Expr, Expr] = {}
         scratch = ExecutionState()
         for constraint in state.constraints:
@@ -524,9 +517,9 @@ class _PathChecker:
         disequal = b_state.rewrite(disequal)
         if not disequal.is_constant:
             resolve_cache: Dict[Expr, Expr] = {}
-            disequal = _resolve_selects(disequal, _unary_facts(b_state),
-                                        self.solver, resolve_cache,
-                                        self.stats)
+            disequal = _resolve_selects(
+                disequal, unary_facts(b_state.constraints), self.solver,
+                resolve_cache, self.stats)
         if disequal.is_constant:
             self.stats.equivalence_folded += 1
             if disequal.value == 0:
@@ -629,11 +622,13 @@ def relcheck_modules(module_a: Module, module_b: Module,
     (optimized) on every path up to the configured input bound.
 
     ``store`` is an optional
-    :class:`~repro.service.store.SolverKnowledgeStore`: primed before the
-    run and absorbed after, plus a whole-run memo keyed by both modules'
-    printed IR and :meth:`RelcheckConfig.spec` so an unchanged pair is
-    answered without executing anything.  Saving the store is left to the
-    caller that owns its file.
+    :class:`~repro.service.store.SolverKnowledgeStore`: a whole-run memo
+    keyed by both modules' printed IR and :meth:`RelcheckConfig.spec`
+    answers an unchanged pair without executing anything; a miss solves
+    into the store's table (primed once per load), which the store
+    absorbs, and is recorded unless truncated or cut by a query deadline.
+    Only a run without a store solves into ``shared_caches`` (default: a
+    fresh table).  Saving the store is left to the caller that owns it.
     """
     config = config or RelcheckConfig()
     if pair is None:
@@ -647,9 +642,9 @@ def relcheck_modules(module_a: Module, module_b: Module,
             lambda payload: _report_from_memo(payload, pair, config))
         if memo is not None:
             return memo
-    caches = shared_caches or SharedSolverCaches()
-    if store is not None:
-        store.prime(caches)
+        store.prime()
+    caches = store.caches if store is not None else (
+        shared_caches or SharedSolverCaches())
 
     # Phase 1: exhaustively explore the reference module.
     a_finished: List[ExecutionState] = []
@@ -688,7 +683,7 @@ def relcheck_modules(module_a: Module, module_b: Module,
 
     if store is not None:
         store.absorb(caches)
-        if not report.truncated:
+        if not report.truncated and not solver_stats.query_deadlines:
             store.memo_record(fingerprint, _report_to_memo(report))
     return report
 

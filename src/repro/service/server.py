@@ -17,10 +17,10 @@ service-level layers on top:
   post-pipeline IR fingerprint; resubmitting an unchanged function is
   answered from the memo without running symex
   (``"provenance": "memo-hit"``).
-* **Shared, store-primed solver caches.**  All jobs solve into one
-  :class:`~repro.symex.solver.SharedSolverCaches` table of exact group
-  results under one lock, primed from the store at startup; a job whose
-  constraint groups are answered by primed entries reports
+* **Shared, store-primed solver caches.**  All jobs solve into the
+  store's one :class:`~repro.symex.solver.SharedSolverCaches` table,
+  primed by the first job that misses the memo; a job whose constraint
+  groups are answered by primed entries reports
   ``"provenance": "warm-store"``.  Everything a job learned is absorbed
   back into the store, which appends what the job learned to its file
   after every job that was not a memo hit.
@@ -49,7 +49,6 @@ from ..faults import (
     site as _fault_site,
 )
 from ..pipelines import CompileOptions, CompilerSession, parse_opt_level
-from ..symex.solver import SharedSolverCaches
 from ..verification import VerificationRequest, make_backend
 from ..workloads import get_workload
 from .store import (
@@ -149,8 +148,8 @@ class VerificationServer:
         cache sharing still work within the server's lifetime, nothing
         persists.
     backend:
-        Backend spec for every job (default ``"symex"``).  The server
-        injects its shared caches into backends that accept them.
+        Backend spec for every job (default ``"symex"``).  Backends that
+        accept injected caches solve into the store's table.
     pool_size:
         Worker threads verifying concurrently.
     max_pending:
@@ -175,12 +174,10 @@ class VerificationServer:
         self.max_pending = max_pending or 4 * pool_size + 4
         self.drain_seconds = drain_seconds
         self.store = SolverKnowledgeStore(store_path)
-        self.caches = SharedSolverCaches()
         #: One backend instance serves every job (verify() is stateless);
-        #: backends that take injected caches get the shared set.
-        self.backend = make_backend(backend, caches=self.caches)
+        #: backends that take injected caches get the store's table.
+        self.backend = make_backend(backend, caches=self.store.caches)
         self.session = CompilerSession()
-        self.primed_entries = 0
         self.stats: Dict[str, int] = {
             "jobs_completed": 0, "jobs_failed": 0, "jobs_deduped": 0,
             "jobs_rejected": 0, "jobs_deadline_expired": 0,
@@ -204,12 +201,11 @@ class VerificationServer:
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
-        """Load + prime the store and start listening."""
+        """Load the store (not prime it) and start listening."""
         self._shutdown = asyncio.Event()
         self._pool = ThreadPoolExecutor(
             max_workers=self.pool_size, thread_name_prefix="verify")
         self.store.load()
-        self.primed_entries = self.store.prime(self.caches)
         directory = os.path.dirname(self.socket_path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -354,7 +350,7 @@ class VerificationServer:
             snapshot.update(ok=True, op="stats",
                             active_jobs=self._active_jobs,
                             max_pending=self.max_pending,
-                            primed_entries=self.primed_entries,
+                            primed_entries=self.store.primed_entries or 0,
                             store_records=len(self.store),
                             memo_count=self.store.memo_count,
                             backend=self.backend.describe(),
@@ -532,7 +528,7 @@ class VerificationServer:
         memo_key = verification_fingerprint(
             result.module, job["request"], self.backend.describe())
         outcome = verify_memoized(self.store, self.backend, result.module,
-                                  job["request"], memo_key, self.caches)
+                                  job["request"], memo_key)
         if outcome.provenance != "memo-hit" and self.store.path is not None:
             self._save_store()
         with self._stats_lock:

@@ -8,10 +8,10 @@ persists the solver's table of exact group results
 whether a search found it) plus whole-run **memos** keyed by post-pipeline
 IR fingerprints, so a resubmitted unchanged function skips symbolic
 execution entirely.  The UBTree indexes are rebuilt from the table when it
-is absorbed, so they are never written.  Only
+is primed, so they are never written.  Only
 :meth:`SolverKnowledgeStore.memo_lookup` decodes a memo, and the CLI and
 the service share one lookup-or-verify-and-record step,
-:func:`verify_memoized`.
+:func:`verify_memoized`, whose first memo miss primes the store's table.
 
 Design points (see ``docs/service.md`` for the file format):
 
@@ -273,13 +273,12 @@ def memo_to_outcome(payload: Dict[str, object],
 
 def verify_memoized(store: "SolverKnowledgeStore",
                     backend: VerificationBackend, module: Module,
-                    request: VerificationRequest, key: str,
-                    caches: Optional[SharedSolverCaches] = None
+                    request: VerificationRequest, key: str
                     ) -> VerificationOutcome:
     """Answer a verification from ``store``'s memo under ``key`` (a
-    :func:`verification_fingerprint`), or run ``backend``, record the
-    outcome and fold what ``caches`` learned into the store.  Saving is
-    the caller's.
+    :func:`verification_fingerprint`), or prime the store's table, run
+    ``backend`` (built on ``store.caches``), record the outcome and fold
+    what the table learned into the store.  Saving is the caller's.
 
     An outcome the clock cut — the run's wall-clock budget or a solver
     query deadline — is not recorded: on a loaded machine it would
@@ -289,12 +288,12 @@ def verify_memoized(store: "SolverKnowledgeStore",
     outcome = store.memo_lookup(
         key, lambda payload: memo_to_outcome(payload, backend.describe()))
     if outcome is None:
+        store.prime()
         outcome = backend.verify(module, request)
         if outcome.termination_reason != "timeout" and \
                 not outcome.solver_stats.get("query_deadlines"):
             store.memo_record(key, outcome_to_memo(outcome))
-        if caches is not None:
-            store.absorb(caches)
+        store.absorb(store.caches)
     return outcome
 
 
@@ -312,6 +311,9 @@ class SolverKnowledgeStore:
     def __init__(self, path: Optional[object] = None) -> None:
         self.path = None if path is None else Path(path)
         self._lock = threading.Lock()
+        #: The one table every run through the store solves into.
+        self.caches = SharedSolverCaches()
+        self._prime_lock = threading.Lock()
         #: What the last load could not use ("" = nothing): why it came
         #: up cold, or how many damaged record lines it skipped.
         self.load_error = ""
@@ -330,6 +332,9 @@ class SolverKnowledgeStore:
         #: ``(kind, key)`` of every record learned since the last
         #: successful save: the next save's batch.
         self._pending: Set[Tuple[str, str]] = set()
+        #: What :meth:`prime` added to :attr:`caches` since the last load
+        #: (``None``: it has not run).
+        self.primed_entries: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self._groups) + len(self._memos)
@@ -480,33 +485,38 @@ class SolverKnowledgeStore:
             self._pending.clear()
 
     # ------------------------------------------------- cache <-> store
-    def prime(self, caches: SharedSolverCaches) -> int:
-        """Absorb every stored group result into ``caches`` (tagged so hits
-        count as ``SolverStats.store_hits``; entries ``caches`` already
-        holds win).  Returns the number of results added.  A record whose
-        constraints no longer decode is skipped, never fatal; every group
-        that decodes is one :meth:`absorb` will not fingerprint again."""
-        with self._lock:
-            records = list(self._groups.values())
-        added = 0
-        decoded = []
-        for record in records:
-            try:
-                constraints = tuple(expr_from_wire(wire)
-                                    for wire in record["constraints"])
-                model = record["model"]
-                result = SolverResult(
-                    bool(record["satisfiable"]),
-                    None if model is None else _model_from_wire(model))
-                canonical = bool(record["canonical"])
-            except (WireError, KeyError, TypeError, RecursionError):
-                continue
-            decoded.append(frozenset(constraints))
-            added += caches.remember(constraints, result,
-                                     canonical=canonical, from_store=True)
-        with self._lock:
-            self._known.update(decoded)
-        return added
+    def prime(self) -> int:
+        """Once per load, put every stored group result into :attr:`caches`
+        (tagged so hits count as ``SolverStats.store_hits``; entries it
+        holds win) and return how many were added; a concurrent caller
+        waits for those entries, and later calls return 0.  A record that
+        no longer decodes is skipped, never fatal; every group that
+        decodes is one :meth:`absorb` will not fingerprint again."""
+        with self._prime_lock:
+            if self.primed_entries is not None:
+                return 0
+            with self._lock:
+                records = list(self._groups.values())
+            added = 0
+            decoded = []
+            for record in records:
+                try:
+                    constraints = tuple(expr_from_wire(wire)
+                                        for wire in record["constraints"])
+                    model = record["model"]
+                    result = SolverResult(
+                        bool(record["satisfiable"]),
+                        None if model is None else _model_from_wire(model))
+                    canonical = bool(record["canonical"])
+                except (WireError, KeyError, TypeError, RecursionError):
+                    continue
+                decoded.append(frozenset(constraints))
+                added += self.caches.remember(constraints, result, canonical,
+                                              from_store=True)
+            with self._lock:
+                self._known.update(decoded)
+            self.primed_entries = added
+            return added
 
     def absorb(self, caches: SharedSolverCaches) -> int:
         """Fold every exact group result ``caches`` holds into the store

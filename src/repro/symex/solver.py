@@ -181,10 +181,10 @@ class SolverResult:
 class SharedSolverCaches:
     """The solver's table of exact group results, under one lock.
 
-    Several :class:`Solver` front ends can solve into one table: the
-    verification service hands its table to every job it runs on its job
-    threads, and relcheck shares one between its reference exploration and
-    its per-path replays.  Every exact group result enters through
+    Several :class:`Solver` front ends can solve into one table: every run
+    through a knowledge store solves into the store's table (the service's
+    jobs on its job threads among them), and relcheck shares one between
+    its reference exploration and its per-path replays.  Every exact group result enters through
     :meth:`remember` — one a search found, one the UBTree counterexample
     index answered, or one absorbed from a knowledge store — which also
     inserts it into the SAT or UNSAT index, so the indexes are derived

@@ -114,3 +114,20 @@ def as_partition(constraints):
     for constraint in constraints:
         state.add_constraint(constraint)
     return state.full_partition()
+
+
+@pytest.fixture
+def store_decodes(monkeypatch):
+    """Every group constraint the knowledge store decodes from its wire
+    form (``expr_from_wire``) while the test runs, in a list."""
+    from repro.service import store as store_module
+
+    decoded = []
+    original = store_module.expr_from_wire
+
+    def counted(nodes):
+        decoded.append(nodes)
+        return original(nodes)
+
+    monkeypatch.setattr(store_module, "expr_from_wire", counted)
+    return decoded

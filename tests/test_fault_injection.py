@@ -507,6 +507,27 @@ class TestCommandLineInput:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fuzz", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+        (["fuzz", "--seeds", "-3"], "--seeds must be >= 1, got -3"),
+        (["fuzz", "--seed", "0", "--jobs", "0"], "--jobs must be >= 1"),
+        (["fuzz", "--seed", "0", "--max-concrete-inputs", "-1"],
+         "--max-concrete-inputs must be >= 0"),
+        (["fuzz", "--seed", "0", "--progress", "-1"],
+         "--progress must be >= 0"),
+    ], ids=["seeds-0", "seeds-negative", "jobs-0", "concrete-inputs-negative",
+            "progress-negative"])
+    def test_bad_fuzz_count_is_a_usage_error(self, argv, message, capsys):
+        """No seeds would report a clean run of nothing, no workers would
+        silently run in-process, and a negative input cap would slice off
+        the last input: each is refused up front."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_relcheck_workers_flag_is_gone(self, capsys):
         from repro.__main__ import main
 

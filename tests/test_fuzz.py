@@ -235,6 +235,37 @@ def test_relcheck_family_off_by_default():
     assert all(d.kind != "relcheck" for d in outcome.divergences)
 
 
+def test_fuzz_cli_starts_no_more_workers_than_seeds(monkeypatch, capsys):
+    """``--jobs`` caps the worker processes; a run never starts more
+    than it has seeds.  The pool is a stand-in, so no process starts."""
+    import multiprocessing
+
+    from repro.fuzz import cli
+    from repro.fuzz.oracle import SeedOutcome
+
+    started = []
+
+    class CountingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def imap(self, function, tasks, chunksize=1):
+            return map(function, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    monkeypatch.setattr(cli, "check_seed",
+                        lambda seed, generator, oracle: SeedOutcome(seed, ""))
+    assert cli.fuzz_main(["--seeds", "3", "--jobs", "64"]) == 0
+    assert started == [3]
+    assert "fuzz: 3 seed(s), 3 clean" in capsys.readouterr().out
+
+
 # ------------------------------------------------- finding: jump threading
 def test_jump_threading_loop_phi_regression():
     """Seed 15: threading past a loop's test block whose counter phi is

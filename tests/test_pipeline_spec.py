@@ -70,6 +70,29 @@ class TestErrors:
                            match="expects an integer, got 'many'"):
             parse_pipeline("inline<threshold=many>")
 
+    @pytest.mark.parametrize("text, pass_name, key", [
+        ("inline<threshold=-5>", "inline", "threshold"),
+        ("loop-unroll<trips=-1>", "loop-unroll", "trips"),
+        ("ifconvert<spec=-1>", "ifconvert", "spec"),
+        ("loop-unswitch<max=-2>", "loop-unswitch", "max"),
+    ])
+    def test_negative_integer_value(self, text, pass_name, key):
+        """A negative budget or threshold used to be accepted and do
+        nothing; every way of building a spec now refuses it."""
+        message = (f"pass '{pass_name}': parameter '{key}' expects an "
+                   f"integer >= 0, got -")
+        with pytest.raises(PipelineSyntaxError, match=message):
+            parse_pipeline(text)
+        field = key.replace("-", "_")
+        with pytest.raises(PipelineSyntaxError, match=message):
+            make_pass_spec(pass_name, **{field: -1})
+        with pytest.raises(PipelineSyntaxError, match=message):
+            PassSpec(pass_name).with_param(key, -1)
+
+    def test_zero_integer_value_is_accepted(self):
+        assert parse_pipeline("ifconvert<spec=0>").passes[0].param("spec") \
+            == 0
+
     def test_flag_used_with_bare_value_pass(self):
         with pytest.raises(PipelineSyntaxError, match="needs a value"):
             parse_pipeline("inline<threshold>")

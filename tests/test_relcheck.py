@@ -32,7 +32,6 @@ from repro.relcheck import (
     RelcheckConfig, relcheck_modules, relcheck_workload,
 )
 from repro.service.store import SolverKnowledgeStore
-from repro.symex import SharedSolverCaches
 from repro.workloads import get_workload, workload_names
 
 # ------------------------------------------------------- positive sweep
@@ -305,7 +304,7 @@ def test_provenance_counts_store_answers_not_store_contents(tmp_path):
     module_a, module_b = _wc_pair()
     pair = ("-O0", "-OVERIFY")
     config = RelcheckConfig(input_bytes=2)
-    other_config = RelcheckConfig(input_bytes=2, timeout_seconds=59.0)
+    other_config = RelcheckConfig(input_bytes=2, max_instructions=1_999_999)
 
     memo_only = SolverKnowledgeStore(tmp_path / "memo-only.jsonl")
     memo_only.memo_record("ab" * 32, {"paths": 1})
@@ -325,6 +324,69 @@ def test_provenance_counts_store_answers_not_store_contents(tmp_path):
                             pair=pair, store=store)
     assert warm.provenance == "warm-store"
     assert warm.solver_stats.store_hits > 0
+
+
+def test_configs_differing_only_in_timeout_share_one_memo(tmp_path):
+    """The wall-clock budget is not in the memo key: a truncated report
+    is never recorded, so the budget cannot change one that is."""
+    module_a, module_b = _wc_pair()
+    pair = ("-O0", "-OVERIFY")
+    store = SolverKnowledgeStore(tmp_path / "store.jsonl")
+    first = relcheck_modules(module_a, module_b, pair=pair, store=store,
+                             config=RelcheckConfig(input_bytes=2,
+                                                   timeout_seconds=60.0))
+    assert first.provenance == "cold" and not first.truncated
+    again = relcheck_modules(module_a, module_b, pair=pair, store=store,
+                             config=RelcheckConfig(input_bytes=2,
+                                                   timeout_seconds=30.0))
+    assert again.provenance == "memo-hit"
+    assert _verdicts(again) == _verdicts(first)
+    assert store.memo_count == 1
+
+
+def test_a_report_that_hit_a_query_deadline_is_not_memoized(tmp_path):
+    """A solver query deadline is the clock, as for verification: a
+    report whose queries hit one is not recorded, even when no budget
+    truncated it, so a slow machine's unknowns never answer later runs."""
+    module_a, module_b = _wc_pair()
+    pair = ("-O0", "-OVERIFY")
+    config = RelcheckConfig(input_bytes=2, query_deadline_seconds=1e-6)
+    store = SolverKnowledgeStore(tmp_path / "store.jsonl")
+    first = relcheck_modules(module_a, module_b, config=config, pair=pair,
+                             store=store)
+    assert first.solver_stats.query_deadlines > 0
+    assert not first.truncated
+    assert store.memo_count == 0
+    again = relcheck_modules(module_a, module_b, config=config, pair=pair,
+                             store=store)
+    assert again.provenance != "memo-hit"
+
+
+def test_relcheck_through_one_store_primes_it_once(tmp_path, store_decodes):
+    """Every run through one store solves into the store's one table: a
+    memo hit decodes no group record, and the first miss primes the
+    table from the loaded records once for all the workloads after it
+    (not once per workload, from a store that keeps growing)."""
+    path = tmp_path / "store.jsonl"
+    config = RelcheckConfig(input_bytes=2)
+    seed = SolverKnowledgeStore(path)
+    relcheck_workload("wc", config=config, store=seed)
+    seed.save()
+
+    store = SolverKnowledgeStore(path)
+    assert store.load()
+    loaded_wires = sum(len(record["constraints"])
+                       for record in store._groups.values())
+    assert loaded_wires > 0
+    store_decodes.clear()
+    assert relcheck_workload("wc", config=config,
+                             store=store).provenance == "memo-hit"
+    assert store_decodes == []
+    for name in ("echo", "rev", "cut"):
+        report = relcheck_workload(name, config=config, store=store)
+        assert report.provenance != "memo-hit" and report.clean
+    assert len(store_decodes) == loaded_wires
+    assert store.primed_entries == len(store.caches.from_store) > 0
 
 
 def test_store_primed_rerun_answers_from_the_store(tmp_path):
@@ -348,10 +410,9 @@ def test_store_primed_rerun_answers_from_the_store(tmp_path):
 
     store = SolverKnowledgeStore(store_path)
     assert store.load()
-    caches = SharedSolverCaches()
-    store.prime(caches)
+    store.prime()
     warm = relcheck_modules(module_a, module_b, config=config, pair=pair,
-                            shared_caches=caches)
+                            shared_caches=store.caches)
     assert warm.clean and not warm.truncated
     assert ([(v.index, v.kind, v.status, v.counterexample)
              for v in warm.verdicts]

@@ -17,6 +17,7 @@ import pytest
 from conftest import as_partition
 from repro.pipelines import CompileOptions, CompilerSession, OptLevel
 from repro.service import ServiceClient, ServiceError, VerificationServer
+from repro.service import store as store_module
 from repro.service.server import MAX_INPUT_BYTES, MAX_REQUEST_BYTES
 from repro.service.store import (
     SolverKnowledgeStore, memo_to_outcome, outcome_to_memo,
@@ -156,15 +157,13 @@ def _cli_store_verify(store_path):
 
 def _verify_through_store(store_path, spec, module, request):
     """What ``python -m repro --verify --store`` does, on a prebuilt
-    module: prime from the store, answer from its memo or verify and
-    record, save."""
+    module: load the store, answer from its memo or verify into the
+    store's table and record, save."""
     store = SolverKnowledgeStore(store_path)
     store.load()
-    caches = SharedSolverCaches()
-    store.prime(caches)
-    backend = make_backend(spec, caches=caches)
+    backend = make_backend(spec, caches=store.caches)
     key = verification_fingerprint(module, request, backend.describe())
-    outcome = verify_memoized(store, backend, module, request, key, caches)
+    outcome = verify_memoized(store, backend, module, request, key)
     store.save()
     return outcome
 
@@ -180,6 +179,21 @@ def test_cli_store_memo_round_trip(tmp_path):
     for field in ("paths", "errors", "instructions", "budget",
                   "bug_signatures"):
         assert memo[field] == cold[field]
+
+
+def test_cli_memo_hit_decodes_no_group_record(tmp_path, store_decodes):
+    """A memo hit needs only the memo: the store's table is primed by the
+    first run that misses it, so the hit decodes no group record."""
+    store_path = tmp_path / "knowledge.jsonl"
+    assert _cli_store_verify(store_path)["provenance"] == "cold"
+    store_decodes.clear()
+    assert _cli_store_verify(store_path)["provenance"] == "memo-hit"
+    assert store_decodes == []
+    # The store does hold group records: a run that misses decodes them.
+    missed = _cli_verify("buggy_div", "--input-bytes", "3",
+                         "--store", str(store_path))
+    assert missed["provenance"] != "memo-hit"
+    assert store_decodes
 
 
 @pytest.mark.parametrize("spec, change", [
@@ -498,16 +512,79 @@ def test_server_interp_memo_is_the_cli_run(tmp_path):
 
 
 def test_server_persists_across_restart(tmp_path):
+    """A brand-new server over the same store answers from the memo
+    without priming its table; the first job it computes primes it."""
     store_path = tmp_path / "knowledge.jsonl"
     with _RunningServer(tmp_path, "first", store_path=store_path) as running:
         cold = running.client.verify(workload="uniq", level="-OVERIFY")
         assert cold["provenance"] == "cold"
-    # A brand-new server over the same store answers from the memo.
     with _RunningServer(tmp_path, "second", store_path=store_path) as running:
         warm = running.client.verify(workload="uniq", level="-OVERIFY")
         assert warm["provenance"] == "memo-hit"
         assert warm["paths"] == cold["paths"]
+        assert running.client.stats()["primed_entries"] == 0
+        computed = running.client.verify(workload="uniq", level="-O2")
+        assert computed["provenance"] != "memo-hit"
         assert running.client.stats()["primed_entries"] > 0
+
+
+def test_concurrent_first_misses_prime_the_store_once(tmp_path, monkeypatch,
+                                                     store_decodes):
+    """Two distinct jobs that miss the memo at once share one prime: the
+    second waits for the first one's entries instead of decoding the
+    records again."""
+    store_path = tmp_path / "knowledge.jsonl"
+    assert _cli_store_verify(store_path)["provenance"] == "cold"
+    loaded = SolverKnowledgeStore(store_path)
+    assert loaded.load()
+    loaded_wires = sum(len(record["constraints"])
+                       for record in loaded._groups.values())
+    assert loaded_wires > 0
+
+    entered = []
+    both_in = threading.Event()
+    original_prime = SolverKnowledgeStore.prime
+
+    def counted_prime(self):
+        entered.append(self)
+        if len(entered) == 2:
+            both_in.set()
+        return original_prime(self)
+
+    store_decodes.clear()
+    counted_decode = store_module.expr_from_wire
+
+    def held_decode(nodes):
+        # The first decode waits until the second job is in prime() too.
+        if not store_decodes:
+            both_in.wait(timeout=60)
+        return counted_decode(nodes)
+
+    monkeypatch.setattr(SolverKnowledgeStore, "prime", counted_prime)
+    monkeypatch.setattr(store_module, "expr_from_wire", held_decode)
+    with _RunningServer(tmp_path, "two-misses", store_path=store_path,
+                        pool_size=2) as running:
+        assert running.client.stats()["primed_entries"] == 0
+        replies = []
+
+        def submit(level):
+            client = ServiceClient(running.socket_path, timeout=120.0)
+            replies.append(client.verify(workload="buggy_div", level=level,
+                                         input_bytes=4))
+
+        threads = [threading.Thread(target=submit, args=(level,))
+                   for level in ("-O0", "-O1")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        stats = running.client.stats()
+    assert len(entered) == 2 and both_in.is_set()
+    assert [reply["ok"] for reply in replies] == [True, True]
+    assert all(reply["provenance"] != "memo-hit" for reply in replies)
+    assert len(store_decodes) == loaded_wires
+    assert stats["primed_entries"] == len(loaded._groups)
 
 
 def test_server_dedupes_concurrent_identical_jobs(tmp_path):

@@ -181,12 +181,11 @@ def test_store_round_trip(tmp_path):
     assert loaded.memo_lookup("deadbeef" * 8, dict) == \
         {"paths": 4, "errors": 0}
 
-    # Priming a fresh cache set from the loaded store reproduces the
-    # original solver knowledge: the sat group hits, the unsat group hits,
-    # and the canonical group answers concretization without a search.
-    caches = SharedSolverCaches()
-    assert loaded.prime(caches) == 3
-    solver = Solver(shared=caches)
+    # Priming the loaded store's table reproduces the original solver
+    # knowledge: the sat group hits, the unsat group hits, and the
+    # canonical group answers concretization without a search.
+    assert loaded.prime() == 3
+    solver = Solver(shared=loaded.caches)
     a, b = var(8, "in0"), var(8, "in1")
     assert solver.check_partition(
         *as_partition([binary(ExprOp.ULT, a, const(8, 10))])).satisfiable
@@ -197,6 +196,39 @@ def test_store_round_trip(tmp_path):
         (), [(binary(ExprOp.EQ, b, const(8, 5)),)]) == {"in1": 5}
     assert solver.stats.store_hits == 3
     assert solver.stats.csp_searches == 0
+
+
+def test_prime_runs_once_per_load(tmp_path, monkeypatch):
+    """Two first callers at once prime the store's table once (the second
+    waits for the first one's entries); later calls decode nothing until
+    the next load."""
+    path = tmp_path / "knowledge.jsonl"
+    _populated_store(path).save()
+    store = SolverKnowledgeStore(path)
+    assert store.load() is True
+    assert store.primed_entries is None and not store.caches.results
+    decoded = _count_calls(monkeypatch, store_module, "expr_from_wire")
+    barrier = threading.Barrier(2, timeout=30)
+    added = []
+
+    def first_miss():
+        barrier.wait()
+        added.append(store.prime())
+
+    threads = [threading.Thread(target=first_miss) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert sorted(added) == [0, 3]
+    assert store.primed_entries == 3 and len(store.caches.results) == 3
+    once = len(decoded)
+    assert once == 4  # the three groups' constraints
+    assert store.prime() == 0 and len(decoded) == once
+    assert store.load() is True
+    store.prime()
+    assert len(decoded) == 2 * once
 
 
 def _journal(path):
@@ -228,9 +260,8 @@ def test_absorbed_group_answers_a_superset_through_the_unsat_index(
     _populated_store(path).save()
     loaded = SolverKnowledgeStore(path)
     assert loaded.load()
-    caches = SharedSolverCaches()
-    loaded.prime(caches)
-    solver = Solver(shared=caches)
+    loaded.prime()
+    solver = Solver(shared=loaded.caches)
     a, c = var(8, "in0"), var(8, "in2")
     superset = [binary(ExprOp.EQ, a, const(8, 1)),
                 binary(ExprOp.EQ, a, const(8, 2)),
@@ -331,7 +362,7 @@ def test_flipped_record_byte_skips_only_that_record(tmp_path):
     assert store.load_error == "skipped damaged record lines: 2"
     assert (len(store), store.memo_count) == (2, 0)
     assert store.memo_lookup("deadbeef" * 8, dict) is None
-    assert store.prime(SharedSolverCaches()) == 2
+    assert store.prime() == 2
 
 
 def test_junk_content_is_cold(tmp_path):
@@ -369,8 +400,7 @@ def test_damaged_stored_expression_is_skipped_not_fatal(tmp_path):
     store.save()
     loaded = SolverKnowledgeStore(path)
     assert loaded.load() is True  # checksums match: the file is valid
-    caches = SharedSolverCaches()
-    primed = loaded.prime(caches)
+    primed = loaded.prime()
     assert primed == 2  # one group dropped, the other two intact
 
 
@@ -520,9 +550,8 @@ def test_absorb_fingerprints_only_groups_the_store_lacks(tmp_path,
     # A store knows the groups it primed without fingerprinting them.
     primed = SolverKnowledgeStore(path)
     assert primed.load() is True
-    primed_caches = SharedSolverCaches()
-    assert primed.prime(primed_caches) == 3
-    assert primed.absorb(primed_caches) == 0
+    assert primed.prime() == 3
+    assert primed.absorb(primed.caches) == 0
     assert fingerprints == []
     caches.remember([binary(ExprOp.ULT, var(8, "in0"), const(8, 20))],
                     SolverResult(True, {"in0": 0}))
@@ -814,10 +843,9 @@ def test_warm_store_differential_over_registry(tmp_path):
 
             warm_store = SolverKnowledgeStore(store_path)
             assert warm_store.load() is True or len(store) == 0
-            warm_caches = SharedSolverCaches()
-            warm_store.prime(warm_caches)
+            warm_store.prime()
             warm = explore(module, _DIFFERENTIAL_BYTES, limits=limits,
-                           solver=Solver(shared=warm_caches))
+                           solver=Solver(shared=warm_store.caches))
 
             assert _observables(warm) == _observables(cold), \
                 f"{workload.name} at {level}: warm != cold"
