@@ -41,11 +41,11 @@ from typing import List, Optional
 from .frontend import CompileError
 from .ir import Module, verify_module
 from .passes import (
-    AnalysisManager, PipelineSpec, PipelineSyntaxError, format_pass,
+    ROUND_CAP, AnalysisManager, PipelineSpec, PipelineSyntaxError,
     format_pipeline, parse_pipeline, registered_passes,
 )
 from .pipelines import (
-    CompileOptions, CompilerSession, LEVEL_PIPELINES, OptLevel,
+    CompileOptions, CompilerSession, LEVEL_PIPELINES,
     build_pipeline_from_spec, level_spec, level_spec_string,
     parse_opt_level, with_entry_points, with_runtime_checks,
 )
@@ -131,8 +131,9 @@ def _list_levels() -> int:
 
 def _explain_paths(module: Module, spec: PipelineSpec, input_bytes: int,
                    timeout: float) -> int:
-    """Run the pipeline one pass at a time, symbolically exploring the
-    module after each, and print every pass's path-count delta.  This
+    """Run the pipeline one pass at a time, round after round until a round
+    changes nothing (at most ``ROUND_CAP`` rounds, as a compile does), and
+    print the path count after every pass that changed the module.  This
     attributes the -O0 → -OVERIFY path collapse to individual passes
     instead of reporting only the endpoints."""
     from .symex import SymexLimits, explore
@@ -145,23 +146,33 @@ def _explain_paths(module: Module, spec: PipelineSpec, input_bytes: int,
         return stats.total_paths, stats.termination_reason
 
     baseline, truncated = count_paths()
-    print(f"path counts over {input_bytes} symbolic input bytes "
-          f"(single pipeline iteration):")
+    print(f"path counts over {input_bytes} symbolic input bytes after each "
+          f"pass that changes the module, by round, to the fixpoint:")
     marker = f"  [{truncated} budget hit]" if truncated else ""
-    print(f"  {'(front end)':<36} {baseline:>7} paths{marker}")
+    print(f"  {'(front end)':<48} {baseline:>7} paths{marker}")
     analyses = AnalysisManager()
+    stages = [build_pipeline_from_spec(PipelineSpec((pass_spec,)),
+                                       analyses=analyses)
+              for pass_spec in spec.passes]
     previous = baseline
-    for pass_spec in spec.passes:
-        stage = build_pipeline_from_spec(PipelineSpec((pass_spec,)),
-                                         analyses=analyses)
-        stage.run(module)
-        verify_module(module)
-        paths, truncated = count_paths()
-        delta = f"{paths - previous:+d}" if paths != previous else ""
-        marker = f"  [{truncated} budget hit]" if truncated else ""
-        print(f"  {format_pass(pass_spec):<36} {paths:>7} paths  "
-              f"{delta}{marker}")
-        previous = paths
+    for round_number in range(1, ROUND_CAP + 1):
+        changed = False
+        for stage in stages:
+            if not stage.run(module):
+                continue
+            changed = True
+            verify_module(module)
+            paths, truncated = count_paths()
+            delta = f"{paths - previous:+d}" if paths != previous else ""
+            marker = f"  [{truncated} budget hit]" if truncated else ""
+            print(f"  {round_number} {format_pipeline(stage.spec):<46} "
+                  f"{paths:>7} paths  {delta}{marker}")
+            previous = paths
+        if not changed:
+            print(f"fixpoint : round {round_number} changed nothing")
+            break
+    else:
+        print(f"fixpoint : not reached in {ROUND_CAP} rounds")
     removed = baseline - previous
     print(f"total    : {baseline} -> {previous} paths "
           f"({removed} removed, {removed / baseline:.0%})" if baseline

@@ -9,7 +9,8 @@ levels make:
    pass bug), and every compiled module must pass the full SSA dominance
    verifier — the per-pass structural checks skip dominance for speed, and
    the first bug this fuzzer found was exactly a pass leaving a
-   non-dominating use behind.
+   non-dominating use behind.  A compile whose last round still changed
+   the module stopped at the round cap: its passes undo each other.
 2. **Per-level replay** (interp vs symex): every path the symbolic
    executor completes carries a solver-model ``test_input``; replaying it
    concretely on the *same* module must reach the same outcome (no crash
@@ -47,11 +48,13 @@ the path space is the whole point of the levels (Table 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..interp.errors import ErrorKind
 from ..interp.interpreter import ExecutionResult, run_module
 from ..ir import verify_module, verify_ssa_dominance
+from ..passes import parse_pipeline
+from ..pipelines.compiler import CompilationResult
 from ..pipelines.levels import OptLevel
 from ..pipelines.session import CompilerSession
 from ..symex.executor import SymexLimits, SymexReport, explore
@@ -189,6 +192,14 @@ def _path_fingerprint(report: SymexReport) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted(records))
 
 
+def _changed_in_last_round(result: CompilationResult) -> List[str]:
+    """The passes that changed the module in ``result``'s last round: none
+    unless its fixpoint run stopped at the round cap."""
+    round_length = len(parse_pipeline(result.pipeline_text).passes)
+    return [run.pass_name for run in result.pass_history[-round_length:]
+            if run.changed]
+
+
 class _Oracle:
     def __init__(self, seed: Optional[int], source: str,
                  generator_config: GeneratorConfig,
@@ -210,15 +221,22 @@ class _Oracle:
         modules: Dict[OptLevel, object] = {}
         for level in OptLevel:
             try:
-                module = session.compile(self.source, level=level).module
-                verify_module(module)
-                verify_ssa_dominance(module)
-                modules[level] = module
+                result = session.compile(self.source, level=level)
+                verify_module(result.module)
+                verify_ssa_dominance(result.module)
+                modules[level] = result.module
             except Exception as error:  # CompileError and anything worse
                 self.diverge(
                     "compile",
                     f"{level} failed to compile a generated program: "
                     f"{type(error).__name__}: {error}")
+                continue
+            cycling = _changed_in_last_round(result)
+            if cycling:
+                self.diverge(
+                    "compile",
+                    f"{level} stopped at the round cap with changes in its "
+                    f"last round ({', '.join(cycling)})")
         return modules
 
     def explore_level(self, level: OptLevel, module) -> SymexReport:

@@ -1,7 +1,9 @@
 """repro.passes — the optimization passes and pass manager."""
 
 from ..analysis import AnalysisManager, PreservedAnalyses
-from .pass_manager import Pass, PassManager, PassRunRecord, TransformStats
+from .pass_manager import (
+    ROUND_CAP, Pass, PassManager, PassRunRecord, TransformStats,
+)
 from .registry import (
     PassInfo, PassParam, PassSpec, PipelineSpec, PipelineSyntaxError,
     build_pass, build_passes, format_pass, format_pipeline, make_pass_spec,
@@ -28,14 +30,14 @@ from .licm import LoopInvariantCodeMotion
 from .loop_unswitch import LoopUnswitching, UnswitchParams
 from .loop_unroll import LoopUnrolling, UnrollParams
 from .annotate import AnnotateForVerification
-from .checks import CHECK_FAIL_FUNCTION, InsertRuntimeChecks, get_or_create_check_fail
+from .checks import CHECK_FAIL_FUNCTION, InsertRuntimeChecks
 from .loop_utils import (
     clone_loop, ensure_preheader, insert_lcssa_phis, single_exit_block,
 )
 
 __all__ = [
     "AnalysisManager", "PreservedAnalyses",
-    "Pass", "PassManager", "PassRunRecord", "TransformStats",
+    "ROUND_CAP", "Pass", "PassManager", "PassRunRecord", "TransformStats",
     "PassInfo", "PassParam", "PassSpec", "PipelineSpec",
     "PipelineSyntaxError",
     "build_pass", "build_passes", "format_pass", "format_pipeline",
@@ -59,6 +61,6 @@ __all__ = [
     "LoopUnswitching", "UnswitchParams",
     "LoopUnrolling", "UnrollParams",
     "AnnotateForVerification",
-    "CHECK_FAIL_FUNCTION", "InsertRuntimeChecks", "get_or_create_check_fail",
+    "CHECK_FAIL_FUNCTION", "InsertRuntimeChecks",
     "clone_loop", "ensure_preheader", "insert_lcssa_phis", "single_exit_block",
 ]

@@ -15,29 +15,19 @@ crash, which is exactly how the paper's tools consume such checks.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..analysis import AnalysisManager, PreservedAnalyses, underlying_object
 from ..ir import (
     AllocaInst, BasicBlock, BranchInst, CallInst, ConstantInt, Function,
     FunctionType, GlobalVariable, ICmpInst, ICmpPredicate, Instruction,
-    LoadInst, Module, Opcode, PointerType, StoreInst, UnreachableInst,
-    CastInst, I64, VOID,
+    LoadInst, Opcode, StoreInst, UnreachableInst, CastInst, I64, VOID,
 )
 from .pass_manager import Pass
 
 #: Name of the failure handler the checks call; verification tools treat a
 #: call to it as a crash.
 CHECK_FAIL_FUNCTION = "__overify_check_fail"
-
-
-def get_or_create_check_fail(module: Module) -> Function:
-    """Return (creating if needed) the declaration of the check-failure hook."""
-    existing = module.get_function_or_none(CHECK_FAIL_FUNCTION)
-    if existing is not None:
-        return existing
-    return module.create_function(
-        CHECK_FAIL_FUNCTION, FunctionType(VOID, ()), [])
 
 
 def _statically_safe(pointer) -> bool:
@@ -57,27 +47,24 @@ class InsertRuntimeChecks(Pass):
                         analyses: AnalysisManager) -> PreservedAnalyses:
         if function.is_declaration:
             return PreservedAnalyses.unchanged()
-        module = function.parent
-        assert module is not None
-        declares_hook = \
-            module.get_function_or_none(CHECK_FAIL_FUNCTION) is None
-        fail = get_or_create_check_fail(module)
-        changed = False
         # Snapshot the accesses first: inserting checks splits blocks.
         accesses: List[Instruction] = [
             inst for inst in function.instructions()
             if isinstance(inst, (LoadInst, StoreInst))
             and not _statically_safe(inst.pointer)
             and "overify.checked" not in inst.metadata]
+        if not accesses:
+            return PreservedAnalyses.unchanged()
+        # The module's first check declares the failure hook.
+        module = function.parent
+        fail = module.get_function_or_none(CHECK_FAIL_FUNCTION) or \
+            module.create_function(CHECK_FAIL_FUNCTION,
+                                   FunctionType(VOID, ()), [])
         for inst in accesses:
             self._insert_null_check(function, fail, inst)
             self.stats.checks_inserted += 1
-            changed = True
-        # Each check splits a block and adds a failure arm.  Declaring the
-        # failure hook changes the module but leaves this function alone.
-        if changed:
-            return PreservedAnalyses.none()
-        return PreservedAnalyses.all(changed=declares_hook)
+        # Each check splits a block and adds a failure arm.
+        return PreservedAnalyses.none()
 
     def _insert_null_check(self, function: Function, fail: Function,
                            access: Instruction) -> None:

@@ -15,8 +15,8 @@ from ..analysis import (
     FUNCTION_ANALYSES, AnalysisManager, PreservedAnalyses,
 )
 from ..ir import (
-    AllocaInst, CallInst, ConstantInt, Function, GEPInst, Instruction,
-    LoadInst, Module, Opcode, StoreInst,
+    AllocaInst, CallInst, ConstantInt, Function, Instruction, Module, Opcode,
+    StoreInst,
 )
 from .pass_manager import Pass
 
@@ -142,20 +142,25 @@ class GlobalDCE(Pass):
         graph = analyses.call_graph(module)
         live = graph.reachable_from(sorted(roots))
         changed = False
-        for function in list(module.functions.values()):
-            if function.name in live or function.name in self.roots:
-                continue
-            if function.num_uses > 0:
-                continue
-            for block in list(function.blocks):
-                for inst in list(block.instructions):
-                    inst.drop_all_references()
-                block.instructions = []
-            function.blocks = []
-            module.remove_function(function)
-            analyses.invalidate_function(function)
-            self.stats.functions_removed += 1
-            changed = True
+        # Sweep until one deletes nothing: a dead function still called by
+        # another dead one loses that use when its caller's body is dropped.
+        swept = True
+        while swept:
+            swept = False
+            for function in list(module.functions.values()):
+                if function.name in live or function.name in self.roots:
+                    continue
+                if function.num_uses > 0:
+                    continue
+                for block in list(function.blocks):
+                    for inst in list(block.instructions):
+                        inst.drop_all_references()
+                    block.instructions = []
+                function.blocks = []
+                module.remove_function(function)
+                analyses.invalidate_function(function)
+                self.stats.functions_removed += 1
+                swept = changed = True
         if not changed:
             return PreservedAnalyses.unchanged()
         # Removing whole functions does not perturb the bodies of the

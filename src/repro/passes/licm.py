@@ -8,8 +8,6 @@ every explored path.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..analysis import (
     AnalysisManager, Loop, PreservedAnalyses, underlying_object,
 )
@@ -43,19 +41,19 @@ class LoopInvariantCodeMotion(Pass):
         # Process inner loops first so invariants bubble outward.
         for loop in sorted(loop_info.loops, key=lambda l: -l.depth):
             self._hoist(loop)
-        # A preheader made for a loop with nothing to hoist is a change like
-        # any other: the pass manager may skip a run that reports none.
         return PreservedAnalyses.none() if function.ir_epoch != epoch \
             else PreservedAnalyses.unchanged()
 
     def _hoist(self, loop: Loop) -> None:
+        loop_writes_memory = _loop_has_stores_or_calls(loop)
+        # A loop with nothing to hoist gets no preheader either.
+        if not any(self._hoistable(inst, loop, loop_writes_memory)
+                   for block in loop.blocks for inst in block.instructions):
+            return
         preheader = ensure_preheader(loop)
         if preheader is None:
             return
         terminator = preheader.terminator
-        if terminator is None:
-            return
-        loop_writes_memory = _loop_has_stores_or_calls(loop)
         progress = True
         while progress:
             progress = False

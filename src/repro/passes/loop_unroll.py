@@ -17,15 +17,15 @@ consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..analysis import (
     AnalysisManager, Loop, PreservedAnalyses, compute_trip_count,
 )
-from ..ir import BasicBlock, BranchInst, Function, Instruction, PhiInst
+from ..ir import BasicBlock, BranchInst, Function, PhiInst
 from .loop_utils import (
-    add_cloned_incoming_to_exit_phis, clone_loop, ensure_preheader,
-    insert_lcssa_phis, single_exit_block,
+    add_cloned_incoming_to_exit_phis, can_insert_lcssa_phis, clone_loop,
+    ensure_preheader, insert_lcssa_phis, loop_size, single_exit_block,
 )
 from .pass_manager import Pass
 
@@ -38,10 +38,6 @@ class UnrollParams:
     max_trip_count: int = 8
     #: Maximum (trip count x loop size) budget in instructions.
     max_unrolled_size: int = 256
-
-
-def _loop_size(loop: Loop) -> int:
-    return sum(len(block.instructions) for block in loop.blocks)
 
 
 class LoopUnrolling(Pass):
@@ -71,8 +67,6 @@ class LoopUnrolling(Pass):
                     break
             if not unrolled:
                 break
-        # Abandoned attempts can leave side effects too (preheader creation,
-        # partial LCSSA phis); they are changes like any other.
         return PreservedAnalyses.none() if function.ir_epoch != epoch \
             else PreservedAnalyses.unchanged()
 
@@ -86,25 +80,20 @@ class LoopUnrolling(Pass):
             # A loop whose body never executes needs no peeling; constant
             # propagation and SimplifyCFG will delete it.
             return False
-        size = _loop_size(loop)
-        if trip.count * size > self.params.max_unrolled_size:
+        if trip.count * loop_size(loop) > self.params.max_unrolled_size:
             return False
         if len(loop.latches) != 1:
             return False
-        preheader = ensure_preheader(loop)
-        if preheader is None:
-            return False
         exit_block = single_exit_block(loop)
-        if exit_block is None:
+        if exit_block is None or not can_insert_lcssa_phis(
+                loop, exit_block, analyses.dominator_tree(function)):
             return False
-        domtree = analyses.dominator_tree(function)
-        if not insert_lcssa_phis(loop, exit_block, domtree):
+        # Every precondition holds: the first edit commits to the unroll.
+        if ensure_preheader(loop) is None:
             return False
+        insert_lcssa_phis(loop, exit_block, analyses.dominator_tree(function))
         for _ in range(trip.count):
-            if not self._peel_once(function, loop, exit_block):
-                return False
-            # Recompute the loop structure: the original loop's blocks are
-            # unchanged, but its preheader is now the peeled latch.
+            self._peel_once(loop, exit_block)
         # After trip_count peels the original loop body can never execute
         # again, so its exiting branch is rewritten to leave unconditionally;
         # SimplifyCFG then deletes the dead body and back edge.
@@ -124,13 +113,11 @@ class LoopUnrolling(Pass):
         exiting_block.append_instruction(BranchInst(outside[0]))
         inside[0].remove_predecessor(exiting_block)
 
-    def _peel_once(self, function: Function, loop: Loop,
-                   exit_block: BasicBlock) -> bool:
-        preheader = loop.preheader()
-        if preheader is None:
-            preheader = ensure_preheader(loop)
-            if preheader is None:
-                return False
+    def _peel_once(self, loop: Loop, exit_block: BasicBlock) -> None:
+        # The header is entered from outside the loop: by its preheader at
+        # first, then by the previous peeled copy's latch.
+        preheader = ensure_preheader(loop)
+        assert preheader is not None
         latch = loop.latches[0]
         header = loop.header
 
@@ -159,7 +146,6 @@ class LoopUnrolling(Pass):
         for phi in header.phis():
             cloned_phi = cloned.mapped_value(phi)
             assert isinstance(cloned_phi, PhiInst)
-            init_value = phi.incoming_value_for(preheader)
             latch_value = phi.incoming_value_for(latch)
             # Original loop: replace the preheader entry with the value the
             # peeled iteration produces on its back edge.
@@ -172,7 +158,6 @@ class LoopUnrolling(Pass):
             # initial value, which is correct.
         # 4. The peeled copy's header phis now have a single incoming value;
         #    SimplifyCFG will fold them.  Nothing else to do.
-        return True
 
 
 from .registry import int_param, register_pass

@@ -14,15 +14,16 @@ invariant condition to select between the two specialized loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..analysis import AnalysisManager, Loop, PreservedAnalyses
 from ..ir import (
-    BasicBlock, BranchInst, ConstantInt, Function, Instruction, Value,
+    BinaryInst, BranchInst, CastInst, ConstantInt, Function, ICmpInst,
+    Instruction, Value,
 )
 from .loop_utils import (
-    add_cloned_incoming_to_exit_phis, clone_loop, ensure_preheader,
-    insert_lcssa_phis, single_exit_block,
+    add_cloned_incoming_to_exit_phis, can_insert_lcssa_phis, clone_loop,
+    ensure_preheader, insert_lcssa_phis, loop_size, single_exit_block,
 )
 from .pass_manager import Pass
 
@@ -39,16 +40,10 @@ class UnswitchParams:
     max_unswitches_per_function: int = 8
 
 
-def _loop_size(loop: Loop) -> int:
-    return sum(len(block.instructions) for block in loop.blocks)
-
-
 def _is_hoistable_condition(loop: Loop, condition: Value) -> bool:
     """True when ``condition`` is computed inside the loop but only from
     loop-invariant values by a pure instruction, so it can be hoisted to the
     preheader as part of unswitching (what LLVM's unswitcher does too)."""
-    from ..ir import BinaryInst, CastInst, ICmpInst
-
     if not isinstance(condition, (ICmpInst, BinaryInst, CastInst)):
         return False
     if not loop.contains_instruction(condition):
@@ -96,7 +91,7 @@ class LoopUnswitching(Pass):
             loop_info = analyses.loop_info(function)
             unswitched = False
             for loop in loop_info.loops:
-                if _loop_size(loop) > self.params.max_loop_size:
+                if loop_size(loop) > self.params.max_loop_size:
                     continue
                 if self._unswitch(function, loop, analyses):
                     self.stats.loops_unswitched += 1
@@ -104,9 +99,6 @@ class LoopUnswitching(Pass):
                     break  # loop structures changed; recompute LoopInfo
             if not unswitched:
                 break
-        # Abandoned attempts can leave side effects too (preheader creation,
-        # condition hoisting, partial LCSSA phis); they are changes like any
-        # other.
         return PreservedAnalyses.none() if function.ir_epoch != epoch \
             else PreservedAnalyses.unchanged()
 
@@ -115,32 +107,26 @@ class LoopUnswitching(Pass):
         branch = _find_invariant_branch(loop)
         if branch is None or branch.true_target is branch.false_target:
             return False
-        preheader = ensure_preheader(loop)
-        if preheader is None:
-            return False
         exit_block = single_exit_block(loop)
         if exit_block is None:
             return False
         condition = branch.condition
-        # A condition computed inside the loop purely from invariant operands
-        # is hoisted into the preheader first (it then dominates both loop
-        # copies and the preheader's new conditional branch).
-        if isinstance(condition, Instruction) and \
-                loop.contains_instruction(condition) and \
-                _is_hoistable_condition(loop, condition):
-            owner_block = condition.parent
-            assert owner_block is not None
-            owner_block.remove_instruction(condition)
-            preheader_term = preheader.terminator
-            assert preheader_term is not None
-            preheader.insert_before(preheader_term, condition)
-        domtree = analyses.dominator_tree(function)
-        if isinstance(condition, Instruction):
-            if condition.parent is None or \
-                    not domtree.dominates(condition.parent, preheader):
-                return False
-        if not insert_lcssa_phis(loop, exit_block, domtree):
+        # The preheader's new branch tests the condition.  One computed in
+        # the loop (from invariant operands only) moves there first; one
+        # defined outside dominates its use in the loop, so the header too.
+        hoisted = isinstance(condition, Instruction) and \
+            loop.contains_instruction(condition)
+        if not can_insert_lcssa_phis(loop, exit_block,
+                                     analyses.dominator_tree(function)):
             return False
+        # Every precondition holds: the first edit commits to the unswitch.
+        preheader = ensure_preheader(loop)
+        if preheader is None:
+            return False
+        if hoisted:
+            condition.parent.remove_instruction(condition)
+            preheader.insert_before(preheader.terminator, condition)
+        insert_lcssa_phis(loop, exit_block, analyses.dominator_tree(function))
 
         cloned = clone_loop(loop, "unsw")
         add_cloned_incoming_to_exit_phis(loop, [exit_block], cloned)

@@ -4,12 +4,10 @@ LICM): preheader creation, LCSSA-style exit phis, and whole-loop cloning."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..analysis import DominatorTree, Loop
-from ..ir import (
-    BasicBlock, BranchInst, Function, Instruction, PhiInst, Value,
-)
+from ..ir import BasicBlock, BranchInst, Instruction, PhiInst, Value
 
 
 def ensure_preheader(loop: Loop) -> Optional[BasicBlock]:
@@ -66,6 +64,11 @@ def ensure_preheader(loop: Loop) -> Optional[BasicBlock]:
     return preheader
 
 
+def loop_size(loop: Loop) -> int:
+    """The loop's instruction count: what unrolling and unswitching copy."""
+    return sum(len(block.instructions) for block in loop.blocks)
+
+
 def loop_values_used_outside(loop: Loop) -> List[Instruction]:
     """Instructions defined inside the loop with at least one use outside it."""
     result: List[Instruction] = []
@@ -82,27 +85,33 @@ def loop_values_used_outside(loop: Loop) -> List[Instruction]:
     return result
 
 
+def can_insert_lcssa_phis(loop: Loop, exit_block: BasicBlock,
+                          domtree: DominatorTree) -> bool:
+    """Whether :func:`insert_lcssa_phis` can succeed: ``exit_block`` has an
+    in-loop predecessor and every loop value used outside dominates each of
+    them (else a phi of it would be malformed).  Edits nothing."""
+    in_loop_preds = [p for p in exit_block.predecessors() if loop.contains(p)]
+    return bool(in_loop_preds) and all(
+        domtree.dominates(inst.parent, pred)
+        for inst in loop_values_used_outside(loop) for pred in in_loop_preds)
+
+
 def insert_lcssa_phis(loop: Loop, exit_block: BasicBlock,
                       domtree: DominatorTree) -> bool:
     """Rewrite out-of-loop uses of loop-defined values to go through phis in
     ``exit_block`` (a restricted LCSSA construction for single-exit loops).
 
     The caller supplies a current dominator tree (normally from the analysis
-    manager).  Returns False if some value cannot safely be rewritten (the
-    caller should then give up on the transformation).
+    manager).  Every value is checked before the first phi is inserted:
+    returns False, having changed nothing, when
+    :func:`can_insert_lcssa_phis` does.
     """
+    if not can_insert_lcssa_phis(loop, exit_block, domtree):
+        return False
     function = loop.header.parent
     assert function is not None
     in_loop_preds = [p for p in exit_block.predecessors() if loop.contains(p)]
-    if not in_loop_preds:
-        return False
     for inst in loop_values_used_outside(loop):
-        assert inst.parent is not None
-        # The definition must dominate every in-loop predecessor of the exit,
-        # otherwise a phi of `inst` from each predecessor would be malformed.
-        if not all(domtree.dominates(inst.parent, pred)
-                   for pred in in_loop_preds):
-            return False
         phi = PhiInst(inst.type, function.next_name(f"{inst.name}.lcssa"))
         exit_block.insert_instruction(0, phi)
         for pred in in_loop_preds:
@@ -160,6 +169,7 @@ def clone_loop(loop: Loop, name_suffix: str) -> ClonedLoop:
         function.insert_block_after(insert_after, clone)
         insert_after = clone
 
+    header_clone = block_map[id(loop.header)]
     cloned_instructions: List[Instruction] = []
     for block, clone_block in zip(loop.blocks, cloned_blocks):
         for inst in block.instructions:
@@ -179,6 +189,13 @@ def clone_loop(loop: Loop, name_suffix: str) -> ClonedLoop:
             if mapped is not None:
                 clone.set_operand(index, mapped)
         if isinstance(clone, PhiInst):
+            # Only the header is entered from outside the loop.  Any other
+            # block's outside predecessor is unreachable (an arm an earlier
+            # unswitch cut off) and branches to the original block alone.
+            if clone.parent is not header_clone:
+                for block in [b for b in clone.incoming_blocks
+                              if not loop.contains(b)]:
+                    clone.remove_incoming(block)
             clone.incoming_blocks = [
                 block_map.get(id(b), b) for b in clone.incoming_blocks]
 

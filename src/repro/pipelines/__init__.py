@@ -1,7 +1,7 @@
 """repro.pipelines — optimization levels, pipelines, and the compiler driver."""
 
 from .levels import (
-    CLEANUP, LEVEL_MAX_ITERATIONS, LEVEL_PIPELINES, OSYMBEX, OptLevel,
+    CLEANUP, LEVEL_PIPELINES, OSYMBEX, OptLevel,
     build_pipeline, build_pipeline_from_spec, build_pipeline_from_text,
     level_spec, level_spec_string, parse_opt_level, pipeline_description,
     with_entry_points, with_runtime_checks,
@@ -12,8 +12,7 @@ from .compiler import (
 from .session import CompilerSession, SessionStats
 
 __all__ = [
-    "CLEANUP", "LEVEL_MAX_ITERATIONS", "LEVEL_PIPELINES",
-    "OSYMBEX", "OptLevel",
+    "CLEANUP", "LEVEL_PIPELINES", "OSYMBEX", "OptLevel",
     "build_pipeline", "build_pipeline_from_spec", "build_pipeline_from_text",
     "level_spec", "level_spec_string", "parse_opt_level",
     "pipeline_description", "with_entry_points", "with_runtime_checks",

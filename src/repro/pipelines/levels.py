@@ -155,12 +155,6 @@ LEVEL_PIPELINES: Dict[OptLevel, str] = {
     ),
 }
 
-#: How many times the whole pipeline is repeated looking for a fixpoint.
-#: -OVERIFY gets an extra round: its huge thresholds keep exposing work.
-LEVEL_MAX_ITERATIONS: Dict[OptLevel, int] = {
-    level: (3 if level is OptLevel.OVERIFY else 2) for level in OptLevel}
-
-
 def level_spec_string(level: OptLevel) -> str:
     """The textual pipeline spec for ``level``."""
     return LEVEL_PIPELINES[level]
@@ -206,7 +200,6 @@ def with_runtime_checks(spec: PipelineSpec, enabled: bool) -> PipelineSpec:
 
 def build_pipeline_from_spec(spec: PipelineSpec,
                              verify_after_each: bool = False,
-                             max_iterations: int = 2,
                              analyses: Optional[AnalysisManager] = None
                              ) -> PassManager:
     """Build a :class:`PassManager` running exactly the passes in ``spec``.
@@ -215,7 +208,6 @@ def build_pipeline_from_spec(spec: PipelineSpec,
     the pipeline in its textual form.
     """
     manager = PassManager(verify_after_each=verify_after_each,
-                          max_iterations=max_iterations,
                           analyses=analyses)
     manager.extend(build_passes(spec))
     manager.spec = spec
@@ -224,14 +216,12 @@ def build_pipeline_from_spec(spec: PipelineSpec,
 
 def build_pipeline_from_text(text: str,
                              verify_after_each: bool = False,
-                             max_iterations: int = 2,
                              analyses: Optional[AnalysisManager] = None
                              ) -> PassManager:
     """Build a pipeline straight from its textual form (the CLI's
     ``--passes`` path)."""
     return build_pipeline_from_spec(parse_pipeline(text),
                                     verify_after_each=verify_after_each,
-                                    max_iterations=max_iterations,
                                     analyses=analyses)
 
 
@@ -259,8 +249,7 @@ def build_pipeline(level: OptLevel, entry_points: Optional[Set[str]] = None,
     spec = with_runtime_checks(level_spec(level), enable_checks)
     spec = with_entry_points(spec, entry_points or {"main"})
     return build_pipeline_from_spec(
-        spec, verify_after_each=verify_after_each,
-        max_iterations=LEVEL_MAX_ITERATIONS[level], analyses=analyses)
+        spec, verify_after_each=verify_after_each, analyses=analyses)
 
 
 def pipeline_description(level: OptLevel) -> List[str]:

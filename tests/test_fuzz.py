@@ -146,6 +146,24 @@ def test_oracle_catches_planted_compile_divergence():
     assert all(d.kind == "compile" for d in outcome.divergences)
 
 
+def test_oracle_reports_a_compile_stopped_at_the_round_cap(monkeypatch):
+    """A level whose last round still changed the module has passes that
+    undo each other.  With a one-round cap every level whose first round
+    changes something looks like that, and must be reported as such."""
+    from repro.passes import pass_manager
+
+    source = "int main(unsigned char *input, int len) { return len; }"
+    assert check_source(source, GeneratorConfig(input_bytes=1),
+                        QUICK_ORACLE).clean
+    monkeypatch.setattr(pass_manager, "ROUND_CAP", 1)
+    outcome = check_source(source, GeneratorConfig(input_bytes=1),
+                           QUICK_ORACLE)
+    details = [d.detail for d in outcome.divergences]
+    assert details and all(d.kind == "compile" for d in outcome.divergences)
+    assert any(detail.startswith("-OVERIFY stopped at the round cap")
+               for detail in details), details
+
+
 # ------------------------------------------ oracle family 5: solver matrix
 def test_solver_matrix_holds_distinct_configs():
     """Family 5 differences the default solver against every matrix entry:
@@ -282,6 +300,18 @@ def test_full_seed15_compiles_everywhere():
     source = generate_program(15)
     for level in OptLevel:
         verify_ssa_dominance(compile_program(source, level))
+
+
+# ------------------------------------------ finding: cloning a cut-off arm
+def test_unswitch_clone_drops_phi_entries_of_cut_off_arms():
+    """Seeds 326 and 896: -OVERIFY unswitched an inner loop, which left the
+    arm it cut off unreachable but still branching into the loop, and then
+    unswitched the enclosing loop.  The clone's phis kept the dead arm's
+    entries though the arm branches to the original alone, and the module
+    failed verification."""
+    for seed in (326, 896):
+        verify_ssa_dominance(
+            compile_program(generate_program(seed), OptLevel.OVERIFY))
 
 
 def test_dominance_verifier_rejects_broken_ssa():

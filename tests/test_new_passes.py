@@ -426,8 +426,7 @@ def _compile_o2_variant(source, name, with_new_passes):
     unit = parse(full_source)
     analyze(unit)
     module = lower(unit, name)
-    pipeline = build_pipeline_from_text(_o2_pipeline_text(with_new_passes),
-                                        max_iterations=2)
+    pipeline = build_pipeline_from_text(_o2_pipeline_text(with_new_passes))
     pipeline.run_until_fixpoint(module)
     verify_module(module)
     return module

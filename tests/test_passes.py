@@ -6,20 +6,21 @@ function must still compute the same results when interpreted.
 
 import pytest
 
-from repro.analysis import LoopInfo, function_metrics
+from repro.analysis import DominatorTree, LoopInfo, function_metrics
 from repro.frontend import compile_to_ir
 from repro.interp import Interpreter
 from repro.ir import (
     AllocaInst, BranchInst, CallInst, ConstantInt, LoadInst, PhiInst,
-    SelectInst, StoreInst, verify_module,
+    SelectInst, StoreInst, print_module, verify_module,
 )
 from repro.passes import (
     AnnotateForVerification, ConstantPropagation, DeadCodeElimination,
     GlobalDCE, GlobalValueNumbering, IfConversion, IfConversionParams,
     InlineParams, Inliner, InsertRuntimeChecks, InstCombine, JumpThreading,
     LoopInvariantCodeMotion, LoopUnrolling, LoopUnswitching, PassManager,
-    PromoteMemoryToRegisters, ScalarReplacementOfAggregates, SimplifyCFG,
-    TransformStats, UnrollParams, UnswitchParams,
+    PromoteMemoryToRegisters, ROUND_CAP, ScalarReplacementOfAggregates,
+    SimplifyCFG, TransformStats, UnrollParams, UnswitchParams,
+    insert_lcssa_phis, single_exit_block,
 )
 
 
@@ -190,6 +191,21 @@ class TestDCEAndGlobalDCE:
         assert module.get_function_or_none("unused_helper") is None
         assert module.get_function_or_none("main") is not None
         assert manager.stats.functions_removed >= 1
+
+    def test_global_dce_deletes_dead_callees_in_one_run(self):
+        # `leaf` comes first and is still called by the dead `middle` when
+        # the sweep reaches it; it must not need a second run.
+        source = """
+        int leaf(int a) { return a + 1; }
+        int middle(int a) { return leaf(a) * 2; }
+        int main(unsigned char *input, int len) { return len; }
+        """
+        module = compile_to_ir(source)
+        manager = PassManager()
+        manager.add(GlobalDCE({"main"}))
+        manager.run(module)
+        assert list(module.functions) == ["main"]
+        assert manager.stats.functions_removed == 2
 
     def test_global_dce_keeps_everything_without_roots(self):
         source = "int orphan(int a) { return a; }"
@@ -523,6 +539,119 @@ class TestLoopTransforms:
         assert manager.stats.jumps_threaded >= 1
 
 
+class TestAbandonedAttemptsEditNothing:
+    """A pass edits the module only once it commits to a transformation.
+    An attempt it gives up must leave the printed module as it was and
+    report no change; otherwise the next cleanup pass undoes the leftover
+    and the pipeline never reaches its fixpoint."""
+
+    @staticmethod
+    def _prepared(source):
+        module = compile_to_ir(source)
+        manager = PassManager()
+        manager.extend([SimplifyCFG(), PromoteMemoryToRegisters(),
+                        InstCombine(), DeadCodeElimination(), SimplifyCFG()])
+        manager.run(module)
+        return module
+
+    @staticmethod
+    def _assert_edits_nothing(module, pass_):
+        before = print_module(module)
+        manager = PassManager(verify_after_each=True)
+        manager.add(pass_)
+        assert not manager.run(module)
+        assert print_module(module) == before
+
+    @staticmethod
+    def _only_loop(module):
+        loop, = LoopInfo(module.get_function("f")).loops
+        # Each attempt below would need a preheader, and gives up after
+        # the point where one used to be made.
+        assert loop.preheader() is None
+        return loop
+
+    def test_licm_with_nothing_to_hoist(self):
+        module = self._prepared("""
+        int f(int n) {
+            int s = 0;
+            if (n) {
+                for (int i = 0; i < n; i++) { s = s + i; }
+            }
+            return s;
+        }
+        """)
+        self._only_loop(module)
+        self._assert_edits_nothing(module, LoopInvariantCodeMotion())
+
+    def test_unroll_without_a_single_exit_block(self):
+        # A two-exit loop has no trip count, so unrolling gives up before
+        # it looks for a preheader.  This counted loop has one exit block,
+        # but the block is also entered from outside the loop.
+        module = self._prepared("""
+        int f(int n) {
+            int s = 0;
+            if (n) {
+                for (int i = 0; i < 4; i++) { s = s + i; }
+            }
+            return s;
+        }
+        """)
+        assert single_exit_block(self._only_loop(module)) is None
+        self._assert_edits_nothing(
+            module, LoopUnrolling(UnrollParams(max_trip_count=8)))
+
+    def test_unswitch_of_a_two_exit_loop(self):
+        module = self._prepared("""
+        int f(int n, int k) {
+            int s = 0;
+            if (n) {
+                for (int i = 0; i < n; i++) {
+                    if (k) { s = s + 1; } else { s = s + 2; }
+                    if (s > 100) { return s; }
+                }
+            }
+            return s;
+        }
+        """)
+        assert len(self._only_loop(module).exit_blocks()) == 2
+        self._assert_edits_nothing(
+            module, LoopUnswitching(UnswitchParams(max_loop_size=200)))
+
+    def test_lcssa_when_a_later_escaping_value_fails_dominance(self):
+        # `t` leaves the loop through the exit phi both as the header's
+        # phi, which dominates both exiting blocks, and as `i * 3`, which
+        # does not dominate the header; the header phi comes first.
+        module = self._prepared("""
+        int f(int n) {
+            int i = 0;
+            int t = 0;
+            while (i < n) {
+                t = i * 3;
+                if (t > 50) { break; }
+                i = i + 1;
+            }
+            return i + t;
+        }
+        """)
+        function = module.get_function("f")
+        loop, = LoopInfo(function).loops
+        exit_block = single_exit_block(loop)
+        before = print_module(module)
+        assert not insert_lcssa_phis(loop, exit_block, DominatorTree(function))
+        assert print_module(module) == before
+
+    def test_runtime_checks_when_every_access_is_safe(self):
+        module = compile_to_ir("""
+        int f(int a) {
+            int buffer[4];
+            buffer[1] = a;
+            return buffer[1];
+        }
+        """)
+        self._assert_edits_nothing(module, InsertRuntimeChecks())
+        assert module.get_function_or_none("__overify_check_fail") is None
+
+
 class TestChecksAndAnnotations:
     def test_runtime_checks_inserted_for_unproven_pointers(self):
         source = "int f(int *p) { return *p; }"
@@ -585,12 +714,12 @@ class TestPassManager:
     def test_run_until_fixpoint_stops(self):
         source = "int f(int a) { return a; }"
         module = compile_to_ir(source)
-        manager = PassManager(max_iterations=10)
+        manager = PassManager()
         manager.add(DeadCodeElimination())
         manager.run_until_fixpoint(module)
         # DCE has nothing to do the second time round, so only a couple of
-        # records exist.
-        assert len(manager.history) <= 3
+        # records exist, far fewer than the round cap allows.
+        assert len(manager.history) <= 3 < ROUND_CAP
 
     def test_transform_stats_merge_and_table3_row(self):
         stats = TransformStats(functions_inlined=2)

@@ -5,7 +5,7 @@ functions a program reaches, leave every module as it was.
 reach are never optimized), and the pass manager skips a pass run when the
 same pass spec last ran without a change and nothing has changed since.
 Neither may change what a compile produces, and neither may leaving
-``constprop`` out of the ``CLEANUP`` bundle.  Six layers of coverage:
+``constprop`` out of the ``CLEANUP`` bundle.  Seven layers of coverage:
 
 1. **IR identity** — a test-local reference driver runs the loop without
    either saver: every pass of the level spec except the leading
@@ -35,6 +35,11 @@ Neither may change what a compile produces, and neither may leaving
    calls.  Exploring every registry program's -O0 and -O1 build over one
    byte, to a path budget, gives the same counters and bugs as the
    textual link's.
+7. **Convergence** — every level pipeline reaches a round that changes
+   nothing before ``ROUND_CAP``, so a printed module is a function of the
+   passes alone and not of the cap.  Read from ``session.compile``'s
+   ``pass_history`` for every registry program at every level and for
+   the layer-1 fuzz seeds.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ from repro.analysis import AnalysisManager, PreservedAnalyses
 from repro.frontend import analyze, compile_to_ir, lower, parse
 from repro.fuzz import generate_program
 from repro.ir import print_module
-from repro.passes import Pass, build_passes, parse_pipeline
+from repro.passes import ROUND_CAP, Pass, build_passes, parse_pipeline
 from repro.pipelines import (
-    CLEANUP, LEVEL_MAX_ITERATIONS, LEVEL_PIPELINES, CompileOptions,
+    CLEANUP, LEVEL_PIPELINES, CompileOptions,
     CompilerSession, OptLevel, build_pipeline, build_pipeline_from_text,
     level_spec, link_sources, with_entry_points,
 )
@@ -94,10 +99,10 @@ def _level_passes(level: OptLevel, prune: bool):
     return passes
 
 
-def _drive(module, passes, max_iterations, after_pass=None):
+def _drive(module, passes, after_pass=None):
     """The plain fixpoint loop: every pass, every round, no skipping."""
     analyses = AnalysisManager()
-    for _ in range(max_iterations):
+    for _ in range(ROUND_CAP):
         changed = False
         for pass_ in passes:
             preserved = PreservedAnalyses.from_legacy(
@@ -113,16 +118,24 @@ def _drive(module, passes, max_iterations, after_pass=None):
 
 def reference_compile(source: str, level: OptLevel) -> str:
     module = _lowered(source, level)
-    _drive(module, _level_passes(level, prune=False),
-           LEVEL_MAX_ITERATIONS[level])
+    _drive(module, _level_passes(level, prune=False))
     return print_module(module)
 
 
-@functools.lru_cache(maxsize=None)  # layers 1 and 6 compare the same
-def session_outputs(source: str):
+@functools.lru_cache(maxsize=None)  # layers 1, 6 and 7 read the same
+def session_compiles(source: str):
+    """Per level, the printed module and the pass history."""
     session = CompilerSession()
-    return {level: print_module(session.compile(source, level=level).module)
-            for level in LEVELS}
+    compiles = {}
+    for level in LEVELS:
+        result = session.compile(source, level=level)
+        compiles[level] = (print_module(result.module), result.pass_history)
+    return compiles
+
+
+def session_outputs(source: str):
+    return {level: text
+            for level, (text, _) in session_compiles(source).items()}
 
 
 # ------------------------------------------------------------ IR identity
@@ -157,9 +170,34 @@ def test_constprop_in_cleanup_changes_no_output(name):
     source = get_workload(name).source
     for level, text in session_outputs(source).items():
         module = _lowered(source, level)
-        _drive(module, _with_constprop(level), LEVEL_MAX_ITERATIONS[level])
+        _drive(module, _with_constprop(level))
         assert print_module(module) == text, \
             f"{name} {level}: constprop in CLEANUP changes the output"
+
+
+# ------------------------------------------------------------ convergence
+
+def _assert_converges(source: str, label: str) -> None:
+    """At every level, the last round of ``session.compile``, read from
+    its pass history, changed nothing."""
+    for level, (_, history) in session_compiles(source).items():
+        round_length = len(_level_passes(level, prune=True))
+        rounds, partial = divmod(len(history), round_length)
+        assert not partial, f"{label} {level}: a partial round"
+        changed = [r.pass_name for r in history[-round_length:] if r.changed]
+        assert not changed, \
+            f"{label} {level}: round {rounds} of at most {ROUND_CAP} " \
+            f"still changed the module ({', '.join(changed)})"
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_registry_build_reaches_its_fixpoint(name):
+    _assert_converges(get_workload(name).source, name)
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_fuzz_build_reaches_its_fixpoint(seed):
+    _assert_converges(generate_program(seed), f"fuzz seed {seed}")
 
 
 # ---------------------------------------------------------------- linking
@@ -304,7 +342,7 @@ def test_no_change_report_means_nothing_changed(name, level):
             state["checked"].add(pass_.spec_text)
         state["snapshot"] = snapshot
 
-    _drive(module, passes, LEVEL_MAX_ITERATIONS[level], after_pass)
+    _drive(module, passes, after_pass)
     assert state["checked"]
 
 

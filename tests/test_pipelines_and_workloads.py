@@ -1,6 +1,8 @@
 """Integration tests: the libc variants, the workload suite, the optimization
 pipelines, and the paper's headline claims."""
 
+import re
+
 import pytest
 
 from repro.analysis import module_metrics
@@ -155,6 +157,23 @@ class TestPipelines:
         result = compile_source(WC_PROGRAM, CompileOptions(
             level=level, verify_after_each_pass=True))
         assert result.instruction_count > 0
+
+    @pytest.mark.parametrize("level", ["O2", "O3", "OVERIFY"])
+    def test_explain_paths_ends_at_the_verified_count(self, level, capsys):
+        """``--explain-paths`` runs rounds until one changes nothing, as a
+        compile does, so its last count is the one ``--verify`` reports."""
+        from repro.__main__ import main
+
+        argv = ["wc", "--level", level, "--input-bytes", "2"]
+        assert main(argv + ["--explain-paths"]) == 0
+        explained = capsys.readouterr().out
+        assert re.search(r"^fixpoint : round \d changed nothing$",
+                         explained, re.M)
+        assert main(argv + ["--verify"]) == 0
+        verified = re.search(r"^verify   : symex: (\d+) paths",
+                             capsys.readouterr().out, re.M).group(1)
+        assert re.search(rf"^total    : \d+ -> {verified} paths",
+                         explained, re.M), explained
 
     def test_overify_reduces_branches_vs_o3(self):
         # Since -O3 also runs ifconvert (with a CPU-sized budget) the two
