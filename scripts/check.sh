@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI-style gate: tier-1 tests, an IR-verified compile of every workload at
 # every level (PassManager verify_after_each=True, so the IR verifier runs
-# after each individual pass), the library archive's lazy-load check, the
-# docs, registry, fuzz, relcheck, searcher, solver-matrix, service and
-# chaos smokes, and perfbench's own tests.
+# after each individual pass), the build digest, the library archive's
+# lazy-load check, the docs, registry, fuzz, relcheck, searcher,
+# solver-matrix, service and chaos smokes, and perfbench's own tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
@@ -35,6 +35,15 @@ rate = hits / total if total else 0.0
 print(f"verified {len(all_workloads())} workloads x {len(levels)} levels; "
       f"analysis cache: {hits} hits / {misses} misses ({rate:.0%})")
 PY
+
+echo
+echo "== build digest: one line per build, every workload and level =="
+# scripts/build_digest.py is the "the builds did not change" check: run it
+# on two trees and diff.  Here it must print one line for each of the 45
+# programs (43 registry workloads, fuzz seeds 0-1) at each of 5 levels.
+lines="$(python scripts/build_digest.py --seeds 2 | wc -l)"
+[ "$lines" -eq 225 ] || { echo "build_digest printed $lines lines, not 225"; exit 1; }
+echo "build_digest: $lines builds"
 
 echo
 echo "== library archive: a fresh process analyses only the functions it links =="

@@ -10,14 +10,14 @@ from .dominators import DominatorTree
 from .loops import Loop, LoopInfo, TripCount, compute_trip_count
 from .callgraph import CallGraph
 from .alias import (
-    AliasResult, PointerInfo, alias, alloca_address_escapes, underlying_object,
+    AliasResult, PointerInfo, alias, alloca_address_escapes, is_speculatable,
+    underlying_object,
 )
 from .metrics import (
     FunctionMetrics, ModuleMetrics, function_metrics, module_metrics,
-    verification_cost_estimate,
 )
 from .value_range import Interval, ValueRangeAnalysis, full_range
-from .memory_ssa import AvailableMemory, FactMap, MemoryFact
+from .memory_ssa import AvailableMemory, FactMap, MemoryFact, access_size
 from .manager import (
     ALL_ANALYSES, CALLGRAPH_ANALYSIS, CFG_ANALYSIS, CFG_DERIVED,
     DOMTREE_ANALYSIS, FUNCTION_ANALYSES, LOOPS_ANALYSIS, MEMORY_ANALYSIS,
@@ -34,11 +34,10 @@ __all__ = [
     "Loop", "LoopInfo", "TripCount", "compute_trip_count",
     "CallGraph",
     "AliasResult", "PointerInfo", "alias", "alloca_address_escapes",
-    "underlying_object",
+    "is_speculatable", "underlying_object",
     "FunctionMetrics", "ModuleMetrics", "function_metrics", "module_metrics",
-    "verification_cost_estimate",
     "Interval", "ValueRangeAnalysis", "full_range",
-    "AvailableMemory", "FactMap", "MemoryFact",
+    "AvailableMemory", "FactMap", "MemoryFact", "access_size",
     "AnalysisManager", "AnalysisManagerStats", "PreservedAnalyses",
     "ALL_ANALYSES", "FUNCTION_ANALYSES", "MODULE_ANALYSES", "CFG_DERIVED",
     "CFG_ANALYSIS", "DOMTREE_ANALYSIS", "LOOPS_ANALYSIS", "RANGES_ANALYSIS",

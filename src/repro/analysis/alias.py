@@ -2,8 +2,11 @@
 
 The paper notes that "memory accesses complicate the data-flow graph of a
 program" and that splitting objects reduces aliasing opportunities.  This
-module provides the alias queries used by SROA, GVN (load elimination), and
-the annotation pass that exports alias sets as metadata.
+module provides the alias queries used by SROA, the load-forwarding walk
+GVN and load elimination share, and the annotation pass that exports alias
+sets as metadata.  It also owns the speculation rule (``is_speculatable``)
+that if-conversion and LICM apply before moving an instruction to where it
+might not have run.
 
 The analysis tracks the *underlying object* of every pointer: an alloca, a
 global, an argument, or unknown.  Two pointers with distinct underlying
@@ -16,11 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..ir import (
-    AllocaInst, Argument, CastInst, ConstantInt, GEPInst, GlobalVariable,
-    Instruction, Opcode, Value,
+    AllocaInst, Argument, CallInst, CastInst, ConstantInt, GEPInst,
+    GlobalVariable, Instruction, LoadInst, Opcode, PhiInst, StoreInst, Value,
 )
 
 
@@ -73,6 +76,33 @@ def underlying_object(pointer: Value) -> PointerInfo:
             return PointerInfo(current, offset)
 
 
+def is_speculatable(inst: Instruction) -> bool:
+    """May ``inst`` run where the original program might not have run it?
+
+    Never a store, call, phi, terminator or division (a zero divisor the
+    skipped guard excluded would trap).  A load only when its address is an
+    alloca or global plus a *constant* offset that keeps the whole access
+    inside the object: a variable offset (``buffer[k]`` guarded by
+    ``k >= 0``) could read outside it on the path the guard excluded, a
+    memory error the original program does not have.
+    """
+    if isinstance(inst, (StoreInst, CallInst, PhiInst)) or \
+            inst.is_terminator or inst.opcode in (
+                Opcode.SDIV, Opcode.UDIV, Opcode.SREM, Opcode.UREM):
+        return False
+    if not isinstance(inst, LoadInst):
+        return True
+    info = underlying_object(inst.pointer)
+    base = info.base
+    if not isinstance(base, (AllocaInst, GlobalVariable)) or \
+            info.offset is None or info.offset < 0:
+        return False
+    object_type = base.allocated_type if isinstance(base, AllocaInst) \
+        else base.value_type
+    return info.offset + inst.type.size_in_bytes() <= \
+        object_type.size_in_bytes()
+
+
 def _is_identified_object(value: Value) -> bool:
     """Allocas and globals are distinct objects with known identity."""
     return isinstance(value, (AllocaInst, GlobalVariable))
@@ -109,8 +139,6 @@ def alias(ptr_a: Value, size_a: int, ptr_b: Value, size_b: int) -> AliasResult:
 def alloca_address_escapes(alloca: AllocaInst) -> bool:
     """True if the address of ``alloca`` may escape the current function
     (stored somewhere, passed to a call, or converted to an integer)."""
-    from ..ir import CallInst, LoadInst, StoreInst
-
     worklist = [alloca]
     seen = set()
     while worklist:

@@ -34,7 +34,7 @@ of ``CFG_DERIVED``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..ir import (
     AllocaInst, BasicBlock, CallInst, Function, Instruction, LoadInst,
@@ -58,13 +58,14 @@ class MemoryFact:
 FactMap = Dict[int, MemoryFact]
 
 
-def _access_size(pointer: Value, fallback: int = 8) -> int:
-    """Byte size of the location a typed pointer addresses."""
+def access_size(pointer: Value) -> int:
+    """Byte size of the location a typed pointer addresses (8 for an
+    untyped one)."""
     pointer_type = pointer.type
     if isinstance(pointer_type, PointerType) and \
             not pointer_type.pointee.is_void:
         return pointer_type.pointee.size_in_bytes()
-    return fallback
+    return 8
 
 
 def _survives_call(fact: MemoryFact) -> bool:
@@ -79,8 +80,8 @@ class AvailableMemory:
 
     ``entry_facts(block)`` returns the facts guaranteed at block entry;
     ``transfer(facts, inst)`` applies one instruction's effect in place and
-    is shared with the load-elimination pass so the kill rules cannot drift
-    apart from the analysis.
+    is what the load-forwarding walk of ``load-elim`` and ``gvn`` runs, so
+    their kill rules cannot drift apart from the analysis.
     """
 
     def __init__(self, function: Function, cfg: Optional[CFG] = None) -> None:
@@ -112,7 +113,7 @@ class AvailableMemory:
             key = id(inst.pointer)
             if key not in facts:
                 facts[key] = MemoryFact(inst.pointer,
-                                        _access_size(inst.pointer), inst)
+                                        access_size(inst.pointer), inst)
         elif isinstance(inst, StoreInst):
             value_type = inst.value.type
             size = 8 if value_type.is_void else value_type.size_in_bytes()

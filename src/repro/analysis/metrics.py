@@ -1,9 +1,7 @@
 """Static program metrics.
 
 These are the quantities the paper reports or reasons about: instruction
-counts (Table 1), branch counts, loop counts, call counts, and a rough
-"verification complexity" estimate that the -OVERIFY cost models use when
-deciding how aggressively to transform.
+counts (Table 1), branch counts, loop counts and call counts.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..ir import (
-    BranchInst, CallInst, Function, Instruction, LoadInst, Module, Opcode,
+    BranchInst, CallInst, Function, LoadInst, Module, Opcode,
     PhiInst, SelectInst, StoreInst, SwitchInst,
 )
 from .loops import LoopInfo
@@ -110,19 +108,3 @@ def module_metrics(module: Module) -> ModuleMetrics:
         result.memory_accesses += fm.memory_accesses
         result.calls += fm.calls
     return result
-
-
-def verification_cost_estimate(function: Function) -> float:
-    """A rough estimate of how expensive a function is for a path-exploring
-    verification tool: branches dominate, then loops, then memory accesses.
-
-    This mirrors the paper's observation that "the time to verify a program
-    is dominated by the number of branches it has, the overall number of loop
-    iterations, memory accesses, and various arithmetic artifacts."
-    """
-    metrics = function_metrics(function)
-    return (8.0 * metrics.branch_like +
-            16.0 * metrics.loops +
-            1.5 * metrics.memory_accesses +
-            2.0 * metrics.calls +
-            0.1 * metrics.instructions)

@@ -29,7 +29,9 @@ from typing import List, Optional, Tuple
 from ..pipelines.levels import OptLevel
 from .generator import GeneratorConfig, generate_program
 from .minimize import count_statements, minimize_source
-from .oracle import Divergence, OracleConfig, SeedOutcome, check_seed, check_source
+from .oracle import (
+    OracleConfig, SeedOutcome, check_compiles, check_seed, check_source,
+)
 
 #: Exploration budgets for fuzzing runs: much tighter than the library
 #: defaults, so one awkward seed costs seconds, not minutes.  Truncated
@@ -65,13 +67,20 @@ def _minimize_outcome(outcome: SeedOutcome,
                       oracle_config: OracleConfig) -> Tuple[str, int, int]:
     """Shrink a divergent program while the same divergence kinds persist.
 
+    When every kind to keep is "compile", a candidate is only compiled:
+    the compiles alone decide those, and exploring every level would cost
+    about 60 times as much per candidate.
+
     Returns ``(minimized_source, before_stmts, after_stmts)``.
     """
     want_kinds = frozenset(d.kind for d in outcome.divergences)
 
     def still_diverges(candidate: str) -> bool:
-        result = check_source(candidate, generator_config, oracle_config,
-                              seed=outcome.seed)
+        if want_kinds == {"compile"}:
+            result = check_compiles(candidate, seed=outcome.seed)
+        else:
+            result = check_source(candidate, generator_config,
+                                  oracle_config, seed=outcome.seed)
         got = frozenset(d.kind for d in result.divergences)
         return bool(got & want_kinds)
 

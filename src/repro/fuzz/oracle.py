@@ -71,6 +71,14 @@ NAIVE_SOLVER_CONFIG = SolverConfig(cache=False, rewrite_equalities=False)
 #: rewriting off — catches bugs that only show when the layers interact.
 MIXED_SOLVER_CONFIG = SolverConfig(rewrite_equalities=False)
 
+#: Module the solver flag matrix re-explores (the level with the richest
+#: pipeline).
+MATRIX_LEVEL = OptLevel.OVERIFY
+
+#: The level pair family 6 proves path-equivalent, the paper's pair.  No
+#: trap deletion is licensed: relcheck's trap whitelist stays empty.
+RELCHECK_PAIR = (OptLevel.O0, OptLevel.OVERIFY)
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -93,9 +101,6 @@ class OracleConfig:
     #: conservative "maybe satisfiable" answer, and the oracle marks the
     #: level truncated so no exhaustive comparison trusts it.
     query_deadline_seconds: float = 1.0
-    #: Module the solver flag matrix re-explores (the level with the
-    #: richest pipeline).
-    matrix_level: OptLevel = OptLevel.OVERIFY
     check_solver_matrix: bool = True
     #: Named alternative solver configurations for the matrix.
     solver_matrix: Tuple[Tuple[str, SolverConfig], ...] = (
@@ -103,14 +108,9 @@ class OracleConfig:
         ("mixed", MIXED_SOLVER_CONFIG),
     )
     #: Family 6 (opt-in, each seed costs an extra product exploration):
-    #: prove ``relcheck_pair`` path-equivalent with the relcheck product
+    #: prove :data:`RELCHECK_PAIR` path-equivalent with the relcheck product
     #: driver instead of merely sampling concrete inputs.
     check_relcheck: bool = False
-    relcheck_pair: Tuple[OptLevel, OptLevel] = (OptLevel.O0,
-                                                OptLevel.OVERIFY)
-    #: Trap-kind values whose deletion by the optimized level is licensed
-    #: (forwarded to :attr:`~repro.relcheck.RelcheckConfig.trap_whitelist`).
-    relcheck_trap_whitelist: Tuple[str, ...] = ()
 
     def limits(self) -> SymexLimits:
         return SymexLimits(max_paths=self.max_paths,
@@ -357,7 +357,7 @@ class _Oracle:
                       reports: Dict[OptLevel, SymexReport]) -> None:
         if not self.config.check_solver_matrix:
             return
-        level = self.config.matrix_level
+        level = MATRIX_LEVEL
         module = modules.get(level)
         baseline = reports.get(level)
         if module is None or baseline is None:
@@ -395,13 +395,13 @@ class _Oracle:
                     f"path-outcome multiset than the default solver")
 
     def relcheck_levels(self, modules: Dict[OptLevel, object]) -> None:
-        """Family 6: prove the configured pair path-equivalent."""
+        """Family 6: prove :data:`RELCHECK_PAIR` path-equivalent."""
         if not self.config.check_relcheck:
             return
         # Imported lazily: the oracle's default families must not pull
         # the product driver in.
         from ..relcheck import RelcheckConfig, relcheck_modules
-        level_a, level_b = self.config.relcheck_pair
+        level_a, level_b = RELCHECK_PAIR
         module_a = modules.get(level_a)
         module_b = modules.get(level_b)
         if module_a is None or module_b is None:
@@ -412,8 +412,7 @@ class _Oracle:
             max_instructions=self.config.max_instructions,
             max_forks=self.config.max_forks,
             timeout_seconds=self.config.timeout_seconds,
-            query_deadline_seconds=self.config.query_deadline_seconds,
-            trap_whitelist=frozenset(self.config.relcheck_trap_whitelist))
+            query_deadline_seconds=self.config.query_deadline_seconds)
         report = relcheck_modules(module_a, module_b,
                                   config=relcheck_config,
                                   pair=(str(level_a), str(level_b)))
@@ -461,6 +460,15 @@ def check_source(source: str,
     """Run the full oracle matrix over one MiniC program."""
     return _Oracle(seed, source, generator_config or GeneratorConfig(),
                    config or OracleConfig()).run()
+
+
+def check_compiles(source: str, seed: Optional[int] = None) -> SeedOutcome:
+    """Run only the compile family over one MiniC program: build it at
+    every level, explore nothing.  Its divergences are exactly the
+    "compile" ones :func:`check_source` reports."""
+    oracle = _Oracle(seed, source, GeneratorConfig(), OracleConfig())
+    oracle.compile_all()
+    return oracle.outcome
 
 
 def check_seed(seed: int,

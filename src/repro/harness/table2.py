@@ -3,7 +3,7 @@ verification time vs execution time.
 
 The paper's Table 2 is a qualitative matrix ("+", "-", "+/-").  The
 reproduction turns it into a measured ablation: starting from the full
--OVERIFY configuration, each design choice called out in DESIGN.md is
+-OVERIFY configuration, each design choice the paper's Table 2 rates is
 disabled in turn, and both the verification cost (symbolic execution of the
 wc kernel) and the execution cost (concrete interpretation) are re-measured.
 A positive verification delta means the transformation helps verification; a
@@ -51,7 +51,7 @@ class AblationRow:
 
 
 def ablation_variants() -> List[AblationVariant]:
-    """The design choices DESIGN.md calls out for ablation."""
+    """The design choices the paper's Table 2 rates, one ablation each."""
     return [
         AblationVariant(
             name="full -OVERIFY",

@@ -30,7 +30,7 @@ from ..ir import (
     BinaryInst, CastInst, ConstantInt, Function, ICmpInst, ICmpPredicate,
     Instruction, IntType, Opcode, SelectInst, Value, I1,
 )
-from .pass_manager import Pass
+from .pass_manager import Pass, insert_before, replace_to_fixpoint
 
 
 def _constant(value: Value) -> Optional[ConstantInt]:
@@ -46,13 +46,7 @@ def _power_of_two(constant: ConstantInt) -> Optional[int]:
 
 
 def _insert_before(anchor: Instruction, new_inst: Instruction) -> Instruction:
-    assert anchor.parent is not None
-    if not new_inst.name and not new_inst.type.is_void:
-        function = anchor.parent.parent
-        if function is not None:
-            new_inst.name = function.next_name("alg")
-    anchor.parent.insert_before(anchor, new_inst)
-    return new_inst
+    return insert_before(anchor, new_inst, "alg")
 
 
 class AlgebraicSimplify(Pass):
@@ -64,21 +58,7 @@ class AlgebraicSimplify(Pass):
                         analyses: AnalysisManager) -> PreservedAnalyses:
         if function.is_declaration:
             return PreservedAnalyses.unchanged()
-        changed = False
-        progress = True
-        while progress:
-            progress = False
-            for block in function.blocks:
-                for inst in list(block.instructions):
-                    if inst.parent is None:
-                        continue
-                    replacement = self._simplify(inst)
-                    if replacement is not None and replacement is not inst:
-                        inst.replace_all_uses_with(replacement)
-                        inst.erase_from_parent()
-                        progress = True
-                        changed = True
-        if not changed:
+        if not replace_to_fixpoint(function, self._simplify):
             return PreservedAnalyses.unchanged()
         # Value rewrites only: block structure and branch targets survive.
         return PreservedAnalyses.cfg_preserving()

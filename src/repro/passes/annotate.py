@@ -15,10 +15,10 @@ This pass records, as instruction/function metadata:
   base names cannot alias),
 * ``loop.depth`` — the loop nesting depth of each memory access.
 
-The symbolic executor consults ``range`` metadata to avoid solver calls for
-branches whose outcome the interval already decides, which is one of the
-mechanisms by which -OVERIFY speeds verification up without changing the
-verification tool itself.
+The annotations are printed with the module, for verification tools that
+read them.  The backends here do not: nothing in the symbolic executor, the
+interpreter or relcheck reads instruction metadata, so annotating changes
+no verification result in this repository.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Implements the "Constant propagation/folding, arithmetic simplifications"
 row of the paper's Table 2 — marked as beneficial for *both* execution and
-verification.  The pass iteratively replaces instructions whose operands are
-all constants with the computed constant, which in turn may make branch
-conditions constant; SimplifyCFG then deletes the dead arms.
+verification.  The pass replaces instructions whose operands are all
+constants with the computed constant, sweeping to a local fixpoint
+(:func:`~repro.passes.pass_manager.replace_to_fixpoint`), which in turn may
+make branch conditions constant; SimplifyCFG then deletes the dead arms.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from ..ir import (
     BinaryInst, CastInst, ConstantInt, Function, ICmpInst, Instruction,
     IntType, Opcode, PhiInst, SelectInst, Value, eval_binary, eval_icmp,
 )
-from .pass_manager import Pass
+from .pass_manager import Pass, replace_to_fixpoint
 
 
 def fold_instruction(inst: Instruction) -> Optional[Value]:
@@ -84,20 +85,9 @@ class ConstantPropagation(Pass):
                         analyses: AnalysisManager) -> PreservedAnalyses:
         if function.is_declaration:
             return PreservedAnalyses.unchanged()
-        changed = False
-        progress = True
-        while progress:
-            progress = False
-            for block in function.blocks:
-                for inst in list(block.instructions):
-                    folded = fold_instruction(inst)
-                    if folded is not None and folded is not inst:
-                        inst.replace_all_uses_with(folded)
-                        inst.erase_from_parent()
-                        self.stats.instructions_folded += 1
-                        progress = True
-                        changed = True
-        if not changed:
+        folded = replace_to_fixpoint(function, fold_instruction)
+        self.stats.instructions_folded += folded
+        if not folded:
             return PreservedAnalyses.unchanged()
         # Folding never rewrites terminators (SimplifyCFG folds constant
         # branches), so the CFG-derived analyses stay valid.

@@ -4,19 +4,26 @@ Eliminating recomputed expressions keeps symbolic expressions small and
 shared, and removing redundant loads reduces the number of memory accesses
 the verification tool must reason about — both effects the paper groups
 under "instruction simplification" and "remove/split memory accesses".
+
+Loads go two ways.  In a function that neither stores nor calls, they are
+value numbered like pure expressions across the dominator tree; the
+must-analysis behind ``load-elim`` does not subsume this, since it meets
+facts by intersection over every predecessor.  Everywhere, the load-elim
+walk (:func:`~repro.passes.load_elim.replace_available_loads`) forwards
+stored and loaded values within each block, under the same alias kills
+as the available-memory analysis.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis import (
-    AliasResult, AnalysisManager, DominatorTree, PreservedAnalyses, alias,
-)
+from ..analysis import AnalysisManager, DominatorTree, PreservedAnalyses
 from ..ir import (
     BasicBlock, BinaryInst, CallInst, CastInst, Function, GEPInst, ICmpInst,
-    Instruction, LoadInst, Opcode, PhiInst, SelectInst, StoreInst, Value,
+    Instruction, LoadInst, SelectInst, StoreInst, Value,
 )
+from .load_elim import replace_available_loads
 from .pass_manager import Pass
 
 
@@ -61,8 +68,11 @@ class GlobalValueNumbering(Pass):
             return PreservedAnalyses.unchanged()
         domtree = analyses.dominator_tree(function)
         changed = self._number_values(function, domtree)
-        changed |= self._eliminate_redundant_loads(function)
-        if not changed:
+        # Block-local store-to-load forwarding: the load-elim walk, with no
+        # facts at block entry.
+        forwarded = replace_available_loads(function, lambda block: {})
+        self.stats.redundancies_eliminated += forwarded
+        if not changed and not forwarded:
             return PreservedAnalyses.unchanged()
         # CSE erases non-terminator instructions only.
         return PreservedAnalyses.cfg_preserving()
@@ -105,43 +115,6 @@ class GlobalValueNumbering(Pass):
 
         if function.blocks:
             visit(function.entry_block)
-        return changed
-
-    # ------------------------------------------------------- load removal
-    def _eliminate_redundant_loads(self, function: Function) -> bool:
-        """Within each block, forward stored values to subsequent loads of
-        the same address and drop repeated loads, killed by intervening
-        may-aliasing writes or calls."""
-        changed = False
-        for block in function.blocks:
-            #: address value id -> last known loaded/stored value
-            known: Dict[int, Tuple[Value, Value]] = {}
-            for inst in list(block.instructions):
-                if isinstance(inst, LoadInst):
-                    entry = known.get(id(inst.pointer))
-                    if entry is not None:
-                        inst.replace_all_uses_with(entry[1])
-                        inst.erase_from_parent()
-                        self.stats.redundancies_eliminated += 1
-                        changed = True
-                    else:
-                        known[id(inst.pointer)] = (inst.pointer, inst)
-                elif isinstance(inst, StoreInst):
-                    size = inst.value.type.size_in_bytes() \
-                        if not inst.value.type.is_void else 8
-                    for key, (pointer, _) in list(known.items()):
-                        other_size = 8
-                        ptr_ty = pointer.type
-                        from ..ir import PointerType
-                        if isinstance(ptr_ty, PointerType) and \
-                                not ptr_ty.pointee.is_void:
-                            other_size = ptr_ty.pointee.size_in_bytes()
-                        result = alias(inst.pointer, size, pointer, other_size)
-                        if result is not AliasResult.NO_ALIAS:
-                            del known[key]
-                    known[id(inst.pointer)] = (inst.pointer, inst.value)
-                elif isinstance(inst, CallInst):
-                    known.clear()
         return changed
 
 

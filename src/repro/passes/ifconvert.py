@@ -21,12 +21,11 @@ nothing) from -OVERIFY (branches are very expensive, speculate a lot).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..analysis import AnalysisManager, PreservedAnalyses, underlying_object
+from ..analysis import AnalysisManager, PreservedAnalyses, is_speculatable
 from ..ir import (
-    AllocaInst, BasicBlock, BranchInst, CallInst, Function, GlobalVariable,
-    Instruction, LoadInst, Opcode, PhiInst, SelectInst, StoreInst, Value,
+    BasicBlock, BranchInst, Function, Instruction, LoadInst, SelectInst, Value,
 )
 from .pass_manager import Pass
 
@@ -38,44 +37,16 @@ class IfConversionParams:
     #: Maximum number of instructions to speculate per converted branch.
     #: A CPU-oriented compiler keeps this tiny; -OVERIFY raises it a lot.
     max_speculated_instructions: int = 2
-    #: Whether loads may be speculated when their base object is a known
-    #: stack slot or global (always safe in the IR's memory model).
+    #: Whether loads may be speculated at all; :func:`is_speculatable`
+    #: still admits only in-bounds loads of a stack slot or global.
     speculate_safe_loads: bool = True
-
-
-def _is_speculatable(inst: Instruction, params: IfConversionParams) -> bool:
-    """May ``inst`` be executed unconditionally without changing behaviour?"""
-    if isinstance(inst, (StoreInst, CallInst, PhiInst)):
-        return False
-    if inst.is_terminator:
-        return False
-    if inst.opcode in (Opcode.SDIV, Opcode.UDIV, Opcode.SREM, Opcode.UREM):
-        return False  # may trap on a zero divisor that the branch guarded
-    if isinstance(inst, LoadInst):
-        if not params.speculate_safe_loads:
-            return False
-        # A load may only be speculated when its address is provably inside a
-        # known object: an alloca or global plus a *constant* offset that
-        # fits.  A variable offset (e.g. ``buffer[k]`` guarded by ``k >= 0``)
-        # must not be hoisted past its guard — doing so would introduce a
-        # memory error that the original program does not have.
-        info = underlying_object(inst.pointer)
-        if not isinstance(info.base, (AllocaInst, GlobalVariable)):
-            return False
-        if info.offset is None or info.offset < 0:
-            return False
-        if isinstance(info.base, AllocaInst):
-            object_size = info.base.allocated_type.size_in_bytes()
-        else:
-            object_size = info.base.value_type.size_in_bytes()
-        return info.offset + inst.type.size_in_bytes() <= object_size
-    return True
 
 
 def _speculatable_body(block: BasicBlock,
                        params: IfConversionParams) -> Optional[List[Instruction]]:
     """Return the block's non-terminator instructions if every one of them is
-    speculatable and the block ends in an unconditional branch."""
+    speculatable (:func:`is_speculatable`, and a load only under
+    ``safe-loads``) and the block ends in an unconditional branch."""
     term = block.terminator
     if not isinstance(term, BranchInst) or term.is_conditional:
         return None
@@ -83,7 +54,8 @@ def _speculatable_body(block: BasicBlock,
     if len(body) > params.max_speculated_instructions:
         return None
     for inst in body:
-        if not _is_speculatable(inst, params):
+        if not is_speculatable(inst) or (
+                isinstance(inst, LoadInst) and not params.speculate_safe_loads):
             return None
     return body
 

@@ -15,10 +15,10 @@ from typing import Optional
 from ..analysis import AnalysisManager, PreservedAnalyses
 from ..ir import (
     BinaryInst, CastInst, ConstantInt, Function, ICmpInst, ICmpPredicate,
-    Instruction, IntType, Opcode, PhiInst, SelectInst, Value,
+    Instruction, IntType, Opcode, SelectInst, Value,
 )
 from .constprop import fold_instruction
-from .pass_manager import Pass
+from .pass_manager import Pass, insert_before, replace_to_fixpoint
 
 
 def _constant(value: Value) -> Optional[ConstantInt]:
@@ -153,13 +153,7 @@ def _invert_bool(anchor: Instruction, value: Value) -> Value:
 
 
 def _insert_before(anchor: Instruction, new_inst: Instruction) -> Instruction:
-    assert anchor.parent is not None
-    if not new_inst.name and not new_inst.type.is_void:
-        function = anchor.parent.parent
-        if function is not None:
-            new_inst.name = function.next_name("ic")
-    anchor.parent.insert_before(anchor, new_inst)
-    return new_inst
+    return insert_before(anchor, new_inst, "ic")
 
 
 def _simplify_cast(inst: CastInst) -> Optional[Value]:
@@ -214,22 +208,9 @@ class InstCombine(Pass):
                         analyses: AnalysisManager) -> PreservedAnalyses:
         if function.is_declaration:
             return PreservedAnalyses.unchanged()
-        changed = False
-        progress = True
-        while progress:
-            progress = False
-            for block in function.blocks:
-                for inst in list(block.instructions):
-                    if inst.parent is None:
-                        continue
-                    replacement = self._simplify(inst)
-                    if replacement is not None and replacement is not inst:
-                        inst.replace_all_uses_with(replacement)
-                        inst.erase_from_parent()
-                        self.stats.instructions_combined += 1
-                        progress = True
-                        changed = True
-        if not changed:
+        combined = replace_to_fixpoint(function, self._simplify)
+        self.stats.instructions_combined += combined
+        if not combined:
             return PreservedAnalyses.unchanged()
         # Peepholes rewrite value computations only, never branch targets.
         return PreservedAnalyses.cfg_preserving()

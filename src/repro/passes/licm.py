@@ -8,13 +8,8 @@ every explored path.
 
 from __future__ import annotations
 
-from ..analysis import (
-    AnalysisManager, Loop, PreservedAnalyses, underlying_object,
-)
-from ..ir import (
-    AllocaInst, CallInst, Function, GlobalVariable, Instruction, LoadInst,
-    Opcode, PhiInst, StoreInst,
-)
+from ..analysis import AnalysisManager, Loop, PreservedAnalyses, is_speculatable
+from ..ir import CallInst, Function, Instruction, LoadInst, Opcode, StoreInst
 from .loop_utils import ensure_preheader
 from .pass_manager import Pass
 
@@ -71,33 +66,13 @@ class LoopInvariantCodeMotion(Pass):
 
     def _hoistable(self, inst: Instruction, loop: Loop,
                    loop_writes_memory: bool) -> bool:
-        if isinstance(inst, (PhiInst, StoreInst, CallInst)):
+        """Speculatable (:func:`is_speculatable`: the hoisted copy runs even
+        on entries that skip the loop body), not an alloca, not a load in a
+        loop that writes memory, and computed from invariant operands."""
+        if inst.opcode is Opcode.ALLOCA or \
+                (loop_writes_memory and isinstance(inst, LoadInst)) or \
+                not is_speculatable(inst):
             return False
-        if inst.is_terminator or inst.opcode is Opcode.ALLOCA:
-            return False
-        if inst.opcode in (Opcode.SDIV, Opcode.UDIV, Opcode.SREM, Opcode.UREM):
-            return False  # may trap; only safe if executed unconditionally
-        if isinstance(inst, LoadInst):
-            # A load may be hoisted when nothing in the loop can write to
-            # memory and its address is provably inside a known object with a
-            # constant offset, so dereferencing it is safe even on iterations
-            # the original loop would never have executed.
-            if loop_writes_memory:
-                return False
-            info = underlying_object(inst.pointer)
-            if not isinstance(info.base, (AllocaInst, GlobalVariable)):
-                return False
-            if info.offset is None or info.offset < 0:
-                return False
-            if isinstance(info.base, AllocaInst):
-                object_size = info.base.allocated_type.size_in_bytes()
-            else:
-                object_size = info.base.value_type.size_in_bytes()
-            if info.offset + inst.type.size_in_bytes() > object_size:
-                return False
-            if not loop.is_invariant(inst.pointer):
-                return False
-            return True
         return all(loop.is_invariant(op) for op in inst.operands)
 
 

@@ -1,10 +1,12 @@
-"""Cross-block redundant load elimination over the available-memory analysis.
+"""Redundant load elimination over the available-memory analysis.
 
-GVN already forwards stores to loads *within* one basic block.  This pass
-extends the same rewrite across block boundaries using
-:class:`repro.analysis.AvailableMemory`: a load whose (pointer, size)
-location is proven to hold a known SSA value on every path into its block
-is replaced by that value, and the load disappears.
+:func:`replace_available_loads` is the one load-forwarding walk: it
+replaces a load whose (pointer, size) location holds a known SSA value of
+the load's type, and keeps the facts current past every instruction with
+:meth:`repro.analysis.AvailableMemory.transfer`, so its alias kills are the
+analysis's own.  ``load-elim`` starts each block from the analysis's entry
+facts, which carries the rewrite across block boundaries; ``gvn`` starts
+each block from none, which is its block-local store-to-load forwarding.
 
 The verification payoff is indirect but large: a load is opaque to every
 scalar pass, so a branch condition computed from a reloaded flag can never
@@ -20,17 +22,49 @@ dominance checking is needed here.
 
 from __future__ import annotations
 
-from ..analysis import AnalysisManager, PreservedAnalyses
-from ..ir import Function, LoadInst, PointerType
+from typing import Callable, Dict
+
+from ..analysis import (
+    AnalysisManager, AvailableMemory, FactMap, PreservedAnalyses, access_size,
+)
+from ..ir import BasicBlock, Function, LoadInst, Value
 from .pass_manager import Pass
 
 
-def _load_size(load: LoadInst) -> int:
-    pointer_type = load.pointer.type
-    if isinstance(pointer_type, PointerType) and \
-            not pointer_type.pointee.is_void:
-        return pointer_type.pointee.size_in_bytes()
-    return 8
+def replace_available_loads(
+        function: Function,
+        entry_facts: Callable[[BasicBlock], FactMap]) -> int:
+    """Walk every block of ``function`` from ``entry_facts(block)`` and
+    replace each load whose location is known to hold a value of its size
+    and type.  Returns the number of loads replaced."""
+    #: id(erased load) -> the value it was replaced with.  Entry facts may
+    #: have been computed over the pre-pass IR and name a load this very
+    #: walk already eliminated; chase it to the surviving value.
+    replaced: Dict[int, Value] = {}
+
+    def resolve(value: Value) -> Value:
+        while id(value) in replaced:
+            value = replaced[id(value)]
+        return value
+
+    eliminated = 0
+    for block in function.blocks:
+        facts = entry_facts(block)
+        for inst in list(block.instructions):
+            if isinstance(inst, LoadInst):
+                fact = facts.get(id(inst.pointer))
+                if fact is not None and \
+                        fact.size == access_size(inst.pointer) \
+                        and fact.value is not inst \
+                        and fact.value.type == inst.type:
+                    value = resolve(fact.value)
+                    inst.replace_all_uses_with(value)
+                    inst.erase_from_parent()
+                    replaced[id(inst)] = value
+                    eliminated += 1
+                    continue
+            AvailableMemory.transfer(facts, inst)
+    return eliminated
 
 
 class LoadElimination(Pass):
@@ -43,37 +77,10 @@ class LoadElimination(Pass):
         if function.is_declaration or not function.blocks:
             return PreservedAnalyses.unchanged()
         memory = analyses.available_memory(function)
-        changed = False
-        #: id(erased load) -> the value it was replaced with.  Facts were
-        #: computed over the pre-pass IR, so a fact may name a load this
-        #: very run already eliminated; chase it to the surviving value.
-        replaced = {}
-
-        def resolve(value):
-            while id(value) in replaced:
-                value = replaced[id(value)]
-            return value
-
-        for block in function.blocks:
-            facts = memory.entry_facts(block)
-            for inst in list(block.instructions):
-                if isinstance(inst, LoadInst):
-                    fact = facts.get(id(inst.pointer))
-                    if fact is not None and fact.size == _load_size(inst) \
-                            and fact.value is not inst \
-                            and fact.value.type == inst.type:
-                        value = resolve(fact.value)
-                        inst.replace_all_uses_with(value)
-                        inst.erase_from_parent()
-                        replaced[id(inst)] = value
-                        self.stats.loads_eliminated += 1
-                        changed = True
-                        continue
-                # Keep the facts current past this instruction, reusing the
-                # analysis's own transfer rules so kills cannot diverge.
-                memory.transfer(facts, inst)
-        if not changed:
+        eliminated = replace_available_loads(function, memory.entry_facts)
+        if not eliminated:
             return PreservedAnalyses.unchanged()
+        self.stats.loads_eliminated += eliminated
         # Loads are never terminators: values change, CFG shape does not.
         return PreservedAnalyses.cfg_preserving()
 

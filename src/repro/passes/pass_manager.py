@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..analysis import FUNCTION_ANALYSES, AnalysisManager, PreservedAnalyses
-from ..ir import Function, Module, verify_module
+from ..ir import Function, Instruction, Module, Value, verify_module
 
 #: The most rounds :meth:`PassManager.run_until_fixpoint` runs, a backstop
 #: for ``--passes`` pipelines whose passes undo each other.  No level build
@@ -138,6 +138,42 @@ class Pass:
                         ) -> PreservedAnalyses:  # pragma: no cover
         raise NotImplementedError(
             f"{self.name} implements neither run_on_module nor run_on_function")
+
+
+def replace_to_fixpoint(
+        function: Function,
+        simplify: Callable[[Instruction], Optional[Value]]) -> int:
+    """The peephole passes' sweep loop: replace every instruction for which
+    ``simplify`` returns another value, sweeping ``function`` until a sweep
+    replaces nothing.  Returns the number of replacements."""
+    replaced = 0
+    progress = True
+    while progress:
+        progress = False
+        for block in function.blocks:
+            for inst in list(block.instructions):
+                if inst.parent is None:
+                    continue
+                replacement = simplify(inst)
+                if replacement is not None and replacement is not inst:
+                    inst.replace_all_uses_with(replacement)
+                    inst.erase_from_parent()
+                    replaced += 1
+                    progress = True
+    return replaced
+
+
+def insert_before(anchor: Instruction, new_inst: Instruction,
+                  prefix: str) -> Instruction:
+    """Insert ``new_inst`` before ``anchor``, naming an unnamed result
+    ``<prefix><n>`` (each peephole pass keeps its own prefix)."""
+    assert anchor.parent is not None
+    if not new_inst.name and not new_inst.type.is_void:
+        function = anchor.parent.parent
+        if function is not None:
+            new_inst.name = function.next_name(prefix)
+    anchor.parent.insert_before(anchor, new_inst)
+    return new_inst
 
 
 @dataclass

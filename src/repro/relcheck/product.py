@@ -92,6 +92,12 @@ def _traps_match(kind_a: ErrorKind, kind_b: ErrorKind) -> bool:
     return kind_a in _CHECK_COMPATIBLE and kind_b in _CHECK_COMPATIBLE
 
 
+#: Budgets of each per-path B replay.  A replay usually walks one path; the
+#: caps only bound pathological residual branching.
+REPLAY_MAX_PATHS = 64
+REPLAY_MAX_INSTRUCTIONS = 500_000
+
+
 @dataclass(frozen=True)
 class RelcheckConfig:
     """Budgets and semantics knobs of one relcheck run.
@@ -108,10 +114,6 @@ class RelcheckConfig:
     max_instructions: int = 2_000_000
     max_forks: int = 4_096
     timeout_seconds: float = 60.0
-    #: Budgets of each per-path B replay.  A replay usually walks one
-    #: path; the caps only bound pathological residual branching.
-    replay_max_paths: int = 64
-    replay_max_instructions: int = 500_000
     #: Per-solver-query wall-clock cap, 0 = none (see
     #: :attr:`~repro.symex.solver.SolverConfig.query_deadline_seconds`).
     query_deadline_seconds: float = 0.0
@@ -133,9 +135,9 @@ class RelcheckConfig:
                            timeout_seconds=self.timeout_seconds)
 
     def replay_limits(self) -> SymexLimits:
-        return SymexLimits(max_paths=self.replay_max_paths,
-                           max_instructions=self.replay_max_instructions,
-                           max_forks=self.replay_max_paths,
+        return SymexLimits(max_paths=REPLAY_MAX_PATHS,
+                           max_instructions=REPLAY_MAX_INSTRUCTIONS,
+                           max_forks=REPLAY_MAX_PATHS,
                            timeout_seconds=self.timeout_seconds)
 
     def solver_config(self) -> SolverConfig:
@@ -152,8 +154,6 @@ class RelcheckConfig:
             "max_paths": self.max_paths,
             "max_instructions": self.max_instructions,
             "max_forks": self.max_forks,
-            "replay_max_paths": self.replay_max_paths,
-            "replay_max_instructions": self.replay_max_instructions,
             "query_deadline_seconds": self.query_deadline_seconds,
             "trap_whitelist": sorted(self.trap_whitelist),
         }, sort_keys=True, separators=(",", ":"))

@@ -28,6 +28,10 @@ from typing import Dict, Optional
 #: poll sees a starting server within milliseconds of its bind.
 READY_POLL_S = 0.005
 
+#: Seed of the jitter applied to each retry delay: a client's delays are
+#: the same in every run, so a test of retrying stays reproducible.
+JITTER_SEED = 0
+
 
 class ServiceError(RuntimeError):
     """The service could not be reached or reported a failure.
@@ -64,21 +68,19 @@ class ServiceClient:
         0 = fail on the first error.
     backoff:
         Base delay before the first retry; doubles per attempt up to
-        ``backoff_cap``, floored by the server's ``retry_after`` hint.
-    jitter_seed:
-        Seeds the jitter applied to each delay (a deterministic client
-        stays reproducible under test).
+        ``backoff_cap``, floored by the server's ``retry_after`` hint,
+        with jitter seeded by :data:`JITTER_SEED`.
     """
 
     def __init__(self, socket_path: object, timeout: float = 60.0,
                  retries: int = 0, backoff: float = 0.1,
-                 backoff_cap: float = 2.0, jitter_seed: int = 0) -> None:
+                 backoff_cap: float = 2.0) -> None:
         self.socket_path = str(socket_path)
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
-        self._rng = random.Random(jitter_seed)
+        self._rng = random.Random(JITTER_SEED)
 
     # --------------------------------------------------------------- wire
     def _request_once(self,

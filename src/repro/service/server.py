@@ -72,6 +72,10 @@ MAX_REQUEST_BYTES = 1 << 20
 #: could exhaust the server's memory (the registry's largest default is 6).
 MAX_INPUT_BYTES = 1024
 
+#: On shutdown, the longest the server waits for in-flight jobs to finish
+#: and their clients to get answers before it tears the pool down.
+DRAIN_SECONDS = 30.0
+
 #: Fault site wrapping request dispatch (``docs/robustness.md``): proves
 #: a fault inside the handler produces one structured error response and
 #: leaves the server answering.
@@ -157,14 +161,15 @@ class VerificationServer:
         ride an existing job for free).  A submission past the bound is
         rejected with ``error_kind="backpressure"`` and a ``retry_after``
         hint instead of queueing without limit.  0 = ``4 * pool_size + 4``.
-    drain_seconds:
-        On shutdown, how long to wait for in-flight jobs to finish (and
-        their clients to get answers) before tearing the pool down.
+
+    On shutdown the server waits up to :data:`DRAIN_SECONDS` for in-flight
+    jobs to finish (and their clients to get answers) before tearing the
+    pool down.
     """
 
     def __init__(self, socket_path: object, store_path: object = None,
                  backend: str = "symex", pool_size: int = 2,
-                 max_pending: int = 0, drain_seconds: float = 30.0) -> None:
+                 max_pending: int = 0) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         if max_pending < 0:
@@ -172,7 +177,6 @@ class VerificationServer:
         self.socket_path = str(socket_path)
         self.pool_size = pool_size
         self.max_pending = max_pending or 4 * pool_size + 4
-        self.drain_seconds = drain_seconds
         self.store = SolverKnowledgeStore(store_path)
         #: One backend instance serves every job (verify() is stateless);
         #: backends that take injected caches get the store's table.
@@ -220,7 +224,7 @@ class VerificationServer:
     async def serve_until_shutdown(self) -> None:
         """Serve until a ``shutdown`` request arrives, then clean up:
         stop accepting, drain in-flight jobs (bounded by
-        ``drain_seconds``), save the store, remove the socket."""
+        :data:`DRAIN_SECONDS`), save the store, remove the socket."""
         if self._server is None:
             await self.start()
         try:
@@ -231,8 +235,8 @@ class VerificationServer:
             await self._server.wait_closed()
             # A finished job is not an answered client: its handler may
             # still be writing the reply, and tearing down now would cancel
-            # it.  So wait for both, bounded by drain_seconds.
-            drain_until = time.monotonic() + self.drain_seconds
+            # it.  So wait for both, bounded by DRAIN_SECONDS.
+            drain_until = time.monotonic() + DRAIN_SECONDS
             while (self._active_jobs > 0 or self._answering) and \
                     time.monotonic() < drain_until:
                 await asyncio.sleep(0.05)
@@ -552,11 +556,10 @@ class VerificationServer:
 
 def serve(socket_path: object, store_path: object = None,
           backend: str = "symex", pool_size: int = 2,
-          max_pending: int = 0, drain_seconds: float = 30.0) -> None:
+          max_pending: int = 0) -> None:
     """Convenience blocking runner (``python -m repro serve``)."""
     VerificationServer(socket_path, store_path=store_path, backend=backend,
-                       pool_size=pool_size, max_pending=max_pending,
-                       drain_seconds=drain_seconds).run()
+                       pool_size=pool_size, max_pending=max_pending).run()
 
 
 __all__ = ["MAX_INPUT_BYTES", "MAX_REQUEST_BYTES", "VerificationServer",

@@ -7,7 +7,7 @@ from repro.analysis import (
     AliasResult, CallGraph, DominatorTree, LoopInfo, ValueRangeAnalysis,
     alias, alloca_address_escapes, compute_trip_count, function_metrics,
     module_metrics, reachable_blocks, remove_unreachable_blocks,
-    reverse_postorder, underlying_object, verification_cost_estimate,
+    reverse_postorder, underlying_object,
 )
 from repro.frontend import compile_to_ir
 from repro.ir import AllocaInst, ConstantInt, GEPInst, LoadInst, I64
@@ -260,13 +260,6 @@ class TestMetricsAndRanges:
         assert metrics.functions == 2
         assert metrics.loops == 1
         assert "pick" in metrics.per_function
-
-    def test_verification_cost_prefers_fewer_branches(self):
-        branchy = compile_to_ir(DIAMOND_SOURCE).get_function("pick")
-        straight = compile_to_ir("int f(int a) { return a + 1; }") \
-            .get_function("f")
-        assert verification_cost_estimate(branchy) > \
-            verification_cost_estimate(straight)
 
     def test_value_ranges_of_bools_and_bytes(self):
         source = "int f(unsigned char c) { int is_x = c == 120; return is_x; }"

@@ -164,6 +164,29 @@ def test_oracle_reports_a_compile_stopped_at_the_round_cap(monkeypatch):
                for detail in details), details
 
 
+def test_minimize_only_compiles_for_a_compile_divergence(monkeypatch):
+    """When every divergence kind to keep is "compile", the compiles alone
+    decide a candidate: minimizing one must explore nothing."""
+    from repro.fuzz import cli, oracle
+    from repro.passes import pass_manager
+
+    generator = GeneratorConfig(input_bytes=1)
+    monkeypatch.setattr(pass_manager, "ROUND_CAP", 1)
+    outcome = check_source(generate_program(0, generator), generator,
+                           QUICK_ORACLE, seed=0)
+    assert outcome.divergences and \
+        all(d.kind == "compile" for d in outcome.divergences)
+
+    def explore(*args, **kwargs):
+        raise AssertionError("minimizing a compile divergence explored")
+
+    monkeypatch.setattr(oracle, "explore", explore)
+    minimized, before, after = cli._minimize_outcome(outcome, generator,
+                                                     QUICK_ORACLE)
+    assert after < before
+    assert oracle.check_compiles(minimized).divergences
+
+
 # ------------------------------------------ oracle family 5: solver matrix
 def test_solver_matrix_holds_distinct_configs():
     """Family 5 differences the default solver against every matrix entry:

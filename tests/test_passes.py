@@ -4,14 +4,19 @@ Each structural expectation is paired with a semantic check: the transformed
 function must still compute the same results when interpreted.
 """
 
+import types
+
 import pytest
 
-from repro.analysis import DominatorTree, LoopInfo, function_metrics
+from repro.analysis import (
+    DominatorTree, LoopInfo, function_metrics, is_speculatable,
+)
 from repro.frontend import compile_to_ir
 from repro.interp import Interpreter
 from repro.ir import (
-    AllocaInst, BranchInst, CallInst, ConstantInt, LoadInst, PhiInst,
-    SelectInst, StoreInst, print_module, verify_module,
+    I32, I64, AllocaInst, ArrayType, BasicBlock, BranchInst, CallInst,
+    ConstantInt, FunctionType, ICmpPredicate, IRBuilder, LoadInst, Module,
+    PhiInst, PointerType, SelectInst, StoreInst, print_module, verify_module,
 )
 from repro.passes import (
     AnnotateForVerification, ConstantPropagation, DeadCodeElimination,
@@ -258,6 +263,31 @@ class TestGVN:
                  if isinstance(i, LoadInst)]
         assert len(loads) == 2  # q may alias p, so the reload must stay
 
+    @pytest.mark.parametrize("parameter, argument, loads", [
+        ("void", "", 1),       # x's slot does not escape: the call keeps it
+        ("int *p", "&x", 2),   # ext may write x: the reload stays
+    ])
+    def test_store_forwarding_across_a_call(self, parameter, argument,
+                                            loads):
+        """gvn forwards with load-elim's walk, whose call kills are the
+        available-memory analysis's: a call spares a slot whose address
+        never escapes."""
+        module = compile_to_ir(f"""
+        extern void ext({parameter});
+        int main(unsigned char *input, int len) {{
+            int x = input[0];
+            ext({argument});
+            return x;
+        }}
+        """)
+        function = module.get_function("main")
+        assert sum(isinstance(i, LoadInst)
+                   for i in function.instructions()) == 3
+        GlobalValueNumbering().run_on_module(module)
+        verify_module(module)
+        assert sum(isinstance(i, LoadInst)
+                   for i in function.instructions()) == loads
+
 
 class TestSROA:
     def test_struct_alloca_split_and_promoted(self):
@@ -434,6 +464,135 @@ class TestIfConversion:
                          max_speculated_instructions=4)), SimplifyCFG()],
             "f", [[3], [30]])
         assert manager.stats.branches_converted == 1
+
+
+def _i64(value):
+    return ConstantInt(I64, value)
+
+
+def _phi_of_a(entry, guarded, env):
+    phi = guarded.phi(I32)
+    phi.add_incoming(env.a, env.pred)
+    return phi
+
+
+#: (candidate, builds it, what ``is_speculatable`` answers).  A builder
+#: gets an IRBuilder before the guard (``entry``), one in the guarded block
+#: and the function's values; addresses are built before the guard.
+SPECULATION_TABLE = [
+    ("store", lambda entry, guarded, env: guarded.store(env.a, env.scalar),
+     False),
+    ("call", lambda entry, guarded, env: guarded.call(env.ext, [env.a]),
+     False),
+    ("phi", _phi_of_a, False),
+    ("terminator", lambda entry, guarded, env: guarded.br(env.next), False),
+    ("sdiv", lambda entry, guarded, env: guarded.sdiv(env.a, env.b), False),
+    ("udiv", lambda entry, guarded, env: guarded.udiv(env.a, env.b), False),
+    ("srem", lambda entry, guarded, env: guarded.srem(env.a, env.b), False),
+    ("urem", lambda entry, guarded, env: guarded.urem(env.a, env.b), False),
+] + [
+    (f"load of {base} {where}",
+     lambda entry, guarded, env, attr=attr, offset=offset: guarded.load(
+         entry.gep(getattr(env, attr), [offset(env)], I32)),
+     allowed)
+    for base, attr in (("an alloca", "array"), ("a global", "table"))
+    for where, offset, allowed in (
+        ("in bounds", lambda env: _i64(12), True),
+        ("out of bounds", lambda env: _i64(16), False),
+        ("at a negative offset", lambda env: _i64(-4), False),
+        ("at a variable offset", lambda env: env.k, False))
+] + [
+    ("load through an argument",
+     lambda entry, guarded, env: guarded.load(env.p), False),
+    ("add", lambda entry, guarded, env: guarded.add(env.a, env.b), True),
+]
+
+
+def _speculation_function():
+    """``f(i32 a, i32 b, i64 k, i32* p)`` with a 4 x i32 stack slot, an
+    i32 stack slot, a 4 x i32 global and a declared ``ext``; returns the
+    module, the function, an IRBuilder at the end of its entry block and
+    the values a table entry may use."""
+    module = Module("t")
+    table = module.add_global("table", ArrayType(I32, 4))
+    ext = module.create_function("ext", FunctionType(I32, (I32,)))
+    function = module.create_function("f", FunctionType(
+        I32, (I32, I32, I64, PointerType(I32))))
+    function.append_block(BasicBlock("entry"))
+    entry = IRBuilder(function.entry_block)
+    a, b, k, p = function.arguments
+    env = types.SimpleNamespace(
+        a=a, b=b, k=k, p=p, ext=ext, table=table,
+        array=entry.alloca(ArrayType(I32, 4)), scalar=entry.alloca(I32),
+        next=None, pred=None)
+    return module, function, entry, env
+
+
+def _new_block(function, name):
+    block = BasicBlock(name)
+    function.append_block(block)
+    return block, IRBuilder(block)
+
+
+def _speculated_by_ifconvert(build):
+    """Build ``if (a != 0) { candidate }`` and run ifconvert: did the
+    candidate move above the branch?"""
+    module, function, entry, env = _speculation_function()
+    arm, arm_builder = _new_block(function, "arm")
+    join, join_builder = _new_block(function, "join")
+    env.next, env.pred = join, function.entry_block
+    guard = entry.icmp_ne(env.a, ConstantInt(I32, 0))
+    candidate = build(entry, arm_builder, env)
+    entry.cond_br(guard, arm, join)
+    if arm.terminator is None:
+        arm_builder.br(join)
+    join_builder.ret(ConstantInt(I32, 0))
+    IfConversion(IfConversionParams(max_speculated_instructions=8)) \
+        .run_on_module(module)
+    return candidate.parent is function.entry_block
+
+
+def _hoisted_by_licm(build):
+    """Build a four-trip loop whose body holds the candidate and nothing
+    else but the induction step, and run licm: did the candidate leave the
+    loop?"""
+    module, function, entry, env = _speculation_function()
+    header, header_builder = _new_block(function, "header")
+    body, body_builder = _new_block(function, "body")
+    exit_block, exit_builder = _new_block(function, "exit")
+    env.next, env.pred = header, header
+    index = header_builder.phi(I64)
+    header_builder.cond_br(
+        header_builder.icmp(ICmpPredicate.SLT, index, _i64(4)),
+        body, exit_block)
+    step = body_builder.add(index, _i64(1))
+    candidate = build(entry, body_builder, env)
+    if body.terminator is None:
+        body_builder.br(header)
+    index.add_incoming(_i64(0), function.entry_block)
+    index.add_incoming(step, body)
+    entry.br(header)
+    exit_builder.ret(ConstantInt(I32, 0))
+    LoopInvariantCodeMotion().run_on_module(module)
+    return candidate.parent not in (body, header, None)
+
+
+class TestSpeculationRule:
+    """``is_speculatable`` (analysis/alias.py) is the one rule for moving
+    an instruction to where it might not have run: ifconvert speculates,
+    and licm hoists, exactly the instructions it allows."""
+
+    @pytest.mark.parametrize(
+        "build, allowed",
+        [(build, allowed) for _, build, allowed in SPECULATION_TABLE],
+        ids=[name for name, _, _ in SPECULATION_TABLE])
+    def test_passes_move_what_the_rule_allows(self, build, allowed):
+        module, function, entry, env = _speculation_function()
+        guarded, guarded_builder = _new_block(function, "guarded")
+        env.next, env.pred = guarded, function.entry_block
+        assert is_speculatable(build(entry, guarded_builder, env)) is allowed
+        assert _speculated_by_ifconvert(build) is allowed
+        assert _hoisted_by_licm(build) is allowed
 
 
 class TestLoopTransforms:
