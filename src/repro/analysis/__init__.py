@@ -22,7 +22,6 @@ from .manager import (
     ALL_ANALYSES, CALLGRAPH_ANALYSIS, CFG_ANALYSIS, CFG_DERIVED,
     DOMTREE_ANALYSIS, FUNCTION_ANALYSES, LOOPS_ANALYSIS, MEMORY_ANALYSIS,
     MODULE_ANALYSES, RANGES_ANALYSIS, AnalysisManager, AnalysisManagerStats,
-    PreservedAnalyses,
 )
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
     "FunctionMetrics", "ModuleMetrics", "function_metrics", "module_metrics",
     "Interval", "ValueRangeAnalysis", "full_range",
     "AvailableMemory", "FactMap", "MemoryFact", "access_size",
-    "AnalysisManager", "AnalysisManagerStats", "PreservedAnalyses",
+    "AnalysisManager", "AnalysisManagerStats",
     "ALL_ANALYSES", "FUNCTION_ANALYSES", "MODULE_ANALYSES", "CFG_DERIVED",
     "CFG_ANALYSIS", "DOMTREE_ANALYSIS", "LOOPS_ANALYSIS", "RANGES_ANALYSIS",
     "MEMORY_ANALYSIS", "CALLGRAPH_ANALYSIS",

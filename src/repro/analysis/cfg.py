@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, List, Set
 
-from ..ir import BasicBlock, BranchInst, Function, PhiInst, SwitchInst
+from ..ir import BasicBlock, Function
 
 
 def successors(block: BasicBlock) -> List[BasicBlock]:

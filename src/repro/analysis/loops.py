@@ -10,7 +10,7 @@ annotation pass exports trip counts as instruction metadata — the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..ir import (
     BasicBlock, BinaryInst, BranchInst, ConstantInt, Function, ICmpInst,

@@ -1,32 +1,34 @@
-"""Cached, invalidation-aware analysis management.
+"""Cached analyses, kept current by the epochs the IR records.
 
 A many-pass pipeline (the whole point of -OVERIFY is to run *more* passes
 than -O3) cannot afford to rebuild ``DominatorTree``/``LoopInfo``/``CallGraph``
-from scratch in every pass.  This module provides the same architecture
-LLVM's new pass manager uses:
+from scratch in every pass.  :class:`AnalysisManager` lazily computes and
+caches per-function analyses (:class:`~repro.analysis.cfg.CFG`,
+``DominatorTree``, ``LoopInfo``, ``ValueRangeAnalysis``, ``AvailableMemory``)
+and the per-module ``CallGraph``.
 
-* :class:`AnalysisManager` lazily computes and caches per-function analyses
-  (:class:`~repro.analysis.cfg.CFG`, ``DominatorTree``, ``LoopInfo``,
-  ``ValueRangeAnalysis``) and per-module analyses (``CallGraph``).
-* Every cache entry is stamped with the function's (or module's)
-  *modification epoch* — a counter the IR layer bumps on every structural
-  mutation — so a stale entry can never be returned even if a pass
-  mis-declares what it preserved.
-* Passes return a :class:`PreservedAnalyses` summary; the pass manager feeds
-  it back into the analysis manager, which drops what was invalidated and
-  re-stamps what was explicitly preserved (e.g. constant folding rewrites
-  values but leaves the CFG — and therefore the dominator tree and loop
-  structure — intact).
+Each cache entry records the epoch its analysis depends on, and a lookup
+whose epoch has moved since recomputes.  The IR moves the epochs itself, on
+every edit, so nothing a pass reports decides what stays cached:
+
+* ``Function.cfg_epoch`` moves only on an edit that can change the
+  control-flow graph: a block added or removed, a terminator inserted or
+  removed, a branch target replaced.  ``cfg``, ``domtree`` and ``loops`` key
+  on it, so they survive passes that rewrite values only.
+* ``Function.ir_epoch``, the value epoch, moves on every edit of the body
+  (a CFG edit included).  ``ranges`` and ``memory`` key on it.
+* ``Module.ir_epoch`` moves on every edit of any function and when a
+  function is added or removed.  ``callgraph`` keys on it.
 
 Cache hit/miss/invalidation counters are exposed through
-:class:`AnalysisManagerStats` and surface in ``TransformStats`` next to the
-paper's Table 3 counters.
+:class:`AnalysisManagerStats`; each pass run's hits and misses land in its
+``PassRunRecord``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..ir import Function, Module
 from .callgraph import CallGraph
@@ -51,76 +53,16 @@ FUNCTION_ANALYSES: Tuple[str, ...] = (
 MODULE_ANALYSES: Tuple[str, ...] = (CALLGRAPH_ANALYSIS,)
 ALL_ANALYSES: Tuple[str, ...] = FUNCTION_ANALYSES + MODULE_ANALYSES
 
-#: The analyses derived from the CFG shape: a pass that rewrites values but
-#: never touches block structure or branch targets preserves these.
+#: The analyses derived from the control-flow graph alone, keyed on
+#: ``Function.cfg_epoch``; the other function analyses read instructions and
+#: key on the value epoch ``Function.ir_epoch``.
 CFG_DERIVED: Tuple[str, ...] = (
     CFG_ANALYSIS, DOMTREE_ANALYSIS, LOOPS_ANALYSIS)
 
 
-class PreservedAnalyses:
-    """What one pass run left intact.
-
-    ``changed`` reports whether the IR was modified at all (the pass
-    manager's fixpoint driver consumes it); ``preserves(name)`` reports
-    whether the named analysis is still valid for the IR the pass ran on.
-    An unchanged run preserves everything by definition.
-    """
-
-    __slots__ = ("changed", "_preserved", "_all")
-
-    def __init__(self, changed: bool,
-                 preserved: Iterable[str] = (),
-                 preserve_all: bool = False) -> None:
-        self.changed = changed
-        self._all = preserve_all or not changed
-        self._preserved: FrozenSet[str] = frozenset(preserved)
-
-    # ------------------------------------------------------- constructors
-    @classmethod
-    def all(cls, changed: bool = False) -> "PreservedAnalyses":
-        """Everything is still valid (nothing changed, or only metadata
-        changed — the annotation pass)."""
-        return cls(changed, preserve_all=True)
-
-    @classmethod
-    def none(cls) -> "PreservedAnalyses":
-        """The IR changed and no analysis survives (the conservative
-        default for CFG-restructuring passes)."""
-        return cls(True)
-
-    @classmethod
-    def unchanged(cls) -> "PreservedAnalyses":
-        return cls(False, preserve_all=True)
-
-    @classmethod
-    def preserving(cls, *names: str) -> "PreservedAnalyses":
-        """The IR changed but the named analyses are still valid."""
-        return cls(True, preserved=names)
-
-    @classmethod
-    def cfg_preserving(cls) -> "PreservedAnalyses":
-        """The IR changed but only values did: block structure and branch
-        targets are untouched, so all CFG-derived analyses survive."""
-        return cls(True, preserved=CFG_DERIVED)
-
-    @classmethod
-    def from_legacy(cls, result: object) -> "PreservedAnalyses":
-        """Coerce an old-style boolean ``changed`` return value (still the
-        conservative contract for simple third-party passes)."""
-        if isinstance(result, PreservedAnalyses):
-            return result
-        return cls.none() if result else cls.unchanged()
-
-    # ------------------------------------------------------------ queries
-    def preserves(self, name: str) -> bool:
-        return self._all or name in self._preserved
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._all:
-            detail = "all"
-        else:
-            detail = ",".join(sorted(self._preserved)) or "none"
-        return f"<PreservedAnalyses changed={self.changed} preserves={detail}>"
+def _epoch(name: str, function: Function) -> int:
+    """The epoch of ``function`` that the analysis ``name`` is keyed on."""
+    return function.cfg_epoch if name in CFG_DERIVED else function.ir_epoch
 
 
 @dataclass
@@ -129,6 +71,7 @@ class AnalysisManagerStats:
 
     hits: int = 0
     misses: int = 0
+    #: Entries found stale at lookup (each one is then recomputed).
     invalidations: int = 0
     #: Always 0 (no analysis is translated from another module); kept
     #: because ``perfbench/local.py`` reads the field by name.
@@ -177,20 +120,11 @@ class AnalysisManagerStats:
 
 
 class AnalysisManager:
-    """Lazily computes, caches, and invalidates IR analyses.
+    """Lazily computes and caches IR analyses.
 
-    Correctness rests on two cooperating mechanisms:
-
-    1. **Epoch stamping** — every cache entry records the function's (or
-       module's) modification epoch at computation time; a lookup whose
-       epoch no longer matches recomputes.  This is the safety net: a
-       mutation that nobody declared still invalidates.
-    2. **Preservation declarations** — after a pass runs, the pass manager
-       calls :meth:`after_function_pass` / :meth:`after_module_pass` with
-       the pass's :class:`PreservedAnalyses`.  Entries the pass did not
-       preserve are dropped; entries it explicitly preserved are re-stamped
-       to the new epoch (this is what lets a dominator tree survive a
-       value-rewriting pass that bumped the epoch without touching the CFG).
+    An entry is current exactly while the epoch it was computed at (see the
+    module docstring) has not moved; a lookup that finds a stale entry
+    counts it in ``stats.invalidations`` and recomputes.
     """
 
     def __init__(self) -> None:
@@ -223,16 +157,18 @@ class AnalysisManager:
     # --------------------------------------------------------------- core
     def _get_function(self, name: str, function: Function) -> object:
         key = (name, id(function))
-        epoch = function.ir_epoch
+        epoch = _epoch(name, function)
         entry = self._function_cache.get(key)
-        if entry is not None and entry[0] == epoch:
-            self.stats.record_hit(name)
-            return entry[2]
+        if entry is not None:
+            if entry[0] == epoch:
+                self.stats.record_hit(name)
+                return entry[2]
+            self.stats.invalidations += 1
         self.stats.record_miss(name)
+        # Building an analysis may populate its dependencies, but never
+        # mutates the IR, so the epoch read above still holds.
         analysis = self._build_function_analysis(name, function)
-        # Re-read the epoch: building a derived analysis may itself have
-        # populated dependencies, but never mutates the IR.
-        self._function_cache[key] = (function.ir_epoch, function, analysis)
+        self._function_cache[key] = (epoch, function, analysis)
         return analysis
 
     def _build_function_analysis(self, name: str,
@@ -253,81 +189,31 @@ class AnalysisManager:
     def _get_module(self, name: str, module: Module) -> object:
         epoch = module.ir_epoch
         entry = self._module_cache.get(name)
-        if entry is not None and entry[0] == epoch and entry[1] is module:
-            self.stats.record_hit(name)
-            return entry[2]
+        if entry is not None:
+            if entry[0] == epoch and entry[1] is module:
+                self.stats.record_hit(name)
+                return entry[2]
+            self.stats.invalidations += 1
         self.stats.record_miss(name)
         if name == CALLGRAPH_ANALYSIS:
             analysis: object = CallGraph(module)
         else:
             raise KeyError(f"unknown module analysis '{name}'")
-        self._module_cache[name] = (module.ir_epoch, module, analysis)
+        self._module_cache[name] = (epoch, module, analysis)
         return analysis
-
-    # --------------------------------------------------------- invalidation
-    def after_function_pass(self, function: Function,
-                            preserved: PreservedAnalyses,
-                            epoch_before: Optional[int] = None) -> None:
-        """Apply one function-pass run's preservation summary: drop what the
-        pass invalidated, re-stamp what it explicitly kept.
-
-        ``epoch_before`` is the function's epoch before the pass ran; only
-        entries computed at exactly that epoch may be re-stamped.  When it
-        is unknown (None), nothing is re-stamped — preserved entries are
-        merely left in place, and the epoch check decides at lookup time.
-        """
-        if not preserved.changed:
-            return
-        fid = id(function)
-        epoch = function.ir_epoch
-        for name in FUNCTION_ANALYSES:
-            key = (name, fid)
-            entry = self._function_cache.get(key)
-            if entry is None:
-                continue
-            if preserved.preserves(name):
-                if epoch_before is not None and entry[0] == epoch_before:
-                    self._function_cache[key] = (epoch, function, entry[2])
-            else:
-                del self._function_cache[key]
-                self.stats.invalidations += 1
-
-    def after_module_pass(self, module: Module,
-                          preserved: PreservedAnalyses) -> None:
-        """Apply one module-pass run's preservation summary.
-
-        Entries the pass did not preserve are dropped.  Preserved entries
-        are deliberately *not* re-stamped here: at module grain the
-        per-function declarations (already applied by
-        :meth:`after_function_pass`) are the only authority on which stale
-        entries are safe to promote — anything left with an old epoch is
-        simply recomputed on next lookup."""
-        if not preserved.changed:
-            return
-        for name in list(self._module_cache):
-            entry = self._module_cache[name]
-            if not (preserved.preserves(name) and entry[1] is module):
-                del self._module_cache[name]
-                self.stats.invalidations += 1
-        for key in list(self._function_cache):
-            name, _ = key
-            if not preserved.preserves(name):
-                del self._function_cache[key]
-                self.stats.invalidations += 1
 
     def invalidate_function(self, function: Function) -> None:
         """Drop every cached analysis for ``function`` (used when a function
         is deleted from the module, so the cache releases its references)."""
         fid = id(function)
         for name in FUNCTION_ANALYSES:
-            if self._function_cache.pop((name, fid), None) is not None:
-                self.stats.invalidations += 1
+            self._function_cache.pop((name, fid), None)
 
     # ------------------------------------------------------------- queries
     def is_cached(self, name: str, function: Optional[Function] = None) -> bool:
         """Whether a *currently valid* cache entry exists for ``name``."""
         if function is not None:
             entry = self._function_cache.get((name, id(function)))
-            return entry is not None and entry[0] == function.ir_epoch
+            return entry is not None and entry[0] == _epoch(name, function)
         entry = self._module_cache.get(name)
         return entry is not None and entry[0] == entry[1].ir_epoch

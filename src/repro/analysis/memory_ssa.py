@@ -27,8 +27,9 @@ The analysis is a forward must-dataflow over a simple lattice:
   legal.
 
 Unlike the CFG-derived analyses this one depends on the values *inside*
-blocks, so it is invalidated by any IR change (it is deliberately not part
-of ``CFG_DERIVED``).
+blocks, so the analysis manager keys it on the function's value epoch,
+which every IR change moves (it is deliberately not part of
+``CFG_DERIVED``).
 """
 
 from __future__ import annotations

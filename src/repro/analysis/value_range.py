@@ -1,12 +1,14 @@
 """Integer value-range analysis.
 
-A small interval analysis used by two consumers:
+A small interval analysis over the IR.  Its one consumer is the annotation
+pass (``repro.passes.annotate``), which exports ranges as instruction
+metadata — the "program annotations: types, alias information, loop trip
+counts" row of the paper's Table 2.
 
-* the annotation pass (``repro.passes.annotate``) exports ranges as
-  instruction metadata — the "program annotations: types, alias information,
-  loop trip counts" row of the paper's Table 2, and
-* the symbolic-execution solver uses the same interval arithmetic to prune
-  infeasible branches cheaply before invoking the expensive search.
+The symbolic-execution solver prunes infeasible branches with intervals
+too, but over solver expressions and with its own transfer functions
+(``_interval_transfer`` in :mod:`repro.symex.expr`), a separate
+implementation that shares no code with this one.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..ir import (
-    BinaryInst, CastInst, ConstantInt, Function, ICmpInst, ICmpPredicate,
-    Instruction, IntType, Opcode, PhiInst, SelectInst, Value,
+    BinaryInst, CastInst, ConstantInt, Function, ICmpInst, Instruction,
+    IntType, Opcode, PhiInst, SelectInst, Value,
 )
 from .cfg import CFG, reverse_postorder
 

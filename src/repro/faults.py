@@ -42,7 +42,7 @@ import os
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 
 # --------------------------------------------------------------- taxonomy

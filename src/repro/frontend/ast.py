@@ -7,7 +7,7 @@ fills in; the lowering pass relies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .ctype import CFunction, CType
 from .source import SourceLocation, UNKNOWN_LOCATION

@@ -6,8 +6,8 @@ struct layouts, and knows how to map each source type onto an IR type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..ir import types as irtypes
 

@@ -17,13 +17,12 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 from . import ast
 from .ctype import (
     CArray, CFunction, CInt, CPointer, CStruct, CType, CVoid, CHAR, INT, LONG,
-    ULONG, VOID, decay, integer_promote, usual_arithmetic_conversion,
+    ULONG, decay, integer_promote, usual_arithmetic_conversion,
 )
 from .source import CompileError, nesting_limit
 from ..ir import (
-    BasicBlock, ConstantArray, ConstantInt, Function, FunctionType, GEPInst,
-    ICmpPredicate, IRBuilder, IntType, Module, Opcode, PointerType, Type,
-    Value, I1, I8, I32, I64, VOID as IR_VOID, int_type,
+    BasicBlock, ConstantArray, ConstantInt, Function, ICmpPredicate, IRBuilder,
+    IntType, Module, Opcode, PointerType, Value, I1, I8, I32, I64, int_type,
 )
 
 if TYPE_CHECKING:

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import ast
 from .ctype import (
-    BOOL, CArray, CHAR, CInt, CPointer, CStruct, CType, INT, LONG, SHORT,
-    UCHAR, UINT, ULONG, USHORT, VOID,
+    BOOL, CArray, CHAR, CPointer, CStruct, CType, INT, LONG, SHORT, UCHAR,
+    UINT, ULONG, USHORT, VOID,
 )
 from .lexer import Token, TokenKind, tokenize
-from .source import CompileError, SourceLocation
+from .source import CompileError
 
 # Operator precedence for the binary-expression climbing parser.  Higher
 # binds tighter.  Assignment and the conditional operator are handled

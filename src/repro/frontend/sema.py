@@ -7,12 +7,12 @@ reports type errors.  The lowering pass relies on these annotations.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from . import ast
 from .ctype import (
-    CArray, CFunction, CInt, CPointer, CStruct, CType, CVoid, CHAR, INT, LONG,
-    ULONG, VOID, decay, integer_promote, usual_arithmetic_conversion,
+    CArray, CFunction, CPointer, CStruct, CType, CHAR, INT, LONG, ULONG, VOID,
+    decay, integer_promote, usual_arithmetic_conversion,
 )
 from .source import CompileError, nesting_limit
 

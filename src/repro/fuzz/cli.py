@@ -26,7 +26,6 @@ import os
 import time
 from typing import List, Optional, Tuple
 
-from ..pipelines.levels import OptLevel
 from .generator import GeneratorConfig, generate_program
 from .minimize import count_statements, minimize_source
 from .oracle import (

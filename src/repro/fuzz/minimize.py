@@ -18,7 +18,7 @@ fixed structural order, and the first accepted edit restarts the scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List
 
 from ..frontend import ast, parse
 from ..frontend.ctype import INT

@@ -16,7 +16,7 @@ Run with ``python -m repro.harness.figure4``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..pipelines import OptLevel

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 class ErrorKind(enum.Enum):

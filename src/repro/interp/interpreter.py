@@ -11,15 +11,15 @@ Used for three purposes:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir import (
     AllocaInst, Argument, BasicBlock, BinaryInst, BranchInst, CallInst,
-    CastInst, Constant, ConstantArray, ConstantInt, Function, GEPInst,
-    GlobalVariable, ICmpInst, Instruction, IntType, LoadInst, Module, Opcode,
-    PhiInst, PointerType, ReturnInst, SelectInst, StoreInst, SwitchInst,
-    Type, UndefValue, UnreachableInst, Value, eval_binary, eval_icmp,
+    CastInst, ConstantArray, ConstantInt, Function, GEPInst, GlobalVariable,
+    ICmpInst, Instruction, IntType, LoadInst, Module, Opcode, ReturnInst,
+    SelectInst, StoreInst, SwitchInst, Type, UndefValue, UnreachableInst,
+    Value, eval_binary, eval_icmp,
 )
 from .errors import ErrorKind, ProgramError
 from .memory import Memory

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, TYPE_CHECKING
 
-from .instructions import BranchInst, Instruction, PhiInst, SwitchInst
-from .types import Type, VOID
+from .instructions import (
+    TERMINATOR_OPCODES, BranchInst, Instruction, PhiInst, SwitchInst,
+)
+from .types import VOID
 from .values import Value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
@@ -20,6 +22,8 @@ class BasicBlock(Value):
     them as operands, which keeps the use-def machinery uniform: replacing a
     block rewrites all branches to it.
     """
+
+    is_block = True
 
     def __init__(self, name: str = "", parent: Optional["Function"] = None) -> None:
         super().__init__(VOID, name)
@@ -51,21 +55,38 @@ class BasicBlock(Value):
 
     # ------------------------------------------------------------- mutation
     def bump_ir_epoch(self) -> None:
-        """Propagate a structural change to the containing function's
-        modification epoch (no-op for detached blocks)."""
+        """Propagate a change to the containing function's value epoch
+        (no-op for detached blocks)."""
         if self.parent is not None:
             self.parent.bump_ir_epoch()
+
+    def bump_cfg_epoch(self) -> None:
+        """Propagate a possible change of the control-flow graph to the
+        containing function's CFG epoch (no-op for detached blocks)."""
+        if self.parent is not None:
+            self.parent.bump_cfg_epoch()
+
+    def _bump_for(self, inst: Instruction) -> None:
+        """Record that ``inst`` was inserted or removed here: a terminator
+        moves the CFG epoch, anything else the value epoch."""
+        function = self.parent
+        if function is None:
+            return
+        if inst.opcode in TERMINATOR_OPCODES:
+            function.bump_cfg_epoch()
+        else:
+            function.bump_ir_epoch()
 
     def append_instruction(self, inst: Instruction) -> Instruction:
         inst.parent = self
         self.instructions.append(inst)
-        self.bump_ir_epoch()
+        self._bump_for(inst)
         return inst
 
     def insert_instruction(self, index: int, inst: Instruction) -> Instruction:
         inst.parent = self
         self.instructions.insert(index, inst)
-        self.bump_ir_epoch()
+        self._bump_for(inst)
         return inst
 
     def insert_before(self, anchor: Instruction, inst: Instruction) -> Instruction:
@@ -79,7 +100,7 @@ class BasicBlock(Value):
     def remove_instruction(self, inst: Instruction) -> None:
         self.instructions.remove(inst)
         inst.parent = None
-        self.bump_ir_epoch()
+        self._bump_for(inst)
 
     def erase_from_parent(self) -> None:
         """Remove this block from its function and drop all its instructions."""

@@ -8,7 +8,7 @@ redundant IR; full folding is left to the optimization passes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .basicblock import BasicBlock
 from .function import Function
@@ -17,7 +17,7 @@ from .instructions import (
     ICmpPredicate, Instruction, LoadInst, Opcode, PhiInst, ReturnInst,
     SelectInst, StoreInst, SwitchInst, UnreachableInst,
 )
-from .types import IntType, PointerType, Type, I1, I8, I32, I64
+from .types import IntType, PointerType, Type, I1, I64
 from .values import Constant, ConstantInt, Value
 
 

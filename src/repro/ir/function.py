@@ -33,11 +33,16 @@ class Function(Value):
         self.attributes: Dict[str, object] = {}
         #: Module-level metadata preserved for verification tools.
         self.metadata: Dict[str, object] = {}
-        #: Modification epoch: bumped by every structural mutation (block or
-        #: instruction insertion/removal, operand rewrites).  The analysis
-        #: manager keys its per-function caches on this counter, so a cached
-        #: analysis is reused only while the function is untouched.
+        #: Value epoch: bumped by every mutation of the function's body
+        #: (block or instruction insertion/removal, operand rewrites, phi
+        #: edits).  Analyses that read instructions are keyed on it.
         self._ir_epoch = 0
+        #: CFG epoch: bumped, together with the value epoch, only by edits
+        #: that can change the control-flow graph: a block added or removed,
+        #: a terminator inserted or removed, or a block operand of a
+        #: terminator replaced.  Analyses derived from the graph alone (CFG,
+        #: dominator tree, loops) are keyed on it.
+        self._cfg_epoch = 0
         self._next_name_id = 0
         names = param_names or [f"arg{i}" for i in range(len(function_type.param_types))]
         for i, (ty, pname) in enumerate(zip(function_type.param_types, names)):
@@ -72,23 +77,34 @@ class Function(Value):
     # ------------------------------------------------------------- mutation
     @property
     def ir_epoch(self) -> int:
-        """The current modification epoch (see :attr:`_ir_epoch`)."""
+        """The current value epoch (see :attr:`_ir_epoch`)."""
         return self._ir_epoch
+
+    @property
+    def cfg_epoch(self) -> int:
+        """The current CFG epoch (see :attr:`_cfg_epoch`)."""
+        return self._cfg_epoch
 
     def bump_ir_epoch(self) -> None:
         """Record that this function's IR changed (invalidates cached
-        analyses keyed on the old epoch)."""
+        analyses keyed on the old value epoch)."""
         self._ir_epoch += 1
         parent = self.parent
         if parent is not None:
             parent.bump_ir_epoch()
+
+    def bump_cfg_epoch(self) -> None:
+        """Record that this function's control-flow graph may have changed
+        (moves the value epoch too)."""
+        self._cfg_epoch += 1
+        self.bump_ir_epoch()
 
     def append_block(self, block: BasicBlock) -> BasicBlock:
         block.parent = self
         if not block.name:
             block.name = self.next_name("bb")
         self.blocks.append(block)
-        self.bump_ir_epoch()
+        self.bump_cfg_epoch()
         return block
 
     def insert_block_after(self, anchor: BasicBlock, block: BasicBlock) -> BasicBlock:
@@ -96,13 +112,13 @@ class Function(Value):
         if not block.name:
             block.name = self.next_name("bb")
         self.blocks.insert(self.blocks.index(anchor) + 1, block)
-        self.bump_ir_epoch()
+        self.bump_cfg_epoch()
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
         self.blocks.remove(block)
         block.parent = None
-        self.bump_ir_epoch()
+        self.bump_cfg_epoch()
 
     def next_name(self, prefix: str = "t") -> str:
         """Generate a fresh local name unique within this function."""

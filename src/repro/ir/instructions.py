@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .types import IntType, PointerType, Type, VOID, I1, I64
+from .types import PointerType, Type, VOID, I1
 from .values import Constant, User, Value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
@@ -72,6 +72,9 @@ CAST_OPCODES = {
 }
 
 COMMUTATIVE_OPCODES = {Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR}
+
+TERMINATOR_OPCODES = frozenset({
+    Opcode.BR, Opcode.RET, Opcode.SWITCH, Opcode.UNREACHABLE})
 
 
 class ICmpPredicate(enum.Enum):
@@ -138,8 +141,7 @@ class Instruction(User):
     # ------------------------------------------------------------ properties
     @property
     def is_terminator(self) -> bool:
-        return self.opcode in (Opcode.BR, Opcode.RET, Opcode.SWITCH,
-                               Opcode.UNREACHABLE)
+        return self.opcode in TERMINATOR_OPCODES
 
     @property
     def is_binary(self) -> bool:
@@ -156,11 +158,14 @@ class Instruction(User):
     # ------------------------------------------------------------ list hooks
     def set_operand(self, index: int, value: Value) -> None:
         super().set_operand(index, value)
-        # Operand rewrites can redirect CFG edges (branch targets), so they
-        # advance the containing function's modification epoch.
+        # A new branch target redirects a CFG edge; any other operand
+        # rewrite changes values only.
         block = self.parent
         if block is not None:
-            block.bump_ir_epoch()
+            if value.is_block and self.opcode in TERMINATOR_OPCODES:
+                block.bump_cfg_epoch()
+            else:
+                block.bump_ir_epoch()
 
     def erase_from_parent(self) -> None:
         """Unlink from the containing block and drop all operand uses."""

@@ -12,11 +12,11 @@ from .basicblock import BasicBlock
 from .function import Function
 from .instructions import (
     AllocaInst, BinaryInst, BranchInst, CallInst, CastInst, GEPInst, ICmpInst,
-    Instruction, LoadInst, Opcode, PhiInst, ReturnInst, SelectInst, StoreInst,
+    Instruction, LoadInst, PhiInst, ReturnInst, SelectInst, StoreInst,
     SwitchInst, UnreachableInst,
 )
 from .module import Module
-from .values import ConstantArray, GlobalVariable, Value
+from .values import GlobalVariable, Value
 
 
 def print_module(module: Module) -> str:

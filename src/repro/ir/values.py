@@ -33,6 +33,10 @@ class Use:
 class Value:
     """Base class for everything that can appear as an operand."""
 
+    #: True only for basic blocks, so an operand rewrite can tell a branch
+    #: target from a value without an isinstance check.
+    is_block = False
+
     def __init__(self, ty: Type, name: str = "") -> None:
         self.type = ty
         self.name = name

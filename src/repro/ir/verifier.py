@@ -12,12 +12,12 @@ from typing import List
 from .basicblock import BasicBlock
 from .function import Function
 from .instructions import (
-    BranchInst, CallInst, ICmpInst, Instruction, LoadInst, Opcode, PhiInst,
-    ReturnInst, SelectInst, StoreInst, SwitchInst,
+    BranchInst, CallInst, ICmpInst, Instruction, LoadInst, PhiInst, ReturnInst,
+    SelectInst, StoreInst, SwitchInst,
 )
 from .module import Module
 from .types import IntType, PointerType, I1
-from .values import Argument, Constant, Value
+from .values import Argument
 
 
 class VerificationError(Exception):

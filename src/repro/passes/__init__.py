@@ -1,6 +1,6 @@
 """repro.passes — the optimization passes and pass manager."""
 
-from ..analysis import AnalysisManager, PreservedAnalyses
+from ..analysis import AnalysisManager
 from .pass_manager import (
     ROUND_CAP, Pass, PassManager, PassRunRecord, TransformStats,
 )
@@ -36,7 +36,7 @@ from .loop_utils import (
 )
 
 __all__ = [
-    "AnalysisManager", "PreservedAnalyses",
+    "AnalysisManager",
     "ROUND_CAP", "Pass", "PassManager", "PassRunRecord", "TransformStats",
     "PassInfo", "PassParam", "PassSpec", "PipelineSpec",
     "PipelineSyntaxError",

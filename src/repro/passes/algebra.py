@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis import AnalysisManager, PreservedAnalyses
+from ..analysis import AnalysisManager
 from ..ir import (
     BinaryInst, CastInst, ConstantInt, Function, ICmpInst, ICmpPredicate,
     Instruction, IntType, Opcode, SelectInst, Value, I1,
@@ -55,13 +55,12 @@ class AlgebraicSimplify(Pass):
     name = "algebraic-simplify"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         if not replace_to_fixpoint(function, self._simplify):
-            return PreservedAnalyses.unchanged()
-        # Value rewrites only: block structure and branch targets survive.
-        return PreservedAnalyses.cfg_preserving()
+            return False
+        return True
 
     def _simplify(self, inst: Instruction) -> Optional[Value]:
         if isinstance(inst, BinaryInst):

@@ -26,12 +26,10 @@ from __future__ import annotations
 from typing import Dict
 
 from ..analysis import (
-    AnalysisManager, PreservedAnalyses, compute_trip_count, full_range,
-    underlying_object,
+    AnalysisManager, compute_trip_count, full_range, underlying_object,
 )
 from ..ir import (
-    AllocaInst, Function, GlobalVariable, Instruction, IntType, LoadInst,
-    StoreInst,
+    AllocaInst, Function, GlobalVariable, IntType, LoadInst, StoreInst,
 )
 from .pass_manager import Pass
 
@@ -51,9 +49,9 @@ class AnnotateForVerification(Pass):
     name = "annotate"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         changed = False
         ranges = analyses.value_ranges(function)
         loop_info = analyses.loop_info(function)
@@ -91,12 +89,9 @@ class AnnotateForVerification(Pass):
                     changed = True
         changed |= _annotate(function.metadata,
                              "annotated_for_verification", True)
-        # Annotation writes metadata only — the IR structure and values are
-        # untouched, so every analysis remains valid (and re-running this
-        # pass is a pure cache hit).  A re-run that finds every value
-        # already in place reports no change, so it does not force another
-        # fixpoint round.
-        return PreservedAnalyses.all(changed=changed)
+        # A re-run that finds every value already in place reports no
+        # change, so it does not force another fixpoint round.
+        return changed
 
 
 from .registry import register_pass

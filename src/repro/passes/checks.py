@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..analysis import AnalysisManager, PreservedAnalyses, underlying_object
+from ..analysis import AnalysisManager, underlying_object
 from ..ir import (
     AllocaInst, BasicBlock, BranchInst, CallInst, ConstantInt, Function,
     FunctionType, GlobalVariable, ICmpInst, ICmpPredicate, Instruction,
@@ -44,9 +44,9 @@ class InsertRuntimeChecks(Pass):
     name = "runtime-checks"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         # Snapshot the accesses first: inserting checks splits blocks.
         accesses: List[Instruction] = [
             inst for inst in function.instructions()
@@ -54,7 +54,7 @@ class InsertRuntimeChecks(Pass):
             and not _statically_safe(inst.pointer)
             and "overify.checked" not in inst.metadata]
         if not accesses:
-            return PreservedAnalyses.unchanged()
+            return False
         # The module's first check declares the failure hook.
         module = function.parent
         fail = module.get_function_or_none(CHECK_FAIL_FUNCTION) or \
@@ -63,8 +63,7 @@ class InsertRuntimeChecks(Pass):
         for inst in accesses:
             self._insert_null_check(function, fail, inst)
             self.stats.checks_inserted += 1
-        # Each check splits a block and adds a failure arm.
-        return PreservedAnalyses.none()
+        return True
 
     def _insert_null_check(self, function: Function, fail: Function,
                            access: Instruction) -> None:

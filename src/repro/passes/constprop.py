@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis import AnalysisManager, PreservedAnalyses
+from ..analysis import AnalysisManager
 from ..ir import (
     BinaryInst, CastInst, ConstantInt, Function, ICmpInst, Instruction,
     IntType, Opcode, PhiInst, SelectInst, Value, eval_binary, eval_icmp,
@@ -82,16 +82,14 @@ class ConstantPropagation(Pass):
     name = "constprop"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         folded = replace_to_fixpoint(function, fold_instruction)
         self.stats.instructions_folded += folded
         if not folded:
-            return PreservedAnalyses.unchanged()
-        # Folding never rewrites terminators (SimplifyCFG folds constant
-        # branches), so the CFG-derived analyses stay valid.
-        return PreservedAnalyses.cfg_preserving()
+            return False
+        return True
 
 
 from .registry import register_pass

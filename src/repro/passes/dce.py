@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Set
 
-from ..analysis import (
-    FUNCTION_ANALYSES, AnalysisManager, PreservedAnalyses,
-)
+from ..analysis import AnalysisManager
 from ..ir import (
     AllocaInst, CallInst, ConstantInt, Function, Instruction, Module, Opcode,
     StoreInst,
@@ -70,9 +68,9 @@ class DeadCodeElimination(Pass):
         self.params = params or DCEParams()
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         changed = False
         progress = True
         unsafe_traps = self.params.unsafe_traps
@@ -87,9 +85,8 @@ class DeadCodeElimination(Pass):
                         changed = True
             progress |= self._remove_dead_allocas(function)
         if not changed:
-            return PreservedAnalyses.unchanged()
-        # Only non-terminator instructions are removed; CFG shape survives.
-        return PreservedAnalyses.cfg_preserving()
+            return False
+        return True
 
     def _remove_dead_allocas(self, function: Function) -> bool:
         """Remove allocas that are only ever written, never read."""
@@ -132,13 +129,13 @@ class GlobalDCE(Pass):
         self.roots = roots or {"main"}
 
     def run_on_module(self, module: Module,
-                      analyses: AnalysisManager = None) -> PreservedAnalyses:
+                      analyses: AnalysisManager = None) -> bool:
         if analyses is None:
             analyses = AnalysisManager()
         roots = {name for name in self.roots if name in module.functions}
         if not roots:
             # Without a known entry point it is not safe to delete anything.
-            return PreservedAnalyses.unchanged()
+            return False
         graph = analyses.call_graph(module)
         live = graph.reachable_from(sorted(roots))
         changed = False
@@ -162,10 +159,8 @@ class GlobalDCE(Pass):
                 self.stats.functions_removed += 1
                 swept = changed = True
         if not changed:
-            return PreservedAnalyses.unchanged()
-        # Removing whole functions does not perturb the bodies of the
-        # survivors, so their analyses stay valid; the call graph does not.
-        return PreservedAnalyses.preserving(*FUNCTION_ANALYSES)
+            return False
+        return True
 
 
 from .registry import flag_param, names_param, register_pass

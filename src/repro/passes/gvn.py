@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis import AnalysisManager, DominatorTree, PreservedAnalyses
+from ..analysis import AnalysisManager, DominatorTree
 from ..ir import (
     BasicBlock, BinaryInst, CallInst, CastInst, Function, GEPInst, ICmpInst,
     Instruction, LoadInst, SelectInst, StoreInst, Value,
@@ -63,9 +63,9 @@ class GlobalValueNumbering(Pass):
     name = "gvn"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         domtree = analyses.dominator_tree(function)
         changed = self._number_values(function, domtree)
         # Block-local store-to-load forwarding: the load-elim walk, with no
@@ -73,9 +73,8 @@ class GlobalValueNumbering(Pass):
         forwarded = replace_available_loads(function, lambda block: {})
         self.stats.redundancies_eliminated += forwarded
         if not changed and not forwarded:
-            return PreservedAnalyses.unchanged()
-        # CSE erases non-terminator instructions only.
-        return PreservedAnalyses.cfg_preserving()
+            return False
+        return True
 
     # ------------------------------------------------------------- CSE
     def _number_values(self, function: Function, domtree: DominatorTree) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..analysis import AnalysisManager, PreservedAnalyses, is_speculatable
+from ..analysis import AnalysisManager, is_speculatable
 from ..ir import (
     BasicBlock, BranchInst, Function, Instruction, LoadInst, SelectInst, Value,
 )
@@ -70,9 +70,9 @@ class IfConversion(Pass):
         self.params = params or IfConversionParams()
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         changed = False
         progress = True
         while progress:
@@ -83,9 +83,7 @@ class IfConversion(Pass):
                     progress = True
                     changed = True
                     break
-        # Conversion deletes whole blocks and rewrites branches.
-        return PreservedAnalyses.none() if changed \
-            else PreservedAnalyses.unchanged()
+        return changed
 
     # ------------------------------------------------------------ patterns
     def _try_convert(self, function: Function, block: BasicBlock) -> bool:

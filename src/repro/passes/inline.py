@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis import AnalysisManager, PreservedAnalyses
+from ..analysis import AnalysisManager
 from ..ir import (
-    Argument, BasicBlock, BranchInst, CallInst, ConstantInt, Function,
-    Instruction, Module, PhiInst, ReturnInst, UndefValue, Value,
+    BasicBlock, BranchInst, CallInst, ConstantInt, Function, Instruction,
+    Module, PhiInst, ReturnInst, UndefValue, Value,
 )
 from .pass_manager import Pass
 
@@ -161,7 +161,7 @@ class Inliner(Pass):
         self.params = params or InlineParams()
 
     def run_on_module(self, module: Module,
-                      analyses: AnalysisManager = None) -> PreservedAnalyses:
+                      analyses: AnalysisManager = None) -> bool:
         if analyses is None:
             analyses = AnalysisManager()
         graph = analyses.call_graph(module)
@@ -171,9 +171,7 @@ class Inliner(Pass):
         changed = False
         for caller in graph.bottom_up_order():
             changed |= self._inline_into(caller, module, analyses)
-        # Inlining rewrites callers wholesale and changes the call graph.
-        return PreservedAnalyses.none() if changed \
-            else PreservedAnalyses.unchanged()
+        return changed
 
     def _inline_into(self, caller: Function, module: Module,
                      analyses: AnalysisManager) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis import AnalysisManager, PreservedAnalyses
+from ..analysis import AnalysisManager
 from ..ir import (
     BinaryInst, CastInst, ConstantInt, Function, ICmpInst, ICmpPredicate,
     Instruction, IntType, Opcode, SelectInst, Value,
@@ -205,15 +205,14 @@ class InstCombine(Pass):
     name = "instcombine"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         combined = replace_to_fixpoint(function, self._simplify)
         self.stats.instructions_combined += combined
         if not combined:
-            return PreservedAnalyses.unchanged()
-        # Peepholes rewrite value computations only, never branch targets.
-        return PreservedAnalyses.cfg_preserving()
+            return False
+        return True
 
     def _simplify(self, inst: Instruction) -> Optional[Value]:
         folded = fold_instruction(inst)

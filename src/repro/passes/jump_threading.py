@@ -16,9 +16,9 @@ state for a symbolic executor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..analysis import AnalysisManager, PreservedAnalyses
+from ..analysis import AnalysisManager
 from ..ir import (
     BasicBlock, BranchInst, ConstantInt, Function, ICmpInst, Instruction,
     IntType, PhiInst, Value, eval_icmp,
@@ -101,9 +101,9 @@ class JumpThreading(Pass):
         self.params = params or JumpThreadingParams()
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         changed = False
         progress = True
         while progress:
@@ -115,9 +115,7 @@ class JumpThreading(Pass):
                     progress = True
                     changed = True
                     break
-        # Threading redirects CFG edges.
-        return PreservedAnalyses.none() if changed \
-            else PreservedAnalyses.unchanged()
+        return changed
 
     def _thread_block(self, function: Function, block: BasicBlock) -> bool:
         found = _threadable_condition(block)

@@ -8,7 +8,7 @@ every explored path.
 
 from __future__ import annotations
 
-from ..analysis import AnalysisManager, Loop, PreservedAnalyses, is_speculatable
+from ..analysis import AnalysisManager, Loop, is_speculatable
 from ..ir import CallInst, Function, Instruction, LoadInst, Opcode, StoreInst
 from .loop_utils import ensure_preheader
 from .pass_manager import Pass
@@ -28,16 +28,15 @@ class LoopInvariantCodeMotion(Pass):
     name = "licm"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         epoch = function.ir_epoch
         loop_info = analyses.loop_info(function)
         # Process inner loops first so invariants bubble outward.
         for loop in sorted(loop_info.loops, key=lambda l: -l.depth):
             self._hoist(loop)
-        return PreservedAnalyses.none() if function.ir_epoch != epoch \
-            else PreservedAnalyses.unchanged()
+        return function.ir_epoch != epoch
 
     def _hoist(self, loop: Loop) -> None:
         loop_writes_memory = _loop_has_stores_or_calls(loop)

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from ..analysis import (
-    AnalysisManager, AvailableMemory, FactMap, PreservedAnalyses, access_size,
-)
+from ..analysis import AnalysisManager, AvailableMemory, FactMap, access_size
 from ..ir import BasicBlock, Function, LoadInst, Value
 from .pass_manager import Pass
 
@@ -73,16 +71,15 @@ class LoadElimination(Pass):
     name = "load-elim"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration or not function.blocks:
-            return PreservedAnalyses.unchanged()
+            return False
         memory = analyses.available_memory(function)
         eliminated = replace_available_loads(function, memory.entry_facts)
         if not eliminated:
-            return PreservedAnalyses.unchanged()
+            return False
         self.stats.loads_eliminated += eliminated
-        # Loads are never terminators: values change, CFG shape does not.
-        return PreservedAnalyses.cfg_preserving()
+        return True
 
 
 from .registry import register_pass

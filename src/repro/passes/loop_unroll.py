@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis import (
-    AnalysisManager, Loop, PreservedAnalyses, compute_trip_count,
-)
+from ..analysis import AnalysisManager, Loop, compute_trip_count
 from ..ir import BasicBlock, BranchInst, Function, PhiInst
 from .loop_utils import (
     add_cloned_incoming_to_exit_phis, can_insert_lcssa_phis, clone_loop,
@@ -50,9 +48,9 @@ class LoopUnrolling(Pass):
         self.params = params or UnrollParams()
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         epoch = function.ir_epoch
         # Re-discover loops after each successful unroll because peeling
         # rewrites the region around the loop (the epoch bump makes the
@@ -67,8 +65,7 @@ class LoopUnrolling(Pass):
                     break
             if not unrolled:
                 break
-        return PreservedAnalyses.none() if function.ir_epoch != epoch \
-            else PreservedAnalyses.unchanged()
+        return function.ir_epoch != epoch
 
     # ------------------------------------------------------------ unrolling
     def _try_unroll(self, function: Function, loop: Loop,

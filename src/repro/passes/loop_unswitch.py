@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis import AnalysisManager, Loop, PreservedAnalyses
+from ..analysis import AnalysisManager, Loop
 from ..ir import (
     BinaryInst, BranchInst, CastInst, ConstantInt, Function, ICmpInst,
     Instruction, Value,
@@ -81,9 +81,9 @@ class LoopUnswitching(Pass):
         self.params = params or UnswitchParams()
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         epoch = function.ir_epoch
         for _ in range(self.params.max_unswitches_per_function):
             # Each successful unswitch bumps the function epoch, so this
@@ -99,8 +99,7 @@ class LoopUnswitching(Pass):
                     break  # loop structures changed; recompute LoopInfo
             if not unswitched:
                 break
-        return PreservedAnalyses.none() if function.ir_epoch != epoch \
-            else PreservedAnalyses.unchanged()
+        return function.ir_epoch != epoch
 
     def _unswitch(self, function: Function, loop: Loop,
                   analyses: AnalysisManager) -> bool:

@@ -9,12 +9,12 @@ about through its memory model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
-from ..analysis import AnalysisManager, DominatorTree, PreservedAnalyses
+from ..analysis import AnalysisManager, DominatorTree
 from ..ir import (
-    AllocaInst, BasicBlock, Function, Instruction, IntType, LoadInst,
-    PhiInst, PointerType, StoreInst, UndefValue, Value,
+    AllocaInst, BasicBlock, Function, LoadInst, PhiInst, StoreInst, UndefValue,
+    Value,
 )
 from .pass_manager import Pass
 
@@ -42,13 +42,13 @@ class PromoteMemoryToRegisters(Pass):
     name = "mem2reg"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         allocas = [inst for inst in function.instructions()
                    if isinstance(inst, AllocaInst) and _is_promotable(inst)]
         if not allocas:
-            return PreservedAnalyses.unchanged()
+            return False
         domtree = analyses.dominator_tree(function)
         # The frontier sets iterate in memory-address order; walking them
         # in block order keeps phi placement and numbering, and so the
@@ -70,9 +70,7 @@ class PromoteMemoryToRegisters(Pass):
                     user.erase_from_parent()
             alloca.erase_from_parent()
             self.stats.allocas_promoted += 1
-        # Promotion rewrites instructions but never blocks or branch
-        # targets, so every CFG-derived analysis survives.
-        return PreservedAnalyses.cfg_preserving()
+        return True
 
     # ------------------------------------------------------------ phi nodes
     def _insert_phis(self, alloca: AllocaInst, function: Function,

@@ -5,12 +5,11 @@ verifying the IR after each one, and accumulates the transformation counters
 that the paper reports in Table 3 (functions inlined, loops unswitched, loops
 unrolled, branches converted to branch-free form).
 
-Since the analysis-manager refactor, every pass receives an
-:class:`~repro.analysis.AnalysisManager` and returns a
-:class:`~repro.analysis.PreservedAnalyses` summary.  Analyses (CFG,
-dominator tree, loop info, value ranges, call graph) are requested through
-the manager, which caches them across passes and invalidates exactly what a
-pass reports it clobbered.  Cache hit/miss counters land in each
+Every pass receives an :class:`~repro.analysis.AnalysisManager` and
+returns whether it changed the module.  Analyses (CFG, dominator tree, loop
+info, value ranges, call graph) are requested through the manager, which
+caches them across passes and recomputes one only when the IR epoch it is
+keyed on has moved.  Cache hit/miss counters land in each
 :class:`PassRunRecord`, so the compile-side benefit is visible in the
 harness reports.
 
@@ -30,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
-from ..analysis import FUNCTION_ANALYSES, AnalysisManager, PreservedAnalyses
+from ..analysis import AnalysisManager
 from ..ir import Function, Instruction, Module, Value, verify_module
 
 #: The most rounds :meth:`PassManager.run_until_fixpoint` runs, a backstop
@@ -94,9 +93,8 @@ class Pass:
     """Base class of all passes.
 
     Subclasses override :meth:`run_on_module` or :meth:`run_on_function`.
-    Both receive the pipeline's :class:`AnalysisManager` and return a
-    :class:`PreservedAnalyses` summary (a plain ``bool`` "changed" return is
-    still accepted and coerced conservatively, for simple ad-hoc passes).
+    Both receive the pipeline's :class:`AnalysisManager` and return whether
+    they changed the IR.
     """
 
     #: Human-readable pass name (defaults to the class name).
@@ -113,29 +111,19 @@ class Pass:
 
     def run_on_module(self, module: Module,
                       analyses: Optional[AnalysisManager] = None
-                      ) -> PreservedAnalyses:
+                      ) -> bool:
         """Default module driver: run :meth:`run_on_function` on every
-        defined function, applying per-function invalidation as it goes."""
+        defined function."""
         if analyses is None:
             analyses = AnalysisManager()
         changed = False
         for function in list(module.defined_functions()):
-            epoch_before = function.ir_epoch
-            preserved = PreservedAnalyses.from_legacy(
-                self.run_on_function(function, analyses))
-            analyses.after_function_pass(function, preserved, epoch_before)
-            changed |= preserved.changed
-        # Function-level invalidation already happened at finer grain, so
-        # the surviving per-function entries are declared preserved here;
-        # the module-level call graph is conservatively dropped (a function
-        # pass may have deleted call sites).
-        if not changed:
-            return PreservedAnalyses.unchanged()
-        return PreservedAnalyses.preserving(*FUNCTION_ANALYSES)
+            changed |= self.run_on_function(function, analyses)
+        return changed
 
     def run_on_function(self, function: Function,
                         analyses: AnalysisManager
-                        ) -> PreservedAnalyses:  # pragma: no cover
+                        ) -> bool:  # pragma: no cover
         raise NotImplementedError(
             f"{self.name} implements neither run_on_module nor run_on_function")
 
@@ -278,16 +266,14 @@ class PassManager:
         cache = self.analyses.stats
         hits_before, misses_before = cache.hits, cache.misses
         start = time.perf_counter()
-        preserved = PreservedAnalyses.from_legacy(
-            pass_.run_on_module(module, self.analyses))
+        changed = pass_.run_on_module(module, self.analyses)
         duration = time.perf_counter() - start
-        self.analyses.after_module_pass(module, preserved)
-        memo.record(pass_.spec_text, preserved.changed)
+        memo.record(pass_.spec_text, changed)
 
         hits = cache.hits - hits_before
         misses = cache.misses - misses_before
         self.history.append(PassRunRecord(
-            pass_.name, preserved.changed, duration,
+            pass_.name, changed, duration,
             analysis_cache_hits=hits, analysis_cache_misses=misses))
         self.stats.merge(pass_.stats)
         pass_.stats = TransformStats()
@@ -298,4 +284,4 @@ class PassManager:
             except Exception as exc:
                 raise RuntimeError(
                     f"IR verification failed after pass {pass_.name}") from exc
-        return preserved.changed
+        return changed

@@ -31,13 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis import (
-    AnalysisManager, PreservedAnalyses, remove_unreachable_blocks,
-)
+from ..analysis import AnalysisManager, remove_unreachable_blocks
 from ..ir import (
     BasicBlock, BinaryInst, BranchInst, CastInst, ConstantInt, Function,
     ICmpInst, Instruction, IntType, IRBuilder, Opcode, PhiInst, SelectInst,
-    SwitchInst, UndefValue, Value, I1, eval_binary, eval_icmp,
+    SwitchInst, UndefValue, Value, eval_binary, eval_icmp,
 )
 from .pass_manager import Pass
 
@@ -104,17 +102,15 @@ class SparseConditionalConstantPropagation(Pass):
     name = "sccp"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration or not function.blocks:
-            return PreservedAnalyses.unchanged()
+            return False
         solver = _SCCPSolver(function)
         solver.solve()
         changed = self._apply(function, solver)
         if not changed:
-            return PreservedAnalyses.unchanged()
-        # Materializing constants is value-only, but deleting edges and
-        # unreachable blocks restructures the CFG.
-        return PreservedAnalyses.none()
+            return False
+        return True
 
     # --------------------------------------------------------- IR rewriting
     def _apply(self, function: Function, solver: "_SCCPSolver") -> bool:

@@ -14,14 +14,9 @@ Performs the cleanups every real compiler does between other passes:
 
 from __future__ import annotations
 
-from typing import List, Optional
 
-from ..analysis import (
-    AnalysisManager, PreservedAnalyses, remove_unreachable_blocks,
-)
-from ..ir import (
-    BasicBlock, BranchInst, ConstantInt, Function, PhiInst, SwitchInst,
-)
+from ..analysis import AnalysisManager, remove_unreachable_blocks
+from ..ir import BranchInst, ConstantInt, Function, PhiInst, SwitchInst
 from .pass_manager import Pass
 
 
@@ -31,9 +26,9 @@ class SimplifyCFG(Pass):
     name = "simplifycfg"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         changed = False
         while True:
             local = False
@@ -48,10 +43,7 @@ class SimplifyCFG(Pass):
             if not local:
                 break
             changed = True
-        # This pass exists to restructure the CFG: when it fires, every
-        # CFG-derived analysis for this function is stale.
-        return PreservedAnalyses.none() if changed \
-            else PreservedAnalyses.unchanged()
+        return changed
 
     # ------------------------------------------------------------ rewrites
     def _fold_constant_branches(self, function: Function) -> bool:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis import AnalysisManager, PreservedAnalyses
+from ..analysis import AnalysisManager
 from ..ir import (
-    AllocaInst, ArrayType, ConstantInt, Function, GEPInst, Instruction,
-    IntType, LoadInst, PointerType, StoreInst, StructType, Type,
+    AllocaInst, ArrayType, ConstantInt, Function, GEPInst, LoadInst, StoreInst,
+    StructType, Type,
 )
 from .pass_manager import Pass
 
@@ -48,17 +48,16 @@ class ScalarReplacementOfAggregates(Pass):
     name = "sroa"
 
     def run_on_function(self, function: Function,
-                        analyses: AnalysisManager) -> PreservedAnalyses:
+                        analyses: AnalysisManager) -> bool:
         if function.is_declaration:
-            return PreservedAnalyses.unchanged()
+            return False
         changed = False
         for inst in list(function.instructions()):
             if isinstance(inst, AllocaInst):
                 changed |= self._try_split(function, inst)
         if not changed:
-            return PreservedAnalyses.unchanged()
-        # Splitting rewrites allocas/GEPs in place; the CFG is untouched.
-        return PreservedAnalyses.cfg_preserving()
+            return False
+        return True
 
     def _try_split(self, function: Function, alloca: AllocaInst) -> bool:
         layout = _field_layout(alloca.allocated_type)

@@ -31,7 +31,7 @@ from ..ir import (
 from .expr import Expr, ExprOp
 from .memory import SymbolicMemory
 from .searcher import Searcher, make_searcher
-from .simplify import binary, const, ite, not_expr, sext, trunc, var, zext, bitwise_not
+from .simplify import binary, const, ite, not_expr, sext, trunc, var, zext
 from .solver import Solver, SolverStats
 from .state import ExecutionState, StackFrame, StateStatus
 

@@ -8,7 +8,7 @@ memory-safety violations become detected errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..interp.errors import ErrorKind, ProgramError

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .expr import COMPARISON_OPS, Expr, ExprOp, mask, to_signed, truncdiv
+from .expr import Expr, ExprOp, mask, to_signed, truncdiv
 
 # Strong bounded caches in front of the weak intern table for the two
 # highest-traffic constructors: they skip the weakref machinery and keep the
@@ -167,6 +167,12 @@ def binary(op: ExprOp, lhs: Expr, rhs: Expr) -> Expr:
         inner = lhs.operands[0]
         if rhs.value <= mask(inner.width):
             return binary(op, inner, const(inner.width, rhs.value))
+    # (zext a) == (zext b)  ->  a == b when both extend the same width, so
+    # the state's variable-equality rewriting sees the narrow operands.
+    if op in (ExprOp.EQ, ExprOp.NE) and lhs.op is ExprOp.ZEXT and \
+            rhs.op is ExprOp.ZEXT and \
+            lhs.operands[0].width == rhs.operands[0].width:
+        return binary(op, lhs.operands[0], rhs.operands[0])
 
     # Boolean simplifications for width-1 operands.
     if width == 1 and lhs.width == 1:

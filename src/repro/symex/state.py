@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..interp.errors import ProgramError
-from ..ir import Argument, BasicBlock, Function, Instruction, Value
+from ..ir import BasicBlock, Function, Instruction, Value
 from .expr import Expr, ExprOp
 from .memory import SymbolicMemory
 from .simplify import substitute

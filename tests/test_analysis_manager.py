@@ -1,17 +1,19 @@
-"""Tests for the analysis manager: epoch tracking, lazy caching, and
-preservation-driven invalidation across the pass pipeline."""
-
-import pytest
+"""Tests for the analysis manager: the two epochs the IR keeps, lazy
+caching, and invalidation by epoch across the pass pipeline."""
 
 from repro.analysis import (
-    CFG_DERIVED, DOMTREE_ANALYSIS, LOOPS_ANALYSIS, RANGES_ANALYSIS,
-    AnalysisManager, CallGraph, DominatorTree, LoopInfo, PreservedAnalyses,
+    CFG_DERIVED, DOMTREE_ANALYSIS, LOOPS_ANALYSIS, MEMORY_ANALYSIS,
+    RANGES_ANALYSIS, AnalysisManager, DominatorTree,
 )
 from repro.frontend import compile_to_ir
-from repro.ir import BasicBlock, ConstantInt, I32, ReturnInst
+from repro.ir import (
+    BasicBlock, BinaryInst, BranchInst, ConstantInt, I32, Opcode, PhiInst,
+    ReturnInst,
+)
 from repro.passes import (
     AnnotateForVerification, ConstantPropagation, DeadCodeElimination,
-    JumpThreading, PassManager, PromoteMemoryToRegisters, SimplifyCFG,
+    Inliner, InlineParams, JumpThreading, Pass, PassManager,
+    PromoteMemoryToRegisters, SimplifyCFG,
 )
 
 TWO_FUNCTION_SOURCE = """
@@ -28,6 +30,38 @@ int shrinks(int a) {
 
 def _module():
     return compile_to_ir(TWO_FUNCTION_SOURCE)
+
+
+BRANCHY_SOURCE = """
+int pick(int a) {
+    int r = 0;
+    if (a > 3) { r = a + 1; } else { r = a - 1; }
+    return r;
+}
+"""
+
+
+def _module():
+    return compile_to_ir(TWO_FUNCTION_SOURCE)
+
+
+def _promoted(source):
+    """``source`` lowered, with its allocas promoted (so it has phis)."""
+    module = compile_to_ir(source)
+    manager = PassManager()
+    manager.extend([SimplifyCFG(), PromoteMemoryToRegisters()])
+    manager.run(module)
+    return module
+
+
+def _conditional_branch(function):
+    return next(inst for inst in function.instructions()
+                if isinstance(inst, BranchInst) and inst.is_conditional)
+
+
+def _phi(function):
+    return next(inst for inst in function.instructions()
+                if isinstance(inst, PhiInst))
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +85,44 @@ class TestModificationEpochs:
         inst = next(i for i in function.instructions() if i.operands)
         inst.set_operand(0, inst.operands[0])
         assert function.ir_epoch > before
+
+    def test_block_and_terminator_edits_bump_cfg_epoch(self):
+        function = _module().get_function("stable")
+        block = BasicBlock("extra")
+        before = function.cfg_epoch
+        function.append_block(block)
+        assert function.cfg_epoch == before + 1
+        ret = block.append_instruction(ReturnInst(ConstantInt(I32, 0)))
+        assert function.cfg_epoch == before + 2
+        ret.erase_from_parent()
+        assert function.cfg_epoch == before + 3
+        function.remove_block(block)
+        assert function.cfg_epoch == before + 4
+
+    def test_value_edits_leave_cfg_epoch(self):
+        function = _promoted(BRANCHY_SOURCE).get_function("pick")
+        cfg_before, value_before = function.cfg_epoch, function.ir_epoch
+        entry = function.entry_block
+        add = BinaryInst(Opcode.ADD, function.arguments[0],
+                         ConstantInt(I32, 1))
+        entry.insert_instruction(0, add)
+        branch = _conditional_branch(function)
+        branch.set_operand(0, branch.operands[0])  # the condition
+        phi = _phi(function)
+        phi.add_incoming(ConstantInt(I32, 0), entry)
+        phi.remove_incoming(entry)
+        add.erase_from_parent()
+        assert function.cfg_epoch == cfg_before
+        assert function.ir_epoch == value_before + 5
+
+    def test_branch_target_rewrite_bumps_cfg_epoch(self):
+        module = _promoted(BRANCHY_SOURCE)
+        function = module.get_function("pick")
+        branch = _conditional_branch(function)
+        before = function.cfg_epoch, function.ir_epoch, module.ir_epoch
+        branch.set_operand(2, branch.operands[1])
+        after = function.cfg_epoch, function.ir_epoch, module.ir_epoch
+        assert all(new == old + 1 for old, new in zip(before, after))
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +152,12 @@ class TestCaching:
         function = module.get_function("stable")
         manager = AnalysisManager()
         first = manager.dominator_tree(function)
+        ranges = manager.value_ranges(function)
         function.bump_ir_epoch()
+        assert manager.value_ranges(function) is not ranges
+        function.bump_cfg_epoch()
         assert manager.dominator_tree(function) is not first
+        assert manager.stats.invalidations == 3  # ranges, domtree, cfg
 
     def test_call_graph_cached_per_module_epoch(self):
         module = _module()
@@ -94,67 +170,128 @@ class TestCaching:
 
 
 # ---------------------------------------------------------------------------
-# Preservation-driven invalidation
+# Invalidation by epoch
 # ---------------------------------------------------------------------------
-class TestPreservedAnalyses:
-    def test_unchanged_preserves_everything(self):
-        pa = PreservedAnalyses.unchanged()
-        assert not pa.changed
-        assert pa.preserves(DOMTREE_ANALYSIS)
+class ValueOnlyPass(Pass):
+    """Inserts one unused add into every entry block and reports it."""
 
-    def test_none_preserves_nothing(self):
-        pa = PreservedAnalyses.none()
-        assert pa.changed
-        assert not pa.preserves(DOMTREE_ANALYSIS)
+    name = "value-only"
 
-    def test_cfg_preserving_keeps_shape_analyses_only(self):
-        pa = PreservedAnalyses.cfg_preserving()
-        for name in CFG_DERIVED:
-            assert pa.preserves(name)
-        assert not pa.preserves(RANGES_ANALYSIS)
+    def run_on_function(self, function, analyses):
+        add = BinaryInst(Opcode.ADD, ConstantInt(I32, 1), ConstantInt(I32, 2))
+        function.entry_block.insert_instruction(0, add)
+        return True
 
-    def test_legacy_bool_coercion(self):
-        assert PreservedAnalyses.from_legacy(True).changed
-        assert not PreservedAnalyses.from_legacy(False).changed
-        pa = PreservedAnalyses.none()
-        assert PreservedAnalyses.from_legacy(pa) is pa
 
-    def test_declared_preservation_survives_epoch_bump(self):
-        """A pass that changed the IR but preserved the dominator tree gets
-        its cache entry re-stamped instead of dropped."""
+class RetargetBranch(Pass):
+    """Points the first conditional branch's false edge at its true
+    target, which changes the dominator tree."""
+
+    name = "retarget"
+
+    def run_on_function(self, function, analyses):
+        branch = _conditional_branch(function)
+        branch.set_operand(2, branch.true_target)
+        return True
+
+
+class TestEpochInvalidation:
+    def test_cfg_analyses_survive_value_epoch_bump(self):
+        """A change of values only keeps every CFG-derived entry; the
+        analyses that read instructions are recomputed."""
         module = _module()
         function = module.get_function("stable")
         manager = AnalysisManager()
         domtree = manager.dominator_tree(function)
-        epoch_before = function.ir_epoch
-        function.bump_ir_epoch()  # the "pass" mutated values only
-        manager.after_function_pass(
-            function, PreservedAnalyses.cfg_preserving(), epoch_before)
+        loops = manager.loop_info(function)
+        memory = manager.available_memory(function)
+        function.bump_ir_epoch()
         assert manager.dominator_tree(function) is domtree
+        assert manager.loop_info(function) is loops
+        assert manager.available_memory(function) is not memory
 
     def test_stale_entry_is_never_restamped(self):
-        """An entry that was already stale when the pass started must not be
-        promoted to current by the pass's preservation declaration."""
+        """An entry made stale by a pass that redirects a branch target
+        stays stale through a later pass that changes values only, and
+        what the manager returns afterwards matches a fresh dominator
+        tree."""
+        module = _promoted(BRANCHY_SOURCE)
+        function = module.get_function("pick")
+        manager = PassManager()
+        stale = manager.analyses.dominator_tree(function)
+        manager.extend([RetargetBranch(), ValueOnlyPass()])
+        assert manager.run(module)
+        current = manager.analyses.dominator_tree(function)
+        assert current is not stale
+        assert current.idom == DominatorTree(function).idom != stale.idom
+
+    def test_value_only_pass_keeps_the_dominator_tree(self):
         module = _module()
-        function = module.get_function("stable")
+        manager = PassManager()
+        trees = {f.name: manager.analyses.dominator_tree(f)
+                 for f in module.defined_functions()}
+        manager.add(ValueOnlyPass())
+        assert manager.run(module)
+        for function in module.defined_functions():
+            assert manager.analyses.is_cached(DOMTREE_ANALYSIS, function)
+            assert manager.analyses.dominator_tree(function) is \
+                trees[function.name]
+            assert not manager.analyses.is_cached(RANGES_ANALYSIS, function)
+
+    def test_phi_and_metadata_edits_keep_cfg_analyses_current(self):
+        module = _promoted(BRANCHY_SOURCE)
+        function = module.get_function("pick")
         manager = AnalysisManager()
-        stale = manager.dominator_tree(function)
-        function.bump_ir_epoch()        # mutation BEFORE the pass ran
-        epoch_before = function.ir_epoch
-        function.bump_ir_epoch()        # mutation made BY the pass
-        manager.after_function_pass(
-            function, PreservedAnalyses.cfg_preserving(), epoch_before)
-        assert manager.dominator_tree(function) is not stale
+        manager.loop_info(function)
+        phi = _phi(function)
+        phi.metadata["range"] = (0, 9)
+        function.metadata["annotated_for_verification"] = True
+        phi.add_incoming(ConstantInt(I32, 0), function.entry_block)
+        phi.remove_incoming(function.entry_block)
+        for name in CFG_DERIVED:
+            assert manager.is_cached(name, function)
+        _conditional_branch(function).set_operand(
+            2, _conditional_branch(function).true_target)
+        for name in CFG_DERIVED:
+            assert not manager.is_cached(name, function)
+
+    def test_inline_keeps_the_analyses_of_functions_it_did_not_change(self):
+        source = """
+        int helper(int a) { return a + 1; }
+        int caller(int a) { return helper(a) * 2; }
+        int loner(int a, int b) {
+            int t = 0;
+            for (int i = 0; i < a; i++) { t += b; }
+            return t;
+        }
+        """
+        module = compile_to_ir(source)
+        manager = PassManager()
+        loner = module.get_function("loner")
+        caller = module.get_function("caller")
+        kept = {name: manager.analyses.loop_info(loner)
+                if name == LOOPS_ANALYSIS else
+                manager.analyses.available_memory(loner)
+                for name in (LOOPS_ANALYSIS, MEMORY_ANALYSIS)}
+        manager.analyses.dominator_tree(caller)
+        manager.add(Inliner(InlineParams(threshold=1000)))
+        assert manager.run(module)
+        assert manager.stats.functions_inlined == 1
+        for name in (LOOPS_ANALYSIS, MEMORY_ANALYSIS, DOMTREE_ANALYSIS):
+            assert manager.analyses.is_cached(name, loner)
+        assert manager.analyses.loop_info(loner) is kept[LOOPS_ANALYSIS]
+        assert manager.analyses.available_memory(loner) is \
+            kept[MEMORY_ANALYSIS]
+        assert not manager.analyses.is_cached(DOMTREE_ANALYSIS, caller)
 
 
 # ---------------------------------------------------------------------------
 # Whole-pipeline behaviour
 # ---------------------------------------------------------------------------
 class TestPipelineIntegration:
-    def test_all_preserving_pass_twice_yields_cache_hits(self):
-        """The acceptance criterion: running an all-preserving pass twice
-        reports at least one analysis cache hit, with identical analysis
-        objects served both times."""
+    def test_metadata_pass_twice_yields_cache_hits(self):
+        """A pass that writes metadata only, run twice, is served every
+        analysis from the cache the second time."""
         module = _module()
         manager = PassManager()
         manager.extend([AnnotateForVerification(), AnnotateForVerification()])
@@ -167,7 +304,7 @@ class TestPipelineIntegration:
     def test_cfg_mutating_pass_invalidates_only_changed_functions(self):
         """SimplifyCFG folds the (propagated) constant branch in `shrinks`
         but leaves the single-block `stable` alone: `stable`'s analyses must
-        survive, `shrinks`'s must be dropped."""
+        survive, and `shrinks`'s CFG epoch moved, so its must be stale."""
         source = """
         int stable(int a, int b) { return a + b; }
         int shrinks(int a) {
@@ -198,6 +335,8 @@ class TestPipelineIntegration:
         assert analyses.dominator_tree(shrinks) is not shrinks_domtree
 
     def test_jump_threading_invalidates_changed_function(self):
+        """Threading redirects `thread`'s edges, so its loop info is stale;
+        `untouched` keeps the same object."""
         source = """
         int thread(int a) {
             int x;

@@ -152,6 +152,19 @@ class TestExpressions:
         cmp = binary(ExprOp.NE, wide, const(32, 0))
         assert x in cmp.operands or cmp.operands[0] is x
 
+    def test_equality_of_equal_width_zero_extensions_narrows(self):
+        x, y, h = var(8, "x"), var(8, "y"), var(16, "h")
+        for op in (ExprOp.EQ, ExprOp.NE):
+            narrowed = binary(op, zext(x, 32), zext(y, 32))
+            assert narrowed is binary(op, x, y)
+            assert narrowed.operands == (x, y)
+        assert binary(ExprOp.EQ, zext(x, 32), zext(x, 32)).is_true
+        # Different inner widths, or an ordered comparison, stay wide.
+        mixed = binary(ExprOp.EQ, zext(x, 32), zext(h, 32))
+        assert mixed.operands == (zext(x, 32), zext(h, 32))
+        ordered = binary(ExprOp.ULT, zext(x, 32), zext(y, 32))
+        assert ordered.operands == (zext(x, 32), zext(y, 32))
+
     def test_shift_past_a_zero_extension_folds_to_zero(self):
         x = var(8, "x")
         wide = zext(x, 32)

@@ -897,7 +897,7 @@ class TestPassManager:
                     term = function.entry_block.terminator
                     if term is not None:
                         term.erase_from_parent()
-                return True  # legacy bool return; coerced to PreservedAnalyses
+                return True
 
         module = compile_to_ir("int f() { return 1; }")
         manager = PassManager(verify_after_each=True)

@@ -1,18 +1,20 @@
-"""The pass pipeline's two work savers, and linking only the library
+"""The pass pipeline's three work savers, and linking only the library
 functions a program reaches, leave every module as it was.
 
 -O2, -O3 and -OVERIFY open with ``globaldce`` (functions the roots cannot
-reach are never optimized), and the pass manager skips a pass run when the
-same pass spec last ran without a change and nothing has changed since.
-Neither may change what a compile produces, and neither may leaving
-``constprop`` out of the ``CLEANUP`` bundle.  Seven layers of coverage:
+reach are never optimized), the pass manager skips a pass run when the
+same pass spec last ran without a change and nothing has changed since,
+and one analysis manager caches analyses across every pass run.  None may
+change what a compile produces, and neither may leaving ``constprop`` out
+of the ``CLEANUP`` bundle.  Eight layers of coverage:
 
 1. **IR identity** — a test-local reference driver runs the loop without
-   either saver: every pass of the level spec except the leading
-   ``globaldce``, each one in every round, until a round reports no
-   change.  ``CompilerSession.compile`` must print the same module for
-   every registry program at every level and for fuzz seeds 0–29;
-   ``PIPELINE_SWEEP=all`` (nightly CI) widens the fuzz range to 0–119.
+   any saver: every pass of the level spec except the leading
+   ``globaldce``, each one in every round with a fresh analysis manager,
+   until a round reports no change.  ``CompilerSession.compile`` must
+   print the same module for every registry program at every level and
+   for fuzz seeds 0–29; ``PIPELINE_SWEEP=all`` (nightly CI) widens the
+   fuzz range to 0–119.
 2. **No silent change** — the memo trusts every "no change" report, so a
    pass run that reports no change must leave the module as it was,
    metadata included.  Tier-1 checks every pass of every level spec on a
@@ -40,6 +42,12 @@ Neither may change what a compile produces, and neither may leaving
    passes alone and not of the cap.  Read from ``session.compile``'s
    ``pass_history`` for every registry program at every level and for
    the layer-1 fuzz seeds.
+8. **No stale analysis** — each level's passes run over one shared
+   analysis manager, and after every pass run each CFG-derived analysis
+   the manager holds as current must equal a fresh one: the same reverse
+   postorder, immediate dominators, loop headers and loop block sets.
+   Every registry program at every level; ``PIPELINE_SWEEP=all`` adds
+   fuzz seeds 0–119.
 """
 
 from __future__ import annotations
@@ -53,7 +61,10 @@ import sys
 
 import pytest
 
-from repro.analysis import AnalysisManager, PreservedAnalyses
+from repro.analysis import (
+    CFG, CFG_ANALYSIS, DOMTREE_ANALYSIS, LOOPS_ANALYSIS, AnalysisManager,
+    DominatorTree, LoopInfo,
+)
 from repro.frontend import analyze, compile_to_ir, lower, parse
 from repro.fuzz import generate_program
 from repro.ir import print_module
@@ -99,18 +110,17 @@ def _level_passes(level: OptLevel, prune: bool):
     return passes
 
 
-def _drive(module, passes, after_pass=None):
-    """The plain fixpoint loop: every pass, every round, no skipping."""
-    analyses = AnalysisManager()
+def _drive(module, passes, after_pass=None, analyses=None):
+    """The plain fixpoint loop: every pass, every round, no skipping.  Each
+    pass run gets a fresh analysis manager unless ``analyses`` is given."""
     for _ in range(ROUND_CAP):
         changed = False
         for pass_ in passes:
-            preserved = PreservedAnalyses.from_legacy(
-                pass_.run_on_module(module, analyses))
-            analyses.after_module_pass(module, preserved)
+            changed_now = pass_.run_on_module(
+                module, analyses or AnalysisManager())
             if after_pass is not None:
-                after_pass(pass_, preserved.changed)
-            changed |= preserved.changed
+                after_pass(pass_, changed_now)
+            changed |= changed_now
         if not changed:
             break
     return module
@@ -198,6 +208,54 @@ def test_registry_build_reaches_its_fixpoint(name):
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_fuzz_build_reaches_its_fixpoint(seed):
     _assert_converges(generate_program(seed), f"fuzz seed {seed}")
+
+
+# ------------------------------------------------------ no stale analysis
+
+#: Per CFG-derived analysis: its constructor, the manager's getter, and
+#: what it says about the graph.
+_CFG_ANALYSES = {
+    CFG_ANALYSIS: (CFG, AnalysisManager.cfg,
+                   lambda cfg: (cfg.reverse_postorder, cfg.preds)),
+    DOMTREE_ANALYSIS: (DominatorTree, AnalysisManager.dominator_tree,
+                       lambda tree: (tree.rpo, tree.idom)),
+    LOOPS_ANALYSIS: (LoopInfo, AnalysisManager.loop_info,
+                     lambda info: [(loop.header, set(map(id, loop.blocks)))
+                                   for loop in info.loops]),
+}
+
+
+def _assert_no_stale_analysis(source: str, label: str) -> None:
+    for level in LEVELS:
+        module = _lowered(source, level)
+        analyses = AnalysisManager()
+
+        def after_pass(pass_, changed):
+            for function in module.defined_functions():
+                for name, (fresh, getter, shape) in _CFG_ANALYSES.items():
+                    if not analyses.is_cached(name, function):
+                        continue
+                    assert shape(getter(analyses, function)) == \
+                        shape(fresh(function)), \
+                        f"{label} {level}: {name} of {function.name} " \
+                        f"is stale after {pass_.spec_text}"
+
+        _drive(module, _level_passes(level, prune=True), after_pass,
+               analyses)
+
+
+#: Layer 8's programs: every registry program, and fuzz seeds 0–119 when
+#: ``PIPELINE_SWEEP=all``.
+_CURRENCY_CASES = [(name, get_workload(name).source)
+                   for name in workload_names()] + \
+    [(f"fuzz seed {seed}", generate_program(seed))
+     for seed in (range(120) if _WIDE else ())]
+
+
+@pytest.mark.parametrize("label, source", _CURRENCY_CASES,
+                         ids=[label for label, _ in _CURRENCY_CASES])
+def test_cached_analyses_are_current(label, source):
+    _assert_no_stale_analysis(source, label)
 
 
 # ---------------------------------------------------------------- linking
@@ -409,7 +467,7 @@ def test_unreported_mutation_forgets_every_record():
 
         def run_on_module(self, module, analyses=None):
             module.bump_ir_epoch()
-            return PreservedAnalyses.unchanged()
+            return False
 
     module = compile_to_ir(_FOLDABLE)
     manager = build_pipeline_from_text("simplifycfg,mem2reg,dce")

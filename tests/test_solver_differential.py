@@ -20,11 +20,12 @@ Four families of checks:
   (unrewritten) query;
 * branch-and-prune separately against an analytic ground truth on wide
   (>16-bit) variable queries;
-* the CSP search's literal propagation and value classes against
-  **exhaustive enumeration**: the naive configuration runs those layers
-  too, so here every point of a 65,536-point space is evaluated by a
-  separately written evaluator, for if-conversion chains, literals next to
-  their negations and literals nested in ``ite`` conditions.
+* the CSP search's literal propagation and value classes, and equality
+  rewriting, against **exhaustive enumeration**: the naive configuration
+  runs those layers too, so here every point of a 65,536-point space is
+  evaluated by a separately written evaluator, for if-conversion chains,
+  literals next to their negations, literals nested in ``ite`` conditions
+  and chains of byte equalities.
 
 Queries are generated small enough that the naive CSP always terminates
 within the assignment budget, so both configurations produce exact answers
@@ -50,7 +51,7 @@ MATRIX_QUERY_COUNT = int(
     os.environ.get("SOLVER_DIFFERENTIAL_MATRIX_QUERIES", "500"))
 WIDE_QUERY_COUNT = int(
     os.environ.get("SOLVER_DIFFERENTIAL_WIDE_QUERIES", "300"))
-#: Queries per enumerated family.  The three families take about 5 s, so
+#: Queries per enumerated family.  The four families take about 5 s, so
 #: the CI gate runs them at this count too.
 ENUMERATED_QUERY_COUNT = 40
 
@@ -558,9 +559,36 @@ def _nested_query(rng):
     return names, values, bounds + query
 
 
+def _equality_chain_query(rng):
+    """Byte equalities and disequalities written as join's comparisons
+    are, ``zext in_i == zext in_j``, chained through shared bytes and now
+    and then next to a byte literal: transitivity decides many of them."""
+    names, values, bounds = _space(rng)
+    query = []
+    for _ in range(rng.randrange(2, 6)):
+        first, second = rng.sample(names, 2)
+        op = ExprOp.EQ if rng.random() < 0.7 else ExprOp.NE
+        query.append(binary(op, zext(var(8, first), 32),
+                            zext(var(8, second), 32)))
+    if rng.random() < 0.4:
+        query.append(_byte_literal(rng, rng.choice(names), values))
+    rng.shuffle(query)
+    return names, values, bounds + query
+
+
 _ENUMERATED_FAMILIES = {"ite-chains": _chain_query,
                         "literal-and-negation": _negation_query,
-                        "nested-literals": _nested_query}
+                        "nested-literals": _nested_query,
+                        "equality-chains": _equality_chain_query}
+
+
+def _rewritten_partition(query):
+    """The query as an engine state holds it, with equality rewriting on
+    (``as_partition`` leaves it off)."""
+    state = ExecutionState()
+    for constraint in query:
+        state.add_constraint(constraint)
+    return state.full_partition()
 
 
 #: Assignment budget of the uncached solver per family.  Every variable
@@ -572,11 +600,11 @@ _ENUMERATED_BUDGETS = {"ite-chains": 2_000}
 
 @pytest.mark.parametrize("family", sorted(_ENUMERATED_FAMILIES))
 def test_csp_layers_agree_with_enumeration(family):
-    """Every verdict matches exhaustive enumeration, every model the
-    solver returns holds under the enumeration's own evaluator, and
-    ``concretization_model`` (a fresh search) returns the enumeration's
-    first model: the two layers leave the model a plain search finds
-    unchanged."""
+    """Every verdict matches exhaustive enumeration, with equality
+    rewriting off and on, every model the solver returns holds under the
+    enumeration's own evaluator, and ``concretization_model`` (a fresh
+    search) returns the enumeration's first model: the two layers leave
+    the model a plain search finds unchanged."""
     make = _ENUMERATED_FAMILIES[family]
     rng = random.Random(f"enumerated:{family}")
     solver = Solver()
@@ -593,6 +621,9 @@ def test_csp_layers_agree_with_enumeration(family):
             result = engine.check_partition(*as_partition(query))
             assert result.exact, (index, shown)
             assert result.satisfiable == expected, (index, shown)
+        result = Solver().check_partition(*_rewritten_partition(query))
+        assert result.exact and result.satisfiable == expected, \
+            (index, shown, "rewritten")
         verdicts.add(expected)
         if not expected:
             assert solver.concretization_model(*as_partition(query)) is None

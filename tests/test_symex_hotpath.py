@@ -438,6 +438,25 @@ class TestEqualityRewriting:
             *state.relevant_partition(condition), condition)
         _assert_partition_invariants(state)
 
+    def test_join_equality_chain_is_exact_unsat(self):
+        """join's path condition compares zero-extended input bytes.  The
+        comparisons narrow to the bytes, so the equalities rewrite the
+        last constraint to a literal false and the solver tries nothing."""
+        byte = [var(8, f"in_{i}") for i in range(4)]
+
+        def compare(op, a, b):
+            return binary(op, zext(byte[a], 32), zext(byte[b], 32))
+
+        state = ExecutionState()
+        for constraint in (compare(ExprOp.EQ, 2, 0), compare(ExprOp.EQ, 3, 0),
+                           compare(ExprOp.EQ, 2, 1),
+                           compare(ExprOp.NE, 3, 1)):
+            state.add_constraint(constraint)
+        solver = Solver()
+        result = solver.check_partition(*state.full_partition())
+        assert not result.satisfiable and result.exact
+        assert solver.stats.assignments_tried == 0
+
     def test_rewrite_folds_decided_conditions(self):
         state = ExecutionState()
         x = var(8, "x")
@@ -1187,3 +1206,27 @@ class TestIfConvertedWorkFloors:
         assert report.stats.total_paths == self.PATHS[program, level]
         assert report.solver_stats.unknown_results == 0
         assert report.solver_stats.assignments_tried < 20_000
+
+
+# ---------------------------------------------------------------------------
+# Exact path counts of byte-equality chains
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("level", ["O0", "OVERIFY"])
+def test_join_reports_only_feasible_paths(level):
+    """join compares zero-extended input bytes along equality chains.  The
+    comparisons narrow to the bytes, equality rewriting decides every
+    infeasible chain, and both levels report the same 25 paths with no
+    "maybe" answer."""
+    from repro.pipelines import CompileOptions, OptLevel, compile_source
+    from repro.workloads import get_workload
+
+    workload = get_workload("join")
+    module = compile_source(
+        workload.source, CompileOptions(level=getattr(OptLevel, level))).module
+    report = explore(module, workload.default_input_bytes,
+                     limits=SymexLimits(max_paths=1_000,
+                                        max_instructions=200_000,
+                                        timeout_seconds=600.0))
+    assert report.stats.termination_reason == ""
+    assert report.stats.total_paths == 25
+    assert report.solver_stats.unknown_results == 0
